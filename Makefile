@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard golden-update fuzz-smoke serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test vet race bench bench-core bench-shard bench-scale bench-hier check fmt-check regress regress-shard golden-update fuzz-smoke bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,12 @@ bench-hier:
 	$(GO) run ./cmd/benchcore -hier
 
 check: build vet race
+
+# The benchmark is its own Go module (bench/go.mod), so `go build ./...` at
+# the root never compiles it. Vet and test it on its own, so an API change
+# that breaks `bash bench/run.sh` fails here rather than at benchmark time.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test .
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -144,4 +150,4 @@ hier-golden-update:
 		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
 		$(GO) run ./cmd/sramload -hier-smoke -update -sramd "$$tmp/sramd"
 
-ci: build vet fmt-check race regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race bench-module regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

@@ -328,7 +328,14 @@ func BenchmarkEngineSweep(b *testing.B) {
 	shape := cache.DefaultConfig()
 	var jobs []engine.Job[core.Result]
 	for _, accs := range streams {
-		jobs = append(jobs, core.Jobs(kinds, shape, core.Options{}, accs)...)
+		for _, k := range kinds {
+			jobs = append(jobs, engine.Job[core.Result]{
+				Label: k.String(),
+				Fn: func(ctx context.Context) (core.Result, error) {
+					return core.RunContext(ctx, k, shape, core.Options{}, trace.FromSlice(accs), 0)
+				},
+			})
+		}
 	}
 	accessesPerRun := float64(perBench * len(jobs))
 

@@ -170,36 +170,48 @@ type System struct {
 
 // New builds a System from cfg.
 func New(cfg Config) (*System, error) {
+	kind, cc, opts, err := cfg.internal()
+	if err != nil {
+		return nil, err
+	}
+	c, err := cache.New(cc, mem.New())
+	if err != nil {
+		return nil, err
+	}
+	ctrl, err := core.New(kind, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &System{ctrl: ctrl}, nil
+}
+
+// internal resolves cfg into the simulator's controller kind, cache shape,
+// and controller options.
+func (cfg Config) internal() (core.Kind, cache.Config, core.Options, error) {
 	if cfg.Replacement == "" {
 		cfg.Replacement = "lru"
 	}
 	policy, err := cache.ParsePolicy(cfg.Replacement)
 	if err != nil {
-		return nil, err
+		return 0, cache.Config{}, core.Options{}, err
 	}
 	kind, err := core.ParseKind(cfg.Controller)
 	if err != nil {
-		return nil, err
+		return 0, cache.Config{}, core.Options{}, err
 	}
-	c, err := cache.New(cache.Config{
+	cc := cache.Config{
 		SizeBytes:       cfg.CacheSizeBytes,
 		Ways:            cfg.Ways,
 		BlockBytes:      cfg.BlockBytes,
 		Policy:          policy,
 		Seed:            cfg.Seed,
 		NoWriteAllocate: cfg.NoWriteAllocate,
-	}, mem.New())
-	if err != nil {
-		return nil, err
 	}
-	ctrl, err := core.New(kind, c, core.Options{
+	opts := core.Options{
 		BufferDepth:          cfg.BufferDepth,
 		DisableSilentElision: cfg.DisableSilentElision,
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &System{ctrl: ctrl}, nil
+	return kind, cc, opts, nil
 }
 
 // Access processes one request and returns the value read (reads) or now
@@ -235,15 +247,7 @@ func RunWorkload(cfg Config, name string, seed uint64, n int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sys, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := 0; i < n; i++ {
-		a, _ := gen.Next()
-		sys.ctrl.Access(a)
-	}
-	return sys.Finalize(), nil
+	return run(cfg, gen, n)
 }
 
 // RunMix simulates n accesses of a multiprogrammed round-robin mix of the
@@ -253,15 +257,24 @@ func RunMix(cfg Config, names []string, seed uint64, quantum, n int) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	sys, err := New(cfg)
+	return run(cfg, m, n)
+}
+
+// run simulates the first n accesses of the endless stream s under cfg; a
+// non-positive n simulates none.
+func run(cfg Config, s trace.Stream, n int) (Result, error) {
+	kind, cc, opts, err := cfg.internal()
 	if err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < n; i++ {
-		a, _ := m.Next()
-		sys.ctrl.Access(a)
+	if n <= 0 {
+		s = trace.FromSlice(nil)
 	}
-	return sys.Finalize(), nil
+	res, err := core.Run(kind, cc, opts, s, n)
+	if err != nil {
+		return Result{}, err
+	}
+	return resultFrom(res), nil
 }
 
 // Compare runs the same workload under the configured controller and under

@@ -72,7 +72,7 @@ func main() {
 					return row{}, err
 				}
 				an := core.Analyze(trace.FromSlice(accs), g, 0)
-				res, err := core.RunAllContext(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{}, accs, 1)
+				res, err := core.RunAll(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{}, accs)
 				if err != nil {
 					return row{}, err
 				}
@@ -173,7 +173,7 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 					if err != nil {
 						return red{}, err
 					}
-					res, err := core.RunAllContext(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{}, accs, 1)
+					res, err := core.RunAll(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{}, accs)
 					if err != nil {
 						return red{}, err
 					}

@@ -1287,6 +1287,8 @@ func (c *client) sweepStatus(ctx context.Context, id string) (coord.SweepStatus,
 }
 
 // waitTerminal follows the job's SSE stream until a terminal status event.
+// Frames are told apart by event name: a recovered job's stream opens with
+// an `event: recovered` frame, which is not part of the status stream.
 func (c *client) waitTerminal(ctx context.Context, id string) (server.JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -1306,9 +1308,17 @@ func (c *client) waitTerminal(ctx context.Context, id string) (server.JobStatus,
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var last server.JobStatus
+	event := ""
 	for sc.Scan() {
 		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+		switch {
+		case line == "":
+			event = "" // a blank line ends the frame
+			continue
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+			continue
+		case event != "status" || !strings.HasPrefix(line, "data: "):
 			continue
 		}
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {

@@ -6,7 +6,7 @@
 //
 //	sramsim -workload bwaves -controller wgrb -n 1000000
 //	sramsim -trace requests.c8tt -controller rmw
-//	sramsim -trace huge.c8tt.gz -stream -batch 8192
+//	sramsim -trace huge.c8tt.gz -batch 8192
 //	sramsim -shards 4 -controller rmw -workload mcf
 //	sramsim -report run.json -workload mcf
 //	sramsim -cpuprofile cpu.out -memprofile mem.out -n 10000000
@@ -15,17 +15,17 @@
 // The -trace flag replays a trace file (binary C8TT, gzipped, or text — the
 // framing is sniffed) instead of a synthetic workload; a decode error
 // mid-stream aborts the run with a non-zero exit before any results print,
-// so CI can trust the exit code. -stream runs the batched streaming pipeline
-// — results are identical, memory stays constant no matter the trace size —
-// and -batch tunes its batch length. -shards partitions the cache's sets
-// across that many concurrent controller instances (implies -stream);
-// results stay byte-identical, and controllers with cross-set state log the
-// reason and run serially. -report writes the run's canonical artifact
-// (internal/report) for the regression tooling. -cpuprofile/-memprofile
-// write standard pprof profiles of the run.
+// so CI can trust the exit code. Every run streams the trace in batches, so
+// memory stays constant no matter the trace size; -batch tunes the batch
+// length. -shards partitions the cache's sets across that many concurrent
+// controller instances; results stay byte-identical, and a shard request a
+// controller cannot honour is refused up front. -report writes the run's
+// canonical artifact (internal/report) for the regression tooling.
+// -cpuprofile/-memprofile write standard pprof profiles of the run.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -70,9 +70,8 @@ func run() error {
 		voltage      = flag.Float64("vdd", 1.0, "operating voltage for the energy report")
 		freq         = flag.Float64("freq", 2000, "operating frequency in MHz")
 		reportPath   = flag.String("report", "", "write the run artifact (canonical JSON) to this path")
-		streamMode   = flag.Bool("stream", false, "run on the batched streaming pipeline (constant memory; same results)")
-		batch        = flag.Int("batch", 0, "streaming batch size in accesses (0 = default, implies -stream when set)")
-		shards       = flag.Int("shards", 0, "set-shard the simulation across this many goroutines (implies -stream; same results)")
+		batch        = flag.Int("batch", 0, "streaming batch size in accesses (0 = default)")
+		shards       = flag.Int("shards", 0, "set-shard the simulation across this many goroutines (same results)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		list         = flag.Bool("list", false, "list bundled workloads and exit")
@@ -110,10 +109,6 @@ func run() error {
 		CountFillTraffic:     *countFills,
 	}
 
-	if *batch != 0 || *shards > 1 {
-		*streamMode = true
-	}
-
 	stopCPU, err := prof.StartCPU(*cpuprofile)
 	if err != nil {
 		return err
@@ -121,7 +116,6 @@ func run() error {
 	defer stopCPU()
 
 	var stream trace.Stream
-	var errStream trace.ErrStream
 	var sourceName string
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
@@ -131,11 +125,10 @@ func run() error {
 		defer f.Close()
 		// Sniffs gzip, binary C8TT, or text framing; the run never holds more
 		// than one decoded batch of the file.
-		errStream, err = trace.NewAnyReader(f)
+		stream, err = trace.NewAnyReader(f)
 		if err != nil {
 			return err
 		}
-		stream = errStream
 		sourceName = *traceFile
 		*n = 0 // replay fully
 	} else {
@@ -163,28 +156,12 @@ func run() error {
 	}
 
 	start := time.Now()
-	var res core.Result
-	if *streamMode {
-		// The streaming entry point surfaces decode failures itself, with the
-		// clean-access count attached. RunSharded degrades to the plain
-		// streaming driver whenever the plan above fell back to serial.
-		res, err = core.RunSharded(kind, cfg, opts, stream, *n, *batch, *shards)
-		if err != nil {
-			return err
-		}
-	} else {
-		res, err = core.Run(kind, cfg, opts, stream, *n)
-		if err != nil {
-			return err
-		}
-		// A trace that stops decoding mid-stream ends the run exactly like a
-		// clean EOF, so the decode error must be checked — and fail the
-		// command — before any result is presented as trustworthy.
-		if errStream != nil {
-			if err := errStream.Err(); err != nil {
-				return fmt.Errorf("trace decode (after %d accesses): %w", res.Requests.Accesses(), err)
-			}
-		}
+	// Decode failures come back with the clean-access count attached, and
+	// the run degrades to the serial driver whenever the plan above fell
+	// back.
+	res, err := core.RunShardedContext(context.Background(), kind, cfg, opts, stream, *n, *batch, *shards)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start)
 

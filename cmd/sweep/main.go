@@ -123,7 +123,7 @@ func main() {
 					Weight: 2 * int64(*n),
 					Fn: func(jctx context.Context) (float64, error) {
 						compute := func() (float64, error) {
-							res, err := runPair(jctx, []core.Kind{core.RMW, kind}, c.cfg, c.opts, src, *shards)
+							res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, kind}, c.cfg, c.opts, src.Stream, 0, 0, *shards)
 							if err != nil {
 								return 0, err
 							}
@@ -304,28 +304,6 @@ func cachedReduction(ctx context.Context, rc *rescache.Cache, key string, comput
 		return 0, fmt.Errorf("sweep: corrupt cached reduction: %w", err)
 	}
 	return m["reduction"], nil
-}
-
-// runPair drives both kinds of a reduction comparison over src. Without
-// sharding they share one decode of the trace (broadcast); with -shards each
-// kind runs set-sharded over its own fresh open — RMW actually shards, the
-// WG family falls back to serial inside RunShardedContext.
-func runPair(ctx context.Context, kinds []core.Kind, cfg cache.Config, opts core.Options, src *workload.Source, shards int) ([]core.Result, error) {
-	if shards <= 1 {
-		return core.RunEachStream(ctx, kinds, cfg, opts, src.Stream, 0, 0)
-	}
-	out := make([]core.Result, len(kinds))
-	for i, k := range kinds {
-		s, err := src.Stream()
-		if err != nil {
-			return nil, err
-		}
-		out[i], err = core.RunShardedContext(ctx, k, cfg, opts, s, 0, 0, shards)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 func gridCols(first string, blocks []int) []string {

@@ -65,7 +65,7 @@ func BenchmarkRunStreamedBinary(b *testing.B) {
 	b.SetBytes(int64(len(accs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunStream(WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0, 0); err != nil {
+		if _, err := Run(WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

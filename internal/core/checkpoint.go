@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,7 +17,7 @@ import (
 // into one versioned blob, and restored into a fresh Driver that replays
 // the remaining trace suffix. The contract is the repository's usual one:
 // resume ≡ straight-through, byte-identical down to the flushed memory
-// image (pinned by TestCheckpointResumeIdentity for every controller kind).
+// image (pinned by the conformance suite for every controller kind).
 //
 // The blob is self-describing: it embeds the cache.Config and Options it
 // was captured under, so ResumeDriver needs nothing but the bytes. The
@@ -153,26 +152,12 @@ type baseHolder interface {
 func (b *base) baseState() *base { return b }
 
 // Snapshot serializes the driver's complete state at the current (batch)
-// boundary. cfg must be the cache.Config the run was built with: the blob
-// embeds it so the resuming side can rebuild an identical cache, and the
-// parts of it that are observable (geometry, allocation policy) are
-// cross-checked here against the live cache.
-func (d *Driver) Snapshot(cfg cache.Config) ([]byte, error) {
-	bh, ok := d.ctrl.(baseHolder)
-	if !ok {
-		return nil, fmt.Errorf("core: controller %T cannot be checkpointed", d.ctrl)
-	}
-	b := bh.baseState()
-	geom, err := cache.NewGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot config: %w", err)
-	}
-	if geom != b.geom {
-		return nil, fmt.Errorf("core: snapshot config geometry %+v does not match the running cache %+v", geom, b.geom)
-	}
-	if cfg.NoWriteAllocate != b.cache.NoWriteAllocate() {
-		return nil, fmt.Errorf("core: snapshot config allocation policy does not match the running cache")
-	}
+// boundary. The blob embeds the driver's cache.Config and Options so the
+// resuming side can rebuild an identical cache. Only the package controller
+// is captured — a Wrap wrapper's own state is not.
+func (d *Driver) Snapshot() ([]byte, error) {
+	b := d.inner.(baseHolder).baseState()
+	cfg, geom := d.cfg, b.geom
 
 	w := &ckptWriter{buf: make([]byte, 0, 1<<16)}
 	w.raw([]byte(ckptMagic))
@@ -254,7 +239,7 @@ func (d *Driver) Snapshot(cfg cache.Config) ([]byte, error) {
 	}
 
 	// Controller-specific state.
-	switch ctrl := d.ctrl.(type) {
+	switch ctrl := d.inner.(type) {
 	case *directController, *rmwController:
 		w.u8(ckptExtraNone)
 	case *tsController:
@@ -282,7 +267,7 @@ func (d *Driver) Snapshot(cfg cache.Config) ([]byte, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("core: controller %T cannot be checkpointed", d.ctrl)
+		return nil, fmt.Errorf("core: controller %T cannot be checkpointed", d.inner)
 	}
 	return w.buf, nil
 }
@@ -302,22 +287,18 @@ func readLineInto(r *ckptReader, l *cache.Line, blockBytes int) {
 }
 
 // ResumeDriver reconstructs a Driver — controller, cache, replacement
-// state, and memory image included — from a Snapshot blob. It returns the
-// cache.Config the snapshot was captured under and how many accesses had
-// been fed at capture time; the caller must skip exactly that many
-// accesses of the identical stream before feeding the rest. Any
-// malformation yields an error wrapping ErrBadCheckpoint.
-func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
-	fail := func(err error) (*Driver, cache.Config, uint64, error) {
-		return nil, cache.Config{}, 0, err
-	}
+// state, and memory image included — from a Snapshot blob. Its Accesses()
+// is the snapshot position, which Drain skips on the identical stream
+// before feeding the rest. Any malformation yields an error wrapping
+// ErrBadCheckpoint.
+func ResumeDriver(blob []byte) (*Driver, error) {
 	r := &ckptReader{buf: blob}
 	if string(r.take(len(ckptMagic))) != ckptMagic {
 		r.fail("magic mismatch")
-		return fail(r.err)
+		return nil, r.err
 	}
 	if v := r.u16(); r.err == nil && v != ckptVersion {
-		return fail(fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrBadCheckpoint, v, ckptVersion))
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrBadCheckpoint, v, ckptVersion)
 	}
 	kind := Kind(r.u8())
 
@@ -355,7 +336,7 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 
 	var arrayCounts [sram.NumEvents]uint64
 	if n := r.u32(); r.err == nil && int(n) != len(arrayCounts) {
-		return fail(fmt.Errorf("%w: snapshot has %d array events, this build has %d", ErrBadCheckpoint, n, len(arrayCounts)))
+		return nil, fmt.Errorf("%w: snapshot has %d array events, this build has %d", ErrBadCheckpoint, n, len(arrayCounts))
 	}
 	for i := range arrayCounts {
 		arrayCounts[i] = r.u64()
@@ -373,13 +354,13 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 		rngState[i] = r.u64()
 	}
 	if r.err != nil {
-		return fail(r.err)
+		return nil, r.err
 	}
 
 	// Rebuild the substrate; cache.New validates the embedded geometry.
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadCheckpoint, err))
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	geom := c.Geometry()
 	c.RestoreStats(stats)
@@ -393,20 +374,20 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 	for s := 0; s < geom.Sets; s++ {
 		n := r.u32()
 		if r.err == nil && int(n) > geom.Ways {
-			return fail(fmt.Errorf("%w: policy state for set %d has %d words for %d ways", ErrBadCheckpoint, s, n, geom.Ways))
+			return nil, fmt.Errorf("%w: policy state for set %d has %d words for %d ways", ErrBadCheckpoint, s, n, geom.Ways)
 		}
 		if r.err != nil {
-			return fail(r.err)
+			return nil, r.err
 		}
 		ps := make([]uint32, n)
 		for i := range ps {
 			ps[i] = r.u32()
 		}
 		if r.err != nil {
-			return fail(r.err)
+			return nil, r.err
 		}
 		if err := c.RestorePolicyState(s, ps); err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrBadCheckpoint, err))
+			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
 
@@ -416,14 +397,14 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 		base := r.u64()
 		chunk := r.take(mem.ChunkSize)
 		if r.err != nil {
-			return fail(r.err)
+			return nil, r.err
 		}
 		m.Write(base, chunk)
 	}
 
 	ctrl, err := New(kind, c, opts)
 	if err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrBadCheckpoint, err))
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	bh := ctrl.(baseHolder).baseState()
 	bh.requests = requests
@@ -434,26 +415,26 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 	switch ctrl := ctrl.(type) {
 	case *directController, *rmwController:
 		if r.err == nil && extra != ckptExtraNone {
-			return fail(fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind))
+			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
 		}
 	case *tsController:
 		if r.err == nil && extra != ckptExtraTS {
-			return fail(fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind))
+			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
 		}
 		ctrl.specReads = r.u64()
 	case *coalesceController:
 		if r.err == nil && extra != ckptExtraCoalesce {
-			return fail(fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind))
+			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
 		}
 		ctrl.pendingValid = r.bool()
 		ctrl.pendingBase = r.u64()
 		ctrl.pendingDirty = r.bool()
 	case *wgController:
 		if r.err == nil && extra != ckptExtraWG {
-			return fail(fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind))
+			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
 		}
 		if n := r.u32(); r.err == nil && int(n) != len(ctrl.buffers) {
-			return fail(fmt.Errorf("%w: snapshot has %d Set-Buffer entries, options build %d", ErrBadCheckpoint, n, len(ctrl.buffers)))
+			return nil, fmt.Errorf("%w: snapshot has %d Set-Buffer entries, options build %d", ErrBadCheckpoint, n, len(ctrl.buffers))
 		}
 		for i := range ctrl.buffers {
 			sb := &ctrl.buffers[i]
@@ -465,7 +446,7 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 			sb.dirty = r.bool()
 			sb.writes = r.u64()
 			if r.err == nil && (sb.set < 0 || sb.set >= geom.Sets) {
-				return fail(fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, sb.set))
+				return nil, fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, sb.set)
 			}
 			sb.lines = make([]cache.Line, geom.Ways)
 			data := make([]byte, geom.Ways*geom.BlockBytes)
@@ -476,91 +457,10 @@ func ResumeDriver(blob []byte) (*Driver, cache.Config, uint64, error) {
 		}
 	}
 	if r.err != nil {
-		return fail(r.err)
+		return nil, r.err
 	}
 	if r.off != len(r.buf) {
-		return fail(fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(r.buf)-r.off))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(r.buf)-r.off)
 	}
-
-	d := NewDriver(ctrl)
-	d.fed = fed
-	return d, cfg, fed, nil
-}
-
-// RunStreamCheckpointedContext is RunStreamContext plus periodic snapshots:
-// after every `every`-th fed batch the driver's state is serialized and
-// handed to sink. every <= 0 or a nil sink disables checkpointing, making
-// this exactly RunStreamContext.
-func RunStreamCheckpointedContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize, every int, sink CheckpointSink) (Result, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := New(kind, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return runCheckpointed(ctx, NewDriver(ctrl), cfg, s, max, batchSize, 0, every, sink)
-}
-
-// ResumeStreamContext restores a snapshot and replays the remaining suffix
-// of s, which must be the identical stream (same workload, same seed, same
-// bound) the snapshot's run was fed. Checkpointing continues via every and
-// sink, like RunStreamCheckpointedContext. The returned Result is
-// byte-identical to what the uninterrupted run would have produced.
-func ResumeStreamContext(ctx context.Context, blob []byte, s trace.Stream, max, batchSize, every int, sink CheckpointSink) (Result, error) {
-	d, cfg, fed, err := ResumeDriver(blob)
-	if err != nil {
-		return Result{}, err
-	}
-	if max > 0 && fed > uint64(max) {
-		return Result{}, fmt.Errorf("%w: snapshot is %d accesses in, past the %d-access budget", ErrBadCheckpoint, fed, max)
-	}
-	return runCheckpointed(ctx, d, cfg, s, max, batchSize, fed, every, sink)
-}
-
-// runCheckpointed is the shared drive loop: skip the already-simulated
-// prefix (resume), feed the rest batch by batch, snapshot every `every`
-// fed batches.
-func runCheckpointed(ctx context.Context, d *Driver, cfg cache.Config, s trace.Stream, max, batchSize int, skip uint64, every int, sink CheckpointSink) (Result, error) {
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
-	}
-	b := trace.NewBatcher(s, batchSizeFor(max, batchSize))
-	fedBatches := 0
-	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		batch, ok := b.Next()
-		if !ok {
-			break
-		}
-		if skip > 0 {
-			if uint64(len(batch)) <= skip {
-				skip -= uint64(len(batch))
-				continue
-			}
-			batch = batch[skip:]
-			skip = 0
-		}
-		d.Feed(batch)
-		fedBatches++
-		if every > 0 && sink != nil && fedBatches%every == 0 {
-			blob, err := d.Snapshot(cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			if err := sink(blob, d.Accesses()); err != nil {
-				return Result{}, fmt.Errorf("core: checkpoint sink: %w", err)
-			}
-		}
-	}
-	if err := b.Err(); err != nil {
-		return Result{}, &StreamError{Accesses: d.Accesses(), Err: err}
-	}
-	if skip > 0 {
-		return Result{}, fmt.Errorf("%w: stream ended %d accesses short of the snapshot position", ErrBadCheckpoint, skip)
-	}
-	return d.Finish(), nil
+	return &Driver{ctrl: ctrl, inner: ctrl, cfg: cfg, fed: fed}, nil
 }

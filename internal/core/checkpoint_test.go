@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"cache8t/internal/cache"
-	"cache8t/internal/mem"
 	"cache8t/internal/trace"
 )
 
-// checkpointVariants are the (config, options) points the identity property
-// is checked at: the paper baseline shape, the stochastic replacement policy
-// (whose shared RNG is the subtlest piece of checkpointed state), and the
-// no-write-allocate ablation with a deeper Set-Buffer.
+// checkpointVariants are the (config, options) points the memory-image
+// property is checked at: the paper baseline shape, the stochastic
+// replacement policy (whose shared RNG is the subtlest piece of
+// checkpointed state), and the no-write-allocate ablation with a deeper
+// Set-Buffer.
 func checkpointVariants() []struct {
 	label string
 	cfg   cache.Config
@@ -39,48 +39,6 @@ func checkpointVariants() []struct {
 	}
 }
 
-// TestCheckpointResumeIdentity is the tentpole property: for every
-// controller kind, checkpointing at any batch boundary and resuming yields
-// a Result identical to the straight-through run — counters, event ledger,
-// and (checked separately below) the flushed memory image.
-func TestCheckpointResumeIdentity(t *testing.T) {
-	const n = 6000
-	const footprint = 8192
-	stream := randomStream(11, n, footprint)
-	ctx := context.Background()
-	for _, v := range checkpointVariants() {
-		for _, k := range Kinds() {
-			label := fmt.Sprintf("%v/%s", k, v.label)
-			// Straight-through run, collecting a snapshot at every batch
-			// boundary (snapshotting must not perturb the run).
-			var blobs [][]byte
-			straight, err := RunStreamCheckpointedContext(ctx, k, v.cfg, v.opts,
-				trace.FromSlice(stream), 0, 257, 1,
-				func(blob []byte, accesses uint64) error {
-					blobs = append(blobs, blob)
-					return nil
-				})
-			if err != nil {
-				t.Fatalf("%s: straight run: %v", label, err)
-			}
-			if len(blobs) < 3 {
-				t.Fatalf("%s: only %d snapshots collected", label, len(blobs))
-			}
-			// Resume from the first, a middle, and the last boundary, with a
-			// different batch size so resumed batch boundaries never line up
-			// with the original ones.
-			for _, idx := range []int{0, len(blobs) / 2, len(blobs) - 1} {
-				got, err := ResumeStreamContext(ctx, blobs[idx],
-					trace.FromSlice(stream), 0, 97, 0, nil)
-				if err != nil {
-					t.Fatalf("%s: resume from snapshot %d: %v", label, idx, err)
-				}
-				requireResultsEqual(t, fmt.Sprintf("%s resume@%d", label, idx), got, straight)
-			}
-		}
-	}
-}
-
 // TestCheckpointResumeMemoryImage drives straight and resumed runs by hand
 // so both caches stay inspectable, then compares the flushed memory images
 // byte for byte — the part of machine state Result does not carry.
@@ -90,44 +48,40 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 	for _, v := range checkpointVariants() {
 		for _, k := range Kinds() {
 			label := fmt.Sprintf("%v/%s", k, v.label)
-			sc, err := cache.New(v.cfg, mem.New())
+			sd, err := NewDriver(k, v.cfg, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sctrl, err := New(k, sc, v.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sd := NewDriver(sctrl)
 			var blob []byte
 			for i := 0; i < n; i += 500 {
 				sd.Feed(stream[i : i+500])
 				if i == n/2 {
-					if blob, err = sd.Snapshot(v.cfg); err != nil {
+					if blob, err = sd.Snapshot(); err != nil {
 						t.Fatalf("%s: snapshot: %v", label, err)
 					}
 				}
 			}
 			straight := sd.Finish()
 
-			rd, _, fed, err := ResumeDriver(blob)
+			rd, err := ResumeDriver(blob)
 			if err != nil {
 				t.Fatalf("%s: ResumeDriver: %v", label, err)
 			}
 			// A snapshot of the freshly restored driver must reproduce the
 			// blob byte for byte: restore loses nothing the codec captures.
-			reblob, err := rd.Snapshot(v.cfg)
+			reblob, err := rd.Snapshot()
 			if err != nil {
 				t.Fatalf("%s: re-snapshot: %v", label, err)
 			}
 			if !bytes.Equal(reblob, blob) {
 				t.Errorf("%s: re-snapshot differs from original blob", label)
 			}
-			rd.Feed(stream[fed:])
+			rd.Feed(stream[rd.Accesses():])
 			resumed := rd.Finish()
 			requireResultsEqual(t, label, resumed, straight)
 
-			rc := rd.ctrl.(baseHolder).baseState().cache
+			sc := sd.inner.(baseHolder).baseState().cache
+			rc := rd.inner.(baseHolder).baseState().cache
 			sc.FlushAll()
 			rc.FlushAll()
 			if !sc.Backing().Equal(rc.Backing()) {
@@ -137,26 +91,46 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 	}
 }
 
+// snapshotsOf runs accs straight through a fresh driver of kind at
+// batchSize, snapshotting every `every` batches, and returns the blobs.
+func snapshotsOf(t *testing.T, k Kind, accs []trace.Access, batchSize, every int) [][]byte {
+	t.Helper()
+	d, err := NewDriver(k, smallCfg(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs [][]byte
+	d.CheckpointEvery(every, func(blob []byte, _ uint64) error {
+		blobs = append(blobs, blob)
+		return nil
+	})
+	if _, err := d.Drain(context.Background(), trace.FromSlice(accs), 0, batchSize); err != nil {
+		t.Fatal(err)
+	}
+	return blobs
+}
+
+// resume restores blob and drains s through it.
+func resume(blob []byte, s trace.Stream, max int) (Result, error) {
+	d, err := ResumeDriver(blob)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.Drain(context.Background(), s, max, 0)
+}
+
 // TestResumeAgainstWrongStream pins the fail-closed behaviour when the
 // resumed stream is shorter than the snapshot position.
 func TestResumeAgainstWrongStream(t *testing.T) {
 	stream := randomStream(5, 3000, 4096)
-	var blobs [][]byte
-	_, err := RunStreamCheckpointedContext(context.Background(), RMW, smallCfg(), Options{},
-		trace.FromSlice(stream), 0, 256, 1,
-		func(blob []byte, _ uint64) error { blobs = append(blobs, blob); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobs := snapshotsOf(t, RMW, stream, 256, 1)
 	last := blobs[len(blobs)-1]
-	_, err = ResumeStreamContext(context.Background(), last,
-		trace.FromSlice(stream[:100]), 0, 0, 0, nil)
+	_, err := resume(last, trace.FromSlice(stream[:100]), 0)
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("short stream: err = %v, want ErrBadCheckpoint", err)
 	}
 	// A budget below the snapshot position is equally unresumable.
-	_, err = ResumeStreamContext(context.Background(), last,
-		trace.FromSlice(stream), 100, 0, 0, nil)
+	_, err = resume(last, trace.FromSlice(stream), 100)
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("small budget: err = %v, want ErrBadCheckpoint", err)
 	}
@@ -166,21 +140,13 @@ func TestResumeAgainstWrongStream(t *testing.T) {
 // it must never panic, and every rejection must wrap ErrBadCheckpoint.
 func TestResumeCorruptBlob(t *testing.T) {
 	stream := randomStream(9, 2000, 4096)
-	var blob []byte
-	_, err := RunStreamCheckpointedContext(context.Background(), WGRB, smallCfg(), Options{},
-		trace.FromSlice(stream), 0, 512, 2,
-		func(b []byte, _ uint64) error {
-			blob = b
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ResumeDriver(nil); !errors.Is(err, ErrBadCheckpoint) {
+	blobs := snapshotsOf(t, WGRB, stream, 512, 2)
+	blob := blobs[len(blobs)-1]
+	if _, err := ResumeDriver(nil); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("nil blob: err = %v, want ErrBadCheckpoint", err)
 	}
 	for cut := 0; cut < len(blob); cut += 91 {
-		if _, _, _, err := ResumeDriver(blob[:cut]); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := ResumeDriver(blob[:cut]); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("truncation at %d: err = %v, want ErrBadCheckpoint", cut, err)
 		}
 	}
@@ -189,11 +155,11 @@ func TestResumeCorruptBlob(t *testing.T) {
 		mut[off] ^= 0x5a
 		// A flip may land in a data byte and still decode; the contract is
 		// no panic and no non-wrapped error.
-		if _, _, _, err := ResumeDriver(mut); err != nil && !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := ResumeDriver(mut); err != nil && !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("flip at %d: err = %v, want ErrBadCheckpoint wrap", off, err)
 		}
 	}
-	if _, _, _, err := ResumeDriver(append(bytes.Clone(blob), 0)); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := ResumeDriver(append(bytes.Clone(blob), 0)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadCheckpoint", err)
 	}
 }

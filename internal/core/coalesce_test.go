@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -91,7 +92,7 @@ func TestWGBeatsCoalescerOnSetLocality(t *testing.T) {
 func TestCoalesceCostBetweenConventionalAndRMW(t *testing.T) {
 	for seed := uint64(90); seed < 94; seed++ {
 		stream := randomStream(seed, 6000, 16384)
-		res, err := RunAll([]Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, stream)
+		res, err := RunAll(context.Background(), []Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, stream)
 		if err != nil {
 			t.Fatal(err)
 		}

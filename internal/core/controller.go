@@ -109,13 +109,13 @@ func Kinds() []Kind {
 // every observable effect of an access (cache mutation, counters, array
 // events, memory traffic) depends only on the subsequence of accesses to
 // that access's set. Set-local controllers can be sharded by set index
-// (RunSharded) with byte-identical merged results. The direct (Conventional,
-// WordGranularity) and RMW (RMW, LocalRMW) controllers qualify; the WG
-// family's Set-Buffer and the coalescer's pending-write window carry global
-// cross-set state — which set is buffered next depends on the interleaving
-// of *all* sets' accesses — so they must run serially. KindTS's replay
-// schedule counts reads globally (every R-th read mis-speculates regardless
-// of set), so it is not set-local either.
+// (RunShardedContext) with byte-identical merged results. The direct
+// (Conventional, WordGranularity) and RMW (RMW, LocalRMW) controllers
+// qualify; the WG family's Set-Buffer and the coalescer's pending-write
+// window carry global cross-set state — which set is buffered next depends
+// on the interleaving of *all* sets' accesses — so they must run serially.
+// KindTS's replay schedule counts reads globally (every R-th read
+// mis-speculates regardless of set), so it is not set-local either.
 func (k Kind) SetLocal() bool {
 	switch k {
 	case Conventional, WordGranularity, RMW, LocalRMW:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestAccessCountOrderingOnRandomStreams(t *testing.T) {
 	// Conventional 6T reference is the floor.
 	for seed := uint64(10); seed < 16; seed++ {
 		stream := randomStream(seed, 8000, 16384)
-		results, err := RunAll([]Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, stream)
+		results, err := RunAll(context.Background(), []Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, stream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,14 +16,54 @@ import (
 // the controller's Access method is the only per-access work left.
 //
 // A Driver never holds more than one batch of the trace; memory stays
-// constant no matter how long the stream is.
+// constant no matter how long the stream is. It keeps the cache.Config its
+// cache was built from, so it can checkpoint itself (Snapshot).
 type Driver struct {
-	ctrl Controller
-	fed  uint64
+	// ctrl is what Feed calls: the controller, or a wrapper installed by
+	// Wrap. inner is always the package controller, the state Snapshot
+	// serializes.
+	ctrl  Controller
+	inner Controller
+	cfg   cache.Config
+	fed   uint64
+
+	// every and sink configure Drain's per-batch checkpoints.
+	every int
+	sink  CheckpointSink
 }
 
-// NewDriver wraps a controller for batched feeding.
-func NewDriver(ctrl Controller) *Driver { return &Driver{ctrl: ctrl} }
+// NewDriver builds a fresh cache (over its own backing memory) and a
+// controller of kind for batched feeding.
+func NewDriver(kind Kind, cfg cache.Config, opts Options) (*Driver, error) {
+	c, err := cache.New(cfg, mem.New())
+	if err != nil {
+		return nil, err
+	}
+	ctrl, err := New(kind, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Driver{ctrl: ctrl, inner: ctrl, cfg: cfg}, nil
+}
+
+// Wrap interposes on every access the driver feeds: w receives the current
+// controller and the cache under it, and returns a Controller that forwards
+// to the one it was given — the role a LoggedController plays in RunLogged;
+// internal/hier hangs its L1→L2 bridge here. Snapshot serializes only the
+// controller underneath, so a wrapper's own state is not checkpointed.
+func (d *Driver) Wrap(w func(ctrl Controller, c *cache.Cache) Controller) {
+	d.ctrl = w(d.ctrl, d.inner.(baseHolder).baseState().cache)
+}
+
+// CheckpointEvery makes Drain serialize the driver (Snapshot) after every
+// `every`-th fed batch and hand the blob to sink. every <= 0 or a nil sink
+// turns checkpointing off.
+func (d *Driver) CheckpointEvery(every int, sink CheckpointSink) {
+	if every <= 0 {
+		sink = nil
+	}
+	d.every, d.sink = every, sink
+}
 
 // Feed runs every access of batch through the controller, in order.
 func (d *Driver) Feed(batch []trace.Access) {
@@ -33,78 +73,121 @@ func (d *Driver) Feed(batch []trace.Access) {
 	d.fed += uint64(len(batch))
 }
 
-// Accesses returns how many accesses have been fed.
+// Accesses returns how many accesses have been fed, including those a
+// resumed driver simulated before its snapshot.
 func (d *Driver) Accesses() uint64 { return d.fed }
 
 // Finish drains the controller's buffers and returns the run's Result. The
 // driver (and its controller) must not be used afterwards.
 func (d *Driver) Finish() Result { return d.ctrl.Finalize() }
 
-// RunStream drives up to max accesses of s (max <= 0 drains the stream)
-// through a freshly built cache and controller, pulling the stream in
-// reusable batches of batchSize (<= 0 means trace.DefaultBatchSize). It is
-// the streaming twin of Run: results are identical access-for-access, but
-// the trace is never materialized and decode errors are returned rather than
-// left on the stream.
-func RunStream(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
-	return RunStreamContext(context.Background(), kind, cfg, opts, s, max, batchSize)
-}
-
-// RunStreamContext is RunStream with cancellation, polled once per batch.
-func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := New(kind, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
+// Drain is the one loop that pulls a trace.Stream into a controller. It
+// feeds up to max accesses of s (max <= 0 drains the stream) in reusable
+// batches of batchSize (<= 0 means trace.DefaultBatchSize; a bounded run
+// never buffers more than max), then finishes the driver. Along the way it
+//
+//   - polls ctx once per batch and returns its error once it is done;
+//   - skips the first Accesses() accesses of s, so a resumed driver replays
+//     only the suffix of the stream its snapshot was taken on (a fresh
+//     driver skips nothing);
+//   - snapshots into the CheckpointEvery sink every N fed batches;
+//   - returns *StreamError, with the count of accesses simulated cleanly,
+//     when s fails to decode.
+//
+// A stream that ends, or a budget that stops, before the resume position
+// fails with ErrBadCheckpoint.
+func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) (Result, error) {
+	skip := d.fed
 	if max > 0 {
+		if skip > uint64(max) {
+			return Result{}, fmt.Errorf("%w: snapshot is %d accesses in, past the %d-access budget", ErrBadCheckpoint, skip, max)
+		}
 		s = trace.NewLimit(s, uint64(max))
 	}
-	d := NewDriver(ctrl)
 	b := trace.NewBatcher(s, batchSizeFor(max, batchSize))
+	batches := 0
 	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
 		}
 		batch, ok := b.Next()
 		if !ok {
 			break
 		}
+		if skip > 0 {
+			n := min(skip, uint64(len(batch)))
+			batch, skip = batch[n:], skip-n
+			if len(batch) == 0 {
+				continue
+			}
+		}
 		d.Feed(batch)
+		batches++
+		if d.sink != nil && batches%d.every == 0 {
+			blob, err := d.Snapshot()
+			if err != nil {
+				return Result{}, err
+			}
+			if err := d.sink(blob, d.fed); err != nil {
+				return Result{}, fmt.Errorf("core: checkpoint sink: %w", err)
+			}
+		}
 	}
 	if err := b.Err(); err != nil {
-		return Result{}, &StreamError{Accesses: d.Accesses(), Err: err}
+		return Result{}, &StreamError{Accesses: d.fed - skip, Err: err}
+	}
+	if skip > 0 {
+		return Result{}, fmt.Errorf("%w: stream ended %d accesses short of the snapshot position", ErrBadCheckpoint, skip)
 	}
 	return d.Finish(), nil
 }
 
-// RunEachStream runs every kind over one shared decode of the stream: open
-// is called once, a trace.Broadcast fans the batches out, and each kind's
-// controller consumes them on its own goroutine. Results are byte-identical
-// to RunEachStreamSerial (and so to RunAll over the materialized accesses)
-// because every controller sees the exact same access sequence — but a
-// seven-kind comparison decodes its gzip trace once instead of seven times,
-// and no kind ever holds the full trace.
-func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
-	if len(kinds) <= 1 {
-		return RunEachStreamSerial(ctx, kinds, cfg, opts, open, max, batchSize)
+// RunStreamContext drives up to max accesses of s (max <= 0 drains the
+// stream) through a freshly built cache and controller, pulling the stream
+// in reusable batches of batchSize (<= 0 means trace.DefaultBatchSize) and
+// polling ctx once per batch. Results are identical access-for-access to
+// Run over the same accesses, the trace is never materialized, and decode
+// errors come back as *StreamError.
+func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize int) (Result, error) {
+	d, err := NewDriver(kind, cfg, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return d.Drain(ctx, s, max, batchSize)
+}
+
+// RunEachStream runs every kind over the stream from open and returns the
+// results in kind order. With shards <= 1 and several kinds, open is called
+// once and a trace.Broadcast fans the decoded batches out to one controller
+// goroutine per kind — a seven-kind comparison decodes its gzip trace once
+// instead of seven times, and no kind ever holds the full trace. Otherwise
+// each kind runs RunShardedContext over its own fresh open, so callers must
+// make open yield identical streams (a re-seeded generator or a replayed
+// slice). Every controller sees the exact same access sequence either way,
+// so results are byte-identical to RunAll over the materialized accesses.
+func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize, shards int) ([]Result, error) {
+	if shards > 1 || len(kinds) <= 1 {
+		out := make([]Result, len(kinds))
+		for i, k := range kinds {
+			s, err := open()
+			if err != nil {
+				return nil, err
+			}
+			if out[i], err = RunShardedContext(ctx, k, cfg, opts, s, max, batchSize, shards); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 	// Build every controller before opening the stream, so construction
 	// errors surface without spinning up the decoder.
 	drivers := make([]*Driver, len(kinds))
 	for i, k := range kinds {
-		c, err := cache.New(cfg, mem.New())
+		d, err := NewDriver(k, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := New(k, c, opts)
-		if err != nil {
-			return nil, err
-		}
-		drivers[i] = NewDriver(ctrl)
+		drivers[i] = d
 	}
 	s, err := open()
 	if err != nil {
@@ -148,27 +231,6 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 	out := make([]Result, len(kinds))
 	for i, d := range drivers {
 		out[i] = d.Finish()
-	}
-	return out, nil
-}
-
-// RunEachStreamSerial is the one-kind-at-a-time fallback behind
-// RunEachStream: each kind gets its own fresh stream from open and runs to
-// completion before the next starts. Callers guarantee open yields identical
-// streams (a deterministic generator re-seeded per call, or a replayed
-// slice). It trades the broadcast's single decode for minimal concurrency —
-// and is the reference the broadcast path is tested byte-identical against.
-func RunEachStreamSerial(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize int) ([]Result, error) {
-	out := make([]Result, len(kinds))
-	for i, k := range kinds {
-		s, err := open()
-		if err != nil {
-			return nil, err
-		}
-		out[i], err = RunStreamContext(ctx, k, cfg, opts, s, max, batchSize)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -5,50 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
 
-	"cache8t/internal/cache"
-	"cache8t/internal/sram"
 	"cache8t/internal/trace"
 )
-
-// sameResult compares two run results field-for-field, ignoring only the
-// event-ledger pointer identity (its counts are compared instead). Streamed
-// runs must be *identical* to materialized runs, not merely close.
-func sameResult(t *testing.T, got, want Result) {
-	t.Helper()
-	gc, wc := got, want
-	gc.Events, wc.Events = nil, nil
-	if !reflect.DeepEqual(gc, wc) {
-		t.Fatalf("result mismatch:\n got %+v\nwant %+v", gc, wc)
-	}
-	if got.Events == nil || want.Events == nil {
-		t.Fatal("missing event ledger")
-	}
-	for _, e := range sram.Events() {
-		if got.Events.Count(e) != want.Events.Count(e) {
-			t.Fatalf("event %v: got %d, want %d", e, got.Events.Count(e), want.Events.Count(e))
-		}
-	}
-}
-
-func TestRunStreamMatchesRunAllKindsAllBatchSizes(t *testing.T) {
-	accs := randomStream(11, 6000, 8192)
-	for _, kind := range Kinds() {
-		want, err := Run(kind, smallCfg(), Options{}, trace.FromSlice(accs), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bs := range []int{1, 7, 512, 4096, 0} {
-			got, err := RunStream(kind, smallCfg(), Options{}, trace.FromSlice(accs), 0, bs)
-			if err != nil {
-				t.Fatalf("%v batch %d: %v", kind, bs, err)
-			}
-			sameResult(t, got, want)
-		}
-	}
-}
 
 func TestRunStreamHonorsMax(t *testing.T) {
 	accs := randomStream(12, 5000, 8192)
@@ -57,31 +17,14 @@ func TestRunStreamHonorsMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(WG, smallCfg(), Options{}, trace.FromSlice(accs), max, 0)
+	got, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(accs), max, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, got, want)
+	requireResultsEqual(t, "bounded run", got, want)
 	if got.Requests.Accesses() != max {
 		t.Fatalf("streamed %d accesses, want %d", got.Requests.Accesses(), max)
 	}
-}
-
-func TestRunStreamOverBinaryTraceMatchesSlice(t *testing.T) {
-	accs := randomStream(13, 3000, 8192)
-	var buf bytes.Buffer
-	if _, err := trace.WriteAll(&buf, trace.FromSlice(accs), 0); err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(WGRB, smallCfg(), Options{}, trace.FromSlice(accs), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunStream(WGRB, smallCfg(), Options{}, trace.NewReader(&buf), 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, got, want)
 }
 
 func TestRunStreamSurfacesDecodeError(t *testing.T) {
@@ -93,7 +36,7 @@ func TestRunStreamSurfacesDecodeError(t *testing.T) {
 	// Dropping one byte always cuts mid-record (the shortest record is
 	// several bytes), so the decode must fail rather than end cleanly.
 	truncated := buf.Bytes()[:buf.Len()-1]
-	_, err := RunStream(RMW, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0, 128)
+	_, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0, 128)
 	var se *StreamError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StreamError", err)
@@ -116,30 +59,33 @@ func TestRunStreamCancellation(t *testing.T) {
 	}
 }
 
+// TestRunEachStreamMatchesRunAll pins the broadcast path under an access
+// budget and an odd batch size: every kind stops at the same access.
 func TestRunEachStreamMatchesRunAll(t *testing.T) {
 	accs := randomStream(16, 4000, 8192)
+	const max = 1234
 	kinds := Kinds()
-	want, err := RunAll(kinds, smallCfg(), Options{}, accs)
+	want, err := RunAll(context.Background(), kinds, smallCfg(), Options{}, accs[:max])
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{},
-		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 333)
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, max, 333, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
-	for i := range want {
-		sameResult(t, got[i], want[i])
+	for i, k := range kinds {
+		requireResultsEqual(t, k.String(), got[i], want[i])
 	}
 }
 
 func TestRunEachStreamPropagatesOpenError(t *testing.T) {
 	wantErr := errors.New("open failed")
 	_, err := RunEachStream(context.Background(), []Kind{RMW}, smallCfg(), Options{},
-		func() (trace.Stream, error) { return nil, wantErr }, 0, 0)
+		func() (trace.Stream, error) { return nil, wantErr }, 0, 0, 0)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -147,15 +93,10 @@ func TestRunEachStreamPropagatesOpenError(t *testing.T) {
 
 func TestDriverCountsFeeds(t *testing.T) {
 	accs := randomStream(17, 100, 4096)
-	c, err := cache.New(smallCfg(), newMem())
+	d, err := NewDriver(WG, smallCfg(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(WG, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDriver(ctrl)
 	d.Feed(accs[:40])
 	d.Feed(accs[40:])
 	if d.Accesses() != uint64(len(accs)) {

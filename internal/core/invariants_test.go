@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -171,7 +172,7 @@ func TestEquivalenceQuick(t *testing.T) {
 func TestReductionBoundsQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		stream := randomStream(seed, 1000, 8192)
-		res, err := RunAll([]Kind{RMW, WG, WGRB}, smallCfg(), Options{}, stream)
+		res, err := RunAll(context.Background(), []Kind{RMW, WG, WGRB}, smallCfg(), Options{}, stream)
 		if err != nil {
 			t.Log(err)
 			return false

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"cache8t/internal/cache"
-	"cache8t/internal/mem"
 	"cache8t/internal/sram"
 	"cache8t/internal/trace"
 )
@@ -82,27 +82,19 @@ func (l *LoggedController) Access(a trace.Access) uint64 {
 // RunLogged is Run plus port-op capture: it returns the result and the
 // per-request operation log.
 func RunLogged(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, nil, err
-	}
-	ctrl, err := New(kind, c, opts)
+	d, err := NewDriver(kind, cfg, opts)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	var log []PortOp
-	logged, err := NewLogged(ctrl, &log)
+	logged, err := NewLogged(d.ctrl, &log)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		logged.Access(a)
-		n++
+	d.ctrl = logged
+	res, err := d.Drain(context.TODO(), s, max, 0)
+	if err != nil {
+		return Result{}, nil, err
 	}
-	return logged.Finalize(), log, nil
+	return res, log, nil
 }

@@ -18,48 +18,26 @@ func Run(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Re
 
 // RunContext is Run with cancellation: the simulation polls ctx once per
 // batch (trace.DefaultBatchSize accesses) and abandons the run with ctx's
-// error once it is cancelled or past its deadline. This is what gives engine
-// jobs prompt, mid-simulation cancellation instead of job-boundary
-// granularity.
-//
-// RunContext runs on the same batched Driver as RunStreamContext; the only
-// difference is error handling — for compatibility with callers that check
-// the reader's Err themselves, a stream that stops early is treated as
-// exhausted rather than failed. New code should prefer RunStreamContext.
+// error once it is cancelled or past its deadline. It is RunStreamContext
+// at the default batch size, so a stream that fails to decode returns
+// *StreamError rather than ending the run early.
 func RunContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, error) {
-	c, err := cache.New(cfg, mem.New())
-	if err != nil {
-		return Result{}, err
-	}
-	ctrl, err := New(kind, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
-	}
-	d := NewDriver(ctrl)
-	b := trace.NewBatcher(s, batchSizeFor(max, 0))
-	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		batch, ok := b.Next()
-		if !ok {
-			break
-		}
-		d.Feed(batch)
-	}
-	return d.Finish(), nil
+	return RunStreamContext(ctx, kind, cfg, opts, s, max, 0)
 }
 
-// RunAll runs the same access slice through several controller kinds, each
-// over its own fresh cache, and returns results in kind order. Slices (not
-// streams) keep the inputs bit-identical across controllers. It is the
-// serial (workers=1) case of RunAllContext, so there is exactly one
-// execution path for single- and multi-controller runs.
-func RunAll(kinds []Kind, cfg cache.Config, opts Options, accesses []trace.Access) ([]Result, error) {
-	return RunAllContext(context.Background(), kinds, cfg, opts, accesses, 1)
+// RunAll runs the same access slice through several controller kinds, one
+// after another, each over its own fresh cache, and returns results in kind
+// order. Slices (not streams) keep the inputs bit-identical across
+// controllers.
+func RunAll(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, accesses []trace.Access) ([]Result, error) {
+	out := make([]Result, len(kinds))
+	for i, k := range kinds {
+		var err error
+		if out[i], err = RunContext(ctx, k, cfg, opts, trace.FromSlice(accesses), 0); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // VerifyEquivalence replays accesses through two controller kinds and checks

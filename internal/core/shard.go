@@ -19,8 +19,8 @@ import (
 // subsequence of accesses to that access's set. Partitioning the sets across
 // K shards, replaying each shard's accesses (in stream order) through its
 // own controller instance, and summing the per-shard Results therefore
-// reproduces the serial Result exactly; RunSharded does that with one shard
-// per goroutine, fed from a single decode of the trace via
+// reproduces the serial Result exactly; RunShardedContext does that with one
+// shard per goroutine, fed from a single decode of the trace via
 // trace.RouteBroadcast: the decoder routes each batch once, splitting it
 // into per-shard structure-of-arrays slabs, so every shard iterates only its
 // own accesses — contiguously, with no per-access ownership branch — and the
@@ -68,22 +68,16 @@ func PlanShards(kind Kind, cfg cache.Config, shards int) ShardPlan {
 	return p
 }
 
-// RunSharded drives up to max accesses of s (max <= 0 drains the stream)
-// through shards concurrent controller instances, each simulating only its
-// own partition of the cache's sets, and merges the per-shard Results into
-// the exact aggregate a serial RunStream would have produced. The trace is
-// decoded once: a broadcaster fans reference-counted batches out to every
-// shard, and each shard filters the shared batch for its own sets.
+// RunShardedContext drives up to max accesses of s (max <= 0 drains the
+// stream) through shards concurrent controller instances, each simulating
+// only its own partition of the cache's sets, and merges the per-shard
+// Results into the exact aggregate a serial RunStreamContext would have
+// produced. The trace is decoded once and routed once: each shard receives
+// only its own sets' accesses. ctx is polled once per batch in every shard.
 //
 // When the plan falls back (non-set-local controller, Random policy,
 // shards <= 1) the run degrades to the serial streaming driver — results
 // are identical either way; use PlanShards to surface the reason.
-func RunSharded(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize, shards int) (Result, error) {
-	return RunShardedContext(context.Background(), kind, cfg, opts, s, max, batchSize, shards)
-}
-
-// RunShardedContext is RunSharded with cancellation, polled once per batch
-// in every shard.
 func RunShardedContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize, shards int) (Result, error) {
 	plan := PlanShards(kind, cfg, shards)
 	if plan.Shards <= 1 {
@@ -317,7 +311,8 @@ func (c *Counters) add(o Counters) {
 
 // ShardCrossSetError aborts a sharded run that met a block-straddling
 // access: its spill bytes belong to a set on another shard, so set-locality
-// does not hold for it. Rerun serially (RunStream) to simulate such traces.
+// does not hold for it. Rerun serially (RunStreamContext) to simulate such
+// traces.
 type ShardCrossSetError struct {
 	Access trace.Access
 	Set    int

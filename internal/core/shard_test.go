@@ -9,42 +9,8 @@ import (
 	"cache8t/internal/cache"
 	"cache8t/internal/mem"
 	"cache8t/internal/rng"
-	"cache8t/internal/sram"
 	"cache8t/internal/trace"
 )
-
-// requireResultsEqual compares two Results field-for-field, including the
-// full circuit-level event ledger.
-func requireResultsEqual(t *testing.T, label string, got, want Result) {
-	t.Helper()
-	if got.Controller != want.Controller {
-		t.Errorf("%s: controller %v, want %v", label, got.Controller, want.Controller)
-	}
-	if got.Geometry != want.Geometry {
-		t.Errorf("%s: geometry %+v, want %+v", label, got.Geometry, want.Geometry)
-	}
-	if got.Requests != want.Requests {
-		t.Errorf("%s: requests %+v, want %+v", label, got.Requests, want.Requests)
-	}
-	if got.Cache != want.Cache {
-		t.Errorf("%s: cache stats %+v, want %+v", label, got.Cache, want.Cache)
-	}
-	if got.Counters != want.Counters {
-		t.Errorf("%s: counters %+v, want %+v", label, got.Counters, want.Counters)
-	}
-	if got.ArrayReads != want.ArrayReads || got.ArrayWrites != want.ArrayWrites {
-		t.Errorf("%s: array traffic %d/%d, want %d/%d",
-			label, got.ArrayReads, got.ArrayWrites, want.ArrayReads, want.ArrayWrites)
-	}
-	if got.LocalWriteback != want.LocalWriteback {
-		t.Errorf("%s: local writeback %v, want %v", label, got.LocalWriteback, want.LocalWriteback)
-	}
-	for _, e := range sram.Events() {
-		if g, w := got.Events.Count(e), want.Events.Count(e); g != w {
-			t.Errorf("%s: event %v count %d, want %d", label, e, g, w)
-		}
-	}
-}
 
 func setLocalKinds(t *testing.T) []Kind {
 	t.Helper()
@@ -60,27 +26,8 @@ func setLocalKinds(t *testing.T) []Kind {
 	return out
 }
 
-func TestShardedMatchesSerial(t *testing.T) {
-	// The tentpole invariant: for every set-local controller, sharded
-	// results are byte-identical to serial over the same stream.
-	stream := randomStream(7, 6000, 8192)
-	for _, k := range setLocalKinds(t) {
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
-		if err != nil {
-			t.Fatalf("%v serial: %v", k, err)
-		}
-		for _, shards := range []int{2, 3, 4, 7, 16} {
-			got, err := RunSharded(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, shards)
-			if err != nil {
-				t.Fatalf("%v shards=%d: %v", k, shards, err)
-			}
-			requireResultsEqual(t, fmt.Sprintf("%v shards=%d", k, shards), got, serial)
-		}
-	}
-}
-
 func TestShardedRandomPartitionProperty(t *testing.T) {
-	// Stronger than TestShardedMatchesSerial: any partition of the sets —
+	// Stronger than the conformance suite's sharded rows: any partition of the sets —
 	// not just the modulo route — merges into the serial result, and the
 	// merged machine state (per-set lines, flushed memory image) matches
 	// byte-for-byte, not just the counters.
@@ -161,7 +108,7 @@ func TestShardedZeroSetShardIdentity(t *testing.T) {
 	// and the aggregate must equal serial.
 	stream := randomStream(17, 5000, 8192)
 	for _, k := range setLocalKinds(t) {
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+		serial, err := Run(k, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatalf("%v serial: %v", k, err)
 		}
@@ -200,11 +147,11 @@ func TestShardedFallbackIdentity(t *testing.T) {
 		if plan.Shards != 1 || plan.Reason == "" {
 			t.Errorf("%v: plan %+v, want serial fallback with reason", k, plan)
 		}
-		serial, err := RunStream(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+		serial, err := Run(k, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunSharded(k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 4)
+		got, err := RunShardedContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +195,7 @@ func TestShardedStraddleAborts(t *testing.T) {
 		{Addr: 0, Size: 8, Kind: trace.Write, Data: 1},
 		{Addr: 30, Size: 8, Kind: trace.Write, Data: 2}, // offset 30 + 8 > 32-byte block
 	}
-	_, err := RunSharded(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 2)
+	_, err := RunShardedContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 2)
 	var cross *ShardCrossSetError
 	if !errors.As(err, &cross) {
 		t.Fatalf("err = %v, want ShardCrossSetError", err)
@@ -271,11 +218,11 @@ func TestShardedContextCancel(t *testing.T) {
 func TestShardedHonorsMax(t *testing.T) {
 	stream := randomStream(9, 4000, 8192)
 	const max = 1500
-	serial, err := RunStream(RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0)
+	serial, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), max)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSharded(RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0, 4)
+	got, err := RunShardedContext(context.Background(), RMW, smallCfg(), Options{}, trace.FromSlice(stream), max, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +234,11 @@ func TestShardedHonorsMax(t *testing.T) {
 
 func TestMergeResultsRejectsMismatch(t *testing.T) {
 	stream := randomStream(2, 500, 4096)
-	a, err := RunStream(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	a, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStream(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0)
+	b, err := Run(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,29 +247,6 @@ func TestMergeResultsRejectsMismatch(t *testing.T) {
 	}
 	if _, err := MergeResults(nil); err == nil {
 		t.Error("merged zero results")
-	}
-}
-
-func TestRunEachStreamBroadcastMatchesSerial(t *testing.T) {
-	// Satellite invariant: the single-decode broadcast path of RunEachStream
-	// is byte-identical to the one-kind-at-a-time serial path, for every
-	// controller kind at once.
-	stream := randomStream(11, 4000, 8192)
-	open := func() (trace.Stream, error) { return trace.FromSlice(stream), nil }
-	kinds := Kinds()
-	serial, err := RunEachStreamSerial(context.Background(), kinds, smallCfg(), Options{}, open, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{}, open, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(serial) {
-		t.Fatalf("got %d results, want %d", len(got), len(serial))
-	}
-	for i, k := range kinds {
-		requireResultsEqual(t, fmt.Sprintf("broadcast %v", k), got[i], serial[i])
 	}
 }
 
@@ -337,7 +261,7 @@ func BenchmarkRunSharded(b *testing.B) {
 			b.SetBytes(int64(len(accs)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := RunSharded(RMW, cfg, Options{}, trace.FromSlice(accs), 0, 0, shards)
+				res, err := RunShardedContext(context.Background(), RMW, cfg, Options{}, trace.FromSlice(accs), 0, 0, shards)
 				if err != nil {
 					b.Fatal(err)
 				}

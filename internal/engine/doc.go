@@ -6,8 +6,8 @@
 // The engine is generic over the job result type and deliberately depends on
 // nothing else in this repository, so every layer — core, workload,
 // experiments, the CLIs — can fan work out through it without import cycles.
-// core.RunAllContext, workload.MaterializeContext, and the experiments grid
-// helpers are all thin adapters over this package.
+// workload.MaterializeContext and the experiments grid helpers are thin
+// adapters over this package.
 //
 // # Determinism
 //

@@ -13,8 +13,7 @@ import (
 // per CPU (capped at the job count), no timeout, run everything.
 type Config struct {
 	// Workers bounds concurrent jobs. <= 0 means min(jobs, GOMAXPROCS).
-	// Workers == 1 runs jobs serially on the calling goroutine — the serial
-	// fallback path used by core.RunAll.
+	// Workers == 1 runs jobs serially on the calling goroutine.
 	Workers int
 	// JobTimeout, when positive, bounds each job's wall time; an expired job
 	// fails with a *JobError wrapping context.DeadlineExceeded.

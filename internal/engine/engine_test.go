@@ -14,6 +14,7 @@ import (
 	"cache8t/internal/core"
 	"cache8t/internal/engine"
 	"cache8t/internal/stats"
+	"cache8t/internal/trace"
 	"cache8t/internal/workload"
 )
 
@@ -34,7 +35,14 @@ func simJobs(t *testing.T, n int) []engine.Job[core.Result] {
 		cache.DefaultConfig(),
 		{SizeBytes: 8 * 1024, Ways: 2, BlockBytes: 32, Policy: cache.FIFO},
 	} {
-		jobs = append(jobs, core.Jobs(core.Kinds(), shape, core.Options{}, accs)...)
+		for _, k := range core.Kinds() {
+			jobs = append(jobs, engine.Job[core.Result]{
+				Label: k.String(),
+				Fn: func(ctx context.Context) (core.Result, error) {
+					return core.RunContext(ctx, k, shape, core.Options{}, trace.FromSlice(accs), 0)
+				},
+			})
+		}
 	}
 	return jobs
 }
@@ -77,9 +85,9 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesEngine pins the satellite contract: core.RunAll (the
-// serial path) and a many-worker RunAllContext agree result-for-result, in
-// kind order.
+// TestRunAllMatchesEngine pins the fan-out contract: core.RunAll (the
+// serial path) and the same kinds mapped across 8 engine workers agree
+// result-for-result, in kind order.
 func TestRunAllMatchesEngine(t *testing.T) {
 	prof, err := workload.ProfileByName("gcc")
 	if err != nil {
@@ -90,16 +98,25 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.DefaultConfig()
-	serial, err := core.RunAll(core.Kinds(), cfg, core.Options{}, accs)
+	serial, err := core.RunAll(context.Background(), core.Kinds(), cfg, core.Options{}, accs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunAllContext(context.Background(), core.Kinds(), cfg, core.Options{}, accs, 8)
+	jobs := make([]engine.Job[core.Result], len(core.Kinds()))
+	for i, k := range core.Kinds() {
+		jobs[i] = engine.Job[core.Result]{
+			Label: k.String(),
+			Fn: func(ctx context.Context) (core.Result, error) {
+				return core.RunContext(ctx, k, cfg, core.Options{}, trace.FromSlice(accs), 0)
+			},
+		}
+	}
+	parallel, err := engine.Map(context.Background(), engine.Config{Workers: 8}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("RunAllContext(workers=8) differs from RunAll")
+		t.Fatal("engine.Map(workers=8) differs from RunAll")
 	}
 	for i, k := range core.Kinds() {
 		if parallel[i].Controller != k {

@@ -44,10 +44,10 @@ type Config struct {
 	// wires its -timeout flag here.
 	Context context.Context
 	// Shards, when > 1, runs each set-local controller as Shards concurrent
-	// set-partitions (core.RunSharded). Controllers with cross-set state and
-	// Random-policy caches fall back to the serial driver automatically, so
-	// tables are bit-identical for every value — like Workers, purely a
-	// speed knob.
+	// set-partitions (core.RunShardedContext). Controllers with cross-set
+	// state and Random-policy caches fall back to the serial driver
+	// automatically, so tables are bit-identical for every value — like
+	// Workers, purely a speed knob.
 	Shards int
 }
 
@@ -203,18 +203,7 @@ func runSource(cfg Config, kind core.Kind, shape cache.Config, opts core.Options
 // with Shards > 1 each kind instead runs set-sharded over its own fresh
 // open. Either way results are identical to serial per-kind runs.
 func runKinds(cfg Config, kinds []core.Kind, shape cache.Config, opts core.Options, src *workload.Source) ([]core.Result, error) {
-	if cfg.Shards > 1 {
-		out := make([]core.Result, len(kinds))
-		for i, k := range kinds {
-			res, err := runSource(cfg, k, shape, opts, src)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	return core.RunEachStream(cfg.ctx(), kinds, shape, opts, src.Stream, 0, 0)
+	return core.RunEachStream(cfg.ctx(), kinds, shape, opts, src.Stream, 0, 0, cfg.Shards)
 }
 
 // reductions runs the benchmark trace through RMW, WG, and WG+RB over the

@@ -30,7 +30,7 @@ func Mix(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Multiprogrammed mixes — WG+RB reduction vs RMW", cols...)
 
 	reduction := func(accs []trace.Access, opts core.Options) (float64, error) {
-		res, err := core.RunAll([]core.Kind{core.RMW, core.WGRB}, cfg.Cache, opts, accs)
+		res, err := core.RunAll(cfg.ctx(), []core.Kind{core.RMW, core.WGRB}, cfg.Cache, opts, accs)
 		if err != nil {
 			return 0, err
 		}

@@ -27,10 +27,11 @@
 // Determinism: the L1 access order is the trace order, listener events fire
 // synchronously inside the L1 cache operations that cause them (victim
 // write-back strictly before the fill that displaced it), and premature
-// write-backs are attributed to their causing access by diffing the L1
-// controller's live counters after each access. No goroutines, no maps
-// iterated for effect — a hierarchy run is bit-reproducible and
-// byte-identical between daemon and in-process execution.
+// write-backs are attributed to their causing access by a controller
+// wrapper that diffs the L1 controller's live counters after each access.
+// No goroutines, no maps iterated for effect — a hierarchy run is
+// bit-reproducible and byte-identical between daemon and in-process
+// execution.
 package hier
 
 import (
@@ -133,12 +134,40 @@ func (r Result) L2VisiblePerRequest() float64 {
 	return 0
 }
 
-// bridge is the cache.Listener that turns L1 block traffic into L2 demand
-// accesses, in event order.
+// bridge joins the two levels. It is the L1 cache's Listener, turning L1
+// block traffic into L2 demand accesses in event order, and it wraps the L1
+// controller (core.Driver.Wrap), diffing the controller's live counters
+// after each access to attribute premature write-backs to the access that
+// caused them.
 type bridge struct {
+	core.Controller // the L1
+	peek            counterPeeker
+	prevPWB         uint64
+
 	l2      core.Controller
 	counts  Counts
 	observe func(Event)
+}
+
+// counterPeeker is the mid-run counter view every core controller provides
+// (via its embedded base).
+type counterPeeker interface {
+	PeekCounters() core.Counters
+}
+
+// Access runs one demand access through the L1. Any premature write-backs
+// it caused follow its cache events: the Set-Buffer row retires into the
+// array before the read's data is served, but after any miss handling the
+// read triggered.
+func (b *bridge) Access(a trace.Access) uint64 {
+	v := b.Controller.Access(a)
+	for cur := b.peek.PeekCounters().PrematureWBs; b.prevPWB < cur; b.prevPWB++ {
+		b.counts.PrematureWBs++
+		if b.observe != nil {
+			b.observe(Event{Kind: EvPrematureWB})
+		}
+	}
+	return v
 }
 
 // Fill handles an L1 refill: the miss fetches the block from the next
@@ -162,21 +191,6 @@ func (b *bridge) Writeback(base uint64, data []byte) {
 	b.l2.Access(trace.Access{Kind: trace.Write, Addr: base, Size: 8, Data: word})
 }
 
-// premature records one Set-Buffer premature write-back.
-func (b *bridge) premature() {
-	b.counts.PrematureWBs++
-	if b.observe != nil {
-		b.observe(Event{Kind: EvPrematureWB})
-	}
-}
-
-// counterPeeker is the mid-run counter view every core controller provides
-// (via its embedded base); hier diffs PrematureWBs across accesses to place
-// on-chip events at the access that caused them.
-type counterPeeker interface {
-	PeekCounters() core.Counters
-}
-
 // Run drives up to max accesses of s (max <= 0 drains the stream) through a
 // fresh two-level hierarchy. Hierarchy runs are serial by construction — the
 // L1 listener mutates the L2 on every fill and eviction, so there is no
@@ -185,17 +199,14 @@ func Run(cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
 	return RunContext(context.Background(), cfg, s, max, batchSize)
 }
 
-// RunContext is Run with cancellation, polled once per batch like the
-// single-level drivers.
+// RunContext is Run with cancellation: the L1 runs on core.Driver.Drain, so
+// ctx is polled once per batch and a decode failure is a *core.StreamError,
+// exactly as for a single-level run.
 func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
 	if cfg.L1.BlockBytes < 8 || cfg.L2.BlockBytes < 8 {
 		return Result{}, fmt.Errorf("hier: block size must be at least 8 bytes")
 	}
-	l1c, err := cache.New(cfg.L1, mem.New())
-	if err != nil {
-		return Result{}, fmt.Errorf("hier: L1: %w", err)
-	}
-	l1, err := core.New(cfg.L1Kind, l1c, cfg.Opts)
+	l1, err := core.NewDriver(cfg.L1Kind, cfg.L1, cfg.Opts)
 	if err != nil {
 		return Result{}, fmt.Errorf("hier: L1: %w", err)
 	}
@@ -208,50 +219,19 @@ func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize 
 		return Result{}, fmt.Errorf("hier: L2: %w", err)
 	}
 	br := &bridge{l2: l2, observe: cfg.Observer}
-	l1c.SetListener(br)
-
-	peeker, _ := l1.(counterPeeker)
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
+	l1.Wrap(func(ctrl core.Controller, c *cache.Cache) core.Controller {
+		br.Controller, br.peek = ctrl, ctrl.(counterPeeker)
+		c.SetListener(br)
+		return br
+	})
+	// Draining finalizes L1 first: the WG family's Set-Buffer drain may dirty
+	// cache lines but reaches no backing memory, so it emits no events. The
+	// L1 cache is deliberately NOT flushed — only traffic the run itself
+	// caused counts, matching the single-level drivers, which never flush
+	// either.
+	l1res, err := l1.Drain(ctx, s, max, batchSize)
+	if err != nil {
+		return Result{}, err
 	}
-	if batchSize <= 0 {
-		batchSize = trace.DefaultBatchSize
-	}
-	if max > 0 && batchSize > max {
-		batchSize = max
-	}
-	b := trace.NewBatcher(s, batchSize)
-	var fed, prevPWB uint64
-	for {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		batch, ok := b.Next()
-		if !ok {
-			break
-		}
-		for i := range batch {
-			l1.Access(batch[i])
-			if peeker != nil {
-				// Attribute any premature write-backs to this access. They
-				// follow the access's cache events: the Set-Buffer row
-				// retires into the array before the read's data is served,
-				// but after any miss handling the read triggered.
-				for cur := peeker.PeekCounters().PrematureWBs; prevPWB < cur; prevPWB++ {
-					br.premature()
-				}
-			}
-		}
-		fed += uint64(len(batch))
-	}
-	if err := b.Err(); err != nil {
-		return Result{}, &core.StreamError{Accesses: fed, Err: err}
-	}
-	// Finalize L1 first: the WG family's Set-Buffer drain may dirty cache
-	// lines but reaches no backing memory, so it emits no events. The L1
-	// cache is deliberately NOT flushed — only traffic the run itself caused
-	// counts, matching the single-level drivers, which never flush either.
-	l1res := l1.Finalize()
-	l2res := l2.Finalize()
-	return Result{L1: l1res, L2: l2res, Traffic: br.counts}, nil
+	return Result{L1: l1res, L2: l2.Finalize(), Traffic: br.counts}, nil
 }

@@ -43,7 +43,8 @@ type CoreBenchEntry struct {
 	Ratio float64 `json:"ratio"`
 
 	// Sharded fields are present when the bench ran with Shards > 1: the
-	// same streamed decode driven through core.RunSharded set-partitions.
+	// same streamed decode driven through core.RunShardedContext
+	// set-partitions.
 	// ShardedRatio is sharded/streamed throughput; > 1 means the parallel
 	// path wins (expect ~1/shards overhead on a single-core host, where the
 	// routing scan and goroutine switches buy nothing).

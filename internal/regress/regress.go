@@ -49,8 +49,8 @@ type Options struct {
 	// prove it.
 	Stream bool
 	// Shards > 1 runs set-local controllers set-sharded
-	// (core.RunSharded); controllers with cross-set state fall back to the
-	// serial driver. Goldens are shard-agnostic — sharded runs must
+	// (core.RunShardedContext); controllers with cross-set state fall back
+	// to the serial driver. Goldens are shard-agnostic — sharded runs must
 	// reproduce the serial artifacts byte-identically, and CI runs both to
 	// prove it.
 	Shards int
@@ -454,7 +454,7 @@ func Bench(opts Options) (BenchEntry, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := core.RunAllContext(ctx, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, core.Options{}, accs, 1)
+				res, err := core.RunAll(ctx, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, core.Options{}, accs)
 				if err != nil {
 					return 0, err
 				}

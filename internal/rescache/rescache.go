@@ -207,6 +207,13 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 				return nil, false, ctx.Err()
 			}
 		}
+		// Re-check the tiers under the lock: a leader stores its result
+		// before it releases its call, so one that finished since the check
+		// above is in a tier now, not recomputed.
+		if blob, _, ok := c.Get(key); ok {
+			c.mu.Unlock()
+			return blob, true, nil
+		}
 		cl := &call{done: make(chan struct{}), err: errAborted}
 		c.calls[key] = cl
 		c.mu.Unlock()
@@ -223,11 +230,15 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 				close(cl.done)
 			}()
 			cl.blob, cl.err = compute()
+			if cl.err == nil {
+				// Store before releasing the call, so no caller can miss
+				// both the tiers and the call and compute again.
+				c.Put(key, cl.blob)
+			}
 		}()
 		if cl.err != nil {
 			return nil, false, cl.err
 		}
-		c.Put(key, cl.blob)
 		return cl.blob, false, nil
 	}
 }

@@ -52,7 +52,8 @@ func submitAccepted(ts *testServer, body string) JobStatus {
 // collectEvents follows a job's SSE stream to the end and reports what a
 // re-subscribing watcher observes: whether a "recovered" event preceded the
 // status stream, the terminal status, and how many terminal status frames
-// arrived (the reconnection contract demands exactly one).
+// arrived (the reconnection contract demands exactly one). Only frames
+// named `status` count as status.
 func collectEvents(ts *testServer, id string) (final JobStatus, sawRecovered bool, terminalFrames int) {
 	ts.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
@@ -73,6 +74,10 @@ func collectEvents(ts *testServer, id string) (final JobStatus, sawRecovered boo
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
+		if line == "" {
+			event = "" // a blank line ends the frame
+			continue
+		}
 		if strings.HasPrefix(line, "event: ") {
 			event = strings.TrimPrefix(line, "event: ")
 			if event == "recovered" {
@@ -436,5 +441,86 @@ func TestJournalRetentionPreservesLiveJobs(t *testing.T) {
 	}
 	if strings.Contains(string(data), stA.ID) {
 		t.Fatalf("compacted journal still mentions the aged-out job:\n%s", data)
+	}
+}
+
+// TestRecoveredJobFinishedBeforeSubscribe pins the SSE frame race
+// deterministically: a recovered job that finishes before its watcher
+// subscribes opens the stream with a `recovered` frame whose data is
+// already terminal. Exactly one terminal `status` frame must follow, and a
+// watcher reading frames by event name must see the job succeed.
+func TestRecoveredJobFinishedBeforeSubscribe(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	cdir := filepath.Join(dir, "cas")
+	const body = `{"controller":"rmw","workload":"bwaves","n":2000}`
+
+	cache1 := openTestCache(t, cdir)
+	ts1 := newTestServer(t, Config{Workers: 1, Cache: cache1, JournalDir: jdir})
+	st := submitAccepted(ts1, body)
+	if fin := ts1.waitTerminal(st.ID); fin.State != StateSucceeded {
+		t.Fatalf("job ended %s: %s", fin.State, fin.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	if err := ts1.srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts1.hs.Close()
+	cache1.Close()
+
+	// Rewrite the journal so the finished job reads as still queued: the
+	// restarted server recovers it and runs it again.
+	path := filepath.Join(jdir, journalFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := compactRecords(decodeJournal(data))
+	if len(recs) != 1 {
+		t.Fatalf("journal did not compact to one job: %q", data)
+	}
+	recs[0].State, recs[0].Accesses, recs[0].Cached = StateQueued, 0, false
+	line, err := json.Marshal(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache2 := openTestCache(t, cdir)
+	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir})
+	ts2.srv.mu.Lock()
+	j := ts2.srv.jobs[st.ID]
+	ts2.srv.mu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s not recovered", st.ID)
+	}
+	// Wait, without subscribing, for the recovered job to finish.
+	for {
+		ch := j.watch()
+		if j.State().Terminal() {
+			break
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			t.Fatal("recovered job never finished")
+		}
+	}
+
+	final, sawRecovered, terminals := collectEvents(ts2, st.ID)
+	if !sawRecovered {
+		t.Error("watcher saw no recovered frame")
+	}
+	if terminals != 1 {
+		t.Errorf("watcher saw %d terminal status frames, want exactly 1", terminals)
+	}
+	if final.State != StateSucceeded || !final.Recovered {
+		t.Errorf("terminal status: state %s recovered %v", final.State, final.Recovered)
+	}
+	if fin := ts2.waitTerminal(st.ID); fin.State != StateSucceeded {
+		t.Errorf("waitTerminal: state %s", fin.State)
 	}
 }

@@ -74,36 +74,29 @@ func RunSpecDurable(ctx context.Context, spec JobSpec, open func() (trace.Stream
 	if open == nil {
 		open = OpenSource(spec)
 	}
-	openWrapped := func() (trace.Stream, error) {
+	drain := func(d *core.Driver, err error) (core.Result, error) {
+		if err != nil {
+			return core.Result{}, err
+		}
 		s, err := open()
 		if err != nil {
-			return nil, err
+			return core.Result{}, err
 		}
 		if wrap != nil {
 			s = wrap(s)
 		}
-		return s, nil
+		d.CheckpointEvery(every, sink)
+		return d.Drain(ctx, s, spec.N, spec.Batch)
 	}
 	if resumeBlob != nil {
-		s, err := openWrapped()
-		if err != nil {
-			return core.Result{}, false, err
-		}
-		res, err := core.ResumeStreamContext(ctx, resumeBlob, s, spec.N, spec.Batch, every, sink)
-		if err == nil {
-			return res, true, nil
-		}
+		res, err := drain(core.ResumeDriver(resumeBlob))
 		if !errors.Is(err, core.ErrBadCheckpoint) {
-			return core.Result{}, false, err
+			return res, err == nil, err
 		}
 		// Fall through: the blob does not describe this run (corrupt, wrong
 		// version, wrong geometry). Restart from scratch on a fresh stream.
 	}
-	s, err := openWrapped()
-	if err != nil {
-		return core.Result{}, false, err
-	}
-	res, err = core.RunStreamCheckpointedContext(ctx, kind, cfg, spec.CoreOptions(), s, spec.N, spec.Batch, every, sink)
+	res, err = drain(core.NewDriver(kind, cfg, spec.CoreOptions()))
 	return res, false, err
 }
 

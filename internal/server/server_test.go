@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -129,48 +128,18 @@ func (ts *testServer) submitJob(body string) JobStatus {
 	return st
 }
 
-// waitTerminal follows the job's SSE stream until a terminal event —
-// event-driven, no polling, no sleeps.
+// waitTerminal follows the job's SSE stream until a terminal status frame —
+// event-driven, no polling, no sleeps. Frames are told apart by event name:
+// a recovered job's stream opens with an `event: recovered` frame whose
+// data is already terminal when the job finished before the watcher
+// subscribed, and that frame is not the status stream.
 func (ts *testServer) waitTerminal(id string) JobStatus {
 	ts.t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.hs.URL+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		ts.t.Fatal(err)
+	final, _, terminals := collectEvents(ts, id)
+	if terminals == 0 {
+		ts.t.Fatalf("event stream for %s ended without a terminal status frame", id)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		ts.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		ts.t.Fatalf("events: %s", resp.Status)
-	}
-	sawEvent := false
-	sc := bufio.NewScanner(resp.Body)
-	var st JobStatus
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "event: status" {
-			sawEvent = true
-			continue
-		}
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &st); err != nil {
-			ts.t.Fatalf("bad SSE data line: %v", err)
-		}
-		if st.State.Terminal() {
-			if !sawEvent {
-				ts.t.Fatal("SSE data arrived without an event: status line")
-			}
-			return st
-		}
-	}
-	ts.t.Fatalf("event stream for %s ended in state %q (err %v)", id, st.State, sc.Err())
-	return st
+	return final
 }
 
 func (ts *testServer) get(path string) (int, []byte) {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 	for _, name := range names {
 		g, _ := Stream(name, 1)
 		accs := trace.Collect(trace.NewLimit(g, n), 0)
-		res, err := core.RunAll([]core.Kind{core.RMW, core.WG}, cfg, core.Options{}, accs)
+		res, err := core.RunAll(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{}, accs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := trace.Collect(trace.NewLimit(m, n), 0)
-	res, err := core.RunAll([]core.Kind{core.RMW, core.WG}, cfg, core.Options{}, mixed)
+	res, err := core.RunAll(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{}, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
