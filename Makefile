@@ -90,64 +90,45 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDisk -fuzztime=$(FUZZTIME) -run='^$$' ./internal/rescache
 	$(GO) test -fuzz=FuzzSweepSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/coord
 
-# End-to-end service gate: build sramd, start it on an ephemeral port,
-# submit the pinned golden workload over HTTP, verify the returned artifact
-# byte-for-byte against an in-process serial run AND against
-# golden/serve.json, then SIGTERM the daemon and require a clean exit.
+# End-to-end service gates. Each target runs one row of the scenario table
+# in cmd/sramload/scenario.go against a freshly built sramd: the row spawns
+# its processes on ephemeral ports, submits its job or sweep, injects its
+# fault, and requires the result to be byte-identical to the in-process
+# serial run and to the row's golden, its /metrics predicates to hold, and
+# every surviving process to exit cleanly on SIGTERM.
+#
+#   serve-smoke  the pinned golden workload vs golden/serve.json
+#   cache-smoke  fresh disk CAS: miss then memory-tier hit, hit == miss
+#   crash-smoke  journaled daemon, kill -9 mid-job, restart on the same
+#                journal: the job resumes from a checkpoint under its id
+#   coord-smoke  coordinator + 3 workers, a 12-point sweep, kill -9 one
+#                worker mid-sweep: redispatch, merged ledger == serial
+#   hier-smoke   WG L1 over the default 256 KB RMW L2 vs golden/hier-serve.json
+SCENARIO = @tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
+	$(GO) run ./cmd/sramload -sramd "$$tmp/sramd" -scenario
+
 serve-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -smoke -sramd "$$tmp/sramd"
+	$(SCENARIO) serve
 
-# Regenerate golden/serve.json after an intentional change to the service
-# artifact (same review-and-commit policy as golden-update).
-serve-golden-update:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -smoke -update -sramd "$$tmp/sramd"
-
-# Result-cache gate: start sramd with a fresh disk CAS, submit the golden
-# workload twice, and require miss-then-hit with byte-identical artifacts —
-# hit ≡ miss ≡ in-process serial run ≡ golden/serve.json — plus /metrics
-# counters that reflect exactly one miss and one memory-tier hit.
 cache-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -cache-smoke -sramd "$$tmp/sramd" -cache-dir "$$tmp/cas"
+	$(SCENARIO) cache
 
-# Crash-recovery gate: start a journaled sramd, submit the golden workload
-# with per-batch checkpointing, kill -9 mid-job, restart on the same journal
-# dir, and require the job to survive under its id, resume from a
-# checkpoint, and finish byte-identical to golden/serve.json. Also checks
-# stale-lock takeover and the live-twin fail-fast.
 crash-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -crash-smoke -sramd "$$tmp/sramd" -journal-dir "$$tmp/journal"
+	$(SCENARIO) crash
 
-# Distributed-mode chaos gate: 1 coordinator + 3 workers on ephemeral ports,
-# a 12-point sweep embedding the golden workload, kill -9 one worker
-# mid-sweep, and require redispatch, a merged ledger byte-identical to the
-# serial in-process run, and the golden point matching golden/serve.json.
 coord-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -coord-smoke -sramd "$$tmp/sramd"
+	$(SCENARIO) coord
 
-# Multi-level gate: start sramd, submit a hierarchy job (WG L1 over the
-# default 256 KB RMW L2), verify the returned artifact byte-for-byte against
-# an in-process serial hierarchy run AND against golden/hier-serve.json,
-# then SIGTERM the daemon and require a clean exit.
 hier-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -hier-smoke -sramd "$$tmp/sramd"
+	$(SCENARIO) hier
 
-# Regenerate golden/hier-serve.json after an intentional change to the
-# hierarchy artifact (same review-and-commit policy as golden-update).
+# Regenerate a golden the service gates own after an intentional change to
+# its artifact (same review-and-commit policy as golden-update).
+serve-golden-update:
+	$(SCENARIO) serve -update
+
 hier-golden-update:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-		$(GO) build -o "$$tmp/sramd" ./cmd/sramd && \
-		$(GO) run ./cmd/sramload -hier-smoke -update -sramd "$$tmp/sramd"
+	$(SCENARIO) hier -update
 
 ci: build vet fmt-check race bench-module regress regress-shard serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

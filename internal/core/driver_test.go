@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io"
 	"testing"
 
 	"cache8t/internal/trace"
@@ -24,38 +22,6 @@ func TestRunStreamHonorsMax(t *testing.T) {
 	requireResultsEqual(t, "bounded run", got, want)
 	if got.Requests.Accesses() != max {
 		t.Fatalf("streamed %d accesses, want %d", got.Requests.Accesses(), max)
-	}
-}
-
-func TestRunStreamSurfacesDecodeError(t *testing.T) {
-	accs := randomStream(14, 2000, 8192)
-	var buf bytes.Buffer
-	if _, err := trace.WriteAll(&buf, trace.FromSlice(accs), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Dropping one byte always cuts mid-record (the shortest record is
-	// several bytes), so the decode must fail rather than end cleanly.
-	truncated := buf.Bytes()[:buf.Len()-1]
-	_, err := RunStreamContext(context.Background(), RMW, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(truncated)), 0, 128)
-	var se *StreamError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *StreamError", err)
-	}
-	if !errors.Is(se, io.ErrUnexpectedEOF) {
-		t.Fatalf("unwrapped err = %v, want unexpected EOF", se.Err)
-	}
-	if se.Accesses == 0 || se.Accesses >= uint64(len(accs)) {
-		t.Fatalf("StreamError.Accesses = %d out of (0, %d)", se.Accesses, len(accs))
-	}
-}
-
-func TestRunStreamCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunStreamContext(ctx, RMW, smallCfg(), Options{},
-		trace.FromSlice(randomStream(15, 100, 4096)), 0, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

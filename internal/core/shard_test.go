@@ -205,16 +205,6 @@ func TestShardedStraddleAborts(t *testing.T) {
 	}
 }
 
-func TestShardedContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stream := randomStream(5, 2000, 8192)
-	_, err := RunShardedContext(ctx, RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0, 0, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestShardedHonorsMax(t *testing.T) {
 	stream := randomStream(9, 4000, 8192)
 	const max = 1500

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,9 +112,30 @@ func TestCacheHitIdentity(t *testing.T) {
 	}
 }
 
+// metricValue returns the value of the /metrics sample named series (a bare
+// name or name{labels}), failing the test when it is absent.
+func metricValue(t *testing.T, body []byte, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s sample:\n%s", series, body)
+	return 0
+}
+
 // TestCacheSingleflight holds the first of two concurrent identical jobs
 // at the gate: the second must ride the first's computation (exactly one
-// engine execution) and still succeed with the same bytes.
+// engine execution) and still succeed with the same bytes. Whether the
+// follower joins the in-flight call (a dedup) or arrives after the leader
+// stored its result (a memory hit) is up to the scheduler; the accounting
+// contract (DESIGN §11) holds either way: each submission counts exactly
+// one of hit, miss and dedup.
 func TestCacheSingleflight(t *testing.T) {
 	rc := newCache(t, rescache.Config{})
 	g := newGate(500)
@@ -151,10 +173,11 @@ func TestCacheSingleflight(t *testing.T) {
 		t.Fatal("singleflighted jobs returned different artifact bytes")
 	}
 	_, metrics := ts.get("/metrics")
-	for _, want := range []string{"rescache_misses_total 1", "rescache_dedup_total 1"} {
-		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("/metrics missing %q", want)
-		}
+	misses := metricValue(t, metrics, "rescache_misses_total")
+	shared := metricValue(t, metrics, "rescache_dedup_total") +
+		metricValue(t, metrics, `rescache_hits_total{tier="memory"}`)
+	if misses != 1 || shared != 1 {
+		t.Fatalf("misses = %v, dedups + memory hits = %v; want 1 and 1", misses, shared)
 	}
 }
 

@@ -64,6 +64,7 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     State
+	finishing bool // the terminal transition is claimed (see claimFinish)
 	errText   string
 	artifact  []byte // canonical artifact bytes, set on success
 	cached    bool   // artifact served from the result cache, not computed
@@ -111,7 +112,7 @@ func (j *Job) changed() {
 // was cancelled while still in the queue.
 func (j *Job) start() bool {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.finishing {
 		j.mu.Unlock()
 		return false
 	}
@@ -122,23 +123,32 @@ func (j *Job) start() bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once, reporting whether
-// this call was the transition. Idempotence is what lets DELETE race the
-// worker without double-counting metrics or WaitGroup releases.
-func (j *Job) finish(state State, errText string, artifact []byte) bool {
+// claimFinish reserves the job's terminal transition, reporting whether
+// this call won it. Idempotence is what lets DELETE race the worker
+// without double-counting metrics or WaitGroup releases. The claim stamps
+// the finish time but publishes nothing: readers keep seeing the old state
+// until publishFinish, so none can observe a terminal state whose side
+// effects are still pending.
+func (j *Job) claimFinish() bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.finishing || j.state.Terminal() {
 		return false
 	}
+	j.finishing = true
+	j.finished = time.Now()
+	return true
+}
+
+// publishFinish sets the claimed terminal state and wakes every watcher.
+func (j *Job) publishFinish(state State, errText string, artifact []byte) {
+	j.mu.Lock()
 	j.state = state
 	j.errText = errText
 	j.artifact = artifact
-	j.finished = time.Now()
 	j.mu.Unlock()
 	j.cancel() // release the context either way
 	j.changed()
-	return true
 }
 
 // markCached flags the job as served from the result cache. The artifact

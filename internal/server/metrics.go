@@ -99,6 +99,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 	fmt.Fprintf(w, "# TYPE sramd_accepting gauge\nsramd_accepting %d\n", up)
 	fmt.Fprintf(w, "# HELP sramd_queue_depth Jobs waiting on the bounded queue.\n")
 	fmt.Fprintf(w, "# TYPE sramd_queue_depth gauge\nsramd_queue_depth %d\n", queueDepth)
+	fmt.Fprintf(w, "# HELP sramd_queue_capacity Bound of the job queue; submissions beyond it get 429.\n")
 	fmt.Fprintf(w, "# TYPE sramd_queue_capacity gauge\nsramd_queue_capacity %d\n", queueCap)
 	fmt.Fprintf(w, "# HELP sramd_jobs_inflight Jobs currently executing.\n")
 	fmt.Fprintf(w, "# TYPE sramd_jobs_inflight gauge\nsramd_jobs_inflight %d\n", m.inflight.Load())
@@ -149,6 +150,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 		fmt.Fprintf(w, "# TYPE rescache_mem_entries gauge\nrescache_mem_entries %d\n", cache.MemEntries)
 		fmt.Fprintf(w, "# HELP rescache_mem_bytes Bytes resident in the memory tier.\n")
 		fmt.Fprintf(w, "# TYPE rescache_mem_bytes gauge\nrescache_mem_bytes %d\n", cache.MemBytes)
+		fmt.Fprintf(w, "# HELP rescache_mem_cap_bytes Byte budget of the memory tier.\n")
 		fmt.Fprintf(w, "# TYPE rescache_mem_cap_bytes gauge\nrescache_mem_cap_bytes %d\n", cache.MemCapBytes)
 		fmt.Fprintf(w, "# HELP rescache_evictions_total Entries evicted by tier.\n")
 		fmt.Fprintf(w, "# TYPE rescache_evictions_total counter\n")
@@ -159,6 +161,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 			fmt.Fprintf(w, "# TYPE rescache_disk_entries gauge\nrescache_disk_entries %d\n", cache.DiskEntries)
 			fmt.Fprintf(w, "# HELP rescache_disk_bytes Bytes resident in the disk CAS.\n")
 			fmt.Fprintf(w, "# TYPE rescache_disk_bytes gauge\nrescache_disk_bytes %d\n", cache.DiskBytes)
+			fmt.Fprintf(w, "# HELP rescache_disk_cap_bytes Byte budget of the disk CAS.\n")
 			fmt.Fprintf(w, "# TYPE rescache_disk_cap_bytes gauge\nrescache_disk_cap_bytes %d\n", cache.DiskCapBytes)
 			fmt.Fprintf(w, "# HELP rescache_corrupt_total Blobs or key links rejected by integrity re-verification.\n")
 			fmt.Fprintf(w, "# TYPE rescache_corrupt_total counter\nrescache_corrupt_total %d\n", cache.DiskCorrupt)

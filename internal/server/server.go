@@ -469,10 +469,12 @@ func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) 
 	return Artifact(j.Spec, j.Source, res), nil
 }
 
-// finishJob applies the terminal transition once: job state, queue
-// accounting, metrics, spool cleanup.
+// finishJob applies the terminal transition once: journal record, metrics
+// and spool cleanup first, then the terminal state itself, then queue
+// accounting. A client that sees the job finished — SSE frame, status or
+// result — therefore also sees it counted and its upload gone.
 func (s *Server) finishJob(j *Job, state State, errText string, artifact []byte) {
-	if !j.finish(state, errText, artifact) {
+	if !j.claimFinish() {
 		return
 	}
 	s.journalState(j, state, errText)
@@ -481,6 +483,7 @@ func (s *Server) finishJob(j *Job, state State, errText string, artifact []byte)
 	if j.tracePath != "" {
 		os.Remove(j.tracePath)
 	}
+	j.publishFinish(state, errText, artifact)
 	s.jobWG.Done()
 }
 
@@ -612,6 +615,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.bytesIngested = traceBytes
 	// jobWG must be incremented before a worker can possibly finish the job.
 	s.jobWG.Add(1)
+	// The 202 reports the job as accepted: queued. Snapshot it now, since a
+	// worker may start the job the moment it is enqueued.
+	accepted := j.Status()
 	// The enqueue stays under s.mu — with a default arm it cannot block — so
 	// the job is registered if and only if it was enqueued; there is no unwind
 	// window for a concurrent submission to interleave with.
@@ -624,7 +630,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.met.bytesIn.Add(traceBytes)
 		s.journalSubmit(j)
 		w.Header().Set("Location", "/v1/jobs/"+id)
-		writeJSON(w, http.StatusAccepted, j.Status())
+		writeJSON(w, http.StatusAccepted, accepted)
 	default:
 		s.mu.Unlock()
 		s.jobWG.Done()
