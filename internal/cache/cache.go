@@ -276,7 +276,7 @@ func (c *Cache) evict(set, way int) {
 
 // lineBase reconstructs the block base address of a resident line.
 func (c *Cache) lineBase(set int, tag uint64) uint64 {
-	return (tag<<log2(c.geom.Sets) | uint64(set)) << c.geom.blockShift
+	return tag<<c.geom.tagShift | uint64(set)<<c.geom.blockShift
 }
 
 // ReadWord reads size bytes at addr from the resident line (set, way).

@@ -12,6 +12,7 @@ type Geometry struct {
 	Sets       int // derived: SizeBytes / (Ways * BlockBytes)
 
 	blockShift uint
+	tagShift   uint // blockShift + log2(Sets)
 	setMask    uint64
 }
 
@@ -45,6 +46,7 @@ func NewGeometry(sizeBytes, ways, blockBytes int) (Geometry, error) {
 		BlockBytes: blockBytes,
 		Sets:       sets,
 		blockShift: log2(blockBytes),
+		tagShift:   log2(blockBytes) + log2(sets),
 		setMask:    uint64(sets - 1),
 	}, nil
 }
@@ -66,7 +68,7 @@ func (g Geometry) SetIndex(addr uint64) int {
 
 // Tag returns the tag bits of an address.
 func (g Geometry) Tag(addr uint64) uint64 {
-	return addr >> (g.blockShift + log2(g.Sets))
+	return addr >> g.tagShift
 }
 
 // BlockBase returns the address of the first byte of addr's block.
@@ -86,7 +88,7 @@ func (g Geometry) SetBytes() int { return g.Ways * g.BlockBytes }
 // TagBits returns the number of tag bits per block for a physical address of
 // paBits bits (paper §5.4 assumes 48).
 func (g Geometry) TagBits(paBits int) int {
-	bits := paBits - int(g.blockShift) - int(log2(g.Sets))
+	bits := paBits - int(g.tagShift)
 	if bits < 0 {
 		return 0
 	}

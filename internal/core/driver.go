@@ -15,7 +15,7 @@ import (
 // the context poll, and the access budget all live at batch granularity, so
 // the controller's Access method is the only per-access work left.
 //
-// A Driver never holds more than one batch of the trace; memory stays
+// Drain never holds more than drainSlabs batches of the trace; memory stays
 // constant no matter how long the stream is. It keeps the cache.Config its
 // cache was built from, so it can checkpoint itself (Snapshot).
 type Driver struct {
@@ -31,6 +31,11 @@ type Driver struct {
 	every int
 	sink  CheckpointSink
 }
+
+// drainSlabs is Drain's batch pool: the decoder fills one batch while the
+// controller runs another. A deeper pool replayed no faster, and every
+// running sramd job holds one.
+const drainSlabs = 2
 
 // NewDriver builds a fresh cache (over its own backing memory) and a
 // controller of kind for batched feeding.
@@ -84,7 +89,10 @@ func (d *Driver) Finish() Result { return d.ctrl.Finalize() }
 // Drain is the one loop that pulls a trace.Stream into a controller. It
 // feeds up to max accesses of s (max <= 0 drains the stream) in reusable
 // batches of batchSize (<= 0 means trace.DefaultBatchSize; a bounded run
-// never buffers more than max), then finishes the driver. Along the way it
+// never buffers more than max), then finishes the driver. s is read on a
+// second goroutine, at most drainSlabs batches ahead of the controller;
+// Drain joins it before returning, and a panic there resurfaces here.
+// Along the way Drain
 //
 //   - polls ctx once per batch and returns its error once it is done;
 //   - skips the first Accesses() accesses of s, so a resumed driver replays
@@ -104,13 +112,17 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 		}
 		s = trace.NewLimit(s, uint64(max))
 	}
-	b := trace.NewBatcher(s, batchSizeFor(max, batchSize))
+	// Stop joins the decoder on every return, so the caller may close s as
+	// soon as Drain returns.
+	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), 1, drainSlabs)
+	defer bc.Stop()
+	sub := bc.Sub(0)
 	batches := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		batch, ok := b.Next()
+		batch, ok := sub.Next()
 		if !ok {
 			break
 		}
@@ -133,7 +145,7 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 			}
 		}
 	}
-	if err := b.Err(); err != nil {
+	if err := bc.Err(); err != nil {
 		return Result{}, &StreamError{Accesses: d.fed - skip, Err: err}
 	}
 	if skip > 0 {

@@ -73,3 +73,68 @@ func TestDriverCountsFeeds(t *testing.T) {
 		t.Fatalf("finalized %d requests, want %d", r.Requests.Accesses(), len(accs))
 	}
 }
+
+// TestDrainSourcePanicReachesCaller pins panic containment across Drain's
+// decoder goroutine: a source that panics there panics the goroutine that
+// called Drain, where a caller (the engine, sramd's job runner) can recover
+// it, and the decoder has exited by the time it does.
+func TestDrainSourcePanicReachesCaller(t *testing.T) {
+	d, err := NewDriver(RMW, smallCfg(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs := randomStream(3, 10_000, 8192)
+	var served int
+	src := trace.Func(func() (trace.Access, bool) {
+		if served == 5000 {
+			panic("source failed")
+		}
+		served++
+		return accs[served-1], true
+	})
+	defer func() {
+		if r := recover(); r != "source failed" {
+			t.Fatalf("recovered %v, want the source's panic", r)
+		}
+	}()
+	d.Drain(context.Background(), src, 0, 512)
+	t.Fatal("Drain returned over a panicking source")
+}
+
+// TestDrainJoinsDecoderOnEarlyReturn pins that Drain's decoder goroutine
+// has stopped reading the source by the time Drain returns on an early
+// path, so a caller may close the trace file right away. The source counts
+// its calls without synchronization: under the race detector, a decoder
+// still running after Drain returns races with the read below.
+func TestDrainJoinsDecoderOnEarlyReturn(t *testing.T) {
+	accs := randomStream(4, 20_000, 8192)
+	sinkErr := errors.New("sink full")
+	for _, tc := range []struct {
+		name string
+		sink func(cancel context.CancelFunc) error
+		want error
+	}{
+		{"sink error", func(context.CancelFunc) error { return sinkErr }, sinkErr},
+		{"cancelled", func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		d, err := NewDriver(WG, smallCfg(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.CheckpointEvery(1, func([]byte, uint64) error { return tc.sink(cancel) })
+		calls := 0
+		src := trace.Func(func() (trace.Access, bool) {
+			calls++
+			return accs[calls%len(accs)], true
+		})
+		_, err = d.Drain(ctx, src, 0, 256)
+		cancel()
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Drain returned %v, want %v", tc.name, err, tc.want)
+		}
+		if calls < 256 {
+			t.Fatalf("%s: source read %d times, want at least one batch", tc.name, calls)
+		}
+	}
+}

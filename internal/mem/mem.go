@@ -4,36 +4,79 @@
 // real line data (so write-backs and fills move actual bytes), and silent
 // write detection (paper §3, Figure 5) must compare the value being stored
 // with the value already present. Memory is sparse — SPEC-like traces touch
-// tiny, scattered fractions of a 48-bit space — so storage is a map of
-// fixed-size chunks, with unbacked bytes reading as zero.
+// tiny, scattered fractions of a 48-bit space — so storage is a page table
+// of fixed-size chunks, with unbacked bytes reading as zero.
 package mem
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
 // ChunkSize is the granularity of backing allocation, in bytes.
 const ChunkSize = 64
 
+const (
+	// pageShift sizes a page table entry: 4 KiB, 64 chunks.
+	pageShift     = 12
+	chunksPerPage = 1 << pageShift / ChunkSize
+)
+
+// page holds the chunks of one 4 KiB page; a nil chunk is unbacked.
+type page [chunksPerPage]*[ChunkSize]byte
+
 // Memory is a sparse byte store. The zero value is not usable; call New.
+//
+// Chunks are allocated only on write, one at a time, so the backed set (and
+// everything derived from it: Bases, FootprintBytes, checkpoints) is the
+// same as for a flat map of chunks. Lookups go through a map from page
+// number to page, with the last page looked up memoized: fills and
+// write-backs cluster, so most lookups skip the map. Even reads update the
+// memo, so a Memory is not safe for concurrent readers.
 type Memory struct {
-	chunks map[uint64]*[ChunkSize]byte
+	pages  map[uint64]*page
+	chunks int // backed chunks
+
+	lastNum  uint64
+	lastPage *page // nil until the first lookup that finds a page
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{chunks: make(map[uint64]*[ChunkSize]byte)}
+	return &Memory{pages: make(map[uint64]*page)}
+}
+
+// pageFor returns the page holding addr, creating it when create is set
+// (otherwise nil if it does not exist).
+func (m *Memory) pageFor(addr uint64, create bool) *page {
+	num := addr >> pageShift
+	if m.lastPage != nil && m.lastNum == num {
+		return m.lastPage
+	}
+	p := m.pages[num]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(page)
+		m.pages[num] = p
+	}
+	m.lastNum, m.lastPage = num, p
+	return p
 }
 
 func (m *Memory) chunkFor(addr uint64, create bool) (*[ChunkSize]byte, uint64) {
-	base := addr &^ uint64(ChunkSize-1)
-	c := m.chunks[base]
-	if c == nil && create {
-		c = new([ChunkSize]byte)
-		m.chunks[base] = c
+	off := addr & (ChunkSize - 1)
+	p := m.pageFor(addr, create)
+	if p == nil {
+		return nil, off
 	}
-	return c, addr - base
+	slot := &p[addr/ChunkSize%chunksPerPage]
+	if *slot == nil && create {
+		*slot = new([ChunkSize]byte)
+		m.chunks++
+	}
+	return *slot, off
 }
 
 // LoadByte returns the byte at addr (zero if unbacked).
@@ -55,14 +98,9 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 func (m *Memory) Read(addr uint64, dst []byte) {
 	for len(dst) > 0 {
 		c, off := m.chunkFor(addr, false)
-		n := ChunkSize - int(off)
-		if n > len(dst) {
-			n = len(dst)
-		}
+		n := min(ChunkSize-int(off), len(dst))
 		if c == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			copy(dst, c[off:int(off)+n])
 		}
@@ -110,26 +148,41 @@ func (m *Memory) WouldBeSilent(addr uint64, size uint8, data uint64) bool {
 // Checkpoint serialization needs a deterministic iteration order; map range
 // order would make snapshot bytes differ between identical states.
 func (m *Memory) Bases() []uint64 {
-	bases := make([]uint64, 0, len(m.chunks))
-	for base := range m.chunks {
-		bases = append(bases, base)
+	nums := make([]uint64, 0, len(m.pages))
+	for num := range m.pages {
+		nums = append(nums, num)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	slices.Sort(nums)
+	bases := make([]uint64, 0, m.chunks)
+	for _, num := range nums {
+		for i, c := range m.pages[num] {
+			if c != nil {
+				bases = append(bases, num<<pageShift|uint64(i)*ChunkSize)
+			}
+		}
+	}
 	return bases
 }
 
 // FootprintBytes returns the number of backed bytes.
 func (m *Memory) FootprintBytes() uint64 {
-	return uint64(len(m.chunks)) * ChunkSize
+	return uint64(m.chunks) * ChunkSize
 }
 
 // Clone returns a deep copy of the memory image. Used by correctness property
 // tests to run two controllers from identical initial state.
 func (m *Memory) Clone() *Memory {
 	out := New()
-	for base, c := range m.chunks {
-		dup := *c
-		out.chunks[base] = &dup
+	out.chunks = m.chunks
+	for num, p := range m.pages {
+		dup := new(page)
+		for i, c := range p {
+			if c != nil {
+				cc := *c
+				dup[i] = &cc
+			}
+		}
+		out.pages[num] = dup
 	}
 	return out
 }
@@ -141,16 +194,25 @@ func (m *Memory) Equal(other *Memory) bool {
 }
 
 func (m *Memory) coveredBy(other *Memory) bool {
-	for base, c := range m.chunks {
-		oc := other.chunks[base]
-		if oc == nil {
-			if *c != ([ChunkSize]byte{}) {
+	for num, p := range m.pages {
+		op := other.pages[num]
+		for i, c := range p {
+			if c == nil {
+				continue
+			}
+			var oc *[ChunkSize]byte
+			if op != nil {
+				oc = op[i]
+			}
+			if oc == nil {
+				if *c != ([ChunkSize]byte{}) {
+					return false
+				}
+				continue
+			}
+			if *c != *oc {
 				return false
 			}
-			continue
-		}
-		if *c != *oc {
-			return false
 		}
 	}
 	return true

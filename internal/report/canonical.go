@@ -34,7 +34,8 @@ func Canonical(v any) ([]byte, error) {
 		return nil, err
 	}
 	b.WriteByte('\n')
-	return b.Bytes(), nil
+	// Servers keep every job's artifact; trim the buffer's growth slack.
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // Hash returns the hex sha256 of v's canonical encoding — the content

@@ -32,9 +32,9 @@ func (s State) Terminal() bool {
 }
 
 // progressNotifyStride is how many decoded accesses pass between SSE
-// progress wake-ups. Counting is per access (one atomic add); notification
-// is throttled so a million-access job broadcasts dozens of events, not a
-// million.
+// progress wake-ups. Counting is per decoded batch (one atomic add);
+// notification is throttled so a million-access job broadcasts dozens of
+// events, not a million.
 const progressNotifyStride = 1 << 16
 
 // Job is one submitted simulation: the validated spec, the resolved input
@@ -244,6 +244,8 @@ func (j *Job) Status() JobStatus {
 
 // countingStream counts every access a job decodes and wakes SSE watchers
 // once per notify stride. It is the wrap RunSpec hangs on the job's stream.
+// Drain decodes ahead of the simulation, so the count can lead the
+// controller by up to two batches.
 type countingStream struct {
 	inner trace.Stream
 	job   *Job
@@ -258,6 +260,17 @@ func (c *countingStream) Next() (trace.Access, bool) {
 		}
 	}
 	return a, ok
+}
+
+// ReadBatch implements trace.BatchSource, so a job's trace still decodes a
+// batch at a time: it counts the batch once and wakes watchers whenever the
+// total crosses a notify stride.
+func (c *countingStream) ReadBatch(dst []trace.Access) int {
+	n := uint64(trace.FillBatch(c.inner, dst))
+	if total := c.job.accesses.Add(n); total/progressNotifyStride != (total-n)/progressNotifyStride {
+		c.job.changed()
+	}
+	return int(n)
 }
 
 // Err surfaces the inner stream's decode error, preserving the ErrStream

@@ -249,15 +249,17 @@ func TestShardedJobMatchesSerial(t *testing.T) {
 
 // TestTraceUpload exercises the multipart path: the trace bytes are spooled,
 // the source is content-addressed, and the result matches a local replay of
-// the same bytes.
+// the same bytes. The trace spans many decode batches and one progress
+// stride, and the finished job counts exactly its accesses.
 func TestTraceUpload(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1, SpoolDir: t.TempDir()})
 
+	const n = progressNotifyStride + 4000
 	prof, err := workload.ProfileByName("bwaves")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, err := workload.Take(prof, 7, 3000)
+	accs, err := workload.Take(prof, 7, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +302,8 @@ func TestTraceUpload(t *testing.T) {
 	if final.State != StateSucceeded {
 		t.Fatalf("trace job ended %s: %s", final.State, final.Error)
 	}
-	if final.Accesses != 3000 {
-		t.Fatalf("trace job replayed %d accesses, want 3000", final.Accesses)
+	if final.Accesses != n {
+		t.Fatalf("trace job replayed %d accesses, want %d", final.Accesses, n)
 	}
 	_, got := ts.get("/v1/jobs/" + st.ID + "/result")
 

@@ -20,6 +20,25 @@ type BatchSource interface {
 	ReadBatch(dst []Access) int
 }
 
+// FillBatch fills dst from s and returns how many accesses it produced:
+// natively when s is a BatchSource, otherwise with one Next per access. A
+// short count means s is exhausted or failed.
+func FillBatch(s Stream, dst []Access) int {
+	if bs, ok := s.(BatchSource); ok {
+		return bs.ReadBatch(dst)
+	}
+	n := 0
+	for n < len(dst) {
+		a, ok := s.Next()
+		if !ok {
+			break
+		}
+		dst[n] = a
+		n++
+	}
+	return n
+}
+
 // ErrStream is a Stream whose source can fail mid-decode (file corruption,
 // truncation). A cleanly exhausted stream leaves Err nil.
 type ErrStream interface {
@@ -30,11 +49,9 @@ type ErrStream interface {
 // decoder is the single-buffer decode core shared by Batcher and the
 // broadcast fan-outs: one batch of the source at a time, through the
 // fastest path the source supports — a zero-copy subslice view for
-// in-memory slices, a native ReadBatch for binary readers, a per-access
-// Next loop for everything else.
+// in-memory slices, FillBatch for everything else.
 type decoder struct {
 	src   Stream
-	fast  BatchSource  // non-nil when src decodes batches natively
 	slice *SliceStream // non-nil when src is an in-memory slice: zero-copy
 	size  int
 	buf   []Access // allocated lazily; slice sources never need it
@@ -47,12 +64,7 @@ func newDecoder(src Stream, size int) decoder {
 		size = DefaultBatchSize
 	}
 	d := decoder{src: src, size: size}
-	switch s := src.(type) {
-	case *SliceStream:
-		d.slice = s
-	case BatchSource:
-		d.fast = s
-	}
+	d.slice, _ = src.(*SliceStream)
 	return d
 }
 
@@ -67,20 +79,7 @@ func (d *decoder) next() []Access {
 	if d.buf == nil {
 		d.buf = make([]Access, d.size)
 	}
-	var n int
-	if d.fast != nil {
-		n = d.fast.ReadBatch(d.buf)
-	} else {
-		for n < len(d.buf) {
-			a, ok := d.src.Next()
-			if !ok {
-				break
-			}
-			d.buf[n] = a
-			n++
-		}
-	}
-	return d.buf[:n]
+	return d.buf[:FillBatch(d.src, d.buf)]
 }
 
 // err surfaces the source's decode error, when the source tracks one.

@@ -51,17 +51,27 @@ func TestBatcherMatchesSlice(t *testing.T) {
 	}
 }
 
+// batchOnly is a Reader that counts how it is read.
+type batchOnly struct {
+	*Reader
+	batches, nexts int
+}
+
+func (s *batchOnly) ReadBatch(dst []Access) int { s.batches++; return s.Reader.ReadBatch(dst) }
+func (s *batchOnly) Next() (Access, bool)       { s.nexts++; return s.Reader.Next() }
+
 func TestBatcherUsesNativeBatchDecode(t *testing.T) {
 	in := sampleAccesses(777)
 	var buf bytes.Buffer
 	if _, err := WriteAll(&buf, FromSlice(in), 0); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(NewReader(&buf), 256)
-	if b.dec.fast == nil {
-		t.Fatal("Batcher over *Reader did not take the BatchSource fast path")
-	}
+	src := &batchOnly{Reader: NewReader(&buf)}
+	b := NewBatcher(src, 256)
 	got := drainBatches(t, b, 256)
+	if src.batches == 0 || src.nexts != 0 {
+		t.Fatalf("Batcher over a BatchSource made %d ReadBatch and %d Next calls, want only ReadBatch", src.batches, src.nexts)
+	}
 	if len(got) != len(in) {
 		t.Fatalf("got %d accesses, want %d", len(got), len(in))
 	}

@@ -49,7 +49,6 @@ type slab struct {
 // the slab pool runs dry and the decoder stalls.
 type Broadcast struct {
 	src   Stream
-	fast  BatchSource  // non-nil when src decodes batches natively
 	slice *SliceStream // non-nil when src is an in-memory slice: zero-copy
 	size  int
 	subs  []*Subscription
@@ -58,6 +57,9 @@ type Broadcast struct {
 	done  chan struct{} // closed when the decoder goroutine exits
 	live  atomic.Int32  // subscribers that have not stopped
 	err   error         // decode error; published by closing the sub channels
+	// panicked is what the source panicked with on the decoder goroutine,
+	// published like err; each subscriber re-raises it from Next.
+	panicked any
 }
 
 // NewBroadcast returns a running Broadcast over src with nsubs subscribers,
@@ -81,12 +83,7 @@ func NewBroadcast(src Stream, size, nsubs, slabs int) *Broadcast {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	switch s := src.(type) {
-	case *SliceStream:
-		b.slice = s
-	case BatchSource:
-		b.fast = s
-	}
+	b.slice, _ = src.(*SliceStream)
 	for i := 0; i < slabs; i++ {
 		b.free <- &slab{}
 	}
@@ -125,9 +122,13 @@ func (b *Broadcast) Stop() {
 // pump is the decoder loop: fill a free slab, reference it once per
 // subscriber, hand it to everyone. Closing the subscriber channels (after
 // b.err is set) is what publishes end-of-stream, so subscribers observing
-// a closed channel also observe the final err value.
+// a closed channel also observe the final err value. A panicking source
+// ends the stream the same way, so the panic resurfaces on the consumers'
+// goroutines, where a caller can recover it, instead of killing the
+// process from this one.
 func (b *Broadcast) pump() {
 	defer func() {
+		b.panicked = recover()
 		for _, s := range b.subs {
 			close(s.ch)
 		}
@@ -166,21 +167,8 @@ func (b *Broadcast) fill(sl *slab) int {
 	if sl.buf == nil {
 		sl.buf = make([]Access, b.size)
 	}
-	var n int
-	if b.fast != nil {
-		n = b.fast.ReadBatch(sl.buf)
-	} else {
-		for n < len(sl.buf) {
-			a, ok := b.src.Next()
-			if !ok {
-				break
-			}
-			sl.buf[n] = a
-			n++
-		}
-	}
-	sl.view = sl.buf[:n]
-	return n
+	sl.view = sl.buf[:FillBatch(b.src, sl.buf)]
+	return len(sl.view)
 }
 
 // release recycles sl once the last subscriber lets go of it.
@@ -207,7 +195,8 @@ type Subscription struct {
 
 // Next releases the previous batch and returns the next one. ok is false
 // when the stream is exhausted, errored (check the Broadcast's Err), or the
-// subscription was stopped.
+// subscription was stopped. If the source panicked, Next panics with the
+// same value.
 func (s *Subscription) Next() ([]Access, bool) {
 	s.releaseCur()
 	if s.done {
@@ -216,6 +205,9 @@ func (s *Subscription) Next() ([]Access, bool) {
 	sl, ok := <-s.ch
 	if !ok {
 		s.done = true
+		if p := s.b.panicked; p != nil {
+			panic(p)
+		}
 		return nil, false
 	}
 	s.cur = sl

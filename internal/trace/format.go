@@ -185,12 +185,40 @@ func (tr *Reader) Next() (Access, bool) {
 	}, true
 }
 
+// maxRecordLen is the longest a record can be: the head byte plus three
+// maximal varints.
+const maxRecordLen = 1 + 3*binary.MaxVarintLen64
+
 // ReadBatch decodes up to len(dst) accesses into dst and returns how many it
 // produced. It implements BatchSource: a Batcher over a Reader decodes whole
 // batches with one call instead of one interface dispatch per access. A
 // short or zero count means end of trace or a decode error — check Err.
+//
+// While a maximal record is buffered, records decode straight from the
+// bufio.Reader's buffer, with no per-byte call. The tail near EOF, an
+// overflowing varint and a read error go through Next, the reference
+// decoder, so every error value is Next's own.
 func (tr *Reader) ReadBatch(dst []Access) int {
+	if tr.err != nil {
+		return 0
+	}
+	if err := tr.startRead(); err != nil {
+		tr.err = err
+		return 0
+	}
 	n := 0
+	for n < len(dst) {
+		if _, err := tr.r.Peek(maxRecordLen); err != nil {
+			break
+		}
+		buf, _ := tr.r.Peek(tr.r.Buffered())
+		m, used, ok := tr.decodeBuffered(dst[n:], buf)
+		tr.r.Discard(used)
+		n += m
+		if !ok {
+			break
+		}
+	}
 	for n < len(dst) {
 		a, ok := tr.Next()
 		if !ok {
@@ -200,6 +228,46 @@ func (tr *Reader) ReadBatch(dst []Access) int {
 		n++
 	}
 	return n
+}
+
+// decodeBuffered decodes whole records from buf into dst while at least
+// maxRecordLen bytes remain, so no record can run off the end of buf. It
+// returns the records decoded and the bytes they used; ok is false when it
+// stopped at a record with an overflowing varint, which it leaves unread.
+func (tr *Reader) decodeBuffered(dst []Access, buf []byte) (n, used int, ok bool) {
+	addr := tr.prevAddr
+	ok = true
+records:
+	for n < len(dst) && len(buf)-used >= maxRecordLen {
+		rec := buf[used:]
+		// The delta, gap and data varints; most deltas and gaps are one byte.
+		var f [3]uint64
+		k := 1
+		for i := range f {
+			x, w := uint64(rec[k]), 1
+			if x >= 0x80 {
+				if x, w = binary.Uvarint(rec[k:]); w <= 0 {
+					ok = false
+					break records
+				}
+			}
+			f[i] = x
+			k += w
+		}
+		head := rec[0]
+		addr += uint64(unzigzag(f[0]))
+		dst[n] = Access{
+			Kind: Kind(head & 1),
+			Size: 1 << ((head >> 1) & 3),
+			Addr: addr,
+			Gap:  uint32(f[1]),
+			Data: f[2],
+		}
+		n++
+		used += k
+	}
+	tr.prevAddr = addr
+	return n, used, ok
 }
 
 func truncated(err error) error {

@@ -58,6 +58,11 @@ func FuzzBatcher(f *testing.F) {
 	f.Add([]byte("C8TT\x01"), uint8(1))
 	f.Add([]byte("C8TT\x01\x00\x00\x00\x00"), uint8(255))
 	f.Add(seed.Bytes()[:seed.Len()-2], uint8(7))
+	// Past the 64 KiB read buffer, and an overflowing varint met by the
+	// buffered decode path: the edges where ReadBatch hands back to Next.
+	long, _ := edgeTrace(f, 5000)
+	f.Add(long, uint8(63))
+	f.Add(overflowTrace(f, 1000), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, sizeByte uint8) {
 		oneShot, oneErr := ReadAll(bytes.NewReader(data))
 

@@ -130,6 +130,21 @@ func (l *Limit) Next() (Access, bool) {
 	return a, true
 }
 
+// ReadBatch implements BatchSource: it fills at most the remaining budget
+// of dst from inner, natively when inner is a BatchSource.
+func (l *Limit) ReadBatch(dst []Access) int {
+	if uint64(len(dst)) > l.left {
+		dst = dst[:l.left]
+	}
+	n := FillBatch(l.inner, dst)
+	if n < len(dst) {
+		l.left = 0
+	} else {
+		l.left -= uint64(n)
+	}
+	return n
+}
+
 // Err surfaces the inner stream's decode error when it tracks one, so a
 // bounded replay of a corrupt trace fails like an unbounded one instead of
 // truncating silently.
