@@ -1,19 +1,22 @@
-// Command benchcore measures the controller hot path in both execution modes
-// — materialized slice replay vs the batched streaming pipeline decoding a
-// binary trace — verifies the two produce identical results, and appends the
-// throughput pair to BENCH_core.json. The accumulated file is the
-// streamed-vs-materialized performance trajectory across commits: a ratio
-// drifting below 1.0 means the streaming path has picked up overhead the
-// equivalence tests cannot see. With -shards it also times the set-sharded
-// parallel driver over the same decode and appends that third trajectory.
+// Command benchcore times the controller hot path and appends one
+// identity-checked entry to BENCH_core.json, the throughput trajectory
+// across commits. Every entry times the same binary trace two ways:
+// "streamed" decodes it batch by batch as it replays, "materialized" decodes
+// it whole into a slice first. -scale adds the set-sharded driver at each
+// listed shard count; -hier times the two-level driver instead.
+//
+// The modes run round-robin for regress.Rounds rounds, rotating which mode
+// goes first, and every run's result must be identical to the first run's.
+// The entry records each mode's median and quartile wall times and its
+// ratio over streamed (streamed median / mode median), with the quartiles
+// of its per-round ratios as a band, plus gomaxprocs/num_cpu.
 //
 // Usage:
 //
-//	benchcore                   1M accesses, append to BENCH_core.json
-//	benchcore -n 100000         quicker run (CI smoke uses this)
-//	benchcore -shards 4         also bench the set-sharded driver (RMW)
-//	benchcore -scale 1,2,4,8    shard-scaling sweep instead (identity-checked)
-//	benchcore -hier             two-level hierarchy driver instead (identity-checked)
+//	benchcore                   WG, 1M accesses, append to BENCH_core.json
+//	benchcore -n 100000         quicker run
+//	benchcore -scale 1,2,4,8    also the sharded driver at 1/2/4/8 shards (RMW)
+//	benchcore -hier             the two-level driver (WG L1 over an RMW L2)
 //	benchcore -out /tmp/b.json  append elsewhere
 //	benchcore -cpuprofile p.out profile the whole run
 //
@@ -22,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -58,13 +62,19 @@ func parseScale(s string) ([]int, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcore: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run holds the body so its deferred profile stop runs on every exit,
+// errors and interrupts included.
+func run() error {
 	def := regress.DefaultOptions()
 	n := flag.Int("n", 1_000_000, "accesses to replay per mode")
 	seed := flag.Uint64("seed", def.Seed, "workload seed")
-	shards := flag.Int("shards", 0, "also bench the set-sharded driver with this many shards")
-	scale := flag.String("scale", "", "comma-separated shard counts: run a scaling sweep instead (e.g. 1,2,4,8)")
-	hierMode := flag.Bool("hier", false, "bench the two-level hierarchy driver instead (WG L1 over an RMW L2)")
+	scale := flag.String("scale", "", "comma-separated shard counts to time the set-sharded driver at, on RMW (e.g. 1,2,4,8)")
+	hierMode := flag.Bool("hier", false, "time the two-level hierarchy driver instead (WG L1 over an RMW L2)")
 	out := flag.String("out", "BENCH_core.json", "throughput trajectory file to append to")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -72,80 +82,53 @@ func main() {
 	flag.Parse()
 	if *showVersion {
 		fmt.Println(report.Version("benchcore"))
-		return
+		return nil
+	}
+	if *hierMode && *scale != "" {
+		return errors.New("-hier and -scale do not combine: the two-level driver does not shard")
+	}
+	var counts []int
+	if *scale != "" {
+		var err error
+		if counts, err = parseScale(*scale); err != nil {
+			return err
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
 	stopCPU, err := prof.StartCPU(*cpuprofile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopCPU()
 
-	opts := regress.DefaultOptions()
-	opts.N = *n
-	opts.Seed = *seed
-	opts.Shards = *shards
-	opts.Context = ctx
-
-	if *hierMode {
-		entry, err := regress.HierBench(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := regress.AppendHierBench(*out, entry); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("benchcore: appended hier entry to %s: materialized %.0f acc/s, streamed %.0f acc/s (ratio %.3f, %s/%s→%s, n=%d, l2_visible=%d, gomaxprocs=%d, num_cpu=%d)\n",
-			*out, entry.MaterializedAccPS, entry.StreamedAccPS, entry.Ratio,
-			entry.Workload, entry.L1Controller, entry.L2Controller, entry.N, entry.L2Visible,
-			entry.GoMaxProcs, entry.NumCPU)
-		if err := prof.WriteHeap(*memprofile); err != nil {
-			log.Fatal(err)
-		}
-		return
+	opts := def
+	opts.N, opts.Seed, opts.Context = *n, *seed, ctx
+	var entry regress.ThroughputEntry
+	switch {
+	case *hierMode:
+		entry, err = regress.HierBench(opts)
+	case counts != nil:
+		entry, err = regress.ShardScale(opts, counts)
+	default:
+		entry, err = regress.CoreBench(opts)
 	}
-
-	if *scale != "" {
-		counts, err := parseScale(*scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		entry, err := regress.ShardScale(opts, counts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := regress.AppendShardScale(*out, entry); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("benchcore: appended shard-scale sweep to %s (%s/%s, n=%d, gomaxprocs=%d, num_cpu=%d)\n",
-			*out, entry.Workload, entry.Controller, entry.N, entry.GoMaxProcs, entry.NumCPU)
-		fmt.Printf("benchcore: streamed baseline %.0f acc/s\n", entry.StreamedAccPS)
-		for _, p := range entry.Points {
-			fmt.Printf("benchcore:   %d shard(s): %.0f acc/s (%.3fx over streamed)\n", p.Shards, p.AccPS, p.Ratio)
-		}
-		if err := prof.WriteHeap(*memprofile); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	entry, err := regress.CoreBench(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := regress.AppendCoreBench(*out, entry); err != nil {
-		log.Fatal(err)
+	if err := regress.AppendLedger(*out, entry); err != nil {
+		return err
 	}
-	fmt.Printf("benchcore: appended to %s: materialized %.0f acc/s, streamed %.0f acc/s (ratio %.3f, %s/%s, n=%d)\n",
-		*out, entry.MaterializedAccPS, entry.StreamedAccPS, entry.Ratio, entry.Workload, entry.Controller, entry.N)
-	if entry.Shards > 1 {
-		fmt.Printf("benchcore: sharded (%d shards) %.0f acc/s (%.3fx over streamed)\n",
-			entry.Shards, entry.ShardedAccPS, entry.ShardedRatio)
+	controller := entry.Controller
+	if entry.L2Controller != "" {
+		controller += "→" + entry.L2Controller
 	}
-	if err := prof.WriteHeap(*memprofile); err != nil {
-		log.Fatal(err)
+	fmt.Printf("benchcore: appended %s entry to %s (%s/%s, n=%d, %d rounds, gomaxprocs=%d, num_cpu=%d, identity %.12s)\n",
+		entry.Bench, *out, entry.Workload, controller, entry.N, entry.Rounds, entry.GoMaxProcs, entry.NumCPU, entry.Identity)
+	for _, m := range entry.Modes {
+		fmt.Printf("benchcore:   %-12s %8.1f ms [%.1f, %.1f]  %5.2f Macc/s  %.3fx over streamed [%.3f, %.3f]\n",
+			m.Mode, m.MedianMS, m.Q1MS, m.Q3MS, m.AccPS/1e6, m.Ratio, m.RatioLow, m.RatioHigh)
 	}
+	return prof.WriteHeap(*memprofile)
 }

@@ -1,9 +1,10 @@
 // Command regress is the golden-result regression harness: it re-runs the
 // paper's headline experiment matrix (Figure 8 worked example, RMW
-// inflation, Figures 9/10/11 reductions) and diffs the resulting artifacts
-// against the checked-in golden/*.json baselines with per-metric tolerance
-// bands. Any drift prints a per-metric diff table and exits non-zero, which
-// is what lets CI promote "tests pass" to "the paper's numbers still hold".
+// inflation, Figures 9/10/11 reductions, the two-level hierarchy) and diffs
+// the resulting artifacts against the checked-in golden/*.json baselines
+// with per-metric tolerance bands. Any drift prints a per-metric diff table
+// and exits non-zero, which is what lets CI promote "tests pass" to "the
+// paper's numbers still hold".
 //
 // Usage:
 //
@@ -15,8 +16,6 @@
 //	                            constant memory per benchmark)
 //	regress -shards 4           set-sharded parallel simulation (same numbers;
 //	                            CI proves sharded == serial goldens)
-//	regress -bench              append engine serial-vs-parallel throughput
-//	                            to BENCH_regress.json (perf trajectory)
 //	regress -cache-dir DIR      memoize check artifacts in a persistent CAS
 //	                            (shareable with sramd and sweep); repeat runs
 //	                            with the same n/seed decode instead of
@@ -53,8 +52,6 @@ func main() {
 	full := flag.Bool("full", false, "render passing metrics in diff tables too")
 	stream := flag.Bool("stream", false, "rebuild artifacts from streamed traces (constant memory; same numbers)")
 	shards := flag.Int("shards", 0, "set-shard parallel simulation for set-local controllers (same numbers; cross-set controllers run serially)")
-	bench := flag.Bool("bench", false, "measure serial-vs-parallel engine throughput and append it to -bench-out")
-	benchOut := flag.String("bench-out", "BENCH_regress.json", "throughput trajectory file for -bench")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache CAS for check artifacts (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")
 	flag.Parse()
@@ -88,21 +85,6 @@ func main() {
 		Context:   ctx,
 		Out:       os.Stdout,
 		Cache:     cache,
-	}
-
-	if *bench {
-		entry, err := regress.Bench(opts)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		if err := regress.AppendBench(*benchOut, entry); err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		fmt.Printf("regress: bench appended to %s: serial %.0f items/s, parallel %.0f items/s (%d workers, %.2fx)\n",
-			*benchOut, entry.SerialItemsPS, entry.ParallelItemsPS, entry.ParallelWorkers, entry.Speedup)
-		return
 	}
 
 	sum, err := regress.Run(opts, flag.Args()...)

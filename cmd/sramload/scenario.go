@@ -274,8 +274,8 @@ func sameAsSerialSweep(ctx context.Context, spec coord.SweepSpec, ledger []byte)
 	return identical("merged ledger vs the in-process serial run", ledger, serial)
 }
 
-// identical is the identity check every row and ledger mode shares: the
-// service must never change the numbers.
+// identical is the identity check every row shares: the service must never
+// change the numbers.
 func identical(what string, got, want []byte) error {
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("identity broken: %s (%d vs %d bytes)", what, len(got), len(want))

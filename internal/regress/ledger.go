@@ -12,9 +12,9 @@ import (
 // missing), rewriting the file canonically so the trajectory stays
 // machine-readable and diff-friendly. Existing entries are carried through
 // as raw JSON, so ledgers may hold heterogeneous entry shapes — e.g.
-// BENCH_core.json accumulates both CoreBench records and sramload's
-// service-load records — and appending one shape never strips fields from
-// another.
+// BENCH_core.json keeps the records older commits wrote before
+// ThroughputEntry existed — and appending one shape never strips fields
+// from another.
 func AppendLedger(path string, entry any) error {
 	var entries []json.RawMessage
 	b, err := os.ReadFile(path)

@@ -3,7 +3,9 @@
 // per-metric tolerance bands and bootstrap confidence intervals. It is the
 // machinery behind cmd/regress and the CI golden-diff job: a refactor that
 // silently drifts the reproduced figures fails here even when every unit
-// test still passes.
+// test still passes. It also times the hot path for cmd/benchcore
+// (bench.go): rotated rounds, every run identity-checked, appended to the
+// BENCH_core.json ledger.
 package regress
 
 import (
@@ -12,12 +14,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"cache8t/internal/cache"
 	"cache8t/internal/core"
-	"cache8t/internal/engine"
 	"cache8t/internal/experiments"
 	"cache8t/internal/report"
 	"cache8t/internal/rescache"
@@ -419,89 +419,4 @@ func addReductionMetrics(a *report.Artifact, prefix string, pairs []experiments.
 		a.SetMetric(prefix+"ci95."+name+".low", ci.Low)
 		a.SetMetric(prefix+"ci95."+name+".high", ci.High)
 	}
-}
-
-// BenchEntry is one appended record of engine throughput: the serial-vs-
-// parallel trajectory BENCH_regress.json accumulates across commits.
-type BenchEntry struct {
-	Schema          int     `json:"schema"`
-	GitSHA          string  `json:"git_sha"`
-	UnixMS          int64   `json:"unix_ms"`
-	N               int     `json:"n"`
-	Benchmarks      int     `json:"benchmarks"`
-	SerialWallMS    float64 `json:"serial_wall_ms"`
-	SerialItemsPS   float64 `json:"serial_items_per_sec"`
-	ParallelWorkers int     `json:"parallel_workers"`
-	ParallelWallMS  float64 `json:"parallel_wall_ms"`
-	ParallelItemsPS float64 `json:"parallel_items_per_sec"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// Bench measures the engine's serial and parallel throughput on the Figure 9
-// workload matrix (every benchmark through RMW/WG/WGRB on the baseline
-// shape) and returns the comparison.
-func Bench(opts Options) (BenchEntry, error) {
-	shape := cache.DefaultConfig()
-	profs := workload.Profiles()
-	jobs := make([]engine.Job[uint64], len(profs))
-	for i, p := range profs {
-		p := p
-		jobs[i] = engine.Job[uint64]{
-			Label:  p.Name,
-			Weight: 3 * int64(opts.N),
-			Fn: func(ctx context.Context) (uint64, error) {
-				accs, err := workload.Take(p, opts.Seed, opts.N)
-				if err != nil {
-					return 0, err
-				}
-				res, err := core.RunAll(ctx, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, core.Options{}, accs)
-				if err != nil {
-					return 0, err
-				}
-				return res[0].ArrayAccesses(), nil
-			},
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e := BenchEntry{
-		Schema:          report.SchemaVersion,
-		GitSHA:          report.GitSHA(),
-		UnixMS:          time.Now().UnixMilli(),
-		N:               opts.N,
-		Benchmarks:      len(profs),
-		ParallelWorkers: workers,
-	}
-	for _, mode := range []struct {
-		workers int
-		wall    *float64
-		ips     *float64
-	}{
-		{1, &e.SerialWallMS, &e.SerialItemsPS},
-		{workers, &e.ParallelWallMS, &e.ParallelItemsPS},
-	} {
-		eng := engine.New[uint64](engine.Config{Workers: mode.workers})
-		outs, err := eng.Run(opts.ctx(), jobs)
-		if err != nil {
-			return e, err
-		}
-		if _, err := engine.Values(outs); err != nil {
-			return e, err
-		}
-		snap := eng.Snapshot()
-		*mode.wall = snap.Wall.Seconds() * 1e3
-		*mode.ips = snap.ItemsPerSecond
-	}
-	if e.SerialItemsPS > 0 {
-		e.Speedup = e.ParallelItemsPS / e.SerialItemsPS
-	}
-	return e, nil
-}
-
-// AppendBench appends entry to the throughput ledger at path; see
-// AppendLedger for the file discipline.
-func AppendBench(path string, entry BenchEntry) error {
-	return AppendLedger(path, entry)
 }
