@@ -95,6 +95,7 @@ golden-update:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzBatcher -fuzztime=$(FUZZTIME) -run='^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzFanout -fuzztime=$(FUZZTIME) -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzMemory -fuzztime=$(FUZZTIME) -run='^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pinlite
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server

@@ -114,15 +114,15 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 	}
 	// Stop joins the decoder on every return, so the caller may close s as
 	// soon as Drain returns.
-	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), 1, drainSlabs)
-	defer bc.Stop()
-	sub := bc.Sub(0)
+	fan := trace.NewBroadcast(s, batchSizeFor(max, batchSize), 1, drainSlabs)
+	defer fan.Stop()
+	feed := fan.Sub(0)
 	batches := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		batch, ok := sub.Next()
+		batch, ok := feed.Next()
 		if !ok {
 			break
 		}
@@ -145,7 +145,7 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 			}
 		}
 	}
-	if err := bc.Err(); err != nil {
+	if err := fan.Err(); err != nil {
 		return Result{}, &StreamError{Accesses: d.fed - skip, Err: err}
 	}
 	if skip > 0 {
@@ -170,13 +170,14 @@ func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Opt
 
 // RunEachStream runs every kind over the stream from open and returns the
 // results in kind order. With shards <= 1 and several kinds, open is called
-// once and a trace.Broadcast fans the decoded batches out to one controller
-// goroutine per kind — a seven-kind comparison decodes its gzip trace once
-// instead of seven times, and no kind ever holds the full trace. Otherwise
-// each kind runs RunShardedContext over its own fresh open, so callers must
-// make open yield identical streams (a re-seeded generator or a replayed
-// slice). Every controller sees the exact same access sequence either way,
-// so results are byte-identical to RunAll over the materialized accesses.
+// once and a broadcast trace.Fanout hands the decoded batches to one
+// controller goroutine per kind — a seven-kind comparison decodes its gzip
+// trace once instead of seven times, and no kind ever holds the full trace.
+// Otherwise each kind runs RunShardedContext over its own fresh open, so
+// callers must make open yield identical streams (a re-seeded generator or
+// a replayed slice). Every controller sees the exact same access sequence
+// either way, so results are byte-identical to RunAll over the materialized
+// accesses.
 func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize, shards int) ([]Result, error) {
 	if shards > 1 || len(kinds) <= 1 {
 		out := make([]Result, len(kinds))
@@ -208,36 +209,11 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 	if max > 0 {
 		s = trace.NewLimit(s, uint64(max))
 	}
-	bc := trace.NewBroadcast(s, batchSizeFor(max, batchSize), len(kinds), 0)
-	errs := make([]error, len(kinds))
-	var wg sync.WaitGroup
-	for i := range kinds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := bc.Sub(i)
-			for {
-				if err := ctx.Err(); err != nil {
-					sub.Stop()
-					errs[i] = err
-					return
-				}
-				batch, ok := sub.Next()
-				if !ok {
-					return
-				}
-				drivers[i].Feed(batch)
-			}
-		}(i)
+	fan := trace.NewBroadcast(s, batchSizeFor(max, batchSize), len(kinds), 0)
+	if err := feedEach(ctx, fan, drivers); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	bc.Stop()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := bc.Err(); err != nil {
+	if err := fan.Err(); err != nil {
 		return nil, &StreamError{Accesses: drivers[0].Accesses(), Err: err}
 	}
 	out := make([]Result, len(kinds))
@@ -245,6 +221,61 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 		out[i] = d.Finish()
 	}
 	return out, nil
+}
+
+// feedEach drains feed i of fan into drivers[i], one goroutine per driver,
+// polling ctx once per batch, then joins them and stops fan, so the source
+// is no longer being read when it returns. A panic in the source, the route
+// or any controller stops the other consumers and is re-raised here, on
+// the caller's goroutine, where the engine's containment can recover it.
+// Otherwise feedEach returns the context error a consumer stopped on; how
+// the stream itself ended is fan.Err.
+func feedEach(ctx context.Context, fan *trace.Fanout, drivers []*Driver) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, len(drivers))
+	panics := make([]any, len(drivers))
+	var wg sync.WaitGroup
+	for i, d := range drivers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feed := fan.Sub(i)
+			defer func() {
+				if p := recover(); p != nil {
+					// Keep the decoder flowing past this feed while the
+					// others notice the cancel.
+					panics[i] = p
+					feed.Stop()
+					cancel()
+				}
+			}()
+			for {
+				if errs[i] = ctx.Err(); errs[i] != nil {
+					feed.Stop()
+					return
+				}
+				batch, ok := feed.Next()
+				if !ok {
+					return
+				}
+				d.Feed(batch)
+			}
+		}()
+	}
+	wg.Wait()
+	fan.Stop()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // batchSizeFor resolves a requested batch size against an access budget:

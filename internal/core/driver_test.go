@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
+	"cache8t/internal/cache"
 	"cache8t/internal/trace"
 )
 
@@ -74,31 +76,100 @@ func TestDriverCountsFeeds(t *testing.T) {
 	}
 }
 
-// TestDrainSourcePanicReachesCaller pins panic containment across Drain's
-// decoder goroutine: a source that panics there panics the goroutine that
-// called Drain, where a caller (the engine, sramd's job runner) can recover
-// it, and the decoder has exited by the time it does.
+// TestDrainSourcePanicReachesCaller pins panic containment across every
+// fan-out's goroutines: a source that panics on the decoder goroutine, or a
+// controller that panics on a shard's consumer goroutine, panics the
+// goroutine that called the runner, where a caller (the engine, sramd's job
+// runner) can recover it, instead of killing the process.
 func TestDrainSourcePanicReachesCaller(t *testing.T) {
-	d, err := NewDriver(RMW, smallCfg(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	accs := randomStream(3, 10_000, 8192)
-	var served int
-	src := trace.Func(func() (trace.Access, bool) {
-		if served == 5000 {
-			panic("source failed")
-		}
-		served++
-		return accs[served-1], true
-	})
-	defer func() {
-		if r := recover(); r != "source failed" {
-			t.Fatalf("recovered %v, want the source's panic", r)
-		}
-	}()
-	d.Drain(context.Background(), src, 0, 512)
-	t.Fatal("Drain returned over a panicking source")
+	// panicking serves accs and panics at access 5,000.
+	panicking := func() trace.Stream {
+		var served int
+		return trace.Func(func() (trace.Access, bool) {
+			if served == 5000 {
+				panic("source failed")
+			}
+			served++
+			return accs[served-1], true
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want any
+	}{
+		{"drain", func() error {
+			_, err := RunStreamContext(ctx, RMW, smallCfg(), Options{}, panicking(), 0, 512)
+			return err
+		}, "source failed"},
+		{"sharded", func() error {
+			_, err := RunShardedContext(ctx, RMW, smallCfg(), Options{}, panicking(), 0, 512, 2)
+			return err
+		}, "source failed"},
+		{"each-stream", func() error {
+			_, err := RunEachStream(ctx, []Kind{RMW, WG}, smallCfg(), Options{},
+				func() (trace.Stream, error) { return panicking(), nil }, 0, 512, 0)
+			return err
+		}, "source failed"},
+		{"shard controller", func() error {
+			r, err := newShardRun(RMW, smallCfg(), Options{}, 2)
+			if err != nil {
+				return err
+			}
+			r.drivers[1].Wrap(func(ctrl Controller, _ *cache.Cache) Controller {
+				return &panicAt{Controller: ctrl, left: 2000}
+			})
+			return r.run(ctx, trace.FromSlice(accs), 0, 512)
+		}, "controller failed"},
+		{"kind controller", func() error {
+			var drivers []*Driver
+			for _, k := range []Kind{RMW, WG} {
+				d, err := NewDriver(k, smallCfg(), Options{})
+				if err != nil {
+					return err
+				}
+				drivers = append(drivers, d)
+			}
+			drivers[1].Wrap(func(ctrl Controller, _ *cache.Cache) Controller {
+				return &panicAt{Controller: ctrl, left: 2000}
+			})
+			return feedEach(ctx, trace.NewBroadcast(trace.FromSlice(accs), 512, 2, 0), drivers)
+		}, "controller failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			p := recovered(func() { err = tc.run() })
+			if p != tc.want {
+				t.Fatalf("recovered %v (err %v), want the panic %q", p, err, tc.want)
+			}
+		})
+	}
+}
+
+// recovered runs fn and returns what it panicked with (nil if it returned).
+func recovered(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// panicAt forwards left accesses to its controller, then panics. It yields
+// after each access, so the other consumers run ahead and wait on the
+// decoder, which waits on this consumer's feed, when the panic comes.
+type panicAt struct {
+	Controller
+	left int
+}
+
+func (c *panicAt) Access(a trace.Access) uint64 {
+	if c.left == 0 {
+		panic("controller failed")
+	}
+	c.left--
+	runtime.Gosched()
+	return c.Controller.Access(a)
 }
 
 // TestDrainJoinsDecoderOnEarlyReturn pins that Drain's decoder goroutine

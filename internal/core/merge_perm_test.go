@@ -30,8 +30,8 @@ func TestMergeResultsPermutationInvariant(t *testing.T) {
 			t.Fatalf("%v: %v", k, err)
 		}
 		parts := make([]Result, shards)
-		for i, ctrl := range r.ctrls {
-			parts[i] = ctrl.Finalize()
+		for i, d := range r.drivers {
+			parts[i] = d.Finish()
 		}
 		base, err := MergeResults(parts)
 		if err != nil {

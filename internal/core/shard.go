@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"cache8t/internal/cache"
 	"cache8t/internal/mem"
@@ -20,11 +19,11 @@ import (
 // K shards, replaying each shard's accesses (in stream order) through its
 // own controller instance, and summing the per-shard Results therefore
 // reproduces the serial Result exactly; RunShardedContext does that with one
-// shard per goroutine, fed from a single decode of the trace via
-// trace.RouteBroadcast: the decoder routes each batch once, splitting it
-// into per-shard structure-of-arrays slabs, so every shard iterates only its
-// own accesses — contiguously, with no per-access ownership branch — and the
-// total routing work is one pass over the stream instead of one per shard.
+// shard per goroutine, fed from a single decode of the trace by a routed
+// trace.Fanout: the decoder routes each batch once, appending each access to
+// its shard's slab, so every shard iterates only its own accesses —
+// contiguously, with no per-access ownership branch — and the total routing
+// work is one pass over the stream instead of one per shard.
 //
 // Cross-set-state controllers (the WG family's global Set-Buffer, the
 // coalescer's pending-write window) and the Random replacement policy (one
@@ -93,48 +92,42 @@ func RunShardedContext(ctx context.Context, kind Kind, cfg cache.Config, opts Op
 	return r.finish()
 }
 
-// shardRun is one sharded execution: K controllers over K private caches
-// (each with its own backing memory), plus the set→shard route. Tests reach
-// into it to randomize the route and inspect per-shard state.
+// shardRun is one sharded execution: K drivers over K private caches (each
+// with its own backing memory), plus the set→shard route. Tests reach into
+// it to randomize the route and inspect per-shard state.
 type shardRun struct {
-	geom   cache.Geometry
-	route  []int // per-set owning shard
-	caches []*cache.Cache
-	mems   []*mem.Memory
-	ctrls  []Controller
-	fed    []uint64 // per-shard accesses simulated (for StreamError)
+	geom    cache.Geometry
+	route   []int // per-set owning shard
+	drivers []*Driver
+	caches  []*cache.Cache // drivers[i]'s cache
+	mems    []*mem.Memory  // caches[i]'s backing memory
 }
 
-// newShardRun builds k fresh (cache, controller) pairs for kind. Every shard
-// gets the full cache shape — sets outside its partition stay cold and
-// contribute nothing to its Result.
+// newShardRun builds k fresh drivers of kind. Every shard gets the full
+// cache shape — sets outside its partition stay cold and contribute nothing
+// to its Result.
 func newShardRun(kind Kind, cfg cache.Config, opts Options, k int) (*shardRun, error) {
 	g, err := cache.NewGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
 	if err != nil {
 		return nil, err
 	}
 	r := &shardRun{
-		geom:   g,
-		route:  make([]int, g.Sets),
-		caches: make([]*cache.Cache, k),
-		mems:   make([]*mem.Memory, k),
-		ctrls:  make([]Controller, k),
-		fed:    make([]uint64, k),
+		geom:    g,
+		route:   make([]int, g.Sets),
+		drivers: make([]*Driver, k),
+		caches:  make([]*cache.Cache, k),
+		mems:    make([]*mem.Memory, k),
 	}
 	for set := range r.route {
 		r.route[set] = set % k
 	}
-	for i := 0; i < k; i++ {
-		r.mems[i] = mem.New()
-		c, err := cache.New(cfg, r.mems[i])
+	for i := range r.drivers {
+		d, err := NewDriver(kind, cfg, opts)
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := New(kind, c, opts)
-		if err != nil {
-			return nil, err
-		}
-		r.caches[i], r.ctrls[i] = c, ctrl
+		c := d.inner.(baseHolder).baseState().cache
+		r.drivers[i], r.caches[i], r.mems[i] = d, c, c.Backing()
 	}
 	return r, nil
 }
@@ -148,26 +141,11 @@ func (r *shardRun) run(ctx context.Context, s trace.Stream, max, batchSize int) 
 	if max > 0 {
 		s = trace.NewLimit(s, uint64(max))
 	}
-	bc := trace.NewRouteBroadcast(s, r.routeBatch, batchSizeFor(max, batchSize), len(r.ctrls), 0)
-	errs := make([]error, len(r.ctrls))
-	var wg sync.WaitGroup
-	for i := range r.ctrls {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = r.consume(ctx, bc.Shard(i), i)
-		}(i)
+	fan := trace.NewRouteBroadcast(s, r.routeBatch, batchSizeFor(max, batchSize), len(r.drivers), 0)
+	if err := feedEach(ctx, fan, r.drivers); err != nil {
+		return err
 	}
-	wg.Wait()
-	// Consumers have been joined, so stopping any still-open feeds (there
-	// are none on the happy path) is safe and frees the decoder.
-	bc.Stop()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if err := bc.Err(); err != nil {
+	if err := fan.Err(); err != nil {
 		var re *trace.RouteError
 		if errors.As(err, &re) {
 			// The routing pass met a block-straddling access: its spill
@@ -178,8 +156,8 @@ func (r *shardRun) run(ctx context.Context, s trace.Stream, max, batchSize int) 
 			return &ShardCrossSetError{Access: re.Access, Set: r.geom.SetIndex(re.Access.Addr)}
 		}
 		var total uint64
-		for _, n := range r.fed {
-			total += n
+		for _, d := range r.drivers {
+			total += d.Accesses()
 		}
 		return &StreamError{Accesses: total, Err: err}
 	}
@@ -190,7 +168,7 @@ func (r *shardRun) run(ctx context.Context, s trace.Stream, max, batchSize int) 
 // each decoded batch computes every access's set once and assigns it to the
 // owning shard. Block-straddling accesses (spilling into the next set,
 // owned by another shard) are refused with a negative shard, which aborts
-// the broadcast. Running on the decoder goroutine, this pass overlaps with
+// the fan-out. Running on the decoder goroutine, this pass overlaps with
 // the shards' controller work on multi-core hosts — and replaces the old
 // filter-at-consumer scheme where all K shards re-scanned every batch.
 func (r *shardRun) routeBatch(batch []trace.Access, dst []int32) {
@@ -207,39 +185,11 @@ func (r *shardRun) routeBatch(batch []trace.Access, dst []int32) {
 	}
 }
 
-// consume replays shard i's pre-routed slabs: every access delivered is
-// already known to belong to this shard, so the loop is nothing but
-// contiguous column reads and the controller call.
-func (r *shardRun) consume(ctx context.Context, feed *trace.ShardFeed, i int) error {
-	ctrl := r.ctrls[i]
-	for {
-		if err := ctx.Err(); err != nil {
-			feed.Stop()
-			return err
-		}
-		cols, ok := feed.Next()
-		if !ok {
-			return nil
-		}
-		n := cols.Len()
-		for j := 0; j < n; j++ {
-			ctrl.Access(trace.Access{
-				Addr: cols.Addr[j],
-				Data: cols.Data[j],
-				Gap:  cols.Gap[j],
-				Size: cols.Size[j],
-				Kind: cols.Op[j],
-			})
-		}
-		r.fed[i] += uint64(n)
-	}
-}
-
 // finish finalizes every shard and merges the parts.
 func (r *shardRun) finish() (Result, error) {
-	parts := make([]Result, len(r.ctrls))
-	for i, ctrl := range r.ctrls {
-		parts[i] = ctrl.Finalize()
+	parts := make([]Result, len(r.drivers))
+	for i, d := range r.drivers {
+		parts[i] = d.Finish()
 	}
 	return MergeResults(parts)
 }

@@ -129,8 +129,8 @@ func TestShardedZeroSetShardIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireResultsEqual(t, fmt.Sprintf("%v zero-set shard", k), merged, serial)
-		if r.fed[3] != 0 {
-			t.Errorf("%v: zero-set shard simulated %d accesses, want 0", k, r.fed[3])
+		if n := r.drivers[3].Accesses(); n != 0 {
+			t.Errorf("%v: zero-set shard simulated %d accesses, want 0", k, n)
 		}
 	}
 }

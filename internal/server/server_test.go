@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,6 +245,36 @@ func TestShardedJobMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(got, local) {
 		t.Fatal("sharded daemon artifact differs from serial local artifact")
+	}
+}
+
+// TestShardedJobPanicFailsJob pins panic containment through the routed
+// fan-out: a sharded job whose stream panics on the decoder goroutine ends
+// failed with the engine's panicked error, and the daemon lives on to serve
+// the next job.
+func TestShardedJobPanicFailsJob(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	ts := newTestServer(t, Config{Workers: 1, testWrapStream: func(_ context.Context, _ *Job, s trace.Stream) trace.Stream {
+		if !armed.CompareAndSwap(true, false) {
+			return s
+		}
+		var served int
+		return trace.Func(func() (trace.Access, bool) {
+			if served == 5000 {
+				panic("source failed")
+			}
+			served++
+			return s.Next()
+		})
+	}})
+	const body = `{"controller":"rmw","workload":"mcf","n":20000,"seed":1,"shards":2}`
+	first := ts.waitTerminal(ts.submitJob(body).ID)
+	if first.State != StateFailed || !strings.Contains(first.Error, "panicked") || !strings.Contains(first.Error, "source failed") {
+		t.Fatalf("panicking job ended %s: %q, want failed with the engine's panicked error", first.State, first.Error)
+	}
+	if second := ts.waitTerminal(ts.submitJob(body).ID); second.State != StateSucceeded {
+		t.Fatalf("job after the panic ended %s: %s", second.State, second.Error)
 	}
 }
 

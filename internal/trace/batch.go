@@ -46,15 +46,14 @@ type ErrStream interface {
 	Err() error
 }
 
-// decoder is the single-buffer decode core shared by Batcher and the
-// broadcast fan-outs: one batch of the source at a time, through the
-// fastest path the source supports — a zero-copy subslice view for
-// in-memory slices, FillBatch for everything else.
+// decoder is the decode core shared by Batcher and Fanout: one batch of the
+// source at a time, through the fastest path the source supports — a
+// zero-copy subslice view for in-memory slices, FillBatch into a caller's
+// buffer for everything else.
 type decoder struct {
 	src   Stream
 	slice *SliceStream // non-nil when src is an in-memory slice: zero-copy
 	size  int
-	buf   []Access // allocated lazily; slice sources never need it
 }
 
 // newDecoder classifies src and fixes the batch length (size <= 0 means
@@ -69,17 +68,18 @@ func newDecoder(src Stream, size int) decoder {
 }
 
 // next returns the next batch: a subslice of the backing array for slice
-// sources, otherwise the refilled internal buffer. An empty batch means the
-// source is exhausted or errored (check err). The returned slice is valid
-// only until the next call.
-func (d *decoder) next() []Access {
+// sources, otherwise buf refilled from the source (replaced by a fresh
+// batch-length buffer when it is smaller). An empty batch means the source
+// is exhausted or errored (check err).
+func (d *decoder) next(buf []Access) []Access {
 	if d.slice != nil {
 		return d.slice.nextBatch(d.size)
 	}
-	if d.buf == nil {
-		d.buf = make([]Access, d.size)
+	if cap(buf) < d.size {
+		buf = make([]Access, d.size)
 	}
-	return d.buf[:FillBatch(d.src, d.buf)]
+	buf = buf[:d.size]
+	return buf[:FillBatch(d.src, buf)]
 }
 
 // err surfaces the source's decode error, when the source tracks one.
@@ -96,6 +96,7 @@ func (d *decoder) err() error {
 // mutated. Batchers are single-use and not safe for concurrent callers.
 type Batcher struct {
 	dec   decoder
+	buf   []Access
 	count uint64
 }
 
@@ -111,12 +112,12 @@ func NewBatcher(src Stream, size int) *Batcher {
 // prefix. ok is false when the source is exhausted (or errored — check Err);
 // a final short batch is returned with ok true.
 func (b *Batcher) Next() ([]Access, bool) {
-	batch := b.dec.next()
-	if len(batch) == 0 {
+	b.buf = b.dec.next(b.buf)
+	if len(b.buf) == 0 {
 		return nil, false
 	}
-	b.count += uint64(len(batch))
-	return batch, true
+	b.count += uint64(len(b.buf))
+	return b.buf, true
 }
 
 // Count returns the total number of accesses yielded so far.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -97,6 +98,81 @@ func FuzzBatcher(f *testing.F) {
 		}
 		if b.Count() != uint64(len(streamed)) {
 			t.Fatalf("Count %d != %d accesses yielded", b.Count(), len(streamed))
+		}
+	})
+}
+
+// FuzzFanout deals a stream through either distribution under an arbitrary
+// shape — stream length, batch size, feed count, ring depth and source kind
+// — and a per-feed early-stop schedule: stops[i] = k > 0 stops feed i in
+// place of its k-th Next. Every feed that drains must see exactly its
+// subsequence, in stream order, and a feed that stops a prefix of it; Err
+// must be nil, and Stop must return, with the decoder joined, once every
+// feed has stopped.
+func FuzzFanout(f *testing.F) {
+	f.Add(uint16(1000), uint8(64), uint8(3), uint8(2), uint8(0), []byte{0, 2, 0})
+	f.Add(uint16(1000), uint8(64), uint8(3), uint8(2), uint8(1), []byte{0, 2, 0})
+	f.Add(uint16(0), uint8(1), uint8(1), uint8(1), uint8(2), []byte{})
+	f.Add(uint16(5000), uint8(7), uint8(8), uint8(1), uint8(5), []byte{1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(uint16(3000), uint8(0), uint8(2), uint8(0), uint8(3), []byte{3, 0})
+	f.Fuzz(func(t *testing.T, n uint16, sizeByte, feedsByte, slabsByte, mode uint8, stops []byte) {
+		want := broadcastAccesses(int(n % 8192))
+		size, feeds, slabs := int(sizeByte%128)+1, int(feedsByte%8)+1, int(slabsByte%4)+1
+		d := []distribution{broadcasting, routing}[mode&1]
+		var src Stream = FromSlice(want)
+		switch (mode >> 1) % 3 {
+		case 1:
+			src = NewLimit(src, uint64(len(want)))
+		case 2:
+			src = NewReader(bytes.NewReader(encoded(t, want)))
+		}
+		b := d.open(src, size, feeds, slabs)
+		got := make([][]Access, feeds)
+		drained := make([]bool, feeds)
+		var wg sync.WaitGroup
+		for i := range feeds {
+			stop := 0
+			if i < len(stops) {
+				stop = int(stops[i] % 8)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				feed := b.Sub(i)
+				for k := 1; ; k++ {
+					if k == stop {
+						feed.Stop()
+						return
+					}
+					batch, ok := feed.Next()
+					if !ok {
+						drained[i] = true
+						return
+					}
+					got[i] = append(got[i], batch...)
+				}
+			}()
+		}
+		wg.Wait()
+		b.Stop()
+		select {
+		case <-b.done:
+		default:
+			t.Fatal("Stop returned before the decoder exited")
+		}
+		if err := b.Err(); err != nil {
+			t.Fatalf("Err() = %v, want nil", err)
+		}
+		for i := range feeds {
+			mine := d.dealt(want, i, feeds)
+			if len(got[i]) > len(mine) || drained[i] && len(got[i]) != len(mine) {
+				t.Fatalf("feed %d (drained %v) saw %d accesses of its %d", i, drained[i], len(got[i]), len(mine))
+			}
+			for j := range got[i] {
+				if got[i][j] != mine[j] {
+					t.Fatalf("feed %d: access %d = %v, want %v", i, j, got[i][j], mine[j])
+				}
+			}
 		}
 	})
 }
