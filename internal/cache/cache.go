@@ -17,13 +17,15 @@ import (
 	"cache8t/internal/rng"
 )
 
-// Line is one cache block: metadata plus data bytes.
-type Line struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
-	Data  []byte
-}
+// LineState holds one line's valid and dirty bits.
+type LineState uint8
+
+const (
+	// Valid marks a line holding a block.
+	Valid LineState = 1 << iota
+	// Dirty marks a line whose data differs from backing memory.
+	Dirty
+)
 
 // Stats counts functional cache events.
 type Stats struct {
@@ -86,11 +88,21 @@ func DefaultConfig() Config {
 // Cache is a set-associative, write-back data cache backed by a shadow
 // memory; write-allocate by default, write-around when Config.NoWriteAllocate
 // is set.
+//
+// Lines live in flat arrays indexed by set*ways+way: tags, states and data,
+// line i's block at data[i*BlockBytes:]. Replacement state is one flat word
+// array too (policy.go).
 type Cache struct {
-	geom     Geometry
-	sets     [][]Line
-	policies []policy
-	// rand is the RNG shared by every set's Random replacement policy
+	geom  Geometry
+	ways  int
+	tags  []uint64
+	state []LineState
+	data  []byte
+
+	policy PolicyKind
+	stride int      // replacement words per set
+	repl   []uint32 // set s's words are repl[s*stride:][:stride]
+	// rand is the RNG every set's Random replacement draws victims from
 	// (unused by the deterministic policies). Retained so checkpointing can
 	// capture and restore its state.
 	rand     *rng.Xoshiro256
@@ -113,25 +125,30 @@ func New(cfg Config, backing *mem.Memory) (*Cache, error) {
 	if backing == nil {
 		return nil, fmt.Errorf("cache: nil backing memory")
 	}
-	r := rng.New(cfg.Seed)
+	if cfg.Policy > TreePLRU {
+		return nil, fmt.Errorf("cache: invalid replacement policy %v", cfg.Policy)
+	}
+	lines := geom.Sets * geom.Ways
 	c := &Cache{
-		geom:     geom,
-		sets:     make([][]Line, geom.Sets),
-		policies: make([]policy, geom.Sets),
-		rand:     r,
-		backing:  backing,
-		noAlloc:  cfg.NoWriteAllocate,
+		geom:    geom,
+		ways:    geom.Ways,
+		tags:    make([]uint64, lines),
+		state:   make([]LineState, lines),
+		data:    make([]byte, lines*geom.BlockBytes),
+		policy:  cfg.Policy,
+		stride:  policyStride(cfg.Policy, geom.Ways),
+		rand:    rng.New(cfg.Seed),
+		backing: backing,
+		noAlloc: cfg.NoWriteAllocate,
 	}
-	data := make([]byte, geom.Sets*geom.Ways*geom.BlockBytes)
-	for s := range c.sets {
-		ways := make([]Line, geom.Ways)
-		for w := range ways {
-			ways[w].Data, data = data[:geom.BlockBytes], data[geom.BlockBytes:]
-		}
-		c.sets[s] = ways
-		c.policies[s] = newPolicy(cfg.Policy, geom.Ways, r)
-	}
+	c.repl = make([]uint32, geom.Sets*c.stride)
+	c.resetPolicy()
 	return c, nil
+}
+
+// line returns line i's block.
+func (c *Cache) line(i int) []byte {
+	return c.data[i<<c.geom.blockShift:][:c.geom.BlockBytes]
 }
 
 // Geometry returns the cache shape.
@@ -143,16 +160,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // RestoreStats replaces the functional event counters, for checkpoint
 // restore.
 func (c *Cache) RestoreStats(s Stats) { c.stats = s }
-
-// PolicyState returns set s's replacement state as an opaque word slice
-// (empty for stateless policies). Paired with RestorePolicyState.
-func (c *Cache) PolicyState(s int) []uint32 { return c.policies[s].state() }
-
-// RestorePolicyState replaces set s's replacement state with one captured by
-// PolicyState on a cache of the same configuration.
-func (c *Cache) RestorePolicyState(s int, st []uint32) error {
-	return c.policies[s].restore(st)
-}
 
 // RNGState returns the state of the RNG shared by the Random replacement
 // policy. Paired with RestoreRNGState.
@@ -180,11 +187,11 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 	for i := 0; i < int(size); i++ {
 		b := addr + uint64(i)
 		if set, way, hit := c.Probe(b); hit {
-			l := &c.sets[set][way]
+			li := set*c.ways + way
 			off := c.geom.BlockOffset(b)
-			if l.Data[off] != buf[i] {
-				l.Data[off] = buf[i]
-				l.Dirty = true
+			if l := c.line(li); l[off] != buf[i] {
+				l[off] = buf[i]
+				c.state[li] |= Dirty
 			}
 			continue
 		}
@@ -197,8 +204,10 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	set = c.geom.SetIndex(addr)
 	tag := c.geom.Tag(addr)
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.Valid && l.Tag == tag {
+	i := set * c.ways
+	state := c.state[i : i+c.ways]
+	for w, t := range c.tags[i : i+c.ways] {
+		if t == tag && state[w]&Valid != 0 {
 			return set, w, true
 		}
 	}
@@ -211,67 +220,80 @@ func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 // way now holding the block, and whether the request hit.
 func (c *Cache) Ensure(addr uint64, isWrite bool) (set, way int, hit bool) {
 	set, way, hit = c.Probe(addr)
-	switch {
-	case hit && isWrite:
-		c.stats.WriteHits++
-	case hit:
-		c.stats.ReadHits++
-	case isWrite:
-		c.stats.WriteMisses++
-	default:
-		c.stats.ReadMisses++
-	}
 	if hit {
-		c.policies[set].Touch(way)
+		c.Hit(set, way, isWrite)
 		return set, way, true
+	}
+	if isWrite {
+		c.stats.WriteMisses++
+	} else {
+		c.stats.ReadMisses++
 	}
 	way = c.fill(set, c.geom.Tag(addr), c.geom.BlockBase(addr))
 	return set, way, false
 }
 
+// Hit accounts a request to the resident line (set, way) as Ensure would
+// for an address the caller already knows is held there: it counts the hit
+// and updates replacement state, without the lookup.
+func (c *Cache) Hit(set, way int, isWrite bool) {
+	if isWrite {
+		c.stats.WriteHits++
+	} else {
+		c.stats.ReadHits++
+	}
+	c.touch(set, way)
+}
+
 // fill victimizes a way in set and loads the block at base into it.
 func (c *Cache) fill(set int, tag, base uint64) int {
+	i := set * c.ways
 	way := -1
-	for w := range c.sets[set] {
-		if !c.sets[set][w].Valid {
+	for w, st := range c.state[i : i+c.ways] {
+		if st&Valid == 0 {
 			way = w
 			break
 		}
 	}
 	if way < 0 {
-		way = c.policies[set].Victim()
+		way = c.victim(set)
 		c.evict(set, way)
 	}
-	l := &c.sets[set][way]
-	c.backing.Read(base, l.Data)
-	l.Tag = tag
-	l.Valid = true
-	l.Dirty = false
+	i += way
+	c.backing.Read(base, c.line(i))
+	c.tags[i] = tag
+	c.state[i] = Valid
 	c.stats.Fills++
 	if c.listener != nil {
 		c.listener.Fill(base)
 	}
-	c.policies[set].Insert(way)
+	c.insert(set, way)
 	return way
 }
 
-// evict writes back way's line if dirty and invalidates it.
+// evict writes back way's line if dirty and invalidates it. The tag stays,
+// as checkpoints record it.
 func (c *Cache) evict(set, way int) {
-	l := &c.sets[set][way]
-	if !l.Valid {
+	i := set*c.ways + way
+	st := c.state[i]
+	if st&Valid == 0 {
 		return
 	}
-	if l.Dirty {
-		base := c.lineBase(set, l.Tag)
-		c.backing.Write(base, l.Data)
-		c.stats.Writebacks++
-		if c.listener != nil {
-			c.listener.Writeback(base, l.Data)
-		}
+	if st&Dirty != 0 {
+		c.writeback(set, i)
 	}
-	l.Valid = false
-	l.Dirty = false
+	c.state[i] = 0
 	c.stats.Evictions++
+}
+
+// writeback writes line i of set back to memory, telling the listener.
+func (c *Cache) writeback(set, i int) {
+	base := c.lineBase(set, c.tags[i])
+	c.backing.Write(base, c.line(i))
+	c.stats.Writebacks++
+	if c.listener != nil {
+		c.listener.Writeback(base, c.line(i))
+	}
 }
 
 // lineBase reconstructs the block base address of a resident line.
@@ -282,17 +304,18 @@ func (c *Cache) lineBase(set int, tag uint64) uint64 {
 // ReadWord reads size bytes at addr from the resident line (set, way).
 // The caller must have established residency via Ensure.
 func (c *Cache) ReadWord(set, way int, addr uint64, size uint8) uint64 {
-	l := &c.sets[set][way]
+	l := c.line(set*c.ways + way)
 	off := c.geom.BlockOffset(addr)
-	var buf [8]byte
-	n := copy(buf[:size], l.Data[off:])
-	if n < int(size) {
-		// Access straddles a block boundary; fetch the spill bytes from
-		// the next block via backing-consistent path. Workload generators
-		// emit aligned accesses, so this path is defensive.
-		spill := c.readSpill(addr+uint64(n), int(size)-n)
-		copy(buf[n:size], spill)
+	if off+int(size) <= len(l) {
+		return loadWord(l, off, size)
 	}
+	// Access straddles a block boundary; fetch the spill bytes from the
+	// next block via backing-consistent path. Workload generators emit
+	// aligned accesses, so this path is defensive.
+	var buf [8]byte
+	n := copy(buf[:size], l[off:])
+	spill := c.readSpill(addr+uint64(n), int(size)-n)
+	copy(buf[n:size], spill)
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
@@ -300,7 +323,7 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	if set, way, hit := c.Probe(addr); hit {
 		off := c.geom.BlockOffset(addr)
-		copy(out, c.sets[set][way].Data[off:off+n])
+		copy(out, c.line(set*c.ways + way)[off:off+n])
 		return out
 	}
 	c.backing.Read(addr, out)
@@ -311,39 +334,69 @@ func (c *Cache) readSpill(addr uint64, n int) []byte {
 // (set, way), marking it dirty if the content changed. It reports whether the
 // write was silent (stored value identical to the previous content).
 func (c *Cache) WriteWord(set, way int, addr uint64, size uint8, data uint64) (silent bool) {
-	l := &c.sets[set][way]
+	i := set*c.ways + way
+	l := c.line(i)
 	off := c.geom.BlockOffset(addr)
+	n := int(size)
+	if off+n <= len(l) {
+		if !storeWord(l, off, size, data) {
+			return true
+		}
+		c.state[i] |= Dirty
+		return false
+	}
+	// Straddling store: write the spill through to backing memory so the
+	// architectural image stays exact. Defensive; see ReadWord.
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], data)
-	n := int(size)
-	if off+n > len(l.Data) {
-		// Straddling store: write the spill through to backing memory so
-		// the architectural image stays exact. Defensive; see ReadWord.
-		spill := n - (len(l.Data) - off)
-		c.writeSpill(addr+uint64(n-spill), buf[n-spill:n])
-		n -= spill
-	}
+	spill := n - (len(l) - off)
+	c.writeSpill(addr+uint64(n-spill), buf[n-spill:n])
+	n -= spill
 	changed := false
-	for i := 0; i < n; i++ {
-		if l.Data[off+i] != buf[i] {
+	for b := 0; b < n; b++ {
+		if l[off+b] != buf[b] {
 			changed = true
-			l.Data[off+i] = buf[i]
+			l[off+b] = buf[b]
 		}
 	}
 	if changed {
-		l.Dirty = true
+		c.state[i] |= Dirty
 	}
 	return !changed
 }
 
 func (c *Cache) writeSpill(addr uint64, src []byte) {
 	if set, way, hit := c.Probe(addr); hit {
-		off := c.geom.BlockOffset(addr)
-		copy(c.sets[set][way].Data[off:], src)
-		c.sets[set][way].Dirty = true
+		i := set*c.ways + way
+		copy(c.line(i)[c.geom.BlockOffset(addr):], src)
+		c.state[i] |= Dirty
 		return
 	}
 	c.backing.Write(addr, src)
+}
+
+// loadWord returns the size bytes at off in a line, reading the eight bytes
+// that hold them: from off, or ending at the line's end when off is within
+// eight bytes of it. off+size must not pass the line's end.
+func loadWord(line []byte, off int, size uint8) uint64 {
+	p := min(off, len(line)-8)
+	return binary.LittleEndian.Uint64(line[p:]) >> (8 * uint(off-p)) & mem.WordMask(size)
+}
+
+// storeWord writes the low size bytes of v at off in a line and reports
+// whether any byte changed: one masked compare of the eight bytes that hold
+// them, found as in loadWord, and a store only when they differ.
+func storeWord(line []byte, off int, size uint8, v uint64) (changed bool) {
+	p := min(off, len(line)-8)
+	sh := 8 * uint(off-p)
+	m := mem.WordMask(size) << sh
+	old := binary.LittleEndian.Uint64(line[p:])
+	word := old&^m | v<<sh&m
+	if word == old {
+		return false
+	}
+	binary.LittleEndian.PutUint64(line[p:], word)
+	return true
 }
 
 // PeekWord reads size bytes at addr from wherever the freshest copy lives
@@ -359,68 +412,87 @@ func (c *Cache) PeekWord(addr uint64, size uint8) uint64 {
 
 func (c *Cache) peekByte(addr uint64) byte {
 	if set, way, hit := c.Probe(addr); hit {
-		return c.sets[set][way].Data[c.geom.BlockOffset(addr)]
+		return c.line(set*c.ways + way)[c.geom.BlockOffset(addr)]
 	}
 	return c.backing.LoadByte(addr)
 }
 
-// Set returns the lines of set s. Controllers use this to model the
-// Set-Buffer (a copy of one whole set row); mutating the returned slice
-// mutates the cache.
-func (c *Cache) Set(s int) []Line { return c.sets[s] }
-
-// SnapshotSet deep-copies set s — filling the Set-Buffer.
-func (c *Cache) SnapshotSet(s int) []Line {
-	src := c.sets[s]
-	out := make([]Line, len(src))
-	data := make([]byte, len(src)*c.geom.BlockBytes)
-	for w := range src {
-		out[w] = src[w]
-		out[w].Data, data = data[:c.geom.BlockBytes], data[c.geom.BlockBytes:]
-		copy(out[w].Data, src[w].Data)
-	}
-	return out
+// Row is a copy of one set's lines in way order: tags, states, and the
+// blocks back to back in Data. It is the Set-Buffer of internal/core, and
+// the view checkpoints and tests read a set's lines through.
+type Row struct {
+	Tags  []uint64
+	State []LineState
+	Data  []byte
+	block int // bytes per block
 }
 
-// SnapshotSetInto copies set s into dst, reusing dst's line buffers — the
-// steady-state Set-Buffer refill, which must not allocate on the hot path.
-// dst must have come from SnapshotSet on a cache of the same shape; anything
-// else (nil included) falls back to a fresh snapshot.
-func (c *Cache) SnapshotSetInto(s int, dst []Line) []Line {
-	src := c.sets[s]
-	if len(dst) != len(src) {
-		return c.SnapshotSet(s)
+// NewRow returns an empty row shaped for g.
+func NewRow(g Geometry) Row {
+	return Row{
+		Tags:  make([]uint64, g.Ways),
+		State: make([]LineState, g.Ways),
+		Data:  make([]byte, g.SetBytes()),
+		block: g.BlockBytes,
 	}
-	for w := range src {
-		data := dst[w].Data
-		if len(data) != c.geom.BlockBytes {
-			return c.SnapshotSet(s)
+}
+
+// Line returns way w's block.
+func (r *Row) Line(w int) []byte {
+	return r.Data[w*r.block:][:r.block]
+}
+
+// Way returns the way holding a valid line tagged tag, or -1.
+func (r *Row) Way(tag uint64) int {
+	for w, t := range r.Tags {
+		if t == tag && r.State[w]&Valid != 0 {
+			return w
 		}
-		copy(data, src[w].Data)
-		dst[w] = src[w]
-		dst[w].Data = data
 	}
-	return dst
+	return -1
 }
 
-// RestoreSet copies buffered lines back into set s — the Set-Buffer
-// write-back. Only data and dirty bits move; the protocol in internal/core
-// guarantees no structural (tag/valid) change can occur while a set is
-// buffered.
-func (c *Cache) RestoreSet(s int, lines []Line) {
-	dst := c.sets[s]
-	for w := range dst {
-		copy(dst[w].Data, lines[w].Data)
-		dst[w].Dirty = lines[w].Dirty
-		dst[w].Tag = lines[w].Tag
-		dst[w].Valid = lines[w].Valid
+// ReadWord reads size bytes at offset off of way w's block; off+size must
+// not pass the block's end.
+func (r *Row) ReadWord(w, off int, size uint8) uint64 {
+	return loadWord(r.Line(w), off, size)
+}
+
+// WriteWord writes the low size bytes of v at offset off of way w's block
+// and reports whether the write was silent. It leaves the line's state
+// alone; off+size must not pass the block's end.
+func (r *Row) WriteWord(w, off int, size uint8, v uint64) (silent bool) {
+	return !storeWord(r.Line(w), off, size, v)
+}
+
+// ReadRow copies set s into dst: the Set-Buffer fill, one row read. dst's
+// storage is reused when it has the cache's shape (so the steady-state
+// refill allocates nothing) and allocated otherwise.
+func (c *Cache) ReadRow(s int, dst *Row) {
+	if len(dst.Tags) != c.ways || dst.block != c.geom.BlockBytes {
+		*dst = NewRow(c.geom)
 	}
+	i := s * c.ways
+	copy(dst.Tags, c.tags[i:])
+	copy(dst.State, c.state[i:])
+	copy(dst.Data, c.data[i<<c.geom.blockShift:])
+}
+
+// WriteRow copies src, a row of the cache's shape, over set s: the
+// Set-Buffer write-back, one row write. The protocol in internal/core
+// guarantees no structural (tag/valid) change can occur while a set is
+// buffered, so in effect only data and dirty bits move.
+func (c *Cache) WriteRow(s int, src *Row) {
+	i := s * c.ways
+	copy(c.tags[i:i+c.ways], src.Tags)
+	copy(c.state[i:i+c.ways], src.State)
+	copy(c.data[i<<c.geom.blockShift:][:c.geom.SetBytes()], src.Data)
 }
 
 // FlushAll writes every dirty line back to memory and invalidates the cache.
 func (c *Cache) FlushAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
+	for s := 0; s < c.geom.Sets; s++ {
+		for w := 0; w < c.ways; w++ {
 			c.evict(s, w)
 		}
 	}
@@ -431,18 +503,10 @@ func (c *Cache) FlushAll() {
 // downstream traffic, and reporting it keeps the listener's ledger
 // consistent with Stats.Writebacks.
 func (c *Cache) WritebackAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.Valid && l.Dirty {
-				base := c.lineBase(s, l.Tag)
-				c.backing.Write(base, l.Data)
-				l.Dirty = false
-				c.stats.Writebacks++
-				if c.listener != nil {
-					c.listener.Writeback(base, l.Data)
-				}
-			}
+	for i, st := range c.state {
+		if st == Valid|Dirty {
+			c.writeback(i/c.ways, i)
+			c.state[i] = Valid
 		}
 	}
 }

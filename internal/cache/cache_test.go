@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,13 @@ func newTestCache(t *testing.T, cfg Config) *Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// readRow returns a copy of set s.
+func readRow(c *Cache, s int) Row {
+	var row Row
+	c.ReadRow(s, &row)
+	return row
 }
 
 func smallConfig() Config {
@@ -32,6 +40,14 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	cfg.Ways = 3
 	if _, err := New(cfg, mem.New()); err == nil {
 		t.Fatal("bad geometry accepted")
+	}
+}
+
+func TestNewRejectsBadPolicy(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyKind(42)
+	if _, err := New(cfg, mem.New()); err == nil {
+		t.Fatal("invalid policy accepted")
 	}
 }
 
@@ -82,7 +98,7 @@ func TestSilentWriteDetection(t *testing.T) {
 	if silent := c2.WriteWord(set, way, 0x400, 8, 0); !silent {
 		t.Fatal("zero-over-zero not silent")
 	}
-	if c2.Set(set)[way].Dirty {
+	if row := readRow(c2, set); row.State[way]&Dirty != 0 {
 		t.Fatal("silent write dirtied the line")
 	}
 }
@@ -178,7 +194,7 @@ func TestWritebackAllKeepsLinesValid(t *testing.T) {
 	if _, _, hit := c.Probe(0x80); !hit {
 		t.Fatal("WritebackAll invalidated the line")
 	}
-	if c.Set(set)[way].Dirty {
+	if row := readRow(c, set); row.State[way] != Valid {
 		t.Fatal("line still dirty after WritebackAll")
 	}
 }
@@ -187,16 +203,70 @@ func TestSnapshotRestoreSet(t *testing.T) {
 	c := newTestCache(t, smallConfig())
 	set, way, _ := c.Ensure(0x20, true)
 	c.WriteWord(set, way, 0x20, 4, 5)
-	snap := c.SnapshotSet(set)
-	// Mutating the snapshot must not touch the cache.
-	snap[way].Data[0] = 0xff
-	if c.Set(set)[way].Data[0] == 0xff {
-		t.Fatal("snapshot aliases cache storage")
+	row := readRow(c, set)
+	if row.Tags[way] != c.Geometry().Tag(0x20) || row.State[way] != Valid|Dirty || row.ReadWord(way, 0, 4) != 5 {
+		t.Fatalf("row copy of way %d: tag %#x state %b data %#x", way, row.Tags[way], row.State[way], row.ReadWord(way, 0, 4))
 	}
-	// Restore pushes buffered data back.
-	c.RestoreSet(set, snap)
-	if c.Set(set)[way].Data[0] != 0xff {
-		t.Fatal("RestoreSet did not copy data")
+	// Mutating the row must not touch the cache.
+	row.Line(way)[0] = 0xff
+	if again := readRow(c, set); again.Line(way)[0] == 0xff {
+		t.Fatal("row aliases cache storage")
+	}
+	// WriteRow pushes the row back.
+	c.WriteRow(set, &row)
+	if again := readRow(c, set); again.Line(way)[0] != 0xff {
+		t.Fatal("WriteRow did not copy data")
+	}
+	// A row of the cache's shape is refilled in place.
+	data := &row.Data[0]
+	c.ReadRow(set+1, &row)
+	if &row.Data[0] != data {
+		t.Fatal("ReadRow reallocated a row of the right shape")
+	}
+}
+
+// TestWordsAgainstBytes checks the eight-byte masked word paths of the cache
+// and of a row against byte-at-a-time stores, at every size and every
+// in-block offset, including the last eight bytes of a block.
+func TestWordsAgainstBytes(t *testing.T) {
+	c := newTestCache(t, smallConfig())
+	g := c.Geometry()
+	r := rng.New(5)
+	ref := make([]byte, g.BlockBytes)
+	set, way, _ := c.Ensure(0, true)
+	row := readRow(c, set)
+	for i := 0; i < 20000; i++ {
+		size := uint8(1) << r.Intn(4)
+		off := r.Intn(g.BlockBytes - int(size) + 1)
+		v := r.Uint64()
+		if r.Bool(0.3) {
+			v = c.ReadWord(set, way, uint64(off), size) // a silent store
+		}
+		changed := false
+		for b := 0; b < int(size); b++ {
+			if nb := byte(v >> (8 * b)); ref[off+b] != nb {
+				ref[off+b], changed = nb, true
+			}
+		}
+		if silent := c.WriteWord(set, way, uint64(off), size, v); silent == changed {
+			t.Fatalf("step %d: cache WriteWord(off %d, size %d) silent=%v, bytes changed=%v", i, off, size, silent, changed)
+		}
+		if silent := row.WriteWord(way, off, size, v); silent == changed {
+			t.Fatalf("step %d: row WriteWord(off %d, size %d) silent=%v, bytes changed=%v", i, off, size, silent, changed)
+		}
+		want := uint64(0)
+		for b := int(size) - 1; b >= 0; b-- {
+			want = want<<8 | uint64(ref[off+b])
+		}
+		if got := c.ReadWord(set, way, uint64(off), size); got != want {
+			t.Fatalf("step %d: cache ReadWord(off %d, size %d) = %#x, want %#x", i, off, size, got, want)
+		}
+		if got := row.ReadWord(way, off, size); got != want {
+			t.Fatalf("step %d: row ReadWord(off %d, size %d) = %#x, want %#x", i, off, size, got, want)
+		}
+	}
+	if again := readRow(c, set); !bytes.Equal(again.Line(way), ref) || !bytes.Equal(row.Line(way), ref) {
+		t.Fatal("block bytes differ from the byte-at-a-time reference")
 	}
 }
 

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"cache8t/internal/rng"
-)
+import "fmt"
 
 // PolicyKind selects a replacement policy.
 type PolicyKind uint8
@@ -52,173 +48,141 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	}
 }
 
-// policy tracks replacement state for one set.
-type policy interface {
-	// Touch records a hit on way.
-	Touch(way int)
-	// Insert records a fill into way.
-	Insert(way int)
-	// Victim picks the way to evict.
-	Victim() int
-	// state returns the per-set replacement state as an opaque word slice
-	// (empty when the policy keeps none), for checkpoint serialization.
-	state() []uint32
-	// restore replaces the state with one captured by state, validating
-	// shape and invariants so a corrupt checkpoint fails closed.
-	restore(st []uint32) error
-}
+// Replacement state is one flat word array, Cache.repl, holding stride words
+// per set: the words PolicyState returns and checkpoints record.
+//
+//   - LRU: ways words, the ways from most to least recently used.
+//   - FIFO: ways words, the ways in fill order, oldest first; hits do not
+//     refresh a way's position.
+//   - TreePLRU: ways-1 words, the heap-ordered internal nodes of a binary
+//     tree, each 1 when the colder half is the right one. Requires
+//     power-of-two ways (guaranteed by Geometry).
+//   - Random: no words; victims come from the cache's one RNG, which
+//     checkpoints capture once via Cache.RNGState.
 
-func newPolicy(kind PolicyKind, ways int, r *rng.Xoshiro256) policy {
+// policyStride returns how many replacement words kind keeps per set.
+func policyStride(kind PolicyKind, ways int) int {
 	switch kind {
-	case LRU:
-		return newLRUState(ways)
-	case FIFO:
-		return newFIFOState(ways)
-	case Random:
-		return &randomState{ways: ways, r: r}
+	case LRU, FIFO:
+		return ways
 	case TreePLRU:
-		return newPLRUState(ways)
+		return ways - 1
+	case Random:
+		return 0
 	default:
 		panic("cache: invalid policy kind")
 	}
 }
 
-// lruState keeps ways ordered from most- to least-recently used.
-type lruState struct {
-	order []int // order[0] is MRU
+// words returns set s's replacement words.
+func (c *Cache) words(s int) []uint32 {
+	return c.repl[s*c.stride:][:c.stride]
 }
 
-func newLRUState(ways int) *lruState {
-	s := &lruState{order: make([]int, ways)}
-	for i := range s.order {
-		s.order[i] = i
+// resetPolicy puts every set's replacement state in its initial form: LRU
+// order and FIFO queue run 0..ways-1, PLRU bits are clear.
+func (c *Cache) resetPolicy() {
+	if c.policy != LRU && c.policy != FIFO {
+		return
 	}
-	return s
+	for i := range c.repl {
+		c.repl[i] = uint32(i % c.stride)
+	}
 }
 
-func (s *lruState) moveToFront(way int) {
-	for i, w := range s.order {
-		if w == way {
-			copy(s.order[1:i+1], s.order[:i])
-			s.order[0] = way
+// touch records a hit on way.
+func (c *Cache) touch(set, way int) {
+	switch c.policy {
+	case LRU:
+		moveToFront(c.words(set), way)
+	case TreePLRU:
+		plruTouch(c.words(set), way)
+	}
+}
+
+// insert records a fill into way.
+func (c *Cache) insert(set, way int) {
+	switch c.policy {
+	case LRU:
+		moveToFront(c.words(set), way)
+	case FIFO:
+		moveToBack(c.words(set), way)
+	case TreePLRU:
+		plruTouch(c.words(set), way)
+	}
+}
+
+// victim picks the way to evict from a full set.
+func (c *Cache) victim(set int) int {
+	switch c.policy {
+	case LRU:
+		return int(c.words(set)[c.ways-1])
+	case FIFO:
+		return int(c.words(set)[0])
+	case TreePLRU:
+		return plruVictim(c.words(set))
+	default:
+		return c.rand.Intn(c.ways)
+	}
+}
+
+// moveToFront moves way to the head of an LRU order.
+func moveToFront(order []uint32, way int) {
+	w := uint32(way)
+	if order[0] == w {
+		return
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] == w {
+			for ; i > 0; i-- {
+				order[i] = order[i-1]
+			}
+			order[0] = w
 			return
 		}
 	}
 }
 
-func (s *lruState) Touch(way int)  { s.moveToFront(way) }
-func (s *lruState) Insert(way int) { s.moveToFront(way) }
-func (s *lruState) Victim() int    { return s.order[len(s.order)-1] }
-
-func (s *lruState) state() []uint32 { return waysToWords(s.order) }
-
-func (s *lruState) restore(st []uint32) error {
-	order, err := wordsToPerm(st, len(s.order))
-	if err != nil {
-		return fmt.Errorf("cache: LRU state: %w", err)
-	}
-	s.order = order
-	return nil
-}
-
-// fifoState evicts in fill order; hits do not refresh position.
-type fifoState struct {
-	queue []int
-}
-
-func newFIFOState(ways int) *fifoState {
-	s := &fifoState{queue: make([]int, ways)}
-	for i := range s.queue {
-		s.queue[i] = i
-	}
-	return s
-}
-
-func (s *fifoState) Touch(int) {}
-
-func (s *fifoState) Insert(way int) {
-	for i, w := range s.queue {
-		if w == way {
-			copy(s.queue[i:], s.queue[i+1:])
-			s.queue[len(s.queue)-1] = way
+// moveToBack moves way to the tail of a FIFO queue.
+func moveToBack(queue []uint32, way int) {
+	w := uint32(way)
+	for i, q := range queue {
+		if q == w {
+			copy(queue[i:], queue[i+1:])
+			queue[len(queue)-1] = w
 			return
 		}
 	}
 }
 
-func (s *fifoState) Victim() int { return s.queue[0] }
-
-func (s *fifoState) state() []uint32 { return waysToWords(s.queue) }
-
-func (s *fifoState) restore(st []uint32) error {
-	queue, err := wordsToPerm(st, len(s.queue))
-	if err != nil {
-		return fmt.Errorf("cache: FIFO state: %w", err)
-	}
-	s.queue = queue
-	return nil
-}
-
-type randomState struct {
-	ways int
-	r    *rng.Xoshiro256
-}
-
-func (s *randomState) Touch(int)   {}
-func (s *randomState) Insert(int)  {}
-func (s *randomState) Victim() int { return s.r.Intn(s.ways) }
-
-// Random keeps no per-set state; the shared RNG is checkpointed once via
-// Cache.RNGState.
-func (s *randomState) state() []uint32 { return nil }
-
-func (s *randomState) restore(st []uint32) error {
-	if len(st) != 0 {
-		return fmt.Errorf("cache: Random state: want 0 words, got %d", len(st))
-	}
-	return nil
-}
-
-// plruState is a binary-tree pseudo-LRU: one bit per internal node pointing
-// toward the colder half. Requires power-of-two ways (guaranteed by Geometry).
-type plruState struct {
-	bits []bool // heap-ordered internal nodes; len = ways-1
-	ways int
-}
-
-func newPLRUState(ways int) *plruState {
-	return &plruState{bits: make([]bool, ways-1), ways: ways}
-}
-
-// Touch flips the path bits away from way so the tree points elsewhere.
-func (s *plruState) Touch(way int) {
+// plruTouch flips the path bits toward way so the tree points away from
+// it. The tree has len(bits)+1 leaves.
+func plruTouch(bits []uint32, way int) {
 	node := 0
-	lo, hi := 0, s.ways
+	lo, hi := 0, len(bits)+1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if way < mid {
-			s.bits[node] = true // point at the right (cold) half
+			bits[node] = 1 // point at the right (cold) half
 			node = 2*node + 1
 			hi = mid
 		} else {
-			s.bits[node] = false
+			bits[node] = 0
 			node = 2*node + 2
 			lo = mid
 		}
 	}
 }
 
-func (s *plruState) Insert(way int) { s.Touch(way) }
-
-// Victim follows the cold pointers to a leaf. A true bit means "the cold
-// half is the right one" (set by Touch on a left-half hit), so Victim
-// descends right on true and left on false.
-func (s *plruState) Victim() int {
+// plruVictim follows the cold pointers to a leaf. A set bit means "the cold
+// half is the right one" (set by plruTouch on a left-half hit), so the walk
+// descends right on 1 and left on 0.
+func plruVictim(bits []uint32) int {
 	node := 0
-	lo, hi := 0, s.ways
+	lo, hi := 0, len(bits)+1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if s.bits[node] {
+		if bits[node] != 0 {
 			node = 2*node + 2
 			lo = mid
 		} else {
@@ -229,53 +193,51 @@ func (s *plruState) Victim() int {
 	return lo
 }
 
-func (s *plruState) state() []uint32 {
-	st := make([]uint32, len(s.bits))
-	for i, b := range s.bits {
-		if b {
-			st[i] = 1
-		}
-	}
-	return st
+// PolicyState returns set s's replacement state as an opaque word slice
+// (empty for stateless policies). Paired with RestorePolicyState.
+func (c *Cache) PolicyState(s int) []uint32 {
+	return append([]uint32(nil), c.words(s)...)
 }
 
-func (s *plruState) restore(st []uint32) error {
-	if len(st) != len(s.bits) {
-		return fmt.Errorf("cache: PLRU state: want %d words, got %d", len(s.bits), len(st))
-	}
-	for i, w := range st {
-		if w > 1 {
-			return fmt.Errorf("cache: PLRU state: word %d is %d, want 0 or 1", i, w)
+// RestorePolicyState replaces set s's replacement state with one captured by
+// PolicyState on a cache of the same configuration, validating shape and
+// invariants so a corrupt checkpoint fails closed.
+func (c *Cache) RestorePolicyState(s int, st []uint32) error {
+	switch c.policy {
+	case LRU, FIFO:
+		if err := checkPerm(st, c.ways); err != nil {
+			return fmt.Errorf("cache: %v state: %w", c.policy, err)
 		}
-		s.bits[i] = w == 1
+	case TreePLRU:
+		if len(st) != c.stride {
+			return fmt.Errorf("cache: PLRU state: want %d words, got %d", c.stride, len(st))
+		}
+		for i, w := range st {
+			if w > 1 {
+				return fmt.Errorf("cache: PLRU state: word %d is %d, want 0 or 1", i, w)
+			}
+		}
+	case Random:
+		if len(st) != 0 {
+			return fmt.Errorf("cache: Random state: want 0 words, got %d", len(st))
+		}
 	}
+	copy(c.words(s), st)
 	return nil
 }
 
-// waysToWords widens a way-index slice for the opaque state encoding.
-func waysToWords(ws []int) []uint32 {
-	out := make([]uint32, len(ws))
-	for i, w := range ws {
-		out[i] = uint32(w)
-	}
-	return out
-}
-
-// wordsToPerm narrows words back to way indices, requiring an exact
-// permutation of [0, ways) — the invariant both LRU order and FIFO queue
-// maintain.
-func wordsToPerm(st []uint32, ways int) ([]int, error) {
+// checkPerm requires words to be an exact permutation of [0, ways) — the
+// invariant both LRU order and FIFO queue maintain.
+func checkPerm(st []uint32, ways int) error {
 	if len(st) != ways {
-		return nil, fmt.Errorf("want %d words, got %d", ways, len(st))
+		return fmt.Errorf("want %d words, got %d", ways, len(st))
 	}
-	out := make([]int, ways)
 	seen := make([]bool, ways)
-	for i, w := range st {
+	for _, w := range st {
 		if int(w) >= ways || seen[w] {
-			return nil, fmt.Errorf("words are not a permutation of [0,%d)", ways)
+			return fmt.Errorf("words are not a permutation of [0,%d)", ways)
 		}
 		seen[w] = true
-		out[i] = int(w)
 	}
-	return out, nil
+	return nil
 }

@@ -3,7 +3,7 @@ package cache
 import (
 	"testing"
 
-	"cache8t/internal/rng"
+	"cache8t/internal/mem"
 )
 
 func TestPolicyKindString(t *testing.T) {
@@ -33,49 +33,60 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
+// oneSet builds a one-set cache of ways 8-byte lines under kind, whose
+// set 0 replacement state the tests below drive directly.
+func oneSet(t *testing.T, kind PolicyKind, ways int, seed uint64) *Cache {
+	t.Helper()
+	c, err := New(Config{SizeBytes: ways * 8, Ways: ways, BlockBytes: 8, Policy: kind, Seed: seed}, mem.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestLRUVictimOrdering(t *testing.T) {
-	s := newLRUState(4)
+	c := oneSet(t, LRU, 4, 0)
 	// Fresh state: victim is the initial tail.
-	if got := s.Victim(); got != 3 {
+	if got := c.victim(0); got != 3 {
 		t.Fatalf("initial victim = %d", got)
 	}
-	s.Touch(3)
-	if got := s.Victim(); got != 2 {
+	c.touch(0, 3)
+	if got := c.victim(0); got != 2 {
 		t.Fatalf("victim after touch(3) = %d", got)
 	}
 	// Touch everything but way 1; way 1 becomes LRU.
-	s.Touch(0)
-	s.Touch(2)
-	s.Touch(3)
-	if got := s.Victim(); got != 1 {
+	c.touch(0, 0)
+	c.touch(0, 2)
+	c.touch(0, 3)
+	if got := c.victim(0); got != 1 {
 		t.Fatalf("victim = %d, want 1", got)
 	}
-	s.Insert(1)
-	if got := s.Victim(); got != 0 {
+	c.insert(0, 1)
+	if got := c.victim(0); got != 0 {
 		t.Fatalf("victim after insert(1) = %d, want 0", got)
 	}
 }
 
 func TestFIFOIgnoresTouch(t *testing.T) {
-	s := newFIFOState(3)
-	if got := s.Victim(); got != 0 {
+	c := oneSet(t, FIFO, 4, 0)
+	if got := c.victim(0); got != 0 {
 		t.Fatalf("initial FIFO victim = %d", got)
 	}
-	s.Touch(0) // must not refresh
-	if got := s.Victim(); got != 0 {
+	c.touch(0, 0) // must not refresh
+	if got := c.victim(0); got != 0 {
 		t.Fatalf("FIFO victim after touch = %d", got)
 	}
-	s.Insert(0) // refill moves it to the back
-	if got := s.Victim(); got != 1 {
+	c.insert(0, 0) // refill moves it to the back
+	if got := c.victim(0); got != 1 {
 		t.Fatalf("FIFO victim after insert = %d", got)
 	}
 }
 
 func TestRandomVictimInRange(t *testing.T) {
-	s := &randomState{ways: 4, r: rng.New(9)}
+	c := oneSet(t, Random, 4, 9)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		v := s.Victim()
+		v := c.victim(0)
 		if v < 0 || v >= 4 {
 			t.Fatalf("random victim %d out of range", v)
 		}
@@ -88,11 +99,11 @@ func TestRandomVictimInRange(t *testing.T) {
 
 func TestPLRUNeverEvictsMostRecent(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 8, 16} {
-		s := newPLRUState(ways)
+		c := oneSet(t, TreePLRU, ways, 0)
 		for i := 0; i < 100; i++ {
 			way := i % ways
-			s.Touch(way)
-			if ways > 1 && s.Victim() == way {
+			c.touch(0, way)
+			if ways > 1 && c.victim(0) == way {
 				t.Fatalf("ways=%d: PLRU victim is the just-touched way %d", ways, way)
 			}
 		}
@@ -103,15 +114,15 @@ func TestPLRUFullRotation(t *testing.T) {
 	// Touch every way; successive victims must cycle through all ways when
 	// each victim is immediately re-touched (scan pattern).
 	const ways = 8
-	s := newPLRUState(ways)
+	c := oneSet(t, TreePLRU, ways, 0)
 	for w := 0; w < ways; w++ {
-		s.Touch(w)
+		c.touch(0, w)
 	}
 	seen := map[int]bool{}
 	for i := 0; i < ways; i++ {
-		v := s.Victim()
+		v := c.victim(0)
 		seen[v] = true
-		s.Touch(v)
+		c.touch(0, v)
 	}
 	if len(seen) != ways {
 		t.Errorf("PLRU scan visited %d/%d ways", len(seen), ways)
@@ -124,5 +135,5 @@ func TestNewPolicyPanicsOnInvalid(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	newPolicy(PolicyKind(42), 4, rng.New(0))
+	policyStride(PolicyKind(42), 4)
 }

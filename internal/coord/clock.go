@@ -8,12 +8,20 @@ import "time"
 // no real sleeps, matching the existing lifecycle-test style.
 type Clock interface {
 	Now() time.Time
-	// After fires once d has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
+	// Timer returns a channel that fires once d has elapsed on this clock,
+	// and a stop function that releases the timer if it has not fired.
+	// Every caller stops its timer when it stops waiting: an unstopped
+	// timer stays live until it fires, which for an attempt deadline is
+	// minutes after the exchange it bounded.
+	Timer(d time.Duration) (c <-chan time.Time, stop func() bool)
 }
 
 // realClock is the production Clock.
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Now() time.Time { return time.Now() }
+
+func (realClock) Timer(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
+}

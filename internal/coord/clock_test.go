@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced Clock: After registers a waiter that
-// fires when Advance moves the clock past its due time. Tests drive every
-// timing decision in the dispatch loop — attempt deadlines, poll ticks,
-// backoff waits, breaker cooldowns — without one real sleep.
+// fakeClock is a manually advanced Clock: Timer registers a waiter that
+// fires when Advance moves the clock past its due time, and its stop drops
+// the waiter. Tests drive every timing decision in the dispatch loop —
+// attempt deadlines, poll ticks, backoff waits, breaker cooldowns — without
+// one real sleep.
 type fakeClock struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -33,16 +34,41 @@ func (c *fakeClock) Now() time.Time {
 	return c.now
 }
 
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
+func (c *fakeClock) Timer(d time.Duration) (<-chan time.Time, func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch := make(chan time.Time, 1)
 	if d <= 0 {
 		ch <- c.now
-		return ch
+		return ch, func() bool { return false }
 	}
 	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
+	return ch, func() bool { return c.stop(ch) }
+}
+
+// stop drops the waiter on ch and reports whether it was still pending.
+func (c *fakeClock) stop(ch chan time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, w := range c.waiters {
+		if w.ch == ch {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// pending returns how long from now each waiter that has neither fired
+// nor been stopped is due.
+func (c *fakeClock) pending() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	due := make([]time.Duration, len(c.waiters))
+	for i, w := range c.waiters {
+		due[i] = w.at.Sub(c.now)
+	}
+	return due
 }
 
 // Advance moves the clock and fires every waiter that has come due. Waiter
@@ -64,8 +90,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestFakeClockFiresInOrder(t *testing.T) {
 	clk := newFakeClock()
-	a := clk.After(10 * time.Millisecond)
-	b := clk.After(30 * time.Millisecond)
+	a, _ := clk.Timer(10 * time.Millisecond)
+	b, _ := clk.Timer(30 * time.Millisecond)
 	clk.Advance(20 * time.Millisecond)
 	select {
 	case <-a:

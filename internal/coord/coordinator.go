@@ -459,11 +459,18 @@ func (c *Coordinator) backoffWait(ctx context.Context, n int) error {
 	c.rngMu.Lock()
 	j := time.Duration(c.rng.Int63n(int64(d/2) + 1))
 	c.rngMu.Unlock()
-	d = d/2 + j
+	return c.sleep(ctx, d/2+j)
+}
+
+// sleep waits d on the coordinator's clock, or until ctx ends, and stops
+// its timer either way.
+func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
+	fired, stop := c.clk.Timer(d)
+	defer stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-c.clk.After(d):
+	case <-fired:
 		return nil
 	}
 }
@@ -492,10 +499,8 @@ func (c *Coordinator) runOnWorker(ctx context.Context, w *worker, p Point) ([]by
 		return nil, fmt.Errorf("submit to %s: bad status body: %w", w.url, err)
 	}
 	for !js.State.Terminal() {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-c.clk.After(c.cfg.PollInterval):
+		if err := c.sleep(ctx, c.cfg.PollInterval); err != nil {
+			return nil, err
 		}
 		if !c.clk.Now().Before(deadline) {
 			return nil, fmt.Errorf("point timed out after %s on %s", c.cfg.PointTimeout, w.url)
@@ -548,6 +553,8 @@ func (c *Coordinator) doBounded(ctx context.Context, method, url string, reqBody
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	expired, stop := c.clk.Timer(remaining)
+	defer stop()
 	ch := make(chan httpResult, 1)
 	go func() {
 		var rd io.Reader
@@ -582,7 +589,7 @@ func (c *Coordinator) doBounded(ctx context.Context, method, url string, reqBody
 	select {
 	case r := <-ch:
 		return r.body, r.code, r.err
-	case <-c.clk.After(remaining):
+	case <-expired:
 		cancel()
 		<-ch // the cancelled request returns promptly
 		return nil, 0, fmt.Errorf("request timed out")

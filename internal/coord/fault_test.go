@@ -340,6 +340,71 @@ func TestDispatchRetriesFlakyWorker(t *testing.T) {
 	requireSerialLedger(t, tinySweep(1), h.result(st.ID))
 }
 
+func TestFinishedSweepLeavesNoTimer(t *testing.T) {
+	// Every wait a dispatch makes — attempt deadlines, poll ticks, backoffs
+	// after the flaky worker's refusals — stops its timer on return, so once
+	// a sweep has finished no waiter is left on the clock.
+	flaky, good := newFakeWorker(t), newFakeWorker(t)
+	flaky.onSubmit = failCodes(http.StatusServiceUnavailable, http.StatusInternalServerError)
+	clk := newFakeClock()
+	cfg := fastCfg(clk, flaky.url(), good.url())
+	cfg.DispatchParallel = 2
+	h := newHarness(t, cfg)
+
+	spec := tinySweep(1, 2, 3, 4)
+	st := h.submit(spec)
+	st = h.waitTerminal(st.ID, 20*time.Millisecond)
+	if st.State != server.StateSucceeded {
+		t.Fatalf("sweep %s: %s (%s)", st.ID, st.State, st.Error)
+	}
+	if st.Retries < 1 {
+		t.Fatalf("retries = %d, want >= 1 (the refused submissions back off)", st.Retries)
+	}
+	if due := clk.pending(); len(due) != 0 {
+		t.Fatalf("timers due in %v still pending on the clock after the sweep finished", due)
+	}
+	requireSerialLedger(t, spec, h.result(st.ID))
+}
+
+func TestCancelledSweepLeavesNoTimer(t *testing.T) {
+	// A point whose job never finishes parks in the poll wait (the fake
+	// clock never advances). Cancelling the sweep ends that wait, and the
+	// poll tick's timer must go with it.
+	w := newFakeWorker(t)
+	w.onSubmit = func(n int, rw http.ResponseWriter, r *http.Request) bool {
+		io.Copy(io.Discard, r.Body)
+		writeJSON(rw, http.StatusAccepted, server.JobStatus{ID: "j-never", State: server.StateQueued})
+		return true
+	}
+	clk := newFakeClock()
+	cfg := fastCfg(clk, w.url())
+	h := newHarness(t, cfg)
+
+	st := h.submit(tinySweep(1))
+	waitUntil(t, "the dispatch to park in the poll wait", func() bool {
+		due := clk.pending()
+		return len(due) == 1 && due[0] == cfg.PollInterval
+	})
+	if code, body := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d: %s", code, body)
+	}
+	waitUntil(t, "the cancelled poll wait to stop its timer", func() bool { return len(clk.pending()) == 0 })
+}
+
+// waitUntil polls cond until it holds, failing the test after testTimeout.
+// The microsleep between polls is a scheduler yield, not a timing
+// dependency.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 func TestDispatchTimesOutHangingWorker(t *testing.T) {
 	// A worker that accepts the connection and never answers must cost one
 	// attempt deadline, then the point lands on the healthy worker.

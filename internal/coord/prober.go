@@ -21,12 +21,7 @@ import (
 // pile up on a slow fleet.
 func (c *Coordinator) probeLoop() {
 	defer c.proberWG.Done()
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case <-c.clk.After(c.cfg.ProbeInterval):
-		}
+	for c.sleep(c.baseCtx, c.cfg.ProbeInterval) == nil {
 		c.probeOnce()
 	}
 }

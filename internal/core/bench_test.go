@@ -31,7 +31,8 @@ func BenchmarkRunMaterialized(b *testing.B) {
 // TestControllerSteadyStateNoAlloc pins the hot-path allocation contract:
 // once the cache, controller, and Set-Buffer are warm (and the backing
 // memory's chunks exist), replaying aligned accesses allocates nothing —
-// Set-Buffer refills reuse their line buffers via SnapshotSetInto.
+// access by access through Access, or batch by batch through Driver.Feed's
+// batch entry — since Set-Buffer refills reuse their row via ReadRow.
 func TestControllerSteadyStateNoAlloc(t *testing.T) {
 	accs := randomStream(42, 20_000, 1<<13)
 	for _, k := range []Kind{RMW, WG, WGRB} {
@@ -51,6 +52,20 @@ func TestControllerSteadyStateNoAlloc(t *testing.T) {
 		replay() // warm up: fill lines, buffers, and memory chunks
 		if avg := testing.AllocsPerRun(3, replay); avg > 0 {
 			t.Errorf("%v: %.1f allocations per warm 20k-access replay, want 0", k, avg)
+		}
+
+		d, err := NewDriver(k, smallCfg(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func() {
+			for b := accs; len(b) > 0; b = b[min(len(b), 4096):] {
+				d.Feed(b[:min(len(b), 4096)])
+			}
+		}
+		feed()
+		if avg := testing.AllocsPerRun(3, feed); avg > 0 {
+			t.Errorf("%v: %.1f allocations per warm 20k-access Driver.Feed, want 0", k, avg)
 		}
 	}
 }

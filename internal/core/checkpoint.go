@@ -214,10 +214,10 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	for _, v := range b.cache.RNGState() {
 		w.u64(v)
 	}
+	var row cache.Row
 	for s := 0; s < geom.Sets; s++ {
-		for _, l := range b.cache.Set(s) {
-			writeLine(w, &l)
-		}
+		b.cache.ReadRow(s, &row)
+		writeRow(w, &row)
 	}
 	for s := 0; s < geom.Sets; s++ {
 		ps := b.cache.PolicyState(s)
@@ -262,9 +262,7 @@ func (d *Driver) Snapshot() ([]byte, error) {
 			w.i64(int64(sb.set))
 			w.bool(sb.dirty)
 			w.u64(sb.writes)
-			for j := range sb.lines {
-				writeLine(w, &sb.lines[j])
-			}
+			writeRow(w, &sb.row)
 		}
 	default:
 		return nil, fmt.Errorf("core: controller %T cannot be checkpointed", d.inner)
@@ -272,18 +270,31 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	return w.buf, nil
 }
 
-func writeLine(w *ckptWriter, l *cache.Line) {
-	w.u64(l.Tag)
-	w.bool(l.Valid)
-	w.bool(l.Dirty)
-	w.raw(l.Data)
+// writeRow records a row's lines in way order, each as its tag, valid bit,
+// dirty bit and block.
+func writeRow(w *ckptWriter, row *cache.Row) {
+	for j, tag := range row.Tags {
+		w.u64(tag)
+		w.bool(row.State[j]&cache.Valid != 0)
+		w.bool(row.State[j]&cache.Dirty != 0)
+		w.raw(row.Line(j))
+	}
 }
 
-func readLineInto(r *ckptReader, l *cache.Line, blockBytes int) {
-	l.Tag = r.u64()
-	l.Valid = r.bool()
-	l.Dirty = r.bool()
-	copy(l.Data, r.take(blockBytes))
+// readRow reads the lines writeRow records into row, a row of the cache's
+// shape.
+func readRow(r *ckptReader, row *cache.Row) {
+	for j := range row.Tags {
+		row.Tags[j] = r.u64()
+		row.State[j] = 0
+		if r.bool() {
+			row.State[j] |= cache.Valid
+		}
+		if r.bool() {
+			row.State[j] |= cache.Dirty
+		}
+		copy(row.Line(j), r.take(len(row.Line(j))))
+	}
 }
 
 // ResumeDriver reconstructs a Driver — controller, cache, replacement
@@ -365,11 +376,10 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 	geom := c.Geometry()
 	c.RestoreStats(stats)
 	c.RestoreRNGState(rngState)
+	row := cache.NewRow(geom)
 	for s := 0; s < geom.Sets; s++ {
-		lines := c.Set(s)
-		for w := range lines {
-			readLineInto(r, &lines[w], geom.BlockBytes)
-		}
+		readRow(r, &row)
+		c.WriteRow(s, &row)
 	}
 	for s := 0; s < geom.Sets; s++ {
 		n := r.u32()
@@ -448,12 +458,8 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 			if r.err == nil && (sb.set < 0 || sb.set >= geom.Sets) {
 				return nil, fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, sb.set)
 			}
-			sb.lines = make([]cache.Line, geom.Ways)
-			data := make([]byte, geom.Ways*geom.BlockBytes)
-			for w := range sb.lines {
-				sb.lines[w].Data, data = data[:geom.BlockBytes], data[geom.BlockBytes:]
-				readLineInto(r, &sb.lines[w], geom.BlockBytes)
-			}
+			sb.row = cache.NewRow(geom)
+			readRow(r, &sb.row)
 		}
 	}
 	if r.err != nil {

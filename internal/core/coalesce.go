@@ -30,6 +30,19 @@ type coalesceController struct {
 // Access processes one request.
 func (c *coalesceController) Access(a trace.Access) uint64 {
 	c.note(a)
+	return c.step(a)
+}
+
+// feed is Access over a whole batch.
+func (c *coalesceController) feed(batch []trace.Access) {
+	c.noteBatch(batch)
+	for i := range batch {
+		c.step(batch[i])
+	}
+}
+
+// step serves one request whose stream statistics are already noted.
+func (c *coalesceController) step(a trace.Access) uint64 {
 	g := c.geom
 	base := g.BlockBase(a.Addr)
 	straddles := g.BlockOffset(a.Addr)+int(a.Size) > g.BlockBytes

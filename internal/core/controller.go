@@ -331,6 +331,32 @@ func (b *base) note(a trace.Access) {
 	}
 }
 
+// noteBatch records what note records for every request of a batch, summed
+// once for the batch.
+func (b *base) noteBatch(batch []trace.Access) {
+	var reads, gaps uint64
+	for i := range batch {
+		if batch[i].Kind == trace.Read {
+			reads++
+		}
+		gaps += uint64(batch[i].Gap)
+	}
+	n := uint64(len(batch))
+	b.requests.Reads += reads
+	b.requests.Writes += n - reads
+	b.requests.Instructions += gaps + n
+	b.counters.DemandReads += reads
+	b.counters.DemandWrites += n - reads
+}
+
+// batchFeeder is the batch entry every controller in this package has:
+// Access over a whole batch, with the batch's stream statistics noted once
+// and each request served by a static call. Driver.Feed uses it whenever
+// no wrapper sits between the driver and the controller.
+type batchFeeder interface {
+	feed(batch []trace.Access)
+}
+
 // sizeMask selects the low size bytes of a data word. After a write commits,
 // the stored value is exactly a.Data & sizeMask(a.Size) — cache.WriteWord
 // stores those bytes verbatim (spill included) — so controllers return the

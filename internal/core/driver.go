@@ -70,10 +70,16 @@ func (d *Driver) CheckpointEvery(every int, sink CheckpointSink) {
 	d.every, d.sink = every, sink
 }
 
-// Feed runs every access of batch through the controller, in order.
+// Feed runs every access of batch through the controller, in order: as one
+// batch through the controller's batch entry, or access by access through
+// a wrapper (Wrap, RunLogged), which sees every access.
 func (d *Driver) Feed(batch []trace.Access) {
-	for i := range batch {
-		d.ctrl.Access(batch[i])
+	if f, ok := d.ctrl.(batchFeeder); ok {
+		f.feed(batch)
+	} else {
+		for i := range batch {
+			d.ctrl.Access(batch[i])
+		}
 	}
 	d.fed += uint64(len(batch))
 }

@@ -233,23 +233,24 @@ func TestOracleDifferential(t *testing.T) {
 				if res.Cache != model.stats {
 					t.Errorf("result stats diverged: %+v vs oracle %+v", res.Cache, model.stats)
 				}
+				var row cache.Row
 				for s := 0; s < model.sets; s++ {
-					snap := c.SnapshotSet(s)
-					for w := range snap {
+					c.ReadRow(s, &row)
+					for w := range row.Tags {
 						ref := &model.lines[s][w]
-						if snap[w].Valid != ref.valid {
-							t.Fatalf("set %d way %d: valid %v, oracle %v", s, w, snap[w].Valid, ref.valid)
+						if valid := row.State[w]&cache.Valid != 0; valid != ref.valid {
+							t.Fatalf("set %d way %d: valid %v, oracle %v", s, w, valid, ref.valid)
 						}
 						if !ref.valid {
 							continue
 						}
-						if snap[w].Tag != ref.tag {
-							t.Fatalf("set %d way %d: tag %#x, oracle %#x", s, w, snap[w].Tag, ref.tag)
+						if row.Tags[w] != ref.tag {
+							t.Fatalf("set %d way %d: tag %#x, oracle %#x", s, w, row.Tags[w], ref.tag)
 						}
-						if snap[w].Dirty != ref.dirty {
-							t.Fatalf("set %d way %d (tag %#x): dirty %v, oracle %v", s, w, ref.tag, snap[w].Dirty, ref.dirty)
+						if dirty := row.State[w]&cache.Dirty != 0; dirty != ref.dirty {
+							t.Fatalf("set %d way %d (tag %#x): dirty %v, oracle %v", s, w, ref.tag, dirty, ref.dirty)
 						}
-						if !bytes.Equal(snap[w].Data, ref.data) {
+						if !bytes.Equal(row.Line(w), ref.data) {
 							t.Fatalf("set %d way %d (tag %#x): line data diverged", s, w, ref.tag)
 						}
 					}
@@ -326,9 +327,11 @@ func TestOracleSilentWritesNeverDirty(t *testing.T) {
 		if k != RMW && res.Counters.SilentWrites != res.Counters.DemandWrites {
 			t.Errorf("%v: only %d of %d writes detected silent", k, res.Counters.SilentWrites, res.Counters.DemandWrites)
 		}
+		var row cache.Row
 		for s := 0; s < c.Geometry().Sets; s++ {
-			for w, l := range c.SnapshotSet(s) {
-				if l.Valid && l.Dirty {
+			c.ReadRow(s, &row)
+			for w, st := range row.State {
+				if st == cache.Valid|cache.Dirty {
 					t.Fatalf("%v: set %d way %d dirty after silent-only writes", k, s, w)
 				}
 			}

@@ -14,6 +14,19 @@ type directController struct {
 // Access processes one request.
 func (c *directController) Access(a trace.Access) uint64 {
 	c.note(a)
+	return c.step(a)
+}
+
+// feed is Access over a whole batch.
+func (c *directController) feed(batch []trace.Access) {
+	c.noteBatch(batch)
+	for i := range batch {
+		c.step(batch[i])
+	}
+}
+
+// step serves one request whose stream statistics are already noted.
+func (c *directController) step(a trace.Access) uint64 {
 	if a.Kind == trace.Write {
 		if v, ok := c.writeAround(a); ok {
 			return v
@@ -51,6 +64,19 @@ type rmwController struct {
 // Access processes one request.
 func (c *rmwController) Access(a trace.Access) uint64 {
 	c.note(a)
+	return c.step(a)
+}
+
+// feed is Access over a whole batch.
+func (c *rmwController) feed(batch []trace.Access) {
+	c.noteBatch(batch)
+	for i := range batch {
+		c.step(batch[i])
+	}
+}
+
+// step serves one request whose stream statistics are already noted.
+func (c *rmwController) step(a trace.Access) uint64 {
 	if a.Kind == trace.Write {
 		if v, ok := c.writeAround(a); ok {
 			return v

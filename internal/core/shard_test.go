@@ -70,18 +70,19 @@ func TestShardedRandomPartitionProperty(t *testing.T) {
 
 			// Machine state: every set's lines live on exactly one shard and
 			// must equal the serial cache's.
+			var want, got cache.Row
 			for set := 0; set < r.geom.Sets; set++ {
-				want := sc.Set(set)
-				got := r.caches[r.route[set]].Set(set)
-				for w := range want {
-					if got[w].Tag != want[w].Tag || got[w].Valid != want[w].Valid || got[w].Dirty != want[w].Dirty {
-						t.Fatalf("%v set %d way %d: line %+v, want %+v", k, set, w, got[w], want[w])
+				sc.ReadRow(set, &want)
+				r.caches[r.route[set]].ReadRow(set, &got)
+				for w := range want.Tags {
+					if got.Tags[w] != want.Tags[w] || got.State[w] != want.State[w] {
+						t.Fatalf("%v set %d way %d: tag %#x state %b, want tag %#x state %b",
+							k, set, w, got.Tags[w], got.State[w], want.Tags[w], want.State[w])
 					}
-					for bi := range want[w].Data {
-						if got[w].Data[bi] != want[w].Data[bi] {
-							t.Fatalf("%v set %d way %d byte %d: %#x, want %#x",
-								k, set, w, bi, got[w].Data[bi], want[w].Data[bi])
-						}
+				}
+				for bi := range want.Data {
+					if got.Data[bi] != want.Data[bi] {
+						t.Fatalf("%v set %d row byte %d: %#x, want %#x", k, set, bi, got.Data[bi], want.Data[bi])
 					}
 				}
 			}

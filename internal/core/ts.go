@@ -36,6 +36,19 @@ type tsController struct {
 // Access processes one request.
 func (c *tsController) Access(a trace.Access) uint64 {
 	c.note(a)
+	return c.step(a)
+}
+
+// feed is Access over a whole batch.
+func (c *tsController) feed(batch []trace.Access) {
+	c.noteBatch(batch)
+	for i := range batch {
+		c.step(batch[i])
+	}
+}
+
+// step serves one request whose stream statistics are already noted.
+func (c *tsController) step(a trace.Access) uint64 {
 	if a.Kind == trace.Write {
 		if v, ok := c.writeAround(a); ok {
 			return v

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -11,12 +10,12 @@ import (
 
 // setBuffer is one Set-Buffer entry: a copy of one whole cache set row (all
 // ways, data and metadata) plus the Tag-Buffer bookkeeping the controller
-// keeps for it (Figure 6b): the set number, the per-way tags (implicit in the
-// line copies), and the Dirty bit.
+// keeps for it (Figure 6b): the set number, the per-way tags (the row's
+// Tags), and the Dirty bit.
 type setBuffer struct {
 	valid bool
 	set   int
-	lines []cache.Line
+	row   cache.Row
 	dirty bool
 	// writes counts stores merged into this buffer residency — the size of
 	// the write group, recorded into the group-size histogram at eviction.
@@ -62,26 +61,6 @@ func (c *wgController) findBuffer(set int) int {
 	return -1
 }
 
-// tagHit reports whether tag is resident in the buffered set.
-func (c *wgController) tagHit(sb *setBuffer, tag uint64) bool {
-	for w := range sb.lines {
-		if sb.lines[w].Valid && sb.lines[w].Tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// wayOf returns the way of tag within the buffered set; -1 if absent.
-func (c *wgController) wayOf(sb *setBuffer, tag uint64) int {
-	for w := range sb.lines {
-		if sb.lines[w].Valid && sb.lines[w].Tag == tag {
-			return w
-		}
-	}
-	return -1
-}
-
 // touchMRU moves buffer i to the front of the MRU order.
 func (c *wgController) touchMRU(i int) {
 	if i == 0 {
@@ -107,7 +86,7 @@ func (c *wgController) writeback(i int, premature bool) {
 		c.counters.SilentElidedWBs++
 		return
 	}
-	c.cache.RestoreSet(sb.set, sb.lines)
+	c.cache.WriteRow(sb.set, &sb.row)
 	c.array.RMWWritePhase()
 	c.counters.BufferWritebacks++
 	if premature {
@@ -128,21 +107,39 @@ func (c *wgController) flush(i int) {
 }
 
 // probeTagBuffer performs the Tag-Buffer lookup every request starts with,
-// recording comparator activity (one compare per buffer entry).
-func (c *wgController) probeTagBuffer(set int, tag uint64) (idx int, hit bool) {
+// recording comparator activity (one compare per buffer entry). It returns
+// the entry holding set (-1 if none) and the way of tag in that entry (-1
+// if the tag is not buffered). The buffer mirrors its set's structure, so
+// a buffered tag sits in that same way of the cache.
+func (c *wgController) probeTagBuffer(set int, tag uint64) (idx, way int) {
 	c.counters.TagProbes++
 	c.array.Record(sram.EvTagCompare, uint64(len(c.buffers)))
 	idx = c.findBuffer(set)
-	if idx >= 0 && c.tagHit(&c.buffers[idx], tag) {
-		c.counters.TagHits++
-		return idx, true
+	if idx < 0 {
+		return -1, -1
 	}
-	return idx, false
+	if way = c.buffers[idx].row.Way(tag); way >= 0 {
+		c.counters.TagHits++
+	}
+	return idx, way
 }
 
 // Access processes one request per Algorithm 1 (WG) or §4.2 (WG+RB).
 func (c *wgController) Access(a trace.Access) uint64 {
 	c.note(a)
+	return c.step(a)
+}
+
+// feed is Access over a whole batch.
+func (c *wgController) feed(batch []trace.Access) {
+	c.noteBatch(batch)
+	for i := range batch {
+		c.step(batch[i])
+	}
+}
+
+// step serves one request whose stream statistics are already noted.
+func (c *wgController) step(a trace.Access) uint64 {
 	g := c.geom
 	if g.BlockOffset(a.Addr)+int(a.Size) > g.BlockBytes {
 		return c.straddleFallback(a)
@@ -156,17 +153,15 @@ func (c *wgController) Access(a trace.Access) uint64 {
 }
 
 func (c *wgController) read(a trace.Access, set int, tag uint64) uint64 {
-	idx, hit := c.probeTagBuffer(set, tag)
-	if hit {
-		sb := &c.buffers[idx]
+	idx, way := c.probeTagBuffer(set, tag)
+	if way >= 0 {
+		c.cache.Hit(set, way, false) // functional hit + LRU touch
 		if c.bypass {
 			// WG+RB: the RB mux routes data straight from the Set-Buffer;
 			// no premature write-back, no array read.
 			c.counters.BypassedReads++
 			c.array.Record(sram.EvSetBufRead, 1)
-			c.cache.Ensure(a.Addr, false) // functional hit + LRU touch
-			way := c.wayOf(sb, tag)
-			val := lineReadWord(&sb.lines[way], c.geom, a.Addr, a.Size)
+			val := c.buffers[idx].row.ReadWord(way, c.geom.BlockOffset(a.Addr), a.Size)
 			c.touchMRU(idx)
 			return val
 		}
@@ -175,7 +170,10 @@ func (c *wgController) read(a trace.Access, set int, tag uint64) uint64 {
 		// Set-Buffer if the Dirty is set ... Read from SRAM arrays").
 		c.writeback(idx, true)
 		c.touchMRU(idx)
-	} else if idx >= 0 {
+		c.array.ReadAccess()
+		return c.cache.ReadWord(set, way, a.Addr, a.Size)
+	}
+	if idx >= 0 {
 		// The buffered set is being read with an unbuffered tag. If that
 		// read misses in the cache it will evict within the buffered set,
 		// so the buffer must be flushed first to keep its snapshot honest.
@@ -189,8 +187,8 @@ func (c *wgController) read(a trace.Access, set int, tag uint64) uint64 {
 }
 
 func (c *wgController) write(a trace.Access, set int, tag uint64) uint64 {
-	idx, hit := c.probeTagBuffer(set, tag)
-	if !hit {
+	idx, way := c.probeTagBuffer(set, tag)
+	if way < 0 {
 		// Under no-write-allocate a non-resident write bypasses the array
 		// (and therefore the Set-Buffer). The tag probe above has already
 		// established it is not buffered.
@@ -203,22 +201,22 @@ func (c *wgController) write(a trace.Access, set int, tag uint64) uint64 {
 			c.flush(idx)
 		}
 		idx = c.allocateBuffer(a)
+		way = c.buffers[idx].row.Way(tag)
 	} else {
 		// The whole point: this write joins the buffered group without any
 		// array access.
 		c.counters.GroupedWrites++
-		c.cache.Ensure(a.Addr, true) // functional hit + LRU touch
+		c.cache.Hit(set, way, true) // functional hit + LRU touch
 	}
 	sb := &c.buffers[idx]
 	sb.writes++
-	way := c.wayOf(sb, tag)
-	silent := lineWriteWord(&sb.lines[way], c.geom, a.Addr, a.Size, a.Data)
+	silent := sb.row.WriteWord(way, c.geom.BlockOffset(a.Addr), a.Size, a.Data)
 	c.array.Record(sram.EvSilentCompare, 1)
 	if silent {
 		c.counters.SilentWrites++
 	}
 	if !silent {
-		sb.lines[way].Dirty = true
+		sb.row.State[way] |= cache.Dirty
 		sb.dirty = true
 	} else if c.opts.DisableSilentElision {
 		// A1 ablation: the controller has no comparators; every write
@@ -251,9 +249,9 @@ func (c *wgController) allocateBuffer(a trace.Access) int {
 	c.array.RMWReadPhase() // "Fill the Set-Buffer by read row"
 	c.counters.BufferFills++
 	sb := &c.buffers[victim]
-	// Refill in place: SnapshotSetInto reuses the entry's line buffers, so
-	// steady-state buffer turnover allocates nothing.
-	sb.lines = c.cache.SnapshotSetInto(set, sb.lines)
+	// Refill in place: ReadRow reuses the entry's row, so steady-state
+	// buffer turnover allocates nothing.
+	c.cache.ReadRow(set, &sb.row)
 	sb.valid = true
 	sb.set = set
 	sb.dirty = false
@@ -288,28 +286,4 @@ func (c *wgController) Finalize() Result {
 		c.flush(i)
 	}
 	return c.finalize(false)
-}
-
-// lineReadWord reads size bytes at addr from a buffered line copy.
-func lineReadWord(l *cache.Line, g cache.Geometry, addr uint64, size uint8) uint64 {
-	off := g.BlockOffset(addr)
-	var buf [8]byte
-	copy(buf[:size], l.Data[off:])
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-// lineWriteWord writes size bytes at addr into a buffered line copy and
-// reports whether the write was silent.
-func lineWriteWord(l *cache.Line, g cache.Geometry, addr uint64, size uint8, data uint64) (silent bool) {
-	off := g.BlockOffset(addr)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], data)
-	changed := false
-	for i := 0; i < int(size); i++ {
-		if l.Data[off+i] != buf[i] {
-			changed = true
-			l.Data[off+i] = buf[i]
-		}
-	}
-	return !changed
 }

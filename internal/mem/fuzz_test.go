@@ -41,16 +41,49 @@ func (f *fuzzOps) byte() (byte, bool) {
 	return b, true
 }
 
+// wideBase is the fourth base of fuzzOps.addr: its addresses spread over
+// wideWindow pages, more than the page memo has slots.
+const (
+	wideBase   = 1 << 40
+	wideWindow = 256
+)
+
 // addr draws an address within 16 KiB (four pages) of one of three bases,
-// so accesses cross chunk and page boundaries often.
+// so accesses cross chunk and page boundaries often, or, from the fourth
+// base, in the first 256 bytes of one of wideWindow pages, so pages evict
+// one another from the memo.
 func (f *fuzzOps) addr() (uint64, bool) {
 	if len(f.data) < 3 {
 		return 0, false
 	}
-	bases := [...]uint64{0, 1 << 32, 1<<48 - 1<<13}
-	a := bases[int(f.data[0])%len(bases)] + uint64(binary.LittleEndian.Uint16(f.data[1:]))%(1<<14)
+	bases := [...]uint64{0, 1 << 32, 1<<48 - 1<<13, wideBase}
+	v := uint64(binary.LittleEndian.Uint16(f.data[1:]))
+	b := bases[int(f.data[0])%len(bases)]
 	f.data = f.data[3:]
-	return a, true
+	if b == wideBase {
+		return b + v%wideWindow<<pageShift + v/wideWindow, true
+	}
+	return b + v%(1<<14), true
+}
+
+// wideOp encodes one fuzz operation on page page of the wide window, at
+// offset off (below 256) of that page.
+func wideOp(op byte, page, off uint64, arg byte) []byte {
+	v := off*wideWindow + page
+	return []byte{op, 3, byte(v), byte(v >> 8), arg}
+}
+
+// memoTwins returns two pages of the wide window that share a memo slot.
+func memoTwins() (a, b uint64) {
+	first := map[uint64]uint64{}
+	for p := uint64(0); p < wideWindow; p++ {
+		slot := memoIndex(wideBase>>pageShift + p)
+		if q, ok := first[slot]; ok {
+			return q, p
+		}
+		first[slot] = p
+	}
+	panic("no two wide-window pages share a memo slot")
 }
 
 // FuzzMemory applies an arbitrary sequence of stores, spanning reads and
@@ -67,6 +100,14 @@ func FuzzMemory(f *testing.F) {
 	// backed chunk.
 	f.Add([]byte{0, 0, 0x10, 0x00, 0xaa, 0, 0, 0x10, 0x10, 0xbb, 4, 0, 0x10, 0x00, 0})
 	f.Add([]byte{0, 0, 0x20, 0x00, 0x11, 5, 0, 0x20, 0x00, 0x02})
+	// Read a page that does not exist (the memo remembers it as absent),
+	// write it, and read it again.
+	f.Add(slices.Concat(wideOp(2, 7, 60, 8), wideOp(3, 7, 60, 3), wideOp(2, 7, 56, 16), wideOp(4, 7, 60, 3)))
+	// Two pages that share one memo slot, each evicting the other: absent
+	// reads, writes, and reads back in turn.
+	a, b := memoTwins()
+	f.Add(slices.Concat(wideOp(4, a, 8, 3), wideOp(4, b, 8, 3), wideOp(0, a, 8, 0x5a),
+		wideOp(4, b, 8, 3), wideOp(3, b, 16, 3), wideOp(4, a, 8, 0), wideOp(2, b, 0, 64), wideOp(2, a, 0, 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := New()
 		ref := &refMemory{bytes: map[uint64]byte{}, backed: map[uint64]bool{}}

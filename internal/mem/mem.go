@@ -20,25 +20,39 @@ const (
 	// pageShift sizes a page table entry: 4 KiB, 64 chunks.
 	pageShift     = 12
 	chunksPerPage = 1 << pageShift / ChunkSize
+	// memoBits sizes the page memo: 64 direct-mapped slots.
+	memoBits = 6
 )
 
 // page holds the chunks of one 4 KiB page; a nil chunk is unbacked.
 type page [chunksPerPage]*[ChunkSize]byte
+
+// absent stands in for every page that does not exist: all its chunks are
+// nil, so reads through it see zeros. It is shared by every Memory and
+// never written, since a lookup that may write creates the real page.
+var absent page
+
+// memoSlot is one page memo entry; a nil page marks an empty slot.
+type memoSlot struct {
+	num uint64
+	p   *page
+}
 
 // Memory is a sparse byte store. The zero value is not usable; call New.
 //
 // Chunks are allocated only on write, one at a time, so the backed set (and
 // everything derived from it: Bases, FootprintBytes, checkpoints) is the
 // same as for a flat map of chunks. Lookups go through a map from page
-// number to page, with the last page looked up memoized: fills and
-// write-backs cluster, so most lookups skip the map. Even reads update the
-// memo, so a Memory is not safe for concurrent readers.
+// number to page, fronted by a memo of recent lookups hashed by page number
+// into direct-mapped slots. The memo remembers absent pages too, as the
+// shared all-nil page, so reads of never-written memory (fills from a
+// read-only region, a generator's shadow reads) skip the map as well. Even
+// reads update the memo, so a Memory is not safe for concurrent readers.
 type Memory struct {
 	pages  map[uint64]*page
 	chunks int // backed chunks
 
-	lastNum  uint64
-	lastPage *page // nil until the first lookup that finds a page
+	memo [1 << memoBits]memoSlot
 }
 
 // New returns an empty memory.
@@ -46,31 +60,36 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
+// memoIndex hashes a page number to its memo slot (Fibonacci hashing), so
+// regions whose bases share their low bits still spread over the slots.
+func memoIndex(num uint64) uint64 {
+	return num * 0x9e3779b97f4a7c15 >> (64 - memoBits)
+}
+
 // pageFor returns the page holding addr, creating it when create is set
-// (otherwise nil if it does not exist).
+// (otherwise the shared absent page if it does not exist).
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	num := addr >> pageShift
-	if m.lastPage != nil && m.lastNum == num {
-		return m.lastPage
+	s := &m.memo[memoIndex(num)]
+	if s.p != nil && s.num == num && !(create && s.p == &absent) {
+		return s.p
 	}
 	p := m.pages[num]
 	if p == nil {
 		if !create {
-			return nil
+			s.num, s.p = num, &absent
+			return &absent
 		}
 		p = new(page)
 		m.pages[num] = p
 	}
-	m.lastNum, m.lastPage = num, p
+	s.num, s.p = num, p
 	return p
 }
 
 func (m *Memory) chunkFor(addr uint64, create bool) (*[ChunkSize]byte, uint64) {
 	off := addr & (ChunkSize - 1)
 	p := m.pageFor(addr, create)
-	if p == nil {
-		return nil, off
-	}
 	slot := &p[addr/ChunkSize%chunksPerPage]
 	if *slot == nil && create {
 		*slot = new([ChunkSize]byte)
@@ -122,6 +141,14 @@ func (m *Memory) Write(addr uint64, src []byte) {
 // ReadWord returns size bytes at addr as a little-endian integer.
 // size must be 1, 2, 4, or 8.
 func (m *Memory) ReadWord(addr uint64, size uint8) uint64 {
+	if off := addr & (ChunkSize - 1); off <= ChunkSize-8 && size <= 8 {
+		// The eight bytes at addr lie in one chunk: one lookup, one load.
+		c, _ := m.chunkFor(addr, false)
+		if c == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint64(c[off:]) & WordMask(size)
+	}
 	var buf [8]byte
 	m.Read(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:])
@@ -137,11 +164,16 @@ func (m *Memory) WriteWord(addr uint64, size uint8, data uint64) {
 // WouldBeSilent reports whether writing data (size bytes) at addr would leave
 // memory unchanged — the definition of a silent store (Lepak & Lipasti).
 func (m *Memory) WouldBeSilent(addr uint64, size uint8, data uint64) bool {
-	mask := ^uint64(0)
-	if size < 8 {
-		mask = 1<<(8*size) - 1
+	return m.ReadWord(addr, size) == data&WordMask(size)
+}
+
+// WordMask selects the low size bytes of a little-endian word: the bytes a
+// size-byte access reads or writes.
+func WordMask(size uint8) uint64 {
+	if size >= 8 {
+		return ^uint64(0)
 	}
-	return m.ReadWord(addr, size) == data&mask
+	return 1<<(8*size) - 1
 }
 
 // Bases returns the base address of every backed chunk in ascending order.

@@ -8,7 +8,10 @@
 // improvement recorded in DESIGN.md.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the seeding generator recommended by Vigna for initializing
 // xoshiro state. It is also a perfectly good standalone generator for
@@ -102,35 +105,64 @@ func (x *Xoshiro256) Float64() float64 {
 	return float64(x.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (x *Xoshiro256) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+// Threshold returns probability p in the integer form Chance and Trials
+// draw against: Float64() < p exactly when Uint64()>>11 < Threshold(p).
+// Float64 is k/2^53 for the integer k = Uint64()>>11, and p·2^53 is exact,
+// so k/2^53 < p exactly when k < ceil(p·2^53). A p at or below 0 (NaN
+// included) maps to 0 and a p at or above 1 to 2^53. Callers that draw
+// against a fixed probability compute its threshold once.
+func Threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	default:
+		return 0
 	}
-	if p >= 1 {
-		return true
-	}
-	return x.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p, i.e. the number of trials until the first success, at least
-// 1. For p >= 1 it returns 1; for p <= 0 it is capped at maxGeometric to keep
-// run lengths finite.
-func (x *Xoshiro256) Geometric(p float64) int {
-	const maxGeometric = 1 << 20
-	if p >= 1 {
-		return 1
+// Chance returns true with the probability whose Threshold is t. The ends
+// take no draw: t = 0 is always false and t = 2^53 always true; any other t
+// takes one. Chance(Threshold(p)) is Bool(p).
+func (x *Xoshiro256) Chance(t uint64) bool {
+	switch t {
+	case 0:
+		return false
+	case 1 << 53:
+		return true
 	}
-	if p <= 0 {
-		return maxGeometric
+	return x.Uint64()>>11 < t
+}
+
+// Bool returns true with probability p.
+func (x *Xoshiro256) Bool(p float64) bool { return x.Chance(Threshold(p)) }
+
+// maxTrials caps Trials, so a zero probability still ends a run.
+const maxTrials = 1 << 20
+
+// Trials returns the number of Chance(t) trials up to and including the
+// first success, at least 1 and at most 2^20. The ends take no draw: t =
+// 2^53 returns 1 and t = 0 returns the cap.
+func (x *Xoshiro256) Trials(t uint64) int {
+	switch t {
+	case 1 << 53:
+		return 1
+	case 0:
+		return maxTrials
 	}
 	n := 1
-	for !x.Bool(p) && n < maxGeometric {
+	for x.Uint64()>>11 >= t && n < maxTrials {
 		n++
 	}
 	return n
 }
+
+// Geometric returns a sample from a geometric distribution with success
+// probability p, i.e. the number of trials until the first success, at least
+// 1. For p >= 1 it returns 1; for p <= 0 it is capped at 2^20 to keep run
+// lengths finite. Geometric(p) is Trials(Threshold(p)).
+func (x *Xoshiro256) Geometric(p float64) int { return x.Trials(Threshold(p)) }
 
 // Perm fills dst with a random permutation of [0, len(dst)).
 func (x *Xoshiro256) Perm(dst []int) {

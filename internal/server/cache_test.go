@@ -348,3 +348,49 @@ func TestSpoolCleanup(t *testing.T) {
 		t.Fatalf("spool leak after cancellation: %v", left)
 	}
 }
+
+// TestFinishedJobsTableBounded submits far more jobs than the table keeps
+// finished. The table stays bounded: the oldest finished jobs answer 404
+// and leave the listing, while a running job and a queued one stay, and
+// the newest hit still serves the cached bytes.
+func TestFinishedJobsTableBounded(t *testing.T) {
+	rc := newCache(t, rescache.Config{})
+	g := newGate(100)
+	ts := newTestServer(t, Config{Workers: 1, Cache: rc, testWrapStream: g.wrap})
+	defer close(g.release)
+
+	running := ts.submitJob(`{"controller":"rmw","workload":"mcf","n":20000,"seed":1}`)
+	<-g.entered
+	hit := `{"controller":"rmw","workload":"mcf","n":20000,"seed":2}`
+	queued := ts.submitJob(hit) // waits behind the running job
+	blob := []byte(`{"cached":"artifact"}`)
+	rc.Put(queued.ConfigHash, blob)
+
+	hits := make([]JobStatus, maxFinishedJobs+50)
+	for i := range hits {
+		if hits[i] = ts.submitTerminal(hit); hits[i].State != StateSucceeded {
+			t.Fatalf("submission %d: %s, want a succeeded cache hit", i, hits[i].State)
+		}
+	}
+	for _, st := range []JobStatus{running, queued, hits[50], hits[len(hits)-1]} {
+		if code, b := ts.get("/v1/jobs/" + st.ID); code != http.StatusOK {
+			t.Fatalf("job %s: status %d (%s), want 200", st.ID, code, b)
+		}
+	}
+	for _, st := range hits[:50] {
+		if code, _ := ts.get("/v1/jobs/" + st.ID); code != http.StatusNotFound {
+			t.Fatalf("job %s, among the oldest finished: status %d, want 404", st.ID, code)
+		}
+	}
+	if code, b := ts.get("/v1/jobs/" + hits[len(hits)-1].ID + "/result"); code != http.StatusOK || !bytes.Equal(b, blob) {
+		t.Fatalf("newest hit's result: %d %q, want 200 with the cached bytes", code, b)
+	}
+	code, b := ts.get("/v1/jobs")
+	var list []JobStatus
+	if err := json.Unmarshal(b, &list); code != http.StatusOK || err != nil {
+		t.Fatalf("list: %d %v", code, err)
+	}
+	if len(list) != maxFinishedJobs+2 {
+		t.Fatalf("table lists %d jobs, want %d finished plus the running and the queued one", len(list), maxFinishedJobs)
+	}
+}

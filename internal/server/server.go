@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,10 +125,32 @@ type Server struct {
 	workers    sync.WaitGroup
 	jobWG      sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID uint64
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string
+	// finished lists the finished jobs in the table, oldest first (see
+	// maxFinishedJobs).
+	finished []string
+	nextID   uint64
+}
+
+// maxFinishedJobs bounds the finished jobs the table keeps. Past it the
+// oldest finished job leaves the table and answers 404, as a job the
+// journal dropped does after a restart, so the table does not grow with
+// every job the process has run. A queued or running job never leaves.
+const maxFinishedJobs = 1024
+
+// retire records the finished job id and drops the oldest finished jobs
+// past maxFinishedJobs from the table. The caller holds s.mu, or is New
+// before the workers start.
+func (s *Server) retire(id string) {
+	s.finished = append(s.finished, id)
+	for len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == old })
+	}
 }
 
 // New builds a Server, replays the job journal when one is configured, and
@@ -244,6 +267,9 @@ func (s *Server) recoverJobs(recs []journalRecord) []*Job {
 		}
 		s.jobs[rec.Job] = j
 		s.order = append(s.order, rec.Job)
+		if j.state.Terminal() {
+			s.retire(rec.Job)
+		}
 	}
 	return pending
 }
@@ -484,6 +510,9 @@ func (s *Server) finishJob(j *Job, state State, errText string, artifact []byte)
 		os.Remove(j.tracePath)
 	}
 	j.publishFinish(state, errText, artifact)
+	s.mu.Lock()
+	s.retire(j.ID)
+	s.mu.Unlock()
 	s.jobWG.Done()
 }
 

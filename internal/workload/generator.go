@@ -25,6 +25,11 @@ type Generator struct {
 	r      *rng.Xoshiro256
 	shadow *mem.Memory
 
+	// memT, silentT and runT are the rng thresholds of MemFrac, SilentFrac
+	// and 1/RunMean, computed once: every draw against them is the draw
+	// Bool and Geometric would make.
+	memT, silentT, runT uint64
+
 	pattern   Pattern
 	remaining int
 
@@ -47,13 +52,23 @@ func NewGenerator(prof Profile, seed uint64) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		prof:   prof,
-		r:      rng.New(seed ^ hashName(prof.Name)),
-		shadow: mem.New(),
+		prof:    prof,
+		r:       rng.New(seed ^ hashName(prof.Name)),
+		shadow:  mem.New(),
+		memT:    rng.Threshold(prof.MemFrac),
+		silentT: rng.Threshold(prof.SilentFrac),
+		runT:    rng.Threshold(1 / float64(prof.RunMean)),
 	}
 	g.nextRun()
 	return g, nil
 }
+
+// The Stack pattern's fixed probabilities, as rng thresholds: a step up
+// the stack, and a write.
+var (
+	halfT       = rng.Threshold(0.5)
+	stackWriteT = rng.Threshold(0.45)
+)
 
 // hashName folds the profile name into the seed so two profiles with the
 // same numeric seed still produce unrelated streams (FNV-1a).
@@ -70,16 +85,16 @@ func hashName(name string) uint64 {
 func (g *Generator) nextRun() {
 	w := g.prof.Weights
 	g.pattern = Pattern(g.r.Pick(w[:]))
-	g.remaining = g.r.Geometric(1 / float64(g.prof.RunMean))
+	g.remaining = g.r.Trials(g.runT)
 }
 
 // gap draws the number of non-memory instructions preceding an access so
 // the long-run accesses-per-instruction ratio equals MemFrac.
 func (g *Generator) gap() uint32 {
-	// Geometric(p) counts trials to first success; with p = MemFrac the
+	// Trials counts trials to the first success; with p = MemFrac the
 	// mean is 1/MemFrac instructions per access, one of which is the
 	// access itself.
-	n := g.r.Geometric(g.prof.MemFrac)
+	n := g.r.Trials(g.memT)
 	return uint32(n - 1)
 }
 
@@ -133,13 +148,13 @@ func (g *Generator) Next() (trace.Access, bool) {
 		// integer code. Steps span up to two blocks so consecutive stack
 		// accesses change set about half the time.
 		step := uint64(g.r.Intn(9)) * elemSize
-		if g.r.Bool(0.5) {
+		if g.r.Chance(halfT) {
 			g.stackCur += step
 		} else {
 			g.stackCur -= step
 		}
 		addr := stackBase + g.stackCur%stackRegionBytes
-		if g.r.Bool(0.45) {
+		if g.r.Chance(stackWriteT) {
 			a = g.write(addr)
 		} else {
 			a = g.read(addr)
@@ -166,7 +181,7 @@ func (g *Generator) read(addr uint64) trace.Access {
 func (g *Generator) write(addr uint64) trace.Access {
 	old := g.shadow.ReadWord(addr, elemSize)
 	data := old
-	if !g.r.Bool(g.prof.SilentFrac) {
+	if !g.r.Chance(g.silentT) {
 		g.valCounter++
 		data = old ^ (g.valCounter<<1 | 1) // guaranteed to differ from old
 		g.shadow.WriteWord(addr, elemSize, data)

@@ -36,9 +36,9 @@ func (p Profile) Validate() error {
 	switch {
 	case p.Name == "":
 		return fmt.Errorf("workload: profile with empty name")
-	case p.MemFrac <= 0 || p.MemFrac > 1:
+	case !(p.MemFrac > 0 && p.MemFrac <= 1):
 		return fmt.Errorf("workload %s: MemFrac %v out of (0,1]", p.Name, p.MemFrac)
-	case p.SilentFrac < 0 || p.SilentFrac > 1:
+	case !(p.SilentFrac >= 0 && p.SilentFrac <= 1):
 		return fmt.Errorf("workload %s: SilentFrac %v out of [0,1]", p.Name, p.SilentFrac)
 	case p.RunMean < 1:
 		return fmt.Errorf("workload %s: RunMean %d < 1", p.Name, p.RunMean)

@@ -8,6 +8,7 @@ import (
 
 	"cache8t/internal/cache"
 	"cache8t/internal/core"
+	"cache8t/internal/rng"
 	"cache8t/internal/trace"
 )
 
@@ -59,6 +60,8 @@ func TestProfileValidateRejections(t *testing.T) {
 		func(p *Profile) { p.MemFrac = 1.5 },
 		func(p *Profile) { p.SilentFrac = -0.1 },
 		func(p *Profile) { p.SilentFrac = 1.1 },
+		func(p *Profile) { p.MemFrac = math.NaN() },
+		func(p *Profile) { p.SilentFrac = math.NaN() },
 		func(p *Profile) { p.RunMean = 0 },
 		func(p *Profile) { p.ReadStreams = 0 },
 		func(p *Profile) { p.ReadStreams = 9 },
@@ -70,6 +73,38 @@ func TestProfileValidateRejections(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid profile accepted", i)
+		}
+	}
+}
+
+// TestThresholdMatchesFloat pins the generator's integer draws to the float
+// draws they replace: for every probability the generator uses, u>>11 <
+// rng.Threshold(p) exactly when Float64() < p would hold for the same u,
+// over 10^6 random draws and at the draws on either side of the threshold.
+func TestThresholdMatchesFloat(t *testing.T) {
+	ps := []float64{0x1p-53, 12345 * 0x1p-53, 0.5, 1 - 0x1p-53, 1 / 3.0}
+	for _, p := range Profiles() {
+		ps = append(ps, p.MemFrac, p.SilentFrac, 1/float64(p.RunMean))
+	}
+	ths := make([]uint64, len(ps))
+	for i, p := range ps {
+		ths[i] = rng.Threshold(p)
+	}
+	check := func(i int, k uint64) {
+		if got, want := k < ths[i], float64(k)/(1<<53) < ps[i]; got != want {
+			t.Fatalf("p=%v, u>>11=%d: threshold says %v, Float64 says %v", ps[i], k, got, want)
+		}
+	}
+	r := rng.New(53)
+	for n := 0; n < 1_000_000; n++ {
+		k := r.Uint64() >> 11
+		for i := range ps {
+			check(i, k)
+		}
+	}
+	for i, th := range ths {
+		for k := th - min(th, 2); k <= min(th+2, 1<<53-1); k++ {
+			check(i, k)
 		}
 	}
 }
