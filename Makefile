@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard golden-update fuzz-smoke bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard golden-update fuzz-smoke lifecycle-soak bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,12 @@ bench-smoke:
 	"$$tmp/benchcore" -n 50000 -hier -out "$$tmp/ledger.json"
 
 check: build vet race
+
+# The lifecycle jobs and sweeps share, soaked under the race detector: the
+# conformance suite runs 50 times against both entry kinds, so a lost or
+# doubled terminal claim shows up here rather than as a rare flake.
+lifecycle-soak:
+	$(GO) test -race -count=50 -run 'Lifecycle' ./internal/server ./internal/coord
 
 # The benchmark is its own Go module (bench/go.mod), so `go build ./...` at
 # the root never compiles it. Vet and test it on its own, so an API change
@@ -144,4 +150,4 @@ serve-golden-update:
 hier-golden-update:
 	$(SCENARIO) hier -update
 
-ci: build vet fmt-check race bench-module regress regress-stream regress-shard bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race lifecycle-soak bench-module regress regress-stream regress-shard bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

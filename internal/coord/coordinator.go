@@ -154,10 +154,8 @@ type Coordinator struct {
 	sweepWG    sync.WaitGroup
 	proberWG   sync.WaitGroup
 
+	sweeps *server.Table[*Sweep]
 	mu     sync.Mutex
-	sweeps map[string]*Sweep
-	order  []string
-	seq    int
 	active int // non-terminal sweeps
 }
 
@@ -182,7 +180,7 @@ func New(cfg Config) (*Coordinator, error) {
 		rng:        rand.New(rand.NewSource(cfg.JitterSeed)),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		sweeps:     map[string]*Sweep{},
+		sweeps:     server.NewTable[*Sweep]("s-"),
 	}
 	c.accepting.Store(true)
 	for _, u := range cfg.Workers {
@@ -207,31 +205,15 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// parseSweepID extracts the sequence number from a "s-%06d" sweep id.
-func parseSweepID(id string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "s-%06d", &n); err != nil || n <= 0 {
-		return 0, false
-	}
-	return n, true
-}
-
 // recover rebuilds the sweep table from compacted journal records. Terminal
-// sweeps are re-registered as-is (ledger from the CAS); non-terminal sweeps
-// whose canonical spec survives in the CAS are re-dispatched from scratch —
-// per-point cache hits make the re-dispatch resume, not restart. A
-// non-terminal sweep whose spec is gone fails explicitly rather than
+// sweeps are re-registered as-is (ledger served from the CAS); non-terminal
+// sweeps whose canonical spec survives in the CAS are re-dispatched from
+// scratch — per-point cache hits make the re-dispatch resume, not restart.
+// A non-terminal sweep whose spec is gone fails explicitly rather than
 // vanishing.
 func (c *Coordinator) recover(recs []server.Record) {
 	now := c.clk.Now()
 	for _, rec := range recs {
-		n, ok := parseSweepID(rec.Job)
-		if !ok {
-			continue
-		}
-		if n > c.seq {
-			c.seq = n
-		}
 		var spec SweepSpec
 		specOK := false
 		if blob, _, ok := c.cache.Get("sweep:" + rec.SpecKey); ok {
@@ -244,35 +226,24 @@ func (c *Coordinator) recover(recs []server.Record) {
 			points = spec.Points()
 		}
 		s := newSweep(c.baseCtx, rec.Job, spec, rec.SpecKey, points, now)
-		s.markRecovered()
-		c.mu.Lock()
-		c.sweeps[s.ID] = s
-		c.order = append(c.order, s.ID)
-		c.mu.Unlock()
-		switch {
-		case rec.State.Terminal():
-			var merged []byte
-			if rec.State == server.StateSucceeded {
-				if blob, _, ok := c.cache.Get("ledger:" + rec.SpecKey); ok {
-					merged = blob
-				}
-				s.done.Store(int64(points))
-			}
-			s.finish(rec.State, rec.Error, merged, now)
-		case !specOK:
-			c.met.sweepsRecovered.Add(1)
-			c.mu.Lock()
-			c.active++
-			c.mu.Unlock()
-			c.finishSweep(s, server.StateFailed, "sweep spec lost from result cache; cannot resume", nil)
-		default:
-			c.met.sweepsRecovered.Add(1)
-			c.mu.Lock()
-			c.active++
-			c.mu.Unlock()
-			c.sweepWG.Add(1)
-			go c.runSweep(s)
+		if rec.State == server.StateSucceeded {
+			s.done.Store(int64(points))
 		}
+		s.Recover(rec.State, rec.Error)
+		c.sweeps.Recover(s.ID, s)
+		if rec.State.Terminal() {
+			continue
+		}
+		c.met.sweepsRecovered.Add(1)
+		c.mu.Lock()
+		c.active++
+		c.mu.Unlock()
+		if !specOK {
+			c.finishSweep(s, server.StateFailed, "sweep spec lost from result cache; cannot resume", nil)
+			continue
+		}
+		c.sweepWG.Add(1)
+		go c.runSweep(s)
 	}
 }
 
@@ -316,27 +287,32 @@ func (c *Coordinator) journalSweep(s *Sweep, state server.State, errText string)
 	})
 }
 
-// finishSweep applies a terminal transition once: sweep state, journal,
-// metrics, ledger persistence, active-count accounting.
+// finishSweep applies a terminal transition once, the way the job server
+// finishes a job: the merged ledger is stored, the transition journaled and
+// counted, and the active slot released before the terminal state is
+// published. A client that reads the sweep finished therefore also sees it
+// counted and its ledger stored, and a resubmit finds the slot free.
 func (c *Coordinator) finishSweep(s *Sweep, state server.State, errText string, merged []byte) {
-	if !s.finish(state, errText, merged, c.clk.Now()) {
+	if !s.Finish(c.clk.Now(), state, errText, merged, func() {
+		if state == server.StateSucceeded && merged != nil && c.cache != nil {
+			c.cache.Put("ledger:"+s.Hash, merged)
+		}
+		c.journalSweep(s, state, errText)
+		switch state {
+		case server.StateSucceeded:
+			c.met.sweepsSucceeded.Add(1)
+		case server.StateFailed:
+			c.met.sweepsFailed.Add(1)
+		case server.StateCancelled:
+			c.met.sweepsCancelled.Add(1)
+		}
+		c.mu.Lock()
+		c.active--
+		c.mu.Unlock()
+	}) {
 		return
 	}
-	if state == server.StateSucceeded && merged != nil && c.cache != nil {
-		c.cache.Put("ledger:"+s.Hash, merged)
-	}
-	c.journalSweep(s, state, errText)
-	switch state {
-	case server.StateSucceeded:
-		c.met.sweepsSucceeded.Add(1)
-	case server.StateFailed:
-		c.met.sweepsFailed.Add(1)
-	case server.StateCancelled:
-		c.met.sweepsCancelled.Add(1)
-	}
-	c.mu.Lock()
-	c.active--
-	c.mu.Unlock()
+	c.sweeps.Retire(s.ID)
 }
 
 // runSweep is one sweep's lifecycle: decompose, fan the points over the
@@ -345,7 +321,7 @@ func (c *Coordinator) finishSweep(s *Sweep, state server.State, errText string, 
 // makes the merged ledger independent of scheduling.
 func (c *Coordinator) runSweep(s *Sweep) {
 	defer c.sweepWG.Done()
-	if !s.start(c.clk.Now()) {
+	if !s.Start(c.clk.Now()) {
 		return
 	}
 	c.journalSweep(s, server.StateRunning, "")
@@ -359,7 +335,7 @@ func (c *Coordinator) runSweep(s *Sweep) {
 	sem := make(chan struct{}, c.cfg.DispatchParallel)
 	var wg sync.WaitGroup
 	for i := range points {
-		if s.ctx.Err() != nil {
+		if s.Context().Err() != nil {
 			break
 		}
 		wg.Add(1)
@@ -377,7 +353,7 @@ func (c *Coordinator) runSweep(s *Sweep) {
 			return
 		}
 	}
-	if s.ctx.Err() != nil {
+	if s.Context().Err() != nil {
 		// Cancelled between scheduling loops; the DELETE handler already
 		// applied the terminal transition, this is belt and braces.
 		c.finishSweep(s, server.StateCancelled, "", nil)
@@ -410,13 +386,13 @@ func (c *Coordinator) dispatchPoint(s *Sweep, p Point) ([]byte, error) {
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.PointAttempts; attempt++ {
-		if err := s.ctx.Err(); err != nil {
+		if err := s.Context().Err(); err != nil {
 			return nil, err
 		}
 		if attempt > 0 {
 			c.met.redispatches.Add(1)
 			s.retries.Add(1)
-			if err := c.backoffWait(s.ctx, attempt-1); err != nil {
+			if err := c.backoffWait(s.Context(), attempt-1); err != nil {
 				return nil, err
 			}
 		}
@@ -425,7 +401,7 @@ func (c *Coordinator) dispatchPoint(s *Sweep, p Point) ([]byte, error) {
 			lastErr = errors.New("no worker available (fleet empty or every breaker open)")
 			continue
 		}
-		art, err := c.runOnWorker(s.ctx, w, p)
+		art, err := c.runOnWorker(s.Context(), w, p)
 		if err == nil {
 			w.succeeded.Add(1)
 			w.brk.success()

@@ -3,7 +3,11 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -152,23 +156,18 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 		defer cancel()
 		c2.Shutdown(ctx)
 	}()
-	s2 := c2.lookupByID("s-000001")
-	if s2 == nil {
+	s2, ok := c2.sweeps.Get("s-000001")
+	if !ok {
 		t.Fatal("terminal sweep lost on second recovery")
 	}
 	if st := s2.State(); st != server.StateSucceeded {
 		t.Fatalf("second-life state = %s, want succeeded", st)
 	}
-	if got := s2.Merged(); !bytes.Equal(got, merged) {
-		t.Fatalf("second-life ledger differs (%d vs %d bytes)", len(got), len(merged))
+	rr := httptest.NewRecorder()
+	c2.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/sweeps/s-000001/result", nil))
+	if got := rr.Body.Bytes(); rr.Code != http.StatusOK || !bytes.Equal(got, merged) {
+		t.Fatalf("second-life ledger: status %d, %d bytes, want 200 with the %d merged bytes", rr.Code, len(got), len(merged))
 	}
-}
-
-// lookupByID is a test helper around the sweep table.
-func (c *Coordinator) lookupByID(id string) *Sweep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweeps[id]
 }
 
 func TestSubmitShortCircuitsOnCachedLedger(t *testing.T) {
@@ -210,5 +209,96 @@ func TestSubmitShortCircuitsOnCachedLedger(t *testing.T) {
 	}
 	if got := h.c.met.pointsDispatched.Load(); got != 0 {
 		t.Fatalf("dispatched %d points for a fully cached sweep", got)
+	}
+}
+
+// TestRecoveredSweepResultGone: a recovered succeeded sweep whose merged
+// ledger left the CAS answers 410, as a worker does for an evicted
+// artifact — the sweep succeeded, its bytes are gone, and resubmitting
+// recomputes them.
+func TestRecoveredSweepResultGone(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := rescache.Open(rescache.Config{Dir: filepath.Join(dir, "cas")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	spec := tinySweep(1)
+	spec.Normalize()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Put("sweep:"+hash, canon)
+	jdir := filepath.Join(dir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf(`{"v":1,"job":"s-000001","state":"succeeded","spec_key":"%s"}`+"\n", hash)
+	if err := os.WriteFile(filepath.Join(jdir, "journal.log"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, Config{Cache: cache, JournalDir: jdir})
+
+	if st := h.status("s-000001"); st.State != server.StateSucceeded || !st.Recovered {
+		t.Fatalf("recovered sweep: state %s recovered %v", st.State, st.Recovered)
+	}
+	if code, b := h.do(http.MethodGet, "/v1/sweeps/s-000001/result", nil, nil); code != http.StatusGone {
+		t.Fatalf("result of a ledger-less recovered sweep: %d (want 410): %s", code, b)
+	}
+}
+
+// TestFinishedSweepsTableBounded submits far more sweeps than the table
+// keeps finished, each short-circuited by its cached ledger. The table
+// stays bounded: the oldest finished sweeps answer 404 and leave the
+// listing, and the newest still serves its ledger.
+func TestFinishedSweepsTableBounded(t *testing.T) {
+	cache, err := rescache.Open(rescache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	spec := tinySweep(4)
+	want, err := ExecuteSerial(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specN := spec
+	specN.Normalize()
+	hash, err := specN.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Put("ledger:"+hash, want)
+	h := newHarness(t, Config{Cache: cache})
+
+	sweeps := make([]SweepStatus, server.MaxFinished+50)
+	for i := range sweeps {
+		if sweeps[i] = h.submit(spec); sweeps[i].State != server.StateSucceeded {
+			t.Fatalf("submission %d: %s, want a succeeded short circuit", i, sweeps[i].State)
+		}
+	}
+	for _, st := range sweeps[:50] {
+		if code, _ := h.do(http.MethodGet, "/v1/sweeps/"+st.ID, nil, nil); code != http.StatusNotFound {
+			t.Fatalf("sweep %s, among the oldest finished: status %d, want 404", st.ID, code)
+		}
+	}
+	if got := h.result(sweeps[len(sweeps)-1].ID); !bytes.Equal(got, want) {
+		t.Fatal("newest sweep's result differs from the cached ledger")
+	}
+	code, b := h.do(http.MethodGet, "/v1/sweeps", nil, nil)
+	var list struct {
+		Sweeps []SweepStatus `json:"sweeps"`
+		Count  int           `json:"count"`
+	}
+	if err := json.Unmarshal(b, &list); code != http.StatusOK || err != nil {
+		t.Fatalf("list: %d %v", code, err)
+	}
+	if list.Count != server.MaxFinished || len(list.Sweeps) != server.MaxFinished {
+		t.Fatalf("table lists %d sweeps (count %d), want %d", len(list.Sweeps), list.Count, server.MaxFinished)
 	}
 }

@@ -91,7 +91,7 @@ func (fw *fakeWorker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec server.JobSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiErr{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.APIError{Error: err.Error()})
 		return
 	}
 	spec.Normalize()
@@ -101,7 +101,7 @@ func (fw *fakeWorker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	art, err := server.Execute(r.Context(), run, run.Workload, nil)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiErr{Error: err.Error()})
+		server.WriteJSON(w, http.StatusInternalServerError, server.APIError{Error: err.Error()})
 		return
 	}
 	fw.mu.Lock()
@@ -109,7 +109,7 @@ func (fw *fakeWorker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("j-%d", fw.seq)
 	fw.arts[id] = art
 	fw.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, server.JobStatus{ID: id, State: server.StateSucceeded})
+	server.WriteJSON(w, http.StatusAccepted, server.JobStatus{ID: id, State: server.StateSucceeded})
 }
 
 func (fw *fakeWorker) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -117,10 +117,10 @@ func (fw *fakeWorker) handleStatus(w http.ResponseWriter, r *http.Request) {
 	_, ok := fw.arts[r.PathValue("id")]
 	fw.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "no such job"})
+		server.WriteJSON(w, http.StatusNotFound, server.APIError{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, server.JobStatus{ID: r.PathValue("id"), State: server.StateSucceeded})
+	server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: r.PathValue("id"), State: server.StateSucceeded})
 }
 
 func (fw *fakeWorker) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -128,7 +128,7 @@ func (fw *fakeWorker) handleResult(w http.ResponseWriter, r *http.Request) {
 	art, ok := fw.arts[r.PathValue("id")]
 	fw.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "no such job"})
+		server.WriteJSON(w, http.StatusNotFound, server.APIError{Error: "no such job"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -140,7 +140,7 @@ func (fw *fakeWorker) handleResult(w http.ResponseWriter, r *http.Request) {
 func failCodes(codes ...int) func(int, http.ResponseWriter, *http.Request) bool {
 	return func(n int, w http.ResponseWriter, r *http.Request) bool {
 		if n < len(codes) {
-			writeJSON(w, codes[n], apiErr{Error: fmt.Sprintf("injected %d", codes[n])})
+			server.WriteJSON(w, codes[n], server.APIError{Error: fmt.Sprintf("injected %d", codes[n])})
 			return true
 		}
 		return false
@@ -373,7 +373,7 @@ func TestCancelledSweepLeavesNoTimer(t *testing.T) {
 	w := newFakeWorker(t)
 	w.onSubmit = func(n int, rw http.ResponseWriter, r *http.Request) bool {
 		io.Copy(io.Discard, r.Body)
-		writeJSON(rw, http.StatusAccepted, server.JobStatus{ID: "j-never", State: server.StateQueued})
+		server.WriteJSON(rw, http.StatusAccepted, server.JobStatus{ID: "j-never", State: server.StateQueued})
 		return true
 	}
 	clk := newFakeClock()
@@ -616,7 +616,7 @@ func TestSubmitRejections(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty axes: %d, want 400", code)
 	}
-	var e apiErr
+	var e server.APIError
 	if err := json.Unmarshal(body, &e); err != nil || len(e.Fields) == 0 {
 		t.Fatalf("empty-axes rejection carries no field errors: %s", body)
 	}

@@ -29,21 +29,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// apiErr mirrors the worker API's JSON error envelope.
-type apiErr struct {
-	Error  string              `json:"error"`
-	State  server.State        `json:"state,omitempty"`
-	Fields []server.FieldError `json:"fields,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // clientID identifies the submitter for rate limiting: the X-Client-ID
 // header when set (cooperating clients name themselves), else the remote
 // host so distinct machines get distinct buckets.
@@ -66,42 +51,36 @@ func clientID(r *http.Request) string {
 // worker's cache hit on submit.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !c.accepting.Load() {
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiErr{Error: "coordinator is draining; not accepting sweeps"})
+		c.reject(w, http.StatusServiceUnavailable, server.APIError{Error: "coordinator is draining; not accepting sweeps"})
 		return
 	}
 	if !c.lim.allow(clientID(r), c.clk.Now()) {
 		c.met.rateLimited.Add(1)
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusTooManyRequests, apiErr{Error: "rate limit exceeded; retry later"})
+		c.reject(w, http.StatusTooManyRequests, server.APIError{Error: "rate limit exceeded; retry later"})
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepSpecBytes))
 	if err != nil {
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			apiErr{Error: fmt.Sprintf("sweep spec exceeds the %d-byte limit", maxSweepSpecBytes)})
+		c.reject(w, http.StatusRequestEntityTooLarge,
+			server.APIError{Error: fmt.Sprintf("sweep spec exceeds the %d-byte limit", maxSweepSpecBytes)})
 		return
 	}
 	spec, err := DecodeSweepSpec(body)
 	if err != nil {
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusBadRequest, apiErr{Error: err.Error()})
+		c.reject(w, http.StatusBadRequest, server.APIError{Error: err.Error()})
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		c.met.sweepsRejected.Add(1)
 		if se, ok := err.(*SweepError); ok {
-			writeJSON(w, http.StatusBadRequest, apiErr{Error: "invalid sweep spec", Fields: se.Fields})
+			c.reject(w, http.StatusBadRequest, server.APIError{Error: "invalid sweep spec", Fields: se.Fields})
 		} else {
-			writeJSON(w, http.StatusBadRequest, apiErr{Error: err.Error()})
+			c.reject(w, http.StatusBadRequest, server.APIError{Error: err.Error()})
 		}
 		return
 	}
 	hash, err := spec.Hash()
 	if err != nil {
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusInternalServerError, apiErr{Error: err.Error()})
+		c.reject(w, http.StatusInternalServerError, server.APIError{Error: err.Error()})
 		return
 	}
 	points := spec.Points()
@@ -109,16 +88,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if c.active >= c.cfg.MaxActiveSweeps {
 		c.mu.Unlock()
-		c.met.sweepsRejected.Add(1)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiErr{Error: fmt.Sprintf("%d sweeps already active; retry later", c.cfg.MaxActiveSweeps)})
+		c.reject(w, http.StatusTooManyRequests,
+			server.APIError{Error: fmt.Sprintf("%d sweeps already active; retry later", c.cfg.MaxActiveSweeps)})
 		return
 	}
-	c.seq++
-	id := fmt.Sprintf("s-%06d", c.seq)
-	s := newSweep(c.baseCtx, id, spec, hash, points, c.clk.Now())
-	c.sweeps[id] = s
-	c.order = append(c.order, id)
+	s := newSweep(c.baseCtx, c.sweeps.NextID(), spec, hash, points, c.clk.Now())
+	c.sweeps.Put(s.ID, s)
 	c.active++
 	c.mu.Unlock()
 	c.met.sweepsSubmitted.Add(1)
@@ -135,87 +110,79 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.cache != nil {
 		if blob, _, ok := c.cache.Get("ledger:" + hash); ok {
 			if l, err := DecodeLedger(blob); err == nil && l.Points == points {
-				s.start(c.clk.Now())
+				s.Start(c.clk.Now())
 				s.done.Store(int64(points))
 				s.cached.Store(int64(points))
 				c.met.pointsCached.Add(int64(points))
 				c.finishSweep(s, server.StateSucceeded, "", blob)
-				writeJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
+				server.WriteJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
 				return
 			}
 		}
 	}
 	c.sweepWG.Add(1)
 	go c.runSweep(s)
-	writeJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
+	server.WriteJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
 }
 
-// lookup finds a sweep by path id.
-func (c *Coordinator) lookup(r *http.Request) *Sweep {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweeps[r.PathValue("id")]
+// reject counts a refused submission and answers with the error.
+func (c *Coordinator) reject(w http.ResponseWriter, code int, e server.APIError) {
+	c.met.sweepsRejected.Add(1)
+	server.WriteJSON(w, code, e)
+}
+
+// lookup resolves a sweep by path id, writing the 404 itself when absent.
+func (c *Coordinator) lookup(w http.ResponseWriter, r *http.Request) *Sweep {
+	s, ok := c.sweeps.Get(r.PathValue("id"))
+	if !ok {
+		server.WriteJSON(w, http.StatusNotFound, server.APIError{Error: "no such sweep"})
+	}
+	return s
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	now := c.clk.Now()
-	c.mu.Lock()
-	out := make([]SweepStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.sweeps[id].status(now))
+	sweeps := c.sweeps.List()
+	out := make([]SweepStatus, len(sweeps))
+	for i, s := range sweeps {
+		out[i] = s.status(now)
 	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": out, "count": len(out)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": out, "count": len(out)})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s := c.lookup(r)
-	if s == nil {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "no such sweep"})
-		return
+	if s := c.lookup(w, r); s != nil {
+		server.WriteJSON(w, http.StatusOK, s.status(c.clk.Now()))
 	}
-	writeJSON(w, http.StatusOK, s.status(c.clk.Now()))
 }
 
-// handleResult serves the merged canonical ledger: 200 once succeeded, 409
-// with the current state otherwise.
+// handleResult serves the merged canonical ledger once succeeded (410 when
+// a recovered sweep's ledger left the CAS), and 409 with the current state
+// otherwise.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	s := c.lookup(r)
+	s := c.lookup(w, r)
 	if s == nil {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "no such sweep"})
 		return
 	}
 	if st := s.State(); st != server.StateSucceeded {
-		writeJSON(w, http.StatusConflict, apiErr{Error: "sweep has no result", State: st})
+		server.WriteJSON(w, http.StatusConflict, server.APIError{Error: "sweep has no result", State: st})
 		return
 	}
-	merged := s.Merged()
-	if merged == nil && c.cache != nil {
-		// Recovered sweep whose ledger lives only in the CAS.
-		if blob, _, ok := c.cache.Get("ledger:" + s.Hash); ok {
-			merged = blob
-		}
-	}
-	if merged == nil {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "merged ledger evicted from the result cache"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(merged)
+	server.WriteResult(w, s.Lifecycle, c.cache, "ledger:"+s.Hash,
+		fmt.Sprintf("sweep %s succeeded but its merged ledger is no longer cached; resubmit to recompute", s.ID))
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s := c.lookup(r)
+	s := c.lookup(w, r)
 	if s == nil {
-		writeJSON(w, http.StatusNotFound, apiErr{Error: "no such sweep"})
 		return
 	}
 	if st := s.State(); st.Terminal() {
-		writeJSON(w, http.StatusConflict, apiErr{Error: "sweep already finished", State: st})
+		server.WriteJSON(w, http.StatusConflict, server.APIError{Error: "sweep already finished", State: st})
 		return
 	}
 	c.finishSweep(s, server.StateCancelled, "", nil)
-	writeJSON(w, http.StatusOK, s.status(c.clk.Now()))
+	server.WriteJSON(w, http.StatusOK, s.status(c.clk.Now()))
 }
 
 // handleRegisterWorker adds a worker to the fleet: 201 when new, 200 when
@@ -223,34 +190,34 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4096))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, apiErr{Error: "registration body too large"})
+		server.WriteJSON(w, http.StatusRequestEntityTooLarge, server.APIError{Error: "registration body too large"})
 		return
 	}
 	var req struct {
 		URL string `json:"url"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil || req.URL == "" {
-		writeJSON(w, http.StatusBadRequest, apiErr{Error: `registration body must be {"url": "http://host:port"}`})
+		server.WriteJSON(w, http.StatusBadRequest, server.APIError{Error: `registration body must be {"url": "http://host:port"}`})
 		return
 	}
 	added, err := c.reg.add(req.URL)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiErr{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.APIError{Error: err.Error()})
 		return
 	}
 	code := http.StatusOK
 	if added {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, map[string]any{"workers": c.reg.snapshot(c.clk.Now()), "count": c.reg.size()})
+	server.WriteJSON(w, code, map[string]any{"workers": c.reg.snapshot(c.clk.Now()), "count": c.reg.size()})
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.reg.snapshot(c.clk.Now()), "count": c.reg.size()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.reg.snapshot(c.clk.Now()), "count": c.reg.size()})
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "version": c.cfg.Version, "workers": c.reg.size(),
 	})
 }
@@ -260,11 +227,11 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !c.accepting.Load():
-		writeJSON(w, http.StatusServiceUnavailable, apiErr{Error: "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.APIError{Error: "draining"})
 	case c.reg.size() == 0:
-		writeJSON(w, http.StatusServiceUnavailable, apiErr{Error: "no workers registered"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, server.APIError{Error: "no workers registered"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 	}
 }
 

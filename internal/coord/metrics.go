@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"cache8t/internal/server"
 )
 
 // coordMetrics is the coordinator's cumulative counter set, rendered by
@@ -28,57 +30,45 @@ type coordMetrics struct {
 }
 
 // render writes the Prometheus exposition. workers and activeSweeps come
-// from live coordinator state.
+// from live coordinator state; journalBytes < 0 means no journal.
 func (m *coordMetrics) render(w io.Writer, workers []WorkerStatus, activeSweeps int, accepting bool, journalBytes int64) {
 	up := 0
 	if accepting {
 		up = 1
 	}
-	fmt.Fprintf(w, "# HELP coord_accepting Whether the coordinator is accepting new sweeps (0 while draining).\n")
-	fmt.Fprintf(w, "# TYPE coord_accepting gauge\ncoord_accepting %d\n", up)
-	fmt.Fprintf(w, "# HELP coord_sweeps_active Sweeps currently queued or dispatching.\n")
-	fmt.Fprintf(w, "# TYPE coord_sweeps_active gauge\ncoord_sweeps_active %d\n", activeSweeps)
+	one := func(name, typ, help string, v any) { server.WriteFamily(w, name, typ, help, server.Sample{Value: v}) }
+	one("coord_accepting", "gauge", "Whether the coordinator is accepting new sweeps (0 while draining).", up)
+	one("coord_sweeps_active", "gauge", "Sweeps currently queued or dispatching.", activeSweeps)
+	server.WriteFamily(w, "coord_sweeps_total", "counter", "Terminal sweeps by state, plus accepted/rejected/recovered submissions.",
+		server.Sample{Series: `{state="submitted"}`, Value: m.sweepsSubmitted.Load()},
+		server.Sample{Series: `{state="rejected"}`, Value: m.sweepsRejected.Load()},
+		server.Sample{Series: `{state="succeeded"}`, Value: m.sweepsSucceeded.Load()},
+		server.Sample{Series: `{state="failed"}`, Value: m.sweepsFailed.Load()},
+		server.Sample{Series: `{state="cancelled"}`, Value: m.sweepsCancelled.Load()},
+		server.Sample{Series: `{state="recovered"}`, Value: m.sweepsRecovered.Load()})
+	server.WriteFamily(w, "coord_points_total", "counter", "Point dispatch accounting across all sweeps.",
+		server.Sample{Series: `{event="dispatched"}`, Value: m.pointsDispatched.Load()},
+		server.Sample{Series: `{event="succeeded"}`, Value: m.pointsSucceeded.Load()},
+		server.Sample{Series: `{event="cached"}`, Value: m.pointsCached.Load()})
+	one("coord_redispatches_total", "counter", "Failed or timed-out dispatch attempts that were retried.", m.redispatches.Load())
+	one("coord_corrupt_artifacts_total", "counter", "Fetched artifacts rejected by config-hash verification (never merged).", m.corruptArtifacts.Load())
+	one("coord_rate_limited_total", "counter", "Sweep submissions bounced by the per-client token bucket.", m.rateLimited.Load())
+	one("coord_breaker_opens_total", "counter", "Worker circuit-breaker open transitions.", m.breakerOpens.Load())
+	server.WriteFamily(w, "coord_probes_total", "counter", "Active /healthz probes by result.",
+		server.Sample{Series: `{result="ok"}`, Value: m.probesOK.Load()},
+		server.Sample{Series: `{result="failed"}`, Value: m.probesFailed.Load()})
 
-	fmt.Fprintf(w, "# HELP coord_sweeps_total Terminal sweeps by state, plus accepted/rejected/recovered submissions.\n")
-	fmt.Fprintf(w, "# TYPE coord_sweeps_total counter\n")
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"submitted\"} %d\n", m.sweepsSubmitted.Load())
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"rejected\"} %d\n", m.sweepsRejected.Load())
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"succeeded\"} %d\n", m.sweepsSucceeded.Load())
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"failed\"} %d\n", m.sweepsFailed.Load())
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"cancelled\"} %d\n", m.sweepsCancelled.Load())
-	fmt.Fprintf(w, "coord_sweeps_total{state=\"recovered\"} %d\n", m.sweepsRecovered.Load())
-
-	fmt.Fprintf(w, "# HELP coord_points_total Point dispatch accounting across all sweeps.\n")
-	fmt.Fprintf(w, "# TYPE coord_points_total counter\n")
-	fmt.Fprintf(w, "coord_points_total{event=\"dispatched\"} %d\n", m.pointsDispatched.Load())
-	fmt.Fprintf(w, "coord_points_total{event=\"succeeded\"} %d\n", m.pointsSucceeded.Load())
-	fmt.Fprintf(w, "coord_points_total{event=\"cached\"} %d\n", m.pointsCached.Load())
-
-	fmt.Fprintf(w, "# HELP coord_redispatches_total Failed or timed-out dispatch attempts that were retried.\n")
-	fmt.Fprintf(w, "# TYPE coord_redispatches_total counter\ncoord_redispatches_total %d\n", m.redispatches.Load())
-	fmt.Fprintf(w, "# HELP coord_corrupt_artifacts_total Fetched artifacts rejected by config-hash verification (never merged).\n")
-	fmt.Fprintf(w, "# TYPE coord_corrupt_artifacts_total counter\ncoord_corrupt_artifacts_total %d\n", m.corruptArtifacts.Load())
-	fmt.Fprintf(w, "# HELP coord_rate_limited_total Sweep submissions bounced by the per-client token bucket.\n")
-	fmt.Fprintf(w, "# TYPE coord_rate_limited_total counter\ncoord_rate_limited_total %d\n", m.rateLimited.Load())
-	fmt.Fprintf(w, "# HELP coord_breaker_opens_total Worker circuit-breaker open transitions.\n")
-	fmt.Fprintf(w, "# TYPE coord_breaker_opens_total counter\ncoord_breaker_opens_total %d\n", m.breakerOpens.Load())
-	fmt.Fprintf(w, "# HELP coord_probes_total Active /healthz probes by result.\n")
-	fmt.Fprintf(w, "# TYPE coord_probes_total counter\n")
-	fmt.Fprintf(w, "coord_probes_total{result=\"ok\"} %d\n", m.probesOK.Load())
-	fmt.Fprintf(w, "coord_probes_total{result=\"failed\"} %d\n", m.probesFailed.Load())
-
-	fmt.Fprintf(w, "# HELP coord_workers Registered workers by breaker state.\n")
-	fmt.Fprintf(w, "# TYPE coord_workers gauge\n")
-	byState := map[string]int{"closed": 0, "open": 0, "half-open": 0}
+	byState := map[string]int{}
 	for _, ws := range workers {
 		byState[ws.Breaker]++
 	}
+	var samples []server.Sample
 	for _, st := range []string{"closed", "half-open", "open"} {
-		fmt.Fprintf(w, "coord_workers{breaker=%q} %d\n", st, byState[st])
+		samples = append(samples, server.Sample{Series: fmt.Sprintf("{breaker=%q}", st), Value: byState[st]})
 	}
+	server.WriteFamily(w, "coord_workers", "gauge", "Registered workers by breaker state.", samples...)
 
 	if journalBytes >= 0 {
-		fmt.Fprintf(w, "# HELP coord_journal_bytes Current size of the sweep journal file.\n")
-		fmt.Fprintf(w, "# TYPE coord_journal_bytes gauge\ncoord_journal_bytes %d\n", journalBytes)
+		one("coord_journal_bytes", "gauge", "Current size of the sweep journal file.", journalBytes)
 	}
 }

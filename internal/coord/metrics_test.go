@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,3 +113,68 @@ func family(name string, kind map[string]string) string {
 	}
 	return name
 }
+
+// TestMetricsRenderBytes pins the coordinator's /metrics body byte for byte
+// at fixed counter values, with a journal and workers in every breaker
+// state.
+func TestMetricsRenderBytes(t *testing.T) {
+	var m coordMetrics
+	for i, c := range []*atomic.Int64{
+		&m.sweepsSubmitted, &m.sweepsRejected, &m.sweepsSucceeded, &m.sweepsFailed, &m.sweepsCancelled,
+		&m.sweepsRecovered, &m.pointsDispatched, &m.pointsSucceeded, &m.pointsCached, &m.redispatches,
+		&m.corruptArtifacts, &m.rateLimited, &m.breakerOpens, &m.probesOK, &m.probesFailed,
+	} {
+		c.Add(int64(i + 1))
+	}
+	workers := []WorkerStatus{{Breaker: "closed"}, {Breaker: "open"}, {Breaker: "closed"}, {Breaker: "half-open"}}
+	var b strings.Builder
+	m.render(&b, workers, 2, false, 4321)
+	if got := b.String(); got != wantCoordMetrics {
+		t.Fatalf("/metrics body drifted:\n%s\nwant:\n%s", got, wantCoordMetrics)
+	}
+}
+
+const wantCoordMetrics = `# HELP coord_accepting Whether the coordinator is accepting new sweeps (0 while draining).
+# TYPE coord_accepting gauge
+coord_accepting 0
+# HELP coord_sweeps_active Sweeps currently queued or dispatching.
+# TYPE coord_sweeps_active gauge
+coord_sweeps_active 2
+# HELP coord_sweeps_total Terminal sweeps by state, plus accepted/rejected/recovered submissions.
+# TYPE coord_sweeps_total counter
+coord_sweeps_total{state="submitted"} 1
+coord_sweeps_total{state="rejected"} 2
+coord_sweeps_total{state="succeeded"} 3
+coord_sweeps_total{state="failed"} 4
+coord_sweeps_total{state="cancelled"} 5
+coord_sweeps_total{state="recovered"} 6
+# HELP coord_points_total Point dispatch accounting across all sweeps.
+# TYPE coord_points_total counter
+coord_points_total{event="dispatched"} 7
+coord_points_total{event="succeeded"} 8
+coord_points_total{event="cached"} 9
+# HELP coord_redispatches_total Failed or timed-out dispatch attempts that were retried.
+# TYPE coord_redispatches_total counter
+coord_redispatches_total 10
+# HELP coord_corrupt_artifacts_total Fetched artifacts rejected by config-hash verification (never merged).
+# TYPE coord_corrupt_artifacts_total counter
+coord_corrupt_artifacts_total 11
+# HELP coord_rate_limited_total Sweep submissions bounced by the per-client token bucket.
+# TYPE coord_rate_limited_total counter
+coord_rate_limited_total 12
+# HELP coord_breaker_opens_total Worker circuit-breaker open transitions.
+# TYPE coord_breaker_opens_total counter
+coord_breaker_opens_total 13
+# HELP coord_probes_total Active /healthz probes by result.
+# TYPE coord_probes_total counter
+coord_probes_total{result="ok"} 14
+coord_probes_total{result="failed"} 15
+# HELP coord_workers Registered workers by breaker state.
+# TYPE coord_workers gauge
+coord_workers{breaker="closed"} 2
+coord_workers{breaker="half-open"} 1
+coord_workers{breaker="open"} 1
+# HELP coord_journal_bytes Current size of the sweep journal file.
+# TYPE coord_journal_bytes gauge
+coord_journal_bytes 4321
+`

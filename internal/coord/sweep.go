@@ -2,7 +2,6 @@ package coord
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,11 +9,12 @@ import (
 )
 
 // Sweep is one submitted matrix: the validated spec, its content address,
-// and the mutable lifecycle state the HTTP handlers observe. It reuses the
-// job server's state machine (queued → running → succeeded|failed|cancelled,
-// terminal states sticky) so clients, the journal, and the docs speak one
-// vocabulary.
+// and the lifecycle the HTTP handlers observe. The lifecycle is the job
+// server's (queued → running → succeeded|failed|cancelled, terminal states
+// sticky), so clients, the journal, and the docs speak one vocabulary. The
+// merged ledger bytes are the lifecycle's result.
 type Sweep struct {
+	*server.Lifecycle
 	ID string
 	// Spec is the validated, normalized sweep as submitted.
 	Spec SweepSpec
@@ -24,90 +24,18 @@ type Sweep struct {
 	// PointCount is the matrix size.
 	PointCount int
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
 	// done counts points with a verified artifact; cached counts the subset
 	// served from the CAS without a dispatch; retries counts re-dispatched
 	// attempts. All live progress for status polling.
 	done    atomic.Int64
 	cached  atomic.Int64
 	retries atomic.Int64
-
-	mu        sync.Mutex
-	state     server.State
-	errText   string
-	merged    []byte // canonical ledger bytes, set on success
-	recovered bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
 }
 
-// newSweep builds a queued sweep whose context descends from parent.
+// newSweep builds a queued sweep submitted at now, whose context descends
+// from parent.
 func newSweep(parent context.Context, id string, spec SweepSpec, hash string, points int, now time.Time) *Sweep {
-	ctx, cancel := context.WithCancel(parent)
-	return &Sweep{
-		ID:         id,
-		Spec:       spec,
-		Hash:       hash,
-		PointCount: points,
-		ctx:        ctx,
-		cancel:     cancel,
-		state:      server.StateQueued,
-		submitted:  now,
-	}
-}
-
-// start moves queued → running, refusing when the sweep was cancelled first.
-func (s *Sweep) start(now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != server.StateQueued {
-		return false
-	}
-	s.state = server.StateRunning
-	s.started = now
-	return true
-}
-
-// finish applies the terminal transition exactly once, reporting whether
-// this call was it.
-func (s *Sweep) finish(state server.State, errText string, merged []byte, now time.Time) bool {
-	s.mu.Lock()
-	if s.state.Terminal() {
-		s.mu.Unlock()
-		return false
-	}
-	s.state = state
-	s.errText = errText
-	s.merged = merged
-	s.finished = now
-	s.mu.Unlock()
-	s.cancel()
-	return true
-}
-
-// State returns the current lifecycle state.
-func (s *Sweep) State() server.State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// Merged returns the canonical ledger bytes (nil unless succeeded).
-func (s *Sweep) Merged() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.merged
-}
-
-// markRecovered flags the sweep as replayed from the journal, before it is
-// reachable from handlers.
-func (s *Sweep) markRecovered() {
-	s.mu.Lock()
-	s.recovered = true
-	s.mu.Unlock()
+	return &Sweep{Lifecycle: server.NewLifecycle(parent, now), ID: id, Spec: spec, Hash: hash, PointCount: points}
 }
 
 // SweepStatus is the wire form of a sweep's observable state.
@@ -134,28 +62,20 @@ type SweepStatus struct {
 // status snapshots the sweep for the API; now supplies the clock for the
 // running-duration readout.
 func (s *Sweep) status(now time.Time) SweepStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := SweepStatus{
+	l := s.Snapshot(now)
+	return SweepStatus{
 		ID:              s.ID,
-		State:           s.state,
+		State:           l.State,
 		SweepHash:       s.Hash,
 		Spec:            s.Spec,
 		Points:          s.PointCount,
 		Done:            int(s.done.Load()),
 		Cached:          int(s.cached.Load()),
 		Retries:         int(s.retries.Load()),
-		Recovered:       s.recovered,
-		Error:           s.errText,
-		SubmittedUnixMS: s.submitted.UnixMilli(),
+		Recovered:       l.Recovered,
+		Error:           l.Error,
+		SubmittedUnixMS: l.SubmittedUnixMS,
+		QueueMS:         l.QueueMS,
+		RunMS:           l.RunMS,
 	}
-	if !s.started.IsZero() {
-		st.QueueMS = float64(s.started.Sub(s.submitted).Microseconds()) / 1e3
-		end := s.finished
-		if end.IsZero() {
-			end = now
-		}
-		st.RunMS = float64(end.Sub(s.started).Microseconds()) / 1e3
-	}
-	return st
 }

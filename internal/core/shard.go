@@ -118,8 +118,16 @@ func newShardRun(kind Kind, cfg cache.Config, opts Options, k int) (*shardRun, e
 		caches:  make([]*cache.Cache, k),
 		mems:    make([]*mem.Memory, k),
 	}
+	// Deal the sets out in runs that each cover whole shadow-memory chunks:
+	// a chunk holds ChunkSize/BlockBytes consecutive sets' blocks, and a
+	// chunk split across shards is backed once in each, doubling the run's
+	// memory image. With fewer runs than shards, deal single sets.
+	span := max(1, mem.ChunkSize/g.BlockBytes)
+	if g.Sets/span < k {
+		span = 1
+	}
 	for set := range r.route {
-		r.route[set] = set % k
+		r.route[set] = set / span % k
 	}
 	for i := range r.drivers {
 		d, err := NewDriver(kind, cfg, opts)

@@ -28,7 +28,7 @@ func setLocalKinds(t *testing.T) []Kind {
 
 func TestShardedRandomPartitionProperty(t *testing.T) {
 	// Stronger than the conformance suite's sharded rows: any partition of the sets —
-	// not just the modulo route — merges into the serial result, and the
+	// not just the default route — merges into the serial result, and the
 	// merged machine state (per-set lines, flushed memory image) matches
 	// byte-for-byte, not just the counters.
 	const footprint = 8192
@@ -99,6 +99,65 @@ func TestShardedRandomPartitionProperty(t *testing.T) {
 					t.Fatalf("%v memory byte %#x: %#x, want %#x", k, addr, g, w)
 				}
 			}
+		}
+	}
+}
+
+func TestShardedBacksEachChunkOnce(t *testing.T) {
+	// The default route keeps each shadow-memory chunk on one shard, so
+	// after a flush the shards' memories together back exactly the chunks
+	// the serial memory does, at every block size and shard count.
+	stream := randomStream(23, 5000, 8192)
+	for _, block := range []int{8, 16, 32, 64, 128} {
+		cfg := cache.Config{SizeBytes: 1024, Ways: 2, BlockBytes: block, Policy: cache.LRU}
+		sc, err := cache.New(cfg, mem.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sctrl, err := New(RMW, sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range stream {
+			sctrl.Access(a)
+		}
+		sc.FlushAll()
+		want := sc.Backing().FootprintBytes()
+		for _, shards := range []int{2, 3, 4} {
+			r, err := newShardRun(RMW, cfg, Options{}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.run(context.Background(), trace.FromSlice(stream), 0, 512); err != nil {
+				t.Fatal(err)
+			}
+			var got uint64
+			for i, c := range r.caches {
+				c.FlushAll()
+				got += r.mems[i].FootprintBytes()
+				if r.drivers[i].Accesses() == 0 {
+					t.Errorf("block %d, %d shards: shard %d simulated no accesses", block, shards, i)
+				}
+			}
+			if got != want {
+				t.Errorf("block %d, %d shards: shards back %d bytes, serial %d", block, shards, got, want)
+			}
+		}
+	}
+
+	// More shards than chunk runs (16 sets, 8 runs): every shard still
+	// owns a set.
+	r, err := newShardRun(RMW, smallCfg(), Options{}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make([]bool, 16)
+	for _, s := range r.route {
+		owned[s] = true
+	}
+	for i, ok := range owned {
+		if !ok {
+			t.Errorf("16 shards over 16 sets: shard %d owns no set", i)
 		}
 	}
 }

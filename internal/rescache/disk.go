@@ -77,7 +77,7 @@ func OpenDisk(dir string, capBytes int64, format string) (*Disk, error) {
 			if err := clearCAS(dir); err != nil {
 				return nil, err
 			}
-			if err := writeFileAtomic(fPath, []byte(format+"\n")); err != nil {
+			if err := WriteFileAtomic(fPath, []byte(format+"\n")); err != nil {
 				return nil, err
 			}
 		}
@@ -89,7 +89,7 @@ func OpenDisk(dir string, capBytes int64, format string) (*Disk, error) {
 		if len(entries) > 0 {
 			return nil, fmt.Errorf("rescache: %s is non-empty and has no format file; refusing to use it as a cache dir", dir)
 		}
-		if err := writeFileAtomic(fPath, []byte(format+"\n")); err != nil {
+		if err := WriteFileAtomic(fPath, []byte(format+"\n")); err != nil {
 			return nil, err
 		}
 	default:
@@ -315,11 +315,11 @@ func (d *Disk) Put(key string, blob []byte) error {
 	_, have := d.sizes[digest]
 	d.mu.Unlock()
 	if !have {
-		if err := writeFileAtomic(filepath.Join(d.blobDir(), digest), blob); err != nil {
+		if err := WriteFileAtomic(filepath.Join(d.blobDir(), digest), blob); err != nil {
 			return err
 		}
 	}
-	if err := writeFileAtomic(filepath.Join(d.keyDir(), normKey(key)), []byte(blobPrefix+digest+"\n")); err != nil {
+	if err := WriteFileAtomic(filepath.Join(d.keyDir(), normKey(key)), []byte(blobPrefix+digest+"\n")); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -401,7 +401,7 @@ func (d *Disk) compactLocked() {
 	for digest, at := range d.atimes {
 		fmt.Fprintf(&buf, "%d %s\n", at, digest)
 	}
-	if err := writeFileAtomic(d.logPath(), []byte(buf.String())); err != nil {
+	if err := WriteFileAtomic(d.logPath(), []byte(buf.String())); err != nil {
 		return
 	}
 	if d.logF != nil {
@@ -440,10 +440,11 @@ func (d *Disk) Close() error {
 	return nil
 }
 
-// writeFileAtomic writes path crash-safely: temp file in the same
+// WriteFileAtomic writes path crash-safely: temp file in the same
 // directory, write, fsync, rename over the target, fsync the directory so
-// the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
+// the rename itself is durable. The CAS and the server journal write
+// through it.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "tmp-*")
 	if err != nil {

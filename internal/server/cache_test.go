@@ -366,7 +366,7 @@ func TestFinishedJobsTableBounded(t *testing.T) {
 	blob := []byte(`{"cached":"artifact"}`)
 	rc.Put(queued.ConfigHash, blob)
 
-	hits := make([]JobStatus, maxFinishedJobs+50)
+	hits := make([]JobStatus, MaxFinished+50)
 	for i := range hits {
 		if hits[i] = ts.submitTerminal(hit); hits[i].State != StateSucceeded {
 			t.Fatalf("submission %d: %s, want a succeeded cache hit", i, hits[i].State)
@@ -390,7 +390,7 @@ func TestFinishedJobsTableBounded(t *testing.T) {
 	if err := json.Unmarshal(b, &list); code != http.StatusOK || err != nil {
 		t.Fatalf("list: %d %v", code, err)
 	}
-	if len(list) != maxFinishedJobs+2 {
-		t.Fatalf("table lists %d jobs, want %d finished plus the running and the queued one", len(list), maxFinishedJobs)
+	if len(list) != MaxFinished+2 {
+		t.Fatalf("table lists %d jobs, want %d finished plus the running and the queued one", len(list), MaxFinished)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"cache8t/internal/trace"
 	"cache8t/internal/workload"
@@ -23,7 +24,7 @@ func TestCountingStreamBatches(t *testing.T) {
 	if _, err := trace.WriteAll(&enc, g, n); err != nil {
 		t.Fatal(err)
 	}
-	j := newJob(context.Background(), "job", JobSpec{}, "bwaves", "")
+	j := newJob(context.Background(), "job", JobSpec{}, "bwaves", "", time.Now())
 	var s trace.Stream = &countingStream{inner: trace.NewReader(&enc), job: j}
 	if _, ok := s.(trace.BatchSource); !ok {
 		t.Fatal("countingStream does not implement trace.BatchSource")

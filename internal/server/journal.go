@@ -1,23 +1,27 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"cache8t/internal/rescache"
 )
 
-// The job journal makes the job table survive a process kill: every state
-// transition (queued → running → succeeded|failed|cancelled) is appended as
-// one JSON line and fsynced before the transition is acknowledged. Specs are
-// not duplicated into the journal — they live in the rescache CAS under
-// "spec:<config-hash>", so a journal record carries only the hash. On open
+// The journal makes a daemon's table survive a process kill: every state
+// transition (queued → running → succeeded|failed|cancelled) of a job, or of
+// a coordinator's sweep, is appended as one JSON line and fsynced before the
+// transition is acknowledged. Specs are not duplicated into the journal —
+// they live in the rescache CAS ("spec:<config-hash>" for a job,
+// "sweep:<hash>" for a sweep), so a record carries only the hash. On open
 // the journal is replayed (longest valid prefix: a torn final write or
 // corrupt tail drops silently, pinned by FuzzJournal) and compacted to one
-// record per job via the same temp-file→fsync→rename idiom the disk CAS
-// uses, so the file stays bounded by the job table, not by job churn.
+// record per id through the disk CAS's crash-safe write, so the file stays
+// bounded by the table, not by churn.
 
 // journalVersion is the record schema version; decodeJournal rejects
 // records from other versions rather than guessing at their fields.
@@ -26,16 +30,19 @@ const journalVersion = 1
 // journalFile is the journal's file name inside Config.JournalDir.
 const journalFile = "journal.log"
 
-// journalRecord is one JSON line of the journal. A submission writes a full
-// record (spec key, source, trace spool path); later transitions write only
-// the job id, the new state, and terminal provenance — replay merges them.
-type journalRecord struct {
-	V     int    `json:"v"`
+// Record is one JSON line of the journal, for a job or a sweep. A
+// submission writes a full record (spec key; for a job also its source and
+// trace spool path); later transitions write only the id, the new state,
+// and terminal provenance — replay merges them. AppendRecord stamps V.
+type Record struct {
+	V int `json:"v"`
+	// Job is the entry's id ("j-…" for a job, "s-…" for a sweep).
 	Job   string `json:"job"`
 	State State  `json:"state"`
-	// SpecKey is the job's config hash; the canonical spec bytes live in
-	// the result cache under "spec:<SpecKey>", and a succeeded artifact
-	// under "<SpecKey>" itself.
+	// SpecKey is a job's config hash (the canonical spec lives in the
+	// result cache under "spec:<SpecKey>", a succeeded artifact under
+	// "<SpecKey>" itself) or a sweep's hash ("sweep:<SpecKey>" and
+	// "ledger:<SpecKey>").
 	SpecKey    string `json:"spec_key,omitempty"`
 	Source     string `json:"source,omitempty"`
 	TracePath  string `json:"trace_path,omitempty"`
@@ -47,7 +54,7 @@ type journalRecord struct {
 }
 
 // valid reports whether a decoded record is structurally usable.
-func (r journalRecord) valid() bool {
+func (r Record) valid() bool {
 	if r.V != journalVersion || r.Job == "" {
 		return false
 	}
@@ -63,17 +70,17 @@ func (r journalRecord) valid() bool {
 // first malformed line — torn tail from a kill mid-append, corruption,
 // interleaved garbage — ends the replay; everything before it is kept,
 // everything after is dropped. It never panics on any input (FuzzJournal).
-func decodeJournal(data []byte) []journalRecord {
-	var out []journalRecord
+func decodeJournal(data []byte) []Record {
+	var out []Record
 	for len(data) > 0 {
 		line := data
-		if i := indexByte(data, '\n'); i >= 0 {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
 			line, data = data[:i], data[i+1:]
 		} else {
 			// No trailing newline: the final append was torn. Drop it.
 			break
 		}
-		var rec journalRecord
+		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil || !rec.valid() {
 			break
 		}
@@ -82,24 +89,13 @@ func decodeJournal(data []byte) []journalRecord {
 	return out
 }
 
-// indexByte is bytes.IndexByte without pulling the import into the hot list
-// above it. (Kept trivial; the journal is not a hot path.)
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// compactRecords merges a replayed record sequence into one record per job,
+// compactRecords merges a replayed record sequence into one record per id,
 // in first-seen (submission) order. State transitions apply in record order
 // with one guard: terminal states are sticky, so a late-arriving "queued"
 // record (submit and first-run records can land out of order around a very
 // fast job) can never resurrect a finished job.
-func compactRecords(recs []journalRecord) []journalRecord {
-	byJob := map[string]*journalRecord{}
+func compactRecords(recs []Record) []Record {
+	byJob := map[string]*Record{}
 	var order []string
 	for _, rec := range recs {
 		cur := byJob[rec.Job]
@@ -136,7 +132,7 @@ func compactRecords(recs []journalRecord) []journalRecord {
 			cur.Error = rec.Error
 		}
 	}
-	out := make([]journalRecord, 0, len(order))
+	out := make([]Record, 0, len(order))
 	for _, id := range order {
 		out = append(out, *byJob[id])
 	}
@@ -146,7 +142,7 @@ func compactRecords(recs []journalRecord) []journalRecord {
 // retainRecords applies the retention window to compacted records: terminal
 // records older than the window go, everything else stays, submission order
 // preserved.
-func retainRecords(recs []journalRecord, retain time.Duration, now time.Time) []journalRecord {
+func retainRecords(recs []Record, retain time.Duration, now time.Time) []Record {
 	if retain <= 0 {
 		return recs
 	}
@@ -165,7 +161,6 @@ func retainRecords(recs []journalRecord, retain time.Duration, now time.Time) []
 // an acknowledged transition survives kill -9; Open compacts on every start.
 type Journal struct {
 	mu    sync.Mutex
-	path  string
 	f     *os.File
 	bytes int64
 	// frozen (tests only) silently drops appends — the hook crash tests use
@@ -173,27 +168,23 @@ type Journal struct {
 	frozen bool
 }
 
-// OpenJournal opens (creating if needed) the journal in dir, replays it,
-// compacts it in place, and returns the merged per-job records in
-// submission order.
-func OpenJournal(dir string) (*Journal, []journalRecord, error) {
+// OpenRecordJournal opens (creating if needed) the journal in dir, replays
+// it, compacts it in place, and returns the merged records in submission
+// order.
+func OpenRecordJournal(dir string) (*Journal, []Record, error) {
 	return openJournal(dir, 0, time.Time{})
 }
 
-// OpenJournalRetain is OpenJournal with a retention window (ROADMAP 5c):
-// terminal records whose first-seen submit time is older than retain before
-// now are dropped during the open-time compaction — the GC point every
-// journal passes through — so ancient finished-job history stops accreting
-// across daemon lifetimes. Live (queued/running) records are never aged
-// out, whatever their age; neither are records that carry no timestamp.
-// retain <= 0 keeps everything, exactly like OpenJournal. Dropping a record
-// forgets only the job id: its artifact, if any, stays in the result cache
-// until the CAS evicts it on its own budget.
-func OpenJournalRetain(dir string, retain time.Duration, now time.Time) (*Journal, []journalRecord, error) {
-	return openJournal(dir, retain, now)
-}
-
-func openJournal(dir string, retain time.Duration, now time.Time) (*Journal, []journalRecord, error) {
+// openJournal is OpenRecordJournal with a retention window (the job
+// server's JournalRetain): terminal records whose first-seen submit time is
+// older than retain before now are dropped during the open-time compaction
+// — the GC point every journal passes through — so finished-job history
+// stops accreting across daemon lifetimes. Live (queued/running) records
+// are never aged out, whatever their age; neither are records that carry
+// no timestamp. retain <= 0 keeps everything. Dropping a record forgets
+// only the id: its artifact, if any, stays in the result cache until the
+// CAS evicts it on its own budget.
+func openJournal(dir string, retain time.Duration, now time.Time) (*Journal, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
@@ -212,63 +203,20 @@ func openJournal(dir string, retain time.Duration, now time.Time) (*Journal, []j
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	if err := writeFileAtomic(path, buf); err != nil {
+	if err := rescache.WriteFileAtomic(path, buf); err != nil {
 		return nil, nil, fmt.Errorf("journal: compact: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{path: path, f: f, bytes: int64(len(buf))}, recs, nil
+	return &Journal{f: f, bytes: int64(len(buf))}, recs, nil
 }
 
-// Record is the exported view of one compacted journal record, for
-// components outside the job server that persist their own state machine
-// through the same crash-safe journal — the sweep coordinator
-// (internal/coord) journals its sweep table this way. It carries the subset
-// of journalRecord that is not job-server specific: an id, a lifecycle
-// state, the CAS key of the canonical spec, and terminal provenance.
-type Record struct {
-	Job      string
-	State    State
-	SpecKey  string
-	Error    string
-	Accesses uint64
-	UnixMS   int64
-}
-
-// OpenRecordJournal opens dir's journal exactly like OpenJournal — replay,
-// longest-valid-prefix, per-id compaction, atomic rewrite — and returns the
-// compacted records in exported form, in submission order.
-func OpenRecordJournal(dir string) (*Journal, []Record, error) {
-	j, recs, err := OpenJournal(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Record, len(recs))
-	for i, r := range recs {
-		out[i] = Record{Job: r.Job, State: r.State, SpecKey: r.SpecKey,
-			Error: r.Error, Accesses: r.Accesses, UnixMS: r.UnixMS}
-	}
-	return j, out, nil
-}
-
-// AppendRecord journals one exported record (fsynced, like Append).
-func (j *Journal) AppendRecord(r Record) error {
-	return j.Append(journalRecord{
-		V:        journalVersion,
-		Job:      r.Job,
-		State:    r.State,
-		SpecKey:  r.SpecKey,
-		Error:    r.Error,
-		Accesses: r.Accesses,
-		UnixMS:   r.UnixMS,
-	})
-}
-
-// Append writes one record and fsyncs. The record is durable when Append
-// returns nil.
-func (j *Journal) Append(rec journalRecord) error {
+// AppendRecord writes one record and fsyncs. The record is durable when
+// AppendRecord returns nil.
+func (j *Journal) AppendRecord(rec Record) error {
+	rec.V = journalVersion
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -303,45 +251,10 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// freeze (tests only) makes every later Append a silent no-op, simulating a
-// crash that loses transitions written after this point.
+// freeze (tests only) makes every later AppendRecord a silent no-op,
+// simulating a crash that loses transitions written after this point.
 func (j *Journal) freeze() {
 	j.mu.Lock()
 	j.frozen = true
 	j.mu.Unlock()
-}
-
-// writeFileAtomic is the crash-safe write: temp file in the same directory,
-// write, fsync, rename over the target, fsync the directory — the same
-// idiom internal/rescache/disk.go uses for CAS blobs.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "tmp-journal-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

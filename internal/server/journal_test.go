@@ -11,15 +11,15 @@ import (
 )
 
 // rec is shorthand for building journal records in tests.
-func rec(job string, state State, mut ...func(*journalRecord)) journalRecord {
-	r := journalRecord{V: journalVersion, Job: job, State: state}
+func rec(job string, state State, mut ...func(*Record)) Record {
+	r := Record{V: journalVersion, Job: job, State: state}
 	for _, m := range mut {
 		m(&r)
 	}
 	return r
 }
 
-func encodeRecords(t *testing.T, recs []journalRecord) []byte {
+func encodeRecords(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf []byte
 	for _, r := range recs {
@@ -37,8 +37,8 @@ func encodeRecords(t *testing.T, recs []journalRecord) []byte {
 // before the first malformed line is kept, everything at and after it is
 // dropped, and a torn (newline-less) tail never counts.
 func TestDecodeJournalLongestPrefix(t *testing.T) {
-	valid := encodeRecords(t, []journalRecord{
-		rec("j-000001", StateQueued, func(r *journalRecord) { r.SpecKey = "ab12" }),
+	valid := encodeRecords(t, []Record{
+		rec("j-000001", StateQueued, func(r *Record) { r.SpecKey = "ab12" }),
 		rec("j-000001", StateRunning),
 	})
 	cases := []struct {
@@ -67,10 +67,10 @@ func TestDecodeJournalLongestPrefix(t *testing.T) {
 // terminal record can hit the journal before its queued record (submit
 // appends outside the server lock), and replay must not resurrect it.
 func TestCompactRecordsTerminalSticky(t *testing.T) {
-	recs := []journalRecord{
+	recs := []Record{
 		rec("j-000001", StateRunning),
-		rec("j-000001", StateSucceeded, func(r *journalRecord) { r.Accesses = 500; r.Cached = true }),
-		rec("j-000001", StateQueued, func(r *journalRecord) { r.SpecKey = "ab12"; r.Source = "bwaves"; r.UnixMS = 7 }),
+		rec("j-000001", StateSucceeded, func(r *Record) { r.Accesses = 500; r.Cached = true }),
+		rec("j-000001", StateQueued, func(r *Record) { r.SpecKey = "ab12"; r.Source = "bwaves"; r.UnixMS = 7 }),
 	}
 	out := compactRecords(recs)
 	if len(out) != 1 {
@@ -88,12 +88,12 @@ func TestCompactRecordsTerminalSticky(t *testing.T) {
 // TestCompactRecordsOrderAndMerge checks submission order survives and that
 // a normal lifecycle folds to its terminal record.
 func TestCompactRecordsOrderAndMerge(t *testing.T) {
-	recs := []journalRecord{
-		rec("j-000001", StateQueued, func(r *journalRecord) { r.SpecKey = "aa"; r.UnixMS = 1 }),
-		rec("j-000002", StateQueued, func(r *journalRecord) { r.SpecKey = "bb"; r.UnixMS = 2 }),
+	recs := []Record{
+		rec("j-000001", StateQueued, func(r *Record) { r.SpecKey = "aa"; r.UnixMS = 1 }),
+		rec("j-000002", StateQueued, func(r *Record) { r.SpecKey = "bb"; r.UnixMS = 2 }),
 		rec("j-000001", StateRunning),
 		rec("j-000002", StateRunning),
-		rec("j-000002", StateFailed, func(r *journalRecord) { r.Error = "boom"; r.Accesses = 9 }),
+		rec("j-000002", StateFailed, func(r *Record) { r.Error = "boom"; r.Accesses = 9 }),
 	}
 	out := compactRecords(recs)
 	if len(out) != 2 || out[0].Job != "j-000001" || out[1].Job != "j-000002" {
@@ -113,21 +113,21 @@ func TestCompactRecordsOrderAndMerge(t *testing.T) {
 // compaction rewrite.
 func TestJournalCompactionOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	j1, recs, err := OpenJournal(dir)
+	j1, recs, err := OpenRecordJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
-	for _, r := range []journalRecord{
-		rec("j-000001", StateQueued, func(r *journalRecord) { r.SpecKey = "aa" }),
+	for _, r := range []Record{
+		rec("j-000001", StateQueued, func(r *Record) { r.SpecKey = "aa" }),
 		rec("j-000001", StateRunning),
-		rec("j-000001", StateSucceeded, func(r *journalRecord) { r.Accesses = 100 }),
-		rec("j-000002", StateQueued, func(r *journalRecord) { r.SpecKey = "bb" }),
+		rec("j-000001", StateSucceeded, func(r *Record) { r.Accesses = 100 }),
+		rec("j-000002", StateQueued, func(r *Record) { r.SpecKey = "bb" }),
 		rec("j-000002", StateRunning),
 	} {
-		if err := j1.Append(r); err != nil {
+		if err := j1.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestJournalCompactionOnOpen(t *testing.T) {
 	f.WriteString(`{"v":1,"job":"j-0000`)
 	f.Close()
 
-	j2, recs, err := OpenJournal(dir)
+	j2, recs, err := OpenRecordJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +183,11 @@ func FuzzJournal(f *testing.F) {
 	f.Add([]byte(`{"v":1,"job":"j-000001","state":"paused"}` + "\n"))
 	f.Add([]byte("\x00\x01\xff\n"))
 	f.Add([]byte("[]\n{}\ntrue\n"))
+	// Coordinator records: sweep ids, a sweep hash as the spec key, done
+	// points as accesses, and no source or trace path.
+	f.Add([]byte(`{"v":1,"job":"s-000001","state":"queued","spec_key":"cd34","unix_ms":9}` + "\n" + `{"v":1,"job":"s-000001","state":"running","unix_ms":10}` + "\n"))
+	f.Add([]byte(`{"v":1,"job":"s-000002","state":"succeeded","spec_key":"cd34","accesses":24,"unix_ms":11}` + "\n" + `{"v":1,"job":"s-000003","state":"failed","error":"point 0: gave up","accesses":3}` + "\n"))
+	f.Add([]byte(`{"v":1,"job":"s-000001","state":"cancelled","spec_key":"cd34"}` + "\n" + `{"v":1,"job":"j-000001","state":"queued"}` + "\n" + `{"v":1,"job":"s-0`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs := decodeJournal(data)
 		for i, r := range recs {
@@ -275,17 +280,17 @@ func TestRetainRecords(t *testing.T) {
 	now := time.Unix(10_000, 0)
 	old := now.Add(-2 * time.Hour).UnixMilli()
 	fresh := now.Add(-time.Minute).UnixMilli()
-	recs := []journalRecord{
+	recs := []Record{
 		{V: 1, Job: "j-1", State: StateSucceeded, UnixMS: old}, // aged out
 		{V: 1, Job: "j-2", State: StateFailed, UnixMS: fresh},  // in window
 		{V: 1, Job: "j-3", State: StateRunning, UnixMS: old},   // live: kept
 		{V: 1, Job: "j-4", State: StateCancelled},              // no stamp: kept
 	}
-	got := retainRecords(append([]journalRecord(nil), recs...), time.Hour, now)
+	got := retainRecords(append([]Record(nil), recs...), time.Hour, now)
 	if len(got) != 3 || got[0].Job != "j-2" || got[1].Job != "j-3" || got[2].Job != "j-4" {
 		t.Fatalf("retainRecords kept %+v", got)
 	}
-	if got := retainRecords(append([]journalRecord(nil), recs...), 0, now); len(got) != len(recs) {
+	if got := retainRecords(append([]Record(nil), recs...), 0, now); len(got) != len(recs) {
 		t.Fatalf("zero window dropped records: %+v", got)
 	}
 }

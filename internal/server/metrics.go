@@ -86,6 +86,24 @@ type journalStats struct {
 	Bytes int64
 }
 
+// Sample is one line of a metric family: the series the line appends to
+// the family name (a suffix and label set such as `{state="failed"}` or
+// `_bucket{le="0.1"}`, or "") and its value.
+type Sample struct {
+	Series string
+	Value  any
+}
+
+// WriteFamily writes one metric family in Prometheus text exposition
+// format: its # HELP and # TYPE lines, then one line per sample. Values
+// print with %v, so integers print as integers and floats as %g.
+func WriteFamily(w io.Writer, name, typ, help string, samples ...Sample) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		fmt.Fprintf(w, "%s%s %v\n", name, s.Series, s.Value)
+	}
+}
+
 // render writes the Prometheus text exposition. queueDepth and queueCap come
 // from the server's live channel state; cache is the result cache snapshot
 // (nil when caching is disabled — the rescache_* series are then absent);
@@ -95,76 +113,48 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 	if accepting {
 		up = 1
 	}
-	fmt.Fprintf(w, "# HELP sramd_accepting Whether the daemon is accepting new jobs (0 while draining).\n")
-	fmt.Fprintf(w, "# TYPE sramd_accepting gauge\nsramd_accepting %d\n", up)
-	fmt.Fprintf(w, "# HELP sramd_queue_depth Jobs waiting on the bounded queue.\n")
-	fmt.Fprintf(w, "# TYPE sramd_queue_depth gauge\nsramd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP sramd_queue_capacity Bound of the job queue; submissions beyond it get 429.\n")
-	fmt.Fprintf(w, "# TYPE sramd_queue_capacity gauge\nsramd_queue_capacity %d\n", queueCap)
-	fmt.Fprintf(w, "# HELP sramd_jobs_inflight Jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE sramd_jobs_inflight gauge\nsramd_jobs_inflight %d\n", m.inflight.Load())
-
-	fmt.Fprintf(w, "# HELP sramd_jobs_total Terminal jobs by state, plus accepted and rejected submissions.\n")
-	fmt.Fprintf(w, "# TYPE sramd_jobs_total counter\n")
-	fmt.Fprintf(w, "sramd_jobs_total{state=\"submitted\"} %d\n", m.submitted.Load())
-	fmt.Fprintf(w, "sramd_jobs_total{state=\"rejected\"} %d\n", m.rejected.Load())
-	fmt.Fprintf(w, "sramd_jobs_total{state=\"succeeded\"} %d\n", m.succeeded.Load())
-	fmt.Fprintf(w, "sramd_jobs_total{state=\"failed\"} %d\n", m.failed.Load())
-	fmt.Fprintf(w, "sramd_jobs_total{state=\"cancelled\"} %d\n", m.cancelled.Load())
-
-	fmt.Fprintf(w, "# HELP sramd_accesses_total Accesses simulated by terminal jobs.\n")
-	fmt.Fprintf(w, "# TYPE sramd_accesses_total counter\nsramd_accesses_total %d\n", m.accesses.Load())
-	fmt.Fprintf(w, "# HELP sramd_bytes_ingested_total Trace bytes spooled from uploads.\n")
-	fmt.Fprintf(w, "# TYPE sramd_bytes_ingested_total counter\nsramd_bytes_ingested_total %d\n", m.bytesIn.Load())
+	one := func(name, typ, help string, v any) { WriteFamily(w, name, typ, help, Sample{Value: v}) }
+	one("sramd_accepting", "gauge", "Whether the daemon is accepting new jobs (0 while draining).", up)
+	one("sramd_queue_depth", "gauge", "Jobs waiting on the bounded queue.", queueDepth)
+	one("sramd_queue_capacity", "gauge", "Bound of the job queue; submissions beyond it get 429.", queueCap)
+	one("sramd_jobs_inflight", "gauge", "Jobs currently executing.", m.inflight.Load())
+	WriteFamily(w, "sramd_jobs_total", "counter", "Terminal jobs by state, plus accepted and rejected submissions.",
+		Sample{`{state="submitted"}`, m.submitted.Load()},
+		Sample{`{state="rejected"}`, m.rejected.Load()},
+		Sample{`{state="succeeded"}`, m.succeeded.Load()},
+		Sample{`{state="failed"}`, m.failed.Load()},
+		Sample{`{state="cancelled"}`, m.cancelled.Load()})
+	one("sramd_accesses_total", "counter", "Accesses simulated by terminal jobs.", m.accesses.Load())
+	one("sramd_bytes_ingested_total", "counter", "Trace bytes spooled from uploads.", m.bytesIn.Load())
 	if busy := float64(m.busyNanos.Load()) / 1e9; busy > 0 {
-		fmt.Fprintf(w, "# HELP sramd_accesses_per_second Simulated accesses per busy second across terminal jobs.\n")
-		fmt.Fprintf(w, "# TYPE sramd_accesses_per_second gauge\nsramd_accesses_per_second %g\n",
+		one("sramd_accesses_per_second", "gauge", "Simulated accesses per busy second across terminal jobs.",
 			float64(m.accesses.Load())/busy)
 	}
 
 	if journal != nil {
-		fmt.Fprintf(w, "# HELP sramd_recovered_jobs_total Jobs replayed from the journal at startup.\n")
-		fmt.Fprintf(w, "# TYPE sramd_recovered_jobs_total counter\nsramd_recovered_jobs_total %d\n", m.recovered.Load())
-		fmt.Fprintf(w, "# HELP sramd_checkpoints_written_total Controller checkpoints persisted to the result cache.\n")
-		fmt.Fprintf(w, "# TYPE sramd_checkpoints_written_total counter\nsramd_checkpoints_written_total %d\n", m.ckptWritten.Load())
-		fmt.Fprintf(w, "# HELP sramd_checkpoints_restored_total Recovered jobs resumed from a checkpoint instead of restarting.\n")
-		fmt.Fprintf(w, "# TYPE sramd_checkpoints_restored_total counter\nsramd_checkpoints_restored_total %d\n", m.ckptRestored.Load())
-		fmt.Fprintf(w, "# HELP sramd_journal_bytes Current size of the job journal file.\n")
-		fmt.Fprintf(w, "# TYPE sramd_journal_bytes gauge\nsramd_journal_bytes %d\n", journal.Bytes)
+		one("sramd_recovered_jobs_total", "counter", "Jobs replayed from the journal at startup.", m.recovered.Load())
+		one("sramd_checkpoints_written_total", "counter", "Controller checkpoints persisted to the result cache.", m.ckptWritten.Load())
+		one("sramd_checkpoints_restored_total", "counter", "Recovered jobs resumed from a checkpoint instead of restarting.", m.ckptRestored.Load())
+		one("sramd_journal_bytes", "gauge", "Current size of the job journal file.", journal.Bytes)
 	}
 
 	if cache != nil {
-		fmt.Fprintf(w, "# HELP rescache_hits_total Result-cache hits by serving tier.\n")
-		fmt.Fprintf(w, "# TYPE rescache_hits_total counter\n")
-		fmt.Fprintf(w, "rescache_hits_total{tier=\"memory\"} %d\n", cache.MemHits)
-		fmt.Fprintf(w, "rescache_hits_total{tier=\"disk\"} %d\n", cache.DiskHits)
-		fmt.Fprintf(w, "# HELP rescache_misses_total Result-cache misses (jobs actually simulated).\n")
-		fmt.Fprintf(w, "# TYPE rescache_misses_total counter\nrescache_misses_total %d\n", cache.Misses)
-		fmt.Fprintf(w, "# HELP rescache_dedup_total Jobs that shared an identical in-flight computation (singleflight).\n")
-		fmt.Fprintf(w, "# TYPE rescache_dedup_total counter\nrescache_dedup_total %d\n", cache.Dedups)
-		fmt.Fprintf(w, "# HELP rescache_bytes_served_total Artifact bytes served from the cache.\n")
-		fmt.Fprintf(w, "# TYPE rescache_bytes_served_total counter\nrescache_bytes_served_total %d\n", cache.BytesServed)
-		fmt.Fprintf(w, "# HELP rescache_put_errors_total Disk-tier writes that failed (memory tier still served).\n")
-		fmt.Fprintf(w, "# TYPE rescache_put_errors_total counter\nrescache_put_errors_total %d\n", cache.PutErrors)
-		fmt.Fprintf(w, "# HELP rescache_mem_entries Artifacts resident in the memory tier.\n")
-		fmt.Fprintf(w, "# TYPE rescache_mem_entries gauge\nrescache_mem_entries %d\n", cache.MemEntries)
-		fmt.Fprintf(w, "# HELP rescache_mem_bytes Bytes resident in the memory tier.\n")
-		fmt.Fprintf(w, "# TYPE rescache_mem_bytes gauge\nrescache_mem_bytes %d\n", cache.MemBytes)
-		fmt.Fprintf(w, "# HELP rescache_mem_cap_bytes Byte budget of the memory tier.\n")
-		fmt.Fprintf(w, "# TYPE rescache_mem_cap_bytes gauge\nrescache_mem_cap_bytes %d\n", cache.MemCapBytes)
-		fmt.Fprintf(w, "# HELP rescache_evictions_total Entries evicted by tier.\n")
-		fmt.Fprintf(w, "# TYPE rescache_evictions_total counter\n")
-		fmt.Fprintf(w, "rescache_evictions_total{tier=\"memory\"} %d\n", cache.MemEvictions)
-		fmt.Fprintf(w, "rescache_evictions_total{tier=\"disk\"} %d\n", cache.DiskEvictions)
+		WriteFamily(w, "rescache_hits_total", "counter", "Result-cache hits by serving tier.",
+			Sample{`{tier="memory"}`, cache.MemHits}, Sample{`{tier="disk"}`, cache.DiskHits})
+		one("rescache_misses_total", "counter", "Result-cache misses (jobs actually simulated).", cache.Misses)
+		one("rescache_dedup_total", "counter", "Jobs that shared an identical in-flight computation (singleflight).", cache.Dedups)
+		one("rescache_bytes_served_total", "counter", "Artifact bytes served from the cache.", cache.BytesServed)
+		one("rescache_put_errors_total", "counter", "Disk-tier writes that failed (memory tier still served).", cache.PutErrors)
+		one("rescache_mem_entries", "gauge", "Artifacts resident in the memory tier.", cache.MemEntries)
+		one("rescache_mem_bytes", "gauge", "Bytes resident in the memory tier.", cache.MemBytes)
+		one("rescache_mem_cap_bytes", "gauge", "Byte budget of the memory tier.", cache.MemCapBytes)
+		WriteFamily(w, "rescache_evictions_total", "counter", "Entries evicted by tier.",
+			Sample{`{tier="memory"}`, cache.MemEvictions}, Sample{`{tier="disk"}`, cache.DiskEvictions})
 		if cache.Dir != "" {
-			fmt.Fprintf(w, "# HELP rescache_disk_entries Blobs resident in the disk CAS.\n")
-			fmt.Fprintf(w, "# TYPE rescache_disk_entries gauge\nrescache_disk_entries %d\n", cache.DiskEntries)
-			fmt.Fprintf(w, "# HELP rescache_disk_bytes Bytes resident in the disk CAS.\n")
-			fmt.Fprintf(w, "# TYPE rescache_disk_bytes gauge\nrescache_disk_bytes %d\n", cache.DiskBytes)
-			fmt.Fprintf(w, "# HELP rescache_disk_cap_bytes Byte budget of the disk CAS.\n")
-			fmt.Fprintf(w, "# TYPE rescache_disk_cap_bytes gauge\nrescache_disk_cap_bytes %d\n", cache.DiskCapBytes)
-			fmt.Fprintf(w, "# HELP rescache_corrupt_total Blobs or key links rejected by integrity re-verification.\n")
-			fmt.Fprintf(w, "# TYPE rescache_corrupt_total counter\nrescache_corrupt_total %d\n", cache.DiskCorrupt)
+			one("rescache_disk_entries", "gauge", "Blobs resident in the disk CAS.", cache.DiskEntries)
+			one("rescache_disk_bytes", "gauge", "Bytes resident in the disk CAS.", cache.DiskBytes)
+			one("rescache_disk_cap_bytes", "gauge", "Byte budget of the disk CAS.", cache.DiskCapBytes)
+			one("rescache_corrupt_total", "counter", "Blobs or key links rejected by integrity re-verification.", cache.DiskCorrupt)
 		}
 	}
 
@@ -174,16 +164,17 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
-	fmt.Fprintf(w, "# HELP sramd_job_seconds Job run latency by controller kind.\n")
-	fmt.Fprintf(w, "# TYPE sramd_job_seconds histogram\n")
+	var samples []Sample
 	for _, k := range kinds {
 		h := m.byKind[k]
 		for i, le := range latencyBuckets {
-			fmt.Fprintf(w, "sramd_job_seconds_bucket{controller=%q,le=%q} %d\n", k, fmt.Sprint(le), h.counts[i])
+			samples = append(samples, Sample{fmt.Sprintf("_bucket{controller=%q,le=%q}", k, fmt.Sprint(le)), h.counts[i]})
 		}
-		fmt.Fprintf(w, "sramd_job_seconds_bucket{controller=%q,le=\"+Inf\"} %d\n", k, h.inf)
-		fmt.Fprintf(w, "sramd_job_seconds_sum{controller=%q} %g\n", k, h.sum)
-		fmt.Fprintf(w, "sramd_job_seconds_count{controller=%q} %d\n", k, h.n)
+		samples = append(samples,
+			Sample{fmt.Sprintf("_bucket{controller=%q,le=\"+Inf\"}", k), h.inf},
+			Sample{fmt.Sprintf("_sum{controller=%q}", k), h.sum},
+			Sample{fmt.Sprintf("_count{controller=%q}", k), h.n})
 	}
 	m.mu.Unlock()
+	WriteFamily(w, "sramd_job_seconds", "histogram", "Job run latency by controller kind.", samples...)
 }

@@ -491,10 +491,8 @@ func TestRecoveredJobFinishedBeforeSubscribe(t *testing.T) {
 
 	cache2 := openTestCache(t, cdir)
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir})
-	ts2.srv.mu.Lock()
-	j := ts2.srv.jobs[st.ID]
-	ts2.srv.mu.Unlock()
-	if j == nil {
+	j, ok := ts2.srv.jobs.Get(st.ID)
+	if !ok {
 		t.Fatalf("job %s not recovered", st.ID)
 	}
 	// Wait, without subscribing, for the recovered job to finish.

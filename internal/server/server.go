@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,32 +124,9 @@ type Server struct {
 	workers    sync.WaitGroup
 	jobWG      sync.WaitGroup
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string
-	// finished lists the finished jobs in the table, oldest first (see
-	// maxFinishedJobs).
-	finished []string
-	nextID   uint64
-}
-
-// maxFinishedJobs bounds the finished jobs the table keeps. Past it the
-// oldest finished job leaves the table and answers 404, as a job the
-// journal dropped does after a restart, so the table does not grow with
-// every job the process has run. A queued or running job never leaves.
-const maxFinishedJobs = 1024
-
-// retire records the finished job id and drops the oldest finished jobs
-// past maxFinishedJobs from the table. The caller holds s.mu, or is New
-// before the workers start.
-func (s *Server) retire(id string) {
-	s.finished = append(s.finished, id)
-	for len(s.finished) > maxFinishedJobs {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old)
-		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == old })
-	}
+	jobs *Table[*Job]
+	// mu orders a submission's registration and enqueue against Shutdown.
+	mu sync.Mutex
 }
 
 // New builds a Server, replays the job journal when one is configured, and
@@ -168,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 		cache:   cfg.Cache,
 		queue:   make(chan *Job, cfg.QueueDepth),
 		stop:    make(chan struct{}),
-		jobs:    map[string]*Job{},
+		jobs:    NewTable[*Job]("j-"),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 
@@ -177,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Cache == nil || !cfg.Cache.HasDisk() {
 			return nil, errors.New("server: JournalDir requires a result cache with a disk tier")
 		}
-		journal, recs, err := OpenJournalRetain(cfg.JournalDir, cfg.JournalRetain, time.Now())
+		journal, recs, err := openJournal(cfg.JournalDir, cfg.JournalRetain, time.Now())
 		if err != nil {
 			return nil, err
 		}
@@ -211,15 +187,10 @@ func New(cfg Config) (*Server, error) {
 // jobs are re-registered as-is (artifact refetched lazily from the cache),
 // queued and running jobs are returned for re-enqueueing, and unfinished
 // jobs whose spec or spooled trace did not survive the crash fail with an
-// explicit error rather than vanishing. Runs before the worker pool starts,
-// so no lock ordering applies yet.
-func (s *Server) recoverJobs(recs []journalRecord) []*Job {
+// explicit error rather than vanishing. Runs before the worker pool starts.
+func (s *Server) recoverJobs(recs []Record) []*Job {
 	var pending []*Job
 	for _, rec := range recs {
-		var n uint64
-		if _, err := fmt.Sscanf(rec.Job, "j-%d", &n); err == nil && n > s.nextID {
-			s.nextID = n
-		}
 		var spec JobSpec
 		specOK := false
 		if rec.SpecKey != "" {
@@ -229,47 +200,36 @@ func (s *Server) recoverJobs(recs []journalRecord) []*Job {
 				}
 			}
 		}
-		j := newJob(s.baseCtx, rec.Job, spec, rec.Source, rec.SpecKey)
-		j.markRecovered()
+		submitted := time.Now()
 		if rec.UnixMS != 0 {
-			j.submitted = time.UnixMilli(rec.UnixMS)
+			submitted = time.UnixMilli(rec.UnixMS)
 		}
+		j := newJob(s.baseCtx, rec.Job, spec, rec.Source, rec.SpecKey, submitted)
 		j.tracePath = rec.TracePath
 		j.bytesIngested = rec.TraceBytes
 		s.met.recovered.Add(1)
 
 		switch {
 		case rec.State.Terminal():
-			// Reinstate the terminal state directly: no WaitGroup, no metrics
-			// re-observation (counters are per-process), context released.
-			j.state = rec.State
-			j.errText = rec.Error
-			j.cached = rec.Cached
+			j.cached.Store(rec.Cached)
 			j.accesses.Store(rec.Accesses)
-			j.cancel()
-		case !specOK:
-			j.state = StateFailed
-			j.errText = "cannot recover job: spec missing from the result cache"
-			j.cancel()
-			s.journalState(j, StateFailed, j.errText)
-		case rec.TracePath != "" && !fileExists(rec.TracePath):
-			j.state = StateFailed
-			j.errText = "cannot recover job: spooled trace no longer exists"
-			j.cancel()
-			s.journalState(j, StateFailed, j.errText)
+			j.Recover(rec.State, rec.Error)
+		case !specOK || (rec.TracePath != "" && !fileExists(rec.TracePath)):
+			msg := "cannot recover job: spooled trace no longer exists"
+			if !specOK {
+				msg = "cannot recover job: spec missing from the result cache"
+			}
+			j.Recover(StateFailed, msg)
+			s.journalState(j, StateFailed, msg)
 		default:
 			// Unfinished job with its inputs intact: back to the queue. A job
 			// that was running re-runs, resuming from its latest checkpoint
 			// when one survives (see execute).
-			j.state = StateQueued
+			j.Recover(rec.State, "")
 			s.jobWG.Add(1)
 			pending = append(pending, j)
 		}
-		s.jobs[rec.Job] = j
-		s.order = append(s.order, rec.Job)
-		if j.state.Terminal() {
-			s.retire(rec.Job)
-		}
+		s.jobs.Recover(rec.Job, j)
 	}
 	return pending
 }
@@ -323,8 +283,7 @@ func (s *Server) journalSubmit(j *Job) {
 	if b, err := j.Spec.Canonical(); err == nil {
 		s.cache.Put("spec:"+j.ConfigHash, b)
 	}
-	s.journal.Append(journalRecord{
-		V:          journalVersion,
+	s.journal.AppendRecord(Record{
 		Job:        j.ID,
 		State:      StateQueued,
 		SpecKey:    j.ConfigHash,
@@ -340,19 +299,13 @@ func (s *Server) journalState(j *Job, state State, errText string) {
 	if s.journal == nil {
 		return
 	}
-	rec := journalRecord{
-		V:        journalVersion,
+	s.journal.AppendRecord(Record{
 		Job:      j.ID,
 		State:    state,
 		Accesses: j.accesses.Load(),
 		Error:    errText,
-	}
-	if state.Terminal() {
-		j.mu.Lock()
-		rec.Cached = j.cached
-		j.mu.Unlock()
-	}
-	s.journal.Append(rec)
+		Cached:   state.Terminal() && j.cached.Load(),
+	})
 }
 
 // worker executes queued jobs until the server stops.
@@ -371,14 +324,14 @@ func (s *Server) worker() {
 // runJob drives one job through the engine: start, execute with timeout and
 // panic containment, classify the outcome, account metrics.
 func (s *Server) runJob(j *Job) {
-	if !j.start() {
+	if !j.Start(time.Now()) {
 		return // cancelled while queued; finishJob already ran
 	}
 	s.journalState(j, StateRunning, "")
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 
-	outs, _ := s.eng.Run(j.ctx, []engine.Job[[]byte]{{
+	outs, _ := s.eng.Run(j.Context(), []engine.Job[[]byte]{{
 		Label:  j.ID,
 		Weight: int64(j.Spec.N),
 		Fn: func(ctx context.Context) ([]byte, error) {
@@ -387,7 +340,7 @@ func (s *Server) runJob(j *Job) {
 	}})
 	out := outs[0]
 	switch {
-	case j.ctx.Err() != nil:
+	case j.Context().Err() != nil:
 		// DELETE or drain-kill. A cancelled stream can also surface as a
 		// clean early EOF, so the job context outranks the outcome.
 		s.finishJob(j, StateCancelled, "cancelled", nil)
@@ -416,7 +369,7 @@ func (s *Server) executeBytes(ctx context.Context, j *Job) ([]byte, error) {
 		return s.executeEncoded(ctx, j)
 	})
 	if cached {
-		j.markCached()
+		j.cached.Store(true)
 	}
 	return blob, err
 }
@@ -500,19 +453,17 @@ func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) 
 // accounting. A client that sees the job finished — SSE frame, status or
 // result — therefore also sees it counted and its upload gone.
 func (s *Server) finishJob(j *Job, state State, errText string, artifact []byte) {
-	if !j.claimFinish() {
+	if !j.Finish(time.Now(), state, errText, artifact, func() {
+		s.journalState(j, state, errText)
+		st := j.Status()
+		s.met.observe(j.Spec.Controller, st.RunMS/1e3, st.Accesses, state)
+		if j.tracePath != "" {
+			os.Remove(j.tracePath)
+		}
+	}) {
 		return
 	}
-	s.journalState(j, state, errText)
-	st := j.Status()
-	s.met.observe(j.Spec.Controller, st.RunMS/1e3, st.Accesses, state)
-	if j.tracePath != "" {
-		os.Remove(j.tracePath)
-	}
-	j.publishFinish(state, errText, artifact)
-	s.mu.Lock()
-	s.retire(j.ID)
-	s.mu.Unlock()
+	s.jobs.Retire(j.ID)
 	s.jobWG.Done()
 }
 
@@ -531,19 +482,38 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// apiError is the JSON error envelope every non-2xx response carries.
-type apiError struct {
+// APIError is the JSON error envelope every non-2xx response of the job
+// server and the coordinator carries.
+type APIError struct {
 	Error  string       `json:"error"`
 	State  State        `json:"state,omitempty"`
 	Fields []FieldError `json:"fields,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as indented JSON with the status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// WriteResult serves a succeeded entry's result: the bytes it holds, else
+// the result cache's under key (a recovered entry holds none), else 410
+// with gone as the error. 410, not 404 or 500: the entry did succeed, its
+// bytes are gone, and resubmitting recomputes them.
+func WriteResult(w http.ResponseWriter, l *Lifecycle, cache *rescache.Cache, key, gone string) {
+	blob := l.Result()
+	if blob == nil && cache != nil {
+		blob, _, _ = cache.Get(key)
+	}
+	if blob == nil {
+		WriteJSON(w, http.StatusGone, APIError{Error: gone, State: StateSucceeded})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(blob)
 }
 
 // handleSubmit accepts a job: a JSON spec body for workload jobs, or a
@@ -555,41 +525,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // queue is full, 503 while draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.accepting.Load() {
-		s.met.rejected.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining; not accepting jobs"})
+		s.reject(w, "", http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 
 	spec, source, tracePath, traceBytes, err := s.readSubmission(r)
 	if err != nil {
-		s.met.rejected.Add(1)
-		if tracePath != "" {
-			os.Remove(tracePath)
-		}
 		var maxErr *http.MaxBytesError
 		var specErr *SpecError
 		switch {
 		case errors.As(err, &maxErr):
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("body exceeds the %d-byte limit", maxErr.Limit)})
+			s.reject(w, tracePath, http.StatusRequestEntityTooLarge,
+				APIError{Error: fmt.Sprintf("body exceeds the %d-byte limit", maxErr.Limit)})
 		case errors.Is(err, errSpecTooLarge):
-			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: err.Error()})
+			s.reject(w, tracePath, http.StatusRequestEntityTooLarge, APIError{Error: err.Error()})
 		case errors.As(err, &specErr):
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid spec", Fields: specErr.Fields})
+			s.reject(w, tracePath, http.StatusBadRequest, APIError{Error: "invalid spec", Fields: specErr.Fields})
 		default:
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+			s.reject(w, tracePath, http.StatusBadRequest, APIError{Error: err.Error()})
 		}
 		return
 	}
 
 	hash, err := report.Hash(ConfigMap(spec, source))
 	if err != nil {
-		s.met.rejected.Add(1)
-		if tracePath != "" {
-			os.Remove(tracePath)
-		}
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		s.reject(w, tracePath, http.StatusInternalServerError, APIError{Error: err.Error()})
 		return
 	}
 
@@ -599,88 +560,66 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// artifact and `cached: true` as provenance. The 202 response already
 	// carries the terminal status. Misses are not counted here — the job may
 	// still dedup against an in-flight twin; executeBytes classifies it.
+	var blob []byte
+	hit := false
 	if s.cache != nil {
-		if blob, _, ok := s.cache.Get(hash); ok {
-			s.mu.Lock()
-			if !s.accepting.Load() {
-				s.mu.Unlock()
-				s.refuseDraining(w, tracePath)
-				return
-			}
-			s.nextID++
-			id := fmt.Sprintf("j-%06d", s.nextID)
-			j := newJob(s.baseCtx, id, spec, source, hash)
-			j.tracePath = tracePath
-			j.bytesIngested = traceBytes
-			j.markCached()
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-			s.jobWG.Add(1)
-			s.mu.Unlock()
-			s.met.submitted.Add(1)
-			s.met.bytesIn.Add(traceBytes)
-			s.journalSubmit(j)
-			s.finishJob(j, StateSucceeded, "", blob)
-			w.Header().Set("Location", "/v1/jobs/"+id)
-			writeJSON(w, http.StatusAccepted, j.Status())
-			return
-		}
+		blob, _, hit = s.cache.Get(hash)
 	}
 
 	s.mu.Lock()
 	if !s.accepting.Load() {
 		s.mu.Unlock()
-		s.met.rejected.Add(1)
-		if tracePath != "" {
-			os.Remove(tracePath)
-		}
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining; not accepting jobs"})
+		s.reject(w, tracePath, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	s.nextID++
-	id := fmt.Sprintf("j-%06d", s.nextID)
-	j := newJob(s.baseCtx, id, spec, source, hash)
+	j := newJob(s.baseCtx, s.jobs.NextID(), spec, source, hash, time.Now())
 	j.tracePath = tracePath
 	j.bytesIngested = traceBytes
+	j.cached.Store(hit)
 	// jobWG must be incremented before a worker can possibly finish the job.
 	s.jobWG.Add(1)
-	// The 202 reports the job as accepted: queued. Snapshot it now, since a
+	// The 202 reports a miss as accepted: queued. Snapshot it now, since a
 	// worker may start the job the moment it is enqueued.
 	accepted := j.Status()
 	// The enqueue stays under s.mu — with a default arm it cannot block — so
-	// the job is registered if and only if it was enqueued; there is no unwind
+	// a miss is registered if and only if it was enqueued; there is no unwind
 	// window for a concurrent submission to interleave with.
-	select {
-	case s.queue <- j:
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.mu.Unlock()
-		s.met.submitted.Add(1)
-		s.met.bytesIn.Add(traceBytes)
-		s.journalSubmit(j)
-		w.Header().Set("Location", "/v1/jobs/"+id)
-		writeJSON(w, http.StatusAccepted, accepted)
-	default:
-		s.mu.Unlock()
-		s.jobWG.Done()
-		if tracePath != "" {
-			os.Remove(tracePath)
+	if !hit {
+		select {
+		case s.queue <- j:
+		default:
+			s.mu.Unlock()
+			s.jobWG.Done()
+			s.reject(w, tracePath, http.StatusTooManyRequests,
+				APIError{Error: fmt.Sprintf("job queue full (%d queued); retry later", cap(s.queue))})
+			return
 		}
-		s.met.rejected.Add(1)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiError{Error: fmt.Sprintf("job queue full (%d queued); retry later", cap(s.queue))})
 	}
+	s.jobs.Put(j.ID, j)
+	s.mu.Unlock()
+	s.met.submitted.Add(1)
+	s.met.bytesIn.Add(traceBytes)
+	s.journalSubmit(j)
+	if hit {
+		s.finishJob(j, StateSucceeded, "", blob)
+		accepted = j.Status()
+	}
+	w.Header().Set("Location", "/v1/jobs/"+j.ID)
+	WriteJSON(w, http.StatusAccepted, accepted)
 }
 
-// refuseDraining rejects a submission that lost the race with Shutdown,
-// cleaning up any spooled trace.
-func (s *Server) refuseDraining(w http.ResponseWriter, tracePath string) {
+// reject refuses a submission: it counts it, removes any spooled trace,
+// and answers with the error.
+func (s *Server) reject(w http.ResponseWriter, tracePath string, code int, e APIError) {
 	s.met.rejected.Add(1)
 	if tracePath != "" {
 		os.Remove(tracePath)
 	}
-	writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining; not accepting jobs"})
+	WriteJSON(w, code, e)
 }
+
+// errDraining answers a submission that arrives while the server drains.
+var errDraining = APIError{Error: "server is draining; not accepting jobs"}
 
 // maxSpecBytes bounds a JSON job spec, whether it arrives as a plain body or
 // as the multipart "spec" part. Traces may be huge; specs never are, and the
@@ -780,30 +719,27 @@ func (s *Server) readSubmission(r *http.Request) (spec JobSpec, source, tracePat
 
 // lookup resolves a job ID, writing the 404 itself when absent.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no job %q", r.PathValue("id"))})
+	j, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, APIError{Error: fmt.Sprintf("no job %q", r.PathValue("id"))})
 	}
 	return j
 }
 
 // handleList returns every job's status in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].Status())
+	jobs := s.jobs.List()
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.Status()
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleStatus returns one job's status.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 	}
 }
 
@@ -818,27 +754,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	st := j.Status()
 	switch st.State {
 	case StateSucceeded:
-		blob := j.Artifact()
-		if blob == nil && s.cache != nil {
-			// A recovered succeeded job carries no artifact bytes in memory;
-			// refetch them from the cache by config hash. 410 (not 500) when
-			// the CAS evicted them: the job genuinely succeeded, the bytes
-			// are genuinely gone, and resubmitting recomputes them.
-			blob, _, _ = s.cache.Get(j.ConfigHash)
-		}
-		if blob == nil {
-			writeJSON(w, http.StatusGone, apiError{
-				Error: fmt.Sprintf("job %s succeeded but its artifact is no longer cached; resubmit to recompute", j.ID),
-				State: st.State})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(blob)
+		WriteResult(w, j.Lifecycle, s.cache, j.ConfigHash,
+			fmt.Sprintf("job %s succeeded but its artifact is no longer cached; resubmit to recompute", j.ID))
 	case StateFailed, StateCancelled:
-		writeJSON(w, http.StatusConflict, apiError{
+		WriteJSON(w, http.StatusConflict, APIError{
 			Error: fmt.Sprintf("job %s is %s: %s", j.ID, st.State, st.Error), State: st.State})
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
@@ -855,7 +777,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	} else {
 		j.cancel()
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 // handleEvents streams the job's lifecycle as server-sent events: one
@@ -869,7 +791,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{Error: "response writer cannot stream"})
+		WriteJSON(w, http.StatusNotImplemented, APIError{Error: "response writer cannot stream"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -910,7 +832,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleHealthz reports liveness plus build identity: version (git SHA) and
 // the artifact schema this daemon writes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"version": s.Version,
 		"schema":  report.SchemaVersion,

@@ -97,7 +97,7 @@ func newTestServer(t *testing.T, cfg Config) *testServer {
 }
 
 // submit POSTs a JSON spec and returns the HTTP status code with the decoded
-// body (JobStatus on 202, apiError otherwise, both as raw bytes too).
+// body (JobStatus on 202, APIError otherwise, both as raw bytes too).
 func (ts *testServer) submit(body string) (int, []byte) {
 	ts.t.Helper()
 	resp, err := http.Post(ts.hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -541,7 +541,7 @@ func TestMalformedSpec(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid spec: %d: %s", code, b)
 	}
-	var ae apiError
+	var ae APIError
 	if err := json.Unmarshal(b, &ae); err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +743,7 @@ func TestHierarchySpecRejections(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: got %d: %s", tc.body, code, b)
 		}
-		var ae apiError
+		var ae APIError
 		if err := json.Unmarshal(b, &ae); err != nil {
 			t.Fatal(err)
 		}
