@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzJournal -fuzztime=$(FUZZTIME) -run='^$$' ./internal/server
 	$(GO) test -fuzz=FuzzDisk -fuzztime=$(FUZZTIME) -run='^$$' ./internal/rescache
 	$(GO) test -fuzz=FuzzSweepSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/coord
+	$(GO) test -fuzz=FuzzSchemesAgainstReference -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
 
 # End-to-end service gates. Each target runs one row of the scenario table
 # in cmd/sramload/scenario.go against a freshly built sramd: the row spawns

@@ -72,7 +72,8 @@ func main() {
 					return row{}, err
 				}
 				an := core.Analyze(trace.FromSlice(accs), g, 0)
-				res, err := core.RunAll(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{}, accs)
+				res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{},
+					func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 				if err != nil {
 					return row{}, err
 				}
@@ -173,7 +174,8 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 					if err != nil {
 						return red{}, err
 					}
-					res, err := core.RunAll(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{}, accs)
+					res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{},
+						func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 					if err != nil {
 						return red{}, err
 					}

@@ -199,6 +199,9 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 	}
 }
 
+// State returns the valid and dirty bits of line (set, way).
+func (c *Cache) State(set, way int) LineState { return c.state[set*c.ways+way] }
+
 // Probe looks up addr without side effects. It returns the set index, the
 // way holding the block (-1 on miss), and whether it hit.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
@@ -418,8 +421,8 @@ func (c *Cache) peekByte(addr uint64) byte {
 }
 
 // Row is a copy of one set's lines in way order: tags, states, and the
-// blocks back to back in Data. It is the Set-Buffer of internal/core, and
-// the view checkpoints and tests read a set's lines through.
+// blocks back to back in Data. It is the view checkpoints and tests read a
+// set's lines through.
 type Row struct {
 	Tags  []uint64
 	State []LineState
@@ -465,9 +468,8 @@ func (r *Row) WriteWord(w, off int, size uint8, v uint64) (silent bool) {
 	return !storeWord(r.Line(w), off, size, v)
 }
 
-// ReadRow copies set s into dst: the Set-Buffer fill, one row read. dst's
-// storage is reused when it has the cache's shape (so the steady-state
-// refill allocates nothing) and allocated otherwise.
+// ReadRow copies set s into dst. dst's storage is reused when it has the
+// cache's shape and allocated otherwise.
 func (c *Cache) ReadRow(s int, dst *Row) {
 	if len(dst.Tags) != c.ways || dst.block != c.geom.BlockBytes {
 		*dst = NewRow(c.geom)
@@ -478,10 +480,8 @@ func (c *Cache) ReadRow(s int, dst *Row) {
 	copy(dst.Data, c.data[i<<c.geom.blockShift:])
 }
 
-// WriteRow copies src, a row of the cache's shape, over set s: the
-// Set-Buffer write-back, one row write. The protocol in internal/core
-// guarantees no structural (tag/valid) change can occur while a set is
-// buffered, so in effect only data and dirty bits move.
+// WriteRow copies src, a row of the cache's shape, over set s, as a
+// checkpoint restores it.
 func (c *Cache) WriteRow(s int, src *Row) {
 	i := s * c.ways
 	copy(c.tags[i:i+c.ways], src.Tags)

@@ -31,10 +31,23 @@ func BenchmarkRunMaterialized(b *testing.B) {
 // TestControllerSteadyStateNoAlloc pins the hot-path allocation contract:
 // once the cache, controller, and Set-Buffer are warm (and the backing
 // memory's chunks exist), replaying aligned accesses allocates nothing —
-// access by access through Access, or batch by batch through Driver.Feed's
-// batch entry — since Set-Buffer refills reuse their row via ReadRow.
+// access by access through Access, batch by batch through Driver.Feed's
+// batch entry, or through one walk feeding several kinds' accountants.
 func TestControllerSteadyStateNoAlloc(t *testing.T) {
 	accs := randomStream(42, 20_000, 1<<13)
+	multi, err := newDriver(smallCfg(), Options{}, RMW, WG, WGRB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedMulti := func() {
+		for b := accs; len(b) > 0; b = b[min(len(b), 4096):] {
+			multi.Feed(b[:min(len(b), 4096)])
+		}
+	}
+	feedMulti()
+	if avg := testing.AllocsPerRun(3, feedMulti); avg > 0 {
+		t.Errorf("RMW+WG+WG+RB: %.1f allocations per warm 20k-access multi-kind Feed, want 0", avg)
+	}
 	for _, k := range []Kind{RMW, WG, WGRB} {
 		c, err := cache.New(smallCfg(), newMem())
 		if err != nil {

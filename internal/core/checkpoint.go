@@ -33,7 +33,7 @@ const ckptVersion uint16 = 1
 
 // Controller-specific state section tags.
 const (
-	ckptExtraNone     uint8 = 0 // direct and RMW controllers are stateless beyond base
+	ckptExtraNone     uint8 = 0 // the direct and RMW kinds keep no state of their own
 	ckptExtraCoalesce uint8 = 1
 	ckptExtraWG       uint8 = 2
 	ckptExtraTS       uint8 = 3
@@ -143,20 +143,20 @@ func (r *ckptReader) bool() bool {
 	}
 }
 
-// baseHolder is how the codec reaches the shared controller state; every
-// controller in this package gets it by embedding base.
-type baseHolder interface {
-	baseState() *base
-}
-
-func (b *base) baseState() *base { return b }
-
 // Snapshot serializes the driver's complete state at the current (batch)
 // boundary. The blob embeds the driver's cache.Config and Options so the
 // resuming side can rebuild an identical cache. Only the package controller
 // is captured — a Wrap wrapper's own state is not.
+//
+// A set in the Set-Buffer is recorded twice: in the cache section as the
+// array held it at the entry's last fill or write-back, and in the buffer
+// section as its live row, which is what the walk keeps in the cache. The
+// first comes from the entry's pre-image log, kept while a checkpoint sink
+// is set; a snapshot taken without one records the live lines in both
+// sections, which resumes to the same run.
 func (d *Driver) Snapshot() ([]byte, error) {
-	b := d.inner.(baseHolder).baseState()
+	acct := d.inner.accts[0]
+	b, c := acct.book(), d.inner.walk.cache
 	cfg, geom := d.cfg, b.geom
 
 	w := &ckptWriter{buf: make([]byte, 0, 1<<16)}
@@ -184,15 +184,15 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	w.u64(b.requests.Instructions)
 
 	// Controller counters.
-	c := &b.counters
+	n := &b.counters
 	for _, v := range []uint64{
-		c.DemandReads, c.DemandWrites, c.TagProbes, c.TagHits,
-		c.GroupedWrites, c.SilentWrites, c.SilentElidedWBs, c.PrematureWBs,
-		c.BypassedReads, c.BufferFills, c.BufferWritebacks,
+		n.DemandReads, n.DemandWrites, n.TagProbes, n.TagHits,
+		n.GroupedWrites, n.SilentWrites, n.SilentElidedWBs, n.PrematureWBs,
+		n.BypassedReads, n.BufferFills, n.BufferWritebacks,
 	} {
 		w.u64(v)
 	}
-	for _, v := range c.GroupSizes {
+	for _, v := range n.GroupSizes {
 		w.u64(v)
 	}
 
@@ -204,23 +204,27 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	}
 
 	// Functional cache state: stats, replacement RNG, lines, policies.
-	st := b.cache.Stats()
+	st := c.Stats()
 	for _, v := range []uint64{
 		st.ReadHits, st.ReadMisses, st.WriteHits, st.WriteMisses,
 		st.Fills, st.Evictions, st.Writebacks,
 	} {
 		w.u64(v)
 	}
-	for _, v := range b.cache.RNGState() {
+	for _, v := range c.RNGState() {
 		w.u64(v)
 	}
+	wg, _ := acct.(*wgAccountant)
 	var row cache.Row
 	for s := 0; s < geom.Sets; s++ {
-		b.cache.ReadRow(s, &row)
+		c.ReadRow(s, &row)
+		if wg != nil {
+			wg.preImage(s, &row)
+		}
 		writeRow(w, &row)
 	}
 	for s := 0; s < geom.Sets; s++ {
-		ps := b.cache.PolicyState(s)
+		ps := c.PolicyState(s)
 		w.u32(uint32(len(ps)))
 		for _, word := range ps {
 			w.u32(word)
@@ -228,7 +232,7 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	}
 
 	// Backed memory image, in deterministic (ascending base) order.
-	m := b.cache.Backing()
+	m := c.Backing()
 	bases := m.Bases()
 	w.u64(uint64(len(bases)))
 	chunk := make([]byte, mem.ChunkSize)
@@ -239,33 +243,34 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	}
 
 	// Controller-specific state.
-	switch ctrl := d.inner.(type) {
-	case *directController, *rmwController:
-		w.u8(ckptExtraNone)
-	case *tsController:
+	switch a := acct.(type) {
+	case *plainAccountant:
+		if a.kind != KindTS {
+			w.u8(ckptExtraNone)
+			break
+		}
 		w.u8(ckptExtraTS)
-		w.u64(ctrl.specReads)
-	case *coalesceController:
+		w.u64(a.specReads)
+	case *coalesceAccountant:
 		w.u8(ckptExtraCoalesce)
-		w.bool(ctrl.pendingValid)
-		w.u64(ctrl.pendingBase)
-		w.bool(ctrl.pendingDirty)
-	case *wgController:
+		w.bool(a.pendingValid)
+		w.u64(a.pendingBase)
+		w.bool(a.pendingDirty)
+	case *wgAccountant:
 		w.u8(ckptExtraWG)
-		w.u32(uint32(len(ctrl.buffers)))
-		for i := range ctrl.buffers {
-			sb := &ctrl.buffers[i]
-			w.bool(sb.valid)
-			if !sb.valid {
+		w.u32(uint32(len(a.buffers)))
+		for i := range a.buffers {
+			e := &a.buffers[i]
+			w.bool(e.valid)
+			if !e.valid {
 				continue
 			}
-			w.i64(int64(sb.set))
-			w.bool(sb.dirty)
-			w.u64(sb.writes)
-			writeRow(w, &sb.row)
+			w.i64(int64(e.set))
+			w.bool(e.dirty)
+			w.u64(e.writes)
+			c.ReadRow(e.set, &row)
+			writeRow(w, &row)
 		}
-	default:
-		return nil, fmt.Errorf("core: controller %T cannot be checkpointed", d.inner)
 	}
 	return w.buf, nil
 }
@@ -412,54 +417,61 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 		m.Write(base, chunk)
 	}
 
-	ctrl, err := New(kind, c, opts)
+	ctrl, err := newController(c, opts, kind)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	bh := ctrl.(baseHolder).baseState()
-	bh.requests = requests
-	bh.counters = counters
-	bh.array.RestoreCounts(arrayCounts)
+	acct := ctrl.accts[0]
+	b := acct.book()
+	b.requests = requests
+	b.counters = counters
+	b.array.RestoreCounts(arrayCounts)
 
 	extra := r.u8()
-	switch ctrl := ctrl.(type) {
-	case *directController, *rmwController:
-		if r.err == nil && extra != ckptExtraNone {
-			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
+	want := map[Kind]uint8{KindTS: ckptExtraTS, Coalesce: ckptExtraCoalesce, WG: ckptExtraWG, WGRB: ckptExtraWG}[kind]
+	if r.err == nil && extra != want {
+		return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
+	}
+	switch a := acct.(type) {
+	case *plainAccountant:
+		if kind == KindTS {
+			a.specReads = r.u64()
 		}
-	case *tsController:
-		if r.err == nil && extra != ckptExtraTS {
-			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
+	case *coalesceAccountant:
+		a.pendingValid = r.bool()
+		a.pendingBase = r.u64()
+		a.pendingDirty = r.bool()
+	case *wgAccountant:
+		if n := r.u32(); r.err == nil && int(n) != len(a.buffers) {
+			return nil, fmt.Errorf("%w: snapshot has %d Set-Buffer entries, options build %d", ErrBadCheckpoint, n, len(a.buffers))
 		}
-		ctrl.specReads = r.u64()
-	case *coalesceController:
-		if r.err == nil && extra != ckptExtraCoalesce {
-			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
-		}
-		ctrl.pendingValid = r.bool()
-		ctrl.pendingBase = r.u64()
-		ctrl.pendingDirty = r.bool()
-	case *wgController:
-		if r.err == nil && extra != ckptExtraWG {
-			return nil, fmt.Errorf("%w: unexpected state section %d for %v", ErrBadCheckpoint, extra, kind)
-		}
-		if n := r.u32(); r.err == nil && int(n) != len(ctrl.buffers) {
-			return nil, fmt.Errorf("%w: snapshot has %d Set-Buffer entries, options build %d", ErrBadCheckpoint, n, len(ctrl.buffers))
-		}
-		for i := range ctrl.buffers {
-			sb := &ctrl.buffers[i]
-			sb.valid = r.bool()
-			if r.err != nil || !sb.valid {
+		live := cache.NewRow(geom)
+		for i := range a.buffers {
+			e := &a.buffers[i]
+			e.valid = r.bool()
+			if r.err != nil || !e.valid {
 				continue
 			}
-			sb.set = int(r.i64())
-			sb.dirty = r.bool()
-			sb.writes = r.u64()
-			if r.err == nil && (sb.set < 0 || sb.set >= geom.Sets) {
-				return nil, fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, sb.set)
+			e.set = int(r.i64())
+			e.dirty = r.bool()
+			e.writes = r.u64()
+			if r.err == nil && (e.set < 0 || e.set >= geom.Sets) {
+				return nil, fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, e.set)
 			}
-			sb.row = cache.NewRow(geom)
-			readRow(r, &sb.row)
+			readRow(r, &live)
+			if r.err != nil {
+				return nil, r.err
+			}
+			// The cache holds the set as the array held it; log all of it
+			// as the entry's pre-image, then lay the live row over it.
+			c.ReadRow(e.set, &row)
+			for way := range row.Tags {
+				for off := 0; off < geom.BlockBytes; off += 8 {
+					e.undo = append(e.undo, preWord{way: way, off: off,
+						word: binary.LittleEndian.Uint64(row.Line(way)[off:]), state: row.State[way]})
+				}
+			}
+			c.WriteRow(e.set, &live)
 		}
 	}
 	if r.err != nil {

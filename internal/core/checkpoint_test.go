@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -80,8 +81,8 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 			resumed := rd.Finish()
 			requireResultsEqual(t, label, resumed, straight)
 
-			sc := sd.inner.(baseHolder).baseState().cache
-			rc := rd.inner.(baseHolder).baseState().cache
+			sc := sd.inner.walk.cache
+			rc := rd.inner.walk.cache
 			sc.FlushAll()
 			rc.FlushAll()
 			if !sc.Backing().Equal(rc.Backing()) {
@@ -108,6 +109,102 @@ func snapshotsOf(t *testing.T, k Kind, accs []trace.Access, batchSize, every int
 		t.Fatal(err)
 	}
 	return blobs
+}
+
+// TestResumedSnapshotsMatchStraight pins the Set-Buffer pre-image across a
+// resume: a driver resumed from any snapshot of a checkpointed run takes
+// the same snapshots from there on as the run that never stopped, byte for
+// byte, so a blob's cache section holds a buffered set as the array held it
+// at its last fill or write-back, before and after a resume.
+func TestResumedSnapshotsMatchStraight(t *testing.T) {
+	// The middle third keeps set 0 buffered and dirty across many batch
+	// boundaries: writes to its block, between reads of other sets.
+	long := randomStream(33, 1000, 8192)
+	for i := range long {
+		if i%2 == 0 {
+			long[i] = trace.Access{Kind: trace.Write, Addr: uint64(i%32) &^ 7, Size: 8, Data: uint64(i) * 0x9e3779b97f4a7c15}
+			continue
+		}
+		long[i].Kind, long[i].Data = trace.Read, 0
+		if long[i].Addr%(16*32) < 32 {
+			long[i].Addr += 32
+		}
+	}
+	stream := append(append(randomStream(31, 1000, 8192), long...), randomStream(32, 1000, 8192)...)
+	for _, k := range Kinds() {
+		straight := snapshotsOf(t, k, stream, 97, 1)
+		for i := 0; i < len(straight)-1; i++ {
+			d, err := ResumeDriver(straight[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blobs [][]byte
+			d.CheckpointEvery(1, func(blob []byte, _ uint64) error {
+				blobs = append(blobs, blob)
+				return nil
+			})
+			if _, err := d.Drain(context.Background(), trace.FromSlice(stream), 0, 97); err != nil {
+				t.Fatal(err)
+			}
+			want := straight[i+1:]
+			if len(blobs) != len(want) {
+				t.Fatalf("%v from snapshot %d: %d snapshots, want %d", k, i, len(blobs), len(want))
+			}
+			for j := range blobs {
+				if !bytes.Equal(blobs[j], want[j]) {
+					t.Fatalf("%v from snapshot %d: snapshot %d differs from the straight run's", k, i, i+1+j)
+				}
+			}
+		}
+	}
+}
+
+// TestPreImageMatchesReference holds the Set-Buffer pre-image a checkpoint
+// records to the frozen reference, whose cache holds a buffered set as the
+// array held it at the entry's last fill or write-back. After every batch,
+// each set's live lines with the WG accountant's undo log laid over them
+// must equal the reference cache's lines. A long burst of writes to one
+// set makes the log compact many times.
+func TestPreImageMatchesReference(t *testing.T) {
+	burst := make([]trace.Access, 3000)
+	for i := range burst {
+		burst[i] = trace.Access{Kind: trace.Write, Addr: uint64(i%4) * 8, Size: uint8(1 << (i % 4)), Data: uint64(i) * 0x9e3779b97f4a7c15}
+	}
+	stream := append(append(randomStream(41, 2000, 8192), burst...), randomStream(43, 2000, 8192)...)
+	for _, k := range []Kind{WG, WGRB} {
+		for _, opts := range []Options{{}, {BufferDepth: 2}, {DisableSilentElision: true}} {
+			d, err := NewDriver(k, smallCfg(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.CheckpointEvery(1, func([]byte, uint64) error { return nil })
+			rc, err := cache.New(smallCfg(), newMem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newReference(k, rc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg := d.inner.accts[0].(*wgAccountant)
+			var got, want cache.Row
+			for b := stream; len(b) > 0; b = b[min(len(b), 256):] {
+				batch := b[:min(len(b), 256)]
+				d.Feed(batch)
+				for _, a := range batch {
+					ref.Access(a)
+				}
+				for s := 0; s < rc.Geometry().Sets; s++ {
+					d.inner.walk.cache.ReadRow(s, &got)
+					wg.preImage(s, &got)
+					rc.ReadRow(s, &want)
+					if !slices.Equal(got.Tags, want.Tags) || !slices.Equal(got.State, want.State) || !bytes.Equal(got.Data, want.Data) {
+						t.Fatalf("%v %+v: set %d after %d accesses: pre-image differs from the reference's lines", k, opts, s, d.Accesses())
+					}
+				}
+			}
+		}
+	}
 }
 
 // resume restores blob and drains s through it.

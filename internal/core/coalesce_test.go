@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"fmt"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -11,9 +11,7 @@ import (
 func TestCoalesceEquivalence(t *testing.T) {
 	for seed := uint64(80); seed < 84; seed++ {
 		stream := randomStream(seed, 4000, 8192)
-		if err := VerifyEquivalence(RMW, Coalesce, smallCfg(), Options{}, stream); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
+		requireMatchesReference(t, fmt.Sprintf("seed %d", seed), Coalesce, smallCfg(), Options{}, stream)
 	}
 }
 
@@ -92,10 +90,7 @@ func TestWGBeatsCoalescerOnSetLocality(t *testing.T) {
 func TestCoalesceCostBetweenConventionalAndRMW(t *testing.T) {
 	for seed := uint64(90); seed < 94; seed++ {
 		stream := randomStream(seed, 6000, 16384)
-		res, err := RunAll(context.Background(), []Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runAll(t, []Kind{Conventional, Coalesce, RMW}, smallCfg(), Options{}, stream)
 		conv, co, rmw := res[0].ArrayAccesses(), res[1].ArrayAccesses(), res[2].ArrayAccesses()
 		if co > rmw {
 			t.Errorf("seed %d: coalescer %d worse than raw RMW %d", seed, co, rmw)

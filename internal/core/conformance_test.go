@@ -14,11 +14,13 @@ import (
 
 // The conformance suite: one table of execution paths, every one of which
 // must reproduce, byte for byte, the Result of feeding the same accesses to
-// a freshly built controller one Access call at a time. The corpus is the
-// oracle suite's traces and ablations, the metamorphic suite's mutated
-// traces, and the stochastic-replacement and no-write-allocate shapes whose
-// state is the hardest to checkpoint. A new execution path earns its place
-// in the repository by passing every row here.
+// a freshly built frozen reference controller (reference_test.go) one
+// Access call at a time. The corpus is the oracle suite's traces and
+// ablations, every kind under each ablation option set, the metamorphic
+// suite's mutated traces, and the stochastic-replacement and
+// no-write-allocate shapes whose state is the hardest to checkpoint. A new
+// execution path earns its place in the repository by passing every row
+// here.
 
 // conformanceInput is one corpus entry: the kinds to run and what to run
 // them over.
@@ -55,6 +57,11 @@ func conformanceCorpus() []conformanceInput {
 			conformanceInput{fmt.Sprintf("read-dup/seed%d", seed), metamorphic, smallCfg(), Options{}, withDuplicateReads(base)},
 		)
 	}
+	// Every kind under each ablation option set, so the walk-once rows see
+	// each one.
+	for i, opts := range []Options{{BufferDepth: 2}, {BufferDepth: 4}, {DisableSilentElision: true}, {CountFillTraffic: true}} {
+		in = append(in, conformanceInput{"options/" + optionsName(opts), Kinds(), smallCfg(), opts, randomStream(uint64(20+i), 4000, 1<<13)})
+	}
 	random := smallCfg()
 	random.Policy = cache.Random
 	random.Seed = 42
@@ -66,6 +73,18 @@ func conformanceCorpus() []conformanceInput {
 		conformanceInput{"random-depth2", Kinds(), random, Options{BufferDepth: 2}, accs},
 		conformanceInput{"plru-noalloc", Kinds(), noalloc, Options{DisableSilentElision: true, CountFillTraffic: true}, accs},
 	)
+}
+
+// optionsName labels an ablation option set.
+func optionsName(o Options) string {
+	switch {
+	case o.BufferDepth > 0:
+		return fmt.Sprintf("depth%d", o.BufferDepth)
+	case o.DisableSilentElision:
+		return "nosilent"
+	default:
+		return "filltraffic"
+	}
 }
 
 // perKind lifts a single-kind runner into a row body.
@@ -148,15 +167,18 @@ func conformanceRows() []conformanceRow {
 			}
 			return nil
 		}},
+		// Every kind at once through the walk-once path, in 7-access
+		// batches, so accountant state crosses many batch boundaries.
 		conformanceRow{"all", func(in conformanceInput, got func(Kind, Result)) error {
-			res, err := RunAll(ctx, in.kinds, in.cfg, in.opts, in.accs)
+			open := func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }
+			res, err := RunEachStream(ctx, in.kinds, in.cfg, in.opts, open, 0, 7, 0)
 			for i, r := range res {
 				got(in.kinds[i], r)
 			}
 			return err
 		}},
 		conformanceRow{"logged", perKind(func(k Kind, in conformanceInput) (Result, error) {
-			res, log, err := RunLogged(k, in.cfg, in.opts, trace.FromSlice(in.accs), 0)
+			res, log, err := RunLogged(ctx, k, in.cfg, in.opts, trace.FromSlice(in.accs), 0)
 			if err == nil && len(log) != len(in.accs) {
 				err = fmt.Errorf("logged %d port ops for %d accesses", len(log), len(in.accs))
 			}
@@ -179,15 +201,15 @@ func conformanceRows() []conformanceRow {
 	return rows
 }
 
-// referenceResult feeds accs to a fresh controller one Access at a time —
-// the definition every execution path is held to.
+// referenceResult feeds accs to a fresh frozen reference controller one
+// Access at a time — the definition every execution path is held to.
 func referenceResult(t *testing.T, k Kind, cfg cache.Config, opts Options, accs []trace.Access) Result {
 	t.Helper()
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(k, c, opts)
+	ctrl, err := newReference(k, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

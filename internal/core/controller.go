@@ -14,6 +14,10 @@
 //     single-access writes, multi-bit-ECC/area penalty tracked elsewhere.
 //   - WG: the paper's Write Grouping (§4.1, Algorithm 1).
 //   - WGRB: Write Grouping + Read Bypassing (§4.2).
+//
+// So one walk of the cache (walk.go) serves every scheme, and each scheme is
+// an accountant (account.go) of the array operations the walk's outcomes
+// cost it.
 package core
 
 import (
@@ -225,17 +229,14 @@ func (r Result) AccessesPerRequest() float64 {
 }
 
 // Controller consumes a request stream against a cache, accounting array
-// traffic according to one write-path scheme.
+// traffic according to one write-path scheme. The package builds one
+// implementation; the interface is what a wrapper (Driver.Wrap) forwards.
 type Controller interface {
 	// Kind identifies the scheme.
 	Kind() Kind
 	// Access processes one request and returns the value read (reads) or
 	// the value now stored (writes); used by correctness verification.
 	Access(a trace.Access) uint64
-	// SetLocal reports whether the controller's effects factor across cache
-	// sets (see Kind.SetLocal) — the capability the sharded driver checks
-	// before partitioning a run by set index.
-	SetLocal() bool
 	// Finalize drains internal buffers (Set-Buffer write-back) and returns
 	// the run's Result. The controller must not be used afterwards.
 	Finalize() Result
@@ -243,28 +244,71 @@ type Controller interface {
 
 // New builds a controller of the given kind over c.
 func New(kind Kind, c *cache.Cache, opts Options) (Controller, error) {
+	return newController(c, opts, kind)
+}
+
+// controller is the one Controller: a walk of the cache (walk.go), and one
+// accountant (account.go) for each kind it serves. A multi-kind run has
+// several accountants over its one walk; everything else has one.
+type controller struct {
+	walk  walk
+	accts []accountant
+	// one and oneOut hold the access Access is serving, so it is charged
+	// through the batch entry without allocating.
+	one    [1]trace.Access
+	oneOut [1]outcome
+}
+
+// newController builds a walk of c and an accountant for each kind.
+func newController(c *cache.Cache, opts Options, kinds ...Kind) (*controller, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cache")
 	}
-	arr, err := newArrayFor(kind, c.Geometry())
-	if err != nil {
-		return nil, err
+	ctrl := &controller{walk: walk{cache: c, geom: c.Geometry(), noAlloc: c.NoWriteAllocate()}}
+	for _, k := range kinds {
+		a, err := newAccountant(k, ctrl.walk.geom, opts)
+		if err != nil {
+			return nil, err
+		}
+		ctrl.accts = append(ctrl.accts, a)
 	}
-	base := base{kind: kind, cache: c, geom: c.Geometry(), array: arr, opts: opts}
-	switch kind {
-	case Conventional, WordGranularity:
-		return &directController{base: base}, nil
-	case RMW, LocalRMW:
-		return &rmwController{base: base}, nil
-	case Coalesce:
-		return &coalesceController{base: base}, nil
-	case KindTS:
-		return &tsController{base: base}, nil
-	case WG, WGRB:
-		return newWGController(base)
-	default:
-		return nil, fmt.Errorf("core: unknown controller kind %d", kind)
+	return ctrl, nil
+}
+
+// Kind identifies the (first) scheme.
+func (c *controller) Kind() Kind { return c.accts[0].book().kind }
+
+// Access walks one request, then charges it to every accountant.
+func (c *controller) Access(a trace.Access) uint64 {
+	v, o := c.walk.step(&a)
+	c.one[0], c.oneOut[0] = a, o
+	for _, ac := range c.accts {
+		ac.account(c.one[:], c.oneOut[:], c.walk.pre)
 	}
+	return v
+}
+
+// feed is Access over a whole batch: one walk of it, then every accountant
+// charges the outcomes.
+func (c *controller) feed(batch []trace.Access) {
+	outs := c.walk.batch(batch)
+	for _, ac := range c.accts {
+		ac.account(batch, outs, c.walk.pre)
+	}
+}
+
+// Finalize returns the (first) scheme's Result.
+func (c *controller) Finalize() Result { return c.results()[0] }
+
+// results drains every accountant and returns their Results in kind order.
+func (c *controller) results() []Result {
+	st := c.walk.cache.Stats()
+	out := make([]Result, len(c.accts))
+	for i, ac := range c.accts {
+		ac.drain()
+		out[i] = ac.book().result(st)
+	}
+	return out
 }
 
 // newArrayFor derives the SRAM organization implied by a controller choice:
@@ -292,121 +336,4 @@ func newArrayFor(kind Kind, g cache.Geometry) (*sram.Array, error) {
 		Interleave: interleave,
 		Subarrays:  subarrays,
 	})
-}
-
-// base carries the state every controller shares.
-type base struct {
-	kind  Kind
-	cache *cache.Cache
-	// geom is the cache geometry hoisted out of the per-access path: Access
-	// runs once per trace entry, and the method call plus struct copy of
-	// cache.Geometry() is measurable there.
-	geom     cache.Geometry
-	array    *sram.Array
-	opts     Options
-	requests trace.Stats
-	counters Counters
-}
-
-func (b *base) Kind() Kind { return b.kind }
-
-// PeekCounters returns a copy of the live event counters mid-run. Every
-// controller in this package exposes it via base; internal/hier diffs
-// successive peeks to attribute microarchitectural events (premature
-// Set-Buffer write-backs) to the access that caused them, since those never
-// reach backing memory and so never fire a cache.Listener.
-func (b *base) PeekCounters() Counters { return b.counters }
-
-// SetLocal implements the Controller capability from the kind's static
-// classification; every controller in this package shares it via base.
-func (b *base) SetLocal() bool { return b.kind.SetLocal() }
-
-// note records stream-level statistics for one request.
-func (b *base) note(a trace.Access) {
-	b.requests.Observe(a)
-	if a.Kind == trace.Read {
-		b.counters.DemandReads++
-	} else {
-		b.counters.DemandWrites++
-	}
-}
-
-// noteBatch records what note records for every request of a batch, summed
-// once for the batch.
-func (b *base) noteBatch(batch []trace.Access) {
-	var reads, gaps uint64
-	for i := range batch {
-		if batch[i].Kind == trace.Read {
-			reads++
-		}
-		gaps += uint64(batch[i].Gap)
-	}
-	n := uint64(len(batch))
-	b.requests.Reads += reads
-	b.requests.Writes += n - reads
-	b.requests.Instructions += gaps + n
-	b.counters.DemandReads += reads
-	b.counters.DemandWrites += n - reads
-}
-
-// batchFeeder is the batch entry every controller in this package has:
-// Access over a whole batch, with the batch's stream statistics noted once
-// and each request served by a static call. Driver.Feed uses it whenever
-// no wrapper sits between the driver and the controller.
-type batchFeeder interface {
-	feed(batch []trace.Access)
-}
-
-// sizeMask selects the low size bytes of a data word. After a write commits,
-// the stored value is exactly a.Data & sizeMask(a.Size) — cache.WriteWord
-// stores those bytes verbatim (spill included) — so controllers return the
-// mask instead of paying a ReadWord per store.
-func sizeMask(size uint8) uint64 {
-	if size >= 8 {
-		return ^uint64(0)
-	}
-	return 1<<(8*size) - 1
-}
-
-// writeAround handles a write under the no-write-allocate policy: if the
-// block is not resident, the store bypasses the SRAM array entirely (it
-// heads for the next level through the miss path) and costs no array
-// operation. Returns the stored value and true when it applied.
-func (b *base) writeAround(a trace.Access) (uint64, bool) {
-	if !b.cache.NoWriteAllocate() {
-		return 0, false
-	}
-	if _, _, hit := b.cache.Probe(a.Addr); hit {
-		return 0, false
-	}
-	b.cache.WriteAround(a.Addr, a.Size, a.Data)
-	return b.cache.PeekWord(a.Addr, a.Size), true
-}
-
-// finalize assembles the Result shared by all controllers.
-func (b *base) finalize(localWriteback bool) Result {
-	r := Result{
-		Controller:     b.kind,
-		Geometry:       b.cache.Geometry(),
-		Requests:       b.requests,
-		Cache:          b.cache.Stats(),
-		Counters:       b.counters,
-		ArrayReads:     b.array.Count(sram.EvRowRead),
-		ArrayWrites:    b.array.Count(sram.EvRowWrite),
-		LocalWriteback: localWriteback,
-		Events:         b.array,
-	}
-	if b.opts.CountFillTraffic {
-		// A fill writes one block into a row (a partial-row write: RMW cost
-		// on interleaved 8T arrays, direct write otherwise); a dirty
-		// eviction reads the row out. Mirror that in the totals.
-		fills := r.Cache.Fills
-		wbs := r.Cache.Writebacks
-		if b.array.Config().NeedsRMW() {
-			r.ArrayReads += fills
-		}
-		r.ArrayWrites += fills
-		r.ArrayReads += wbs
-	}
-	return r
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -69,6 +69,17 @@ func randomStream(seed uint64, n int, footprint uint64) []trace.Access {
 	return out
 }
 
+// runAll runs accs through every kind at once, on the walk-once path.
+func runAll(t *testing.T, kinds []Kind, cfg cache.Config, opts Options, accs []trace.Access) []Result {
+	t.Helper()
+	res, err := RunEachStream(context.Background(), kinds, cfg, opts,
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func smallCfg() cache.Config {
 	// Tiny cache: lots of conflict misses, evictions inside buffered sets.
 	return cache.Config{SizeBytes: 1024, Ways: 2, BlockBytes: 32, Policy: cache.LRU}
@@ -76,7 +87,8 @@ func smallCfg() cache.Config {
 
 func TestEquivalenceAcrossControllers(t *testing.T) {
 	// The DESIGN.md §5 correctness invariant: every controller is
-	// observationally identical to the RMW baseline.
+	// observationally identical to the RMW baseline, here held to the
+	// frozen reference kind by kind.
 	pairs := [][2]Kind{
 		{RMW, Conventional},
 		{RMW, WordGranularity},
@@ -88,8 +100,8 @@ func TestEquivalenceAcrossControllers(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		stream := randomStream(seed, 4000, 8192)
 		for _, p := range pairs {
-			if err := VerifyEquivalence(p[0], p[1], smallCfg(), Options{}, stream); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
+			for _, k := range p {
+				requireMatchesReference(t, fmt.Sprintf("seed %d", seed), k, smallCfg(), Options{}, stream)
 			}
 		}
 	}
@@ -99,21 +111,15 @@ func TestEquivalenceWithDeepBuffers(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		stream := randomStream(uint64(depth)*11, 4000, 8192)
 		opts := Options{BufferDepth: depth}
-		if err := VerifyEquivalence(RMW, WG, smallCfg(), opts, stream); err != nil {
-			t.Errorf("depth %d WG: %v", depth, err)
-		}
-		if err := VerifyEquivalence(RMW, WGRB, smallCfg(), opts, stream); err != nil {
-			t.Errorf("depth %d WGRB: %v", depth, err)
-		}
+		requireMatchesReference(t, fmt.Sprintf("depth %d", depth), WG, smallCfg(), opts, stream)
+		requireMatchesReference(t, fmt.Sprintf("depth %d", depth), WGRB, smallCfg(), opts, stream)
 	}
 }
 
 func TestEquivalenceWithoutSilentElision(t *testing.T) {
 	stream := randomStream(99, 4000, 8192)
 	opts := Options{DisableSilentElision: true}
-	if err := VerifyEquivalence(RMW, WGRB, smallCfg(), opts, stream); err != nil {
-		t.Error(err)
-	}
+	requireMatchesReference(t, "no silent elision", WGRB, smallCfg(), opts, stream)
 }
 
 func TestAccessCountOrderingOnRandomStreams(t *testing.T) {
@@ -121,10 +127,7 @@ func TestAccessCountOrderingOnRandomStreams(t *testing.T) {
 	// Conventional 6T reference is the floor.
 	for seed := uint64(10); seed < 16; seed++ {
 		stream := randomStream(seed, 8000, 16384)
-		results, err := RunAll(context.Background(), []Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runAll(t, []Kind{Conventional, RMW, WG, WGRB}, smallCfg(), Options{}, stream)
 		conv, rmw, wg, wgrb := results[0], results[1], results[2], results[3]
 		if wg.ArrayAccesses() > rmw.ArrayAccesses() {
 			t.Errorf("seed %d: WG %d > RMW %d", seed, wg.ArrayAccesses(), rmw.ArrayAccesses())
@@ -243,9 +246,7 @@ func TestStraddlingAccessFallback(t *testing.T) {
 		{Kind: trace.Read, Addr: straddle, Size: 8},
 		{Kind: trace.Read, Addr: 0, Size: 4},
 	}
-	if err := VerifyEquivalence(RMW, WGRB, smallCfg(), Options{}, stream); err != nil {
-		t.Error(err)
-	}
+	requireMatchesReference(t, "straddle", WGRB, smallCfg(), Options{}, stream)
 }
 
 func TestEvictionInsideBufferedSetFlushesBuffer(t *testing.T) {
@@ -260,12 +261,8 @@ func TestEvictionInsideBufferedSetFlushesBuffer(t *testing.T) {
 		{Kind: trace.Read, Addr: 2 * stride, Size: 4},   // evicts within the set
 		{Kind: trace.Read, Addr: 0, Size: 4},            // must still see 42
 	}
-	if err := VerifyEquivalence(RMW, WG, smallCfg(), Options{}, stream); err != nil {
-		t.Error(err)
-	}
-	if err := VerifyEquivalence(RMW, WGRB, smallCfg(), Options{}, stream); err != nil {
-		t.Error(err)
-	}
+	requireMatchesReference(t, "in-set eviction", WG, smallCfg(), Options{}, stream)
+	requireMatchesReference(t, "in-set eviction", WGRB, smallCfg(), Options{}, stream)
 	// Direct value check.
 	c, _ := cache.New(smallCfg(), newMem())
 	ctrl, _ := New(WGRB, c, Options{})
@@ -289,9 +286,7 @@ func TestWriteMissInBufferedSetFlushesBuffer(t *testing.T) {
 		{Kind: trace.Read, Addr: 0, Size: 4},
 		{Kind: trace.Read, Addr: 2 * stride, Size: 4},
 	}
-	if err := VerifyEquivalence(RMW, WGRB, smallCfg(), Options{}, stream); err != nil {
-		t.Error(err)
-	}
+	requireMatchesReference(t, "write miss in buffered set", WGRB, smallCfg(), Options{}, stream)
 }
 
 func TestResultDerivedFields(t *testing.T) {
@@ -305,23 +300,6 @@ func TestResultDerivedFields(t *testing.T) {
 	r.Requests = trace.Stats{Reads: 4, Writes: 1}
 	if got := r.AccessesPerRequest(); got != 2 {
 		t.Errorf("AccessesPerRequest = %v", got)
-	}
-}
-
-func TestDivergenceErrorMessages(t *testing.T) {
-	e := &DivergenceError{Step: 3, A: RMW, B: WG, ValueA: 1, ValueB: 2,
-		Access: trace.Access{Kind: trace.Read, Addr: 16, Size: 4}}
-	if e.Error() == "" {
-		t.Error("empty error")
-	}
-	me := &DivergenceError{A: RMW, B: WGRB, MemoryImage: true}
-	if me.Error() == "" {
-		t.Error("empty memory-image error")
-	}
-	var err error = e
-	var de *DivergenceError
-	if !errors.As(err, &de) {
-		t.Error("errors.As failed")
 	}
 }
 
@@ -370,9 +348,7 @@ func TestTinyCacheSubarrayClamp(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 512, Ways: 4, BlockBytes: 64, Policy: cache.LRU}
 	stream := randomStream(99, 2000, 2048)
 	for _, k := range []Kind{Conventional, WordGranularity, Coalesce, WG, WGRB} {
-		if err := VerifyEquivalence(RMW, k, cfg, Options{BufferDepth: 4}, stream); err != nil {
-			t.Errorf("%v: %v", k, err)
-		}
+		requireMatchesReference(t, "2-set cache", k, cfg, Options{BufferDepth: 4}, stream)
 	}
 	res, err := Run(WGRB, cfg, Options{}, trace.FromSlice(stream), 0)
 	if err != nil {

@@ -10,20 +10,21 @@ import (
 	"cache8t/internal/trace"
 )
 
-// Driver feeds batches of accesses into one Controller. It is the hot inner
+// Driver feeds batches of accesses into one controller. It is the hot inner
 // loop of the streaming pipeline: the per-access Stream interface dispatch,
 // the context poll, and the access budget all live at batch granularity, so
-// the controller's Access method is the only per-access work left.
+// one walk of the batch and each accountant's pass over its outcomes are
+// the only per-access work left.
 //
 // Drain never holds more than drainSlabs batches of the trace; memory stays
 // constant no matter how long the stream is. It keeps the cache.Config its
 // cache was built from, so it can checkpoint itself (Snapshot).
 type Driver struct {
-	// ctrl is what Feed calls: the controller, or a wrapper installed by
-	// Wrap. inner is always the package controller, the state Snapshot
-	// serializes.
+	// ctrl is what Feed calls access by access once Wrap has installed a
+	// wrapper; until then it is inner, which Feed runs by the batch. inner
+	// is the state Snapshot serializes.
 	ctrl  Controller
-	inner Controller
+	inner *controller
 	cfg   cache.Config
 	fed   uint64
 
@@ -40,11 +41,17 @@ const drainSlabs = 2
 // NewDriver builds a fresh cache (over its own backing memory) and a
 // controller of kind for batched feeding.
 func NewDriver(kind Kind, cfg cache.Config, opts Options) (*Driver, error) {
+	return newDriver(cfg, opts, kind)
+}
+
+// newDriver builds a fresh cache and one controller that walks it for every
+// kind.
+func newDriver(cfg cache.Config, opts Options, kinds ...Kind) (*Driver, error) {
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := New(kind, c, opts)
+	ctrl, err := newController(c, opts, kinds...)
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +60,18 @@ func NewDriver(kind Kind, cfg cache.Config, opts Options) (*Driver, error) {
 
 // Wrap interposes on every access the driver feeds: w receives the current
 // controller and the cache under it, and returns a Controller that forwards
-// to the one it was given — the role a LoggedController plays in RunLogged;
+// to the one it was given — the role the port-op logger plays in RunLogged;
 // internal/hier hangs its L1→L2 bridge here. Snapshot serializes only the
 // controller underneath, so a wrapper's own state is not checkpointed.
 func (d *Driver) Wrap(w func(ctrl Controller, c *cache.Cache) Controller) {
-	d.ctrl = w(d.ctrl, d.inner.(baseHolder).baseState().cache)
+	d.ctrl = w(d.ctrl, d.inner.walk.cache)
 }
+
+// PeekCounters returns a copy of the live counters mid-run. internal/hier
+// diffs successive peeks to attribute microarchitectural events (premature
+// Set-Buffer write-backs) to the access that caused them, since those never
+// reach backing memory and so never fire a cache.Listener.
+func (d *Driver) PeekCounters() Counters { return d.inner.accts[0].book().counters }
 
 // CheckpointEvery makes Drain serialize the driver (Snapshot) after every
 // `every`-th fed batch and hand the blob to sink. every <= 0 or a nil sink
@@ -68,14 +81,17 @@ func (d *Driver) CheckpointEvery(every int, sink CheckpointSink) {
 		sink = nil
 	}
 	d.every, d.sink = every, sink
+	// A Set-Buffer's pre-image needs the bytes its writes overwrote.
+	k := d.inner.Kind()
+	d.inner.walk.logging = sink != nil && (k == WG || k == WGRB)
 }
 
 // Feed runs every access of batch through the controller, in order: as one
 // batch through the controller's batch entry, or access by access through
 // a wrapper (Wrap, RunLogged), which sees every access.
 func (d *Driver) Feed(batch []trace.Access) {
-	if f, ok := d.ctrl.(batchFeeder); ok {
-		f.feed(batch)
+	if d.ctrl == d.inner {
+		d.inner.feed(batch)
 	} else {
 		for i := range batch {
 			d.ctrl.Access(batch[i])
@@ -111,10 +127,18 @@ func (d *Driver) Finish() Result { return d.ctrl.Finalize() }
 // A stream that ends, or a budget that stops, before the resume position
 // fails with ErrBadCheckpoint.
 func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) (Result, error) {
+	if err := d.drain(ctx, s, max, batchSize); err != nil {
+		return Result{}, err
+	}
+	return d.Finish(), nil
+}
+
+// drain is Drain short of finishing the driver.
+func (d *Driver) drain(ctx context.Context, s trace.Stream, max, batchSize int) error {
 	skip := d.fed
 	if max > 0 {
 		if skip > uint64(max) {
-			return Result{}, fmt.Errorf("%w: snapshot is %d accesses in, past the %d-access budget", ErrBadCheckpoint, skip, max)
+			return fmt.Errorf("%w: snapshot is %d accesses in, past the %d-access budget", ErrBadCheckpoint, skip, max)
 		}
 		s = trace.NewLimit(s, uint64(max))
 	}
@@ -126,7 +150,7 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 	batches := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return err
 		}
 		batch, ok := feed.Next()
 		if !ok {
@@ -144,20 +168,20 @@ func (d *Driver) Drain(ctx context.Context, s trace.Stream, max, batchSize int) 
 		if d.sink != nil && batches%d.every == 0 {
 			blob, err := d.Snapshot()
 			if err != nil {
-				return Result{}, err
+				return err
 			}
 			if err := d.sink(blob, d.fed); err != nil {
-				return Result{}, fmt.Errorf("core: checkpoint sink: %w", err)
+				return fmt.Errorf("core: checkpoint sink: %w", err)
 			}
 		}
 	}
 	if err := fan.Err(); err != nil {
-		return Result{}, &StreamError{Accesses: d.fed - skip, Err: err}
+		return &StreamError{Accesses: d.fed - skip, Err: err}
 	}
 	if skip > 0 {
-		return Result{}, fmt.Errorf("%w: stream ended %d accesses short of the snapshot position", ErrBadCheckpoint, skip)
+		return fmt.Errorf("%w: stream ended %d accesses short of the snapshot position", ErrBadCheckpoint, skip)
 	}
-	return d.Finish(), nil
+	return nil
 }
 
 // RunStreamContext drives up to max accesses of s (max <= 0 drains the
@@ -176,14 +200,13 @@ func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Opt
 
 // RunEachStream runs every kind over the stream from open and returns the
 // results in kind order. With shards <= 1 and several kinds, open is called
-// once and a broadcast trace.Fanout hands the decoded batches to one
-// controller goroutine per kind — a seven-kind comparison decodes its gzip
-// trace once instead of seven times, and no kind ever holds the full trace.
-// Otherwise each kind runs RunShardedContext over its own fresh open, so
-// callers must make open yield identical streams (a re-seeded generator or
-// a replayed slice). Every controller sees the exact same access sequence
-// either way, so results are byte-identical to RunAll over the materialized
-// accesses.
+// once and the stream is walked once, through one cache, with every kind's
+// accountant charging each walked batch on the one goroutine — a
+// seven-kind comparison decodes its trace and walks its cache once instead
+// of seven times. Otherwise each kind runs RunShardedContext over its own
+// fresh open, so callers must make open yield identical streams (a
+// re-seeded generator or a replayed slice). Either way every kind's Result
+// is byte-identical to its own RunStreamContext over the same accesses.
 func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize, shards int) ([]Result, error) {
 	if shards > 1 || len(kinds) <= 1 {
 		out := make([]Result, len(kinds))
@@ -198,35 +221,20 @@ func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Opt
 		}
 		return out, nil
 	}
-	// Build every controller before opening the stream, so construction
+	// Build the controller before opening the stream, so construction
 	// errors surface without spinning up the decoder.
-	drivers := make([]*Driver, len(kinds))
-	for i, k := range kinds {
-		d, err := NewDriver(k, cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		drivers[i] = d
+	d, err := newDriver(cfg, opts, kinds...)
+	if err != nil {
+		return nil, err
 	}
 	s, err := open()
 	if err != nil {
 		return nil, err
 	}
-	if max > 0 {
-		s = trace.NewLimit(s, uint64(max))
-	}
-	fan := trace.NewBroadcast(s, batchSizeFor(max, batchSize), len(kinds), 0)
-	if err := feedEach(ctx, fan, drivers); err != nil {
+	if err := d.drain(ctx, s, max, batchSize); err != nil {
 		return nil, err
 	}
-	if err := fan.Err(); err != nil {
-		return nil, &StreamError{Accesses: drivers[0].Accesses(), Err: err}
-	}
-	out := make([]Result, len(kinds))
-	for i, d := range drivers {
-		out[i] = d.Finish()
-	}
-	return out, nil
+	return d.inner.results(), nil
 }
 
 // feedEach drains feed i of fan into drivers[i], one goroutine per driver,

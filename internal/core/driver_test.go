@@ -27,15 +27,19 @@ func TestRunStreamHonorsMax(t *testing.T) {
 	}
 }
 
-// TestRunEachStreamMatchesRunAll pins the broadcast path under an access
-// budget and an odd batch size: every kind stops at the same access.
+// TestRunEachStreamMatchesRunAll pins the walk-once path under an access
+// budget and an odd batch size against each kind run on its own: every kind
+// stops at the same access.
 func TestRunEachStreamMatchesRunAll(t *testing.T) {
 	accs := randomStream(16, 4000, 8192)
 	const max = 1234
 	kinds := Kinds()
-	want, err := RunAll(context.Background(), kinds, smallCfg(), Options{}, accs[:max])
-	if err != nil {
-		t.Fatal(err)
+	want := make([]Result, len(kinds))
+	for i, k := range kinds {
+		var err error
+		if want[i], err = Run(k, smallCfg(), Options{}, trace.FromSlice(accs[:max]), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{},
 		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, max, 333, 0)

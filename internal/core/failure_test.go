@@ -69,33 +69,31 @@ func TestConformanceFailures(t *testing.T) {
 
 	runners := []struct {
 		name string
-		// ignoresCtx marks runners without a context parameter.
-		ignoresCtx bool
-		run        func(ctx context.Context, s trace.Stream) error
+		run  func(ctx context.Context, s trace.Stream) error
 	}{
-		{"serial", false, func(ctx context.Context, s trace.Stream) error {
+		{"serial", func(ctx context.Context, s trace.Stream) error {
 			_, err := core.RunContext(ctx, core.WG, cfg, core.Options{}, s, 0)
 			return err
 		}},
-		{"streamed", false, func(ctx context.Context, s trace.Stream) error {
+		{"streamed", func(ctx context.Context, s trace.Stream) error {
 			_, err := core.RunStreamContext(ctx, core.WGRB, cfg, core.Options{}, s, 0, 7)
 			return err
 		}},
-		{"sharded", false, func(ctx context.Context, s trace.Stream) error {
+		{"sharded", func(ctx context.Context, s trace.Stream) error {
 			_, err := core.RunShardedContext(ctx, core.RMW, cfg, core.Options{}, s, 0, 0, 2)
 			return err
 		}},
-		{"each-stream", false, func(ctx context.Context, s trace.Stream) error {
+		{"each-stream", func(ctx context.Context, s trace.Stream) error {
 			_, err := core.RunEachStream(ctx, []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
 				func() (trace.Stream, error) { return s, nil }, 0, 0, 0)
 			return err
 		}},
-		{"logged", true, func(_ context.Context, s trace.Stream) error {
-			_, _, err := core.RunLogged(core.RMW, cfg, core.Options{}, s, 0)
+		{"logged", func(ctx context.Context, s trace.Stream) error {
+			_, _, err := core.RunLogged(ctx, core.RMW, cfg, core.Options{}, s, 0)
 			return err
 		}},
-		{"resumed", false, resume},
-		{"hier", false, func(ctx context.Context, s trace.Stream) error {
+		{"resumed", resume},
+		{"hier", func(ctx context.Context, s trace.Stream) error {
 			_, err := hier.RunContext(ctx, hierCfg, s, 0, 0)
 			return err
 		}},
@@ -116,9 +114,6 @@ func TestConformanceFailures(t *testing.T) {
 				t.Errorf("StreamError.Accesses = %d, want %d", se.Accesses, cleanAccesses)
 			}
 		})
-		if r.ignoresCtx {
-			continue
-		}
 		t.Run(r.name+"/cancelled", func(t *testing.T) {
 			if err := r.run(cancelled, trace.FromSlice(accs)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -153,12 +153,9 @@ func TestEquivalenceQuick(t *testing.T) {
 			DisableSilentElision: noSilent,
 		}
 		for _, k := range []Kind{WG, WGRB, Coalesce} {
-			if err := VerifyEquivalence(RMW, k, smallCfg(), opts, stream); err != nil {
-				t.Log(err)
-				return false
-			}
+			requireMatchesReference(t, fmt.Sprintf("seed %d, opts %+v", seed, opts), k, smallCfg(), opts, stream)
 		}
-		return true
+		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
@@ -172,11 +169,7 @@ func TestEquivalenceQuick(t *testing.T) {
 func TestReductionBoundsQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		stream := randomStream(seed, 1000, 8192)
-		res, err := RunAll(context.Background(), []Kind{RMW, WG, WGRB}, smallCfg(), Options{}, stream)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
+		res := runAll(t, []Kind{RMW, WG, WGRB}, smallCfg(), Options{}, stream)
 		rmw, wg, rb := res[0], res[1], res[2]
 		if wg.ArrayAccesses() > rmw.ArrayAccesses() || rb.ArrayAccesses() > wg.ArrayAccesses() {
 			return false

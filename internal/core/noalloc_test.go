@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -18,9 +19,7 @@ func TestNoAllocEquivalenceAcrossControllers(t *testing.T) {
 	for seed := uint64(120); seed < 125; seed++ {
 		stream := randomStream(seed, 5000, 8192)
 		for _, k := range []Kind{Conventional, WordGranularity, Coalesce, WG, WGRB} {
-			if err := VerifyEquivalence(RMW, k, noAllocCfg(), Options{}, stream); err != nil {
-				t.Errorf("seed %d %v: %v", seed, k, err)
-			}
+			requireMatchesReference(t, fmt.Sprintf("seed %d", seed), k, noAllocCfg(), Options{}, stream)
 		}
 	}
 }
@@ -94,9 +93,7 @@ func TestNoAllocStraddlingWriteAround(t *testing.T) {
 		{Kind: trace.Read, Addr: straddle, Size: 8},
 	}
 	for _, k := range []Kind{RMW, WG, WGRB, Coalesce, Conventional} {
-		if err := VerifyEquivalence(RMW, k, noAllocCfg(), Options{}, stream); err != nil {
-			t.Errorf("%v: %v", k, err)
-		}
+		requireMatchesReference(t, "straddling write-around", k, noAllocCfg(), Options{}, stream)
 	}
 	c, _ := cache.New(noAllocCfg(), newMem())
 	ctrl, _ := New(WG, c, Options{})

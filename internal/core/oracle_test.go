@@ -16,7 +16,10 @@ import (
 // controller. The controllers may differ arbitrarily in *array traffic* — the
 // paper's subject — but must be functionally indistinguishable from the
 // reference: same value per access, same final tag/valid/dirty/data state,
-// same functional hit/miss/writeback statistics, same memory image.
+// same functional hit/miss/writeback statistics, same memory image. The
+// frozen reference controllers (reference_test.go) replay in the same
+// lockstep, so the model keeps them honest, and each controller's Result
+// must equal its frozen reference's.
 
 // refLine is one block in the reference model.
 type refLine struct {
@@ -217,6 +220,14 @@ func TestOracleDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				rc, err := cache.New(cfg, newMem())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := newReference(oc.kind, rc, oc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				model := newRefModel(cfg)
 				for i, a := range accs {
 					got := ctrl.Access(a)
@@ -224,8 +235,15 @@ func TestOracleDifferential(t *testing.T) {
 					if got != want {
 						t.Fatalf("access %d (%+v): controller returned %#x, oracle %#x", i, a, got, want)
 					}
+					if r := ref.Access(a); r != want {
+						t.Fatalf("access %d (%+v): reference returned %#x, oracle %#x", i, a, r, want)
+					}
 				}
 				res := ctrl.Finalize()
+				requireResultsEqual(t, "against the reference", res, ref.Finalize())
+				if got := rc.Stats(); got != model.stats {
+					t.Errorf("reference stats diverged: %+v, oracle %+v", got, model.stats)
+				}
 
 				if got, want := c.Stats(), model.stats; got != want {
 					t.Errorf("functional stats diverged: controller %+v, oracle %+v", got, want)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"cache8t/internal/cache"
 	"cache8t/internal/sram"
@@ -30,38 +29,22 @@ type PortOp struct {
 	Bank uint16
 }
 
-// eventsProvider is satisfied by every controller in this package (via
-// base); it exposes the live event ledger and cache geometry so a wrapper
-// can compute per-request deltas and bank indices.
-type eventsProvider interface {
-	events() *sram.Array
-	geometry() cache.Geometry
-}
-
-func (b *base) events() *sram.Array      { return b.array }
-func (b *base) geometry() cache.Geometry { return b.cache.Geometry() }
-
-// LoggedController wraps a Controller and appends one PortOp per request to
-// a caller-owned slice.
-type LoggedController struct {
+// logged wraps a controller so every Access appends a PortOp to a
+// caller-owned slice.
+type logged struct {
 	Controller
 	arr  *sram.Array
 	geom cache.Geometry
 	log  *[]PortOp
 }
 
-// NewLogged wraps ctrl (which must be a controller from this package) so
-// every Access appends a PortOp to log.
-func NewLogged(ctrl Controller, log *[]PortOp) (*LoggedController, error) {
-	ep, ok := ctrl.(eventsProvider)
-	if !ok {
-		return nil, fmt.Errorf("core: controller %T does not expose its event ledger", ctrl)
-	}
-	return &LoggedController{Controller: ctrl, arr: ep.events(), geom: ep.geometry(), log: log}, nil
+// newLogged wraps c so every Access appends a PortOp to log.
+func newLogged(c *controller, log *[]PortOp) *logged {
+	return &logged{Controller: c, arr: c.accts[0].book().array, geom: c.walk.geom, log: log}
 }
 
 // Access forwards the request and records the array-operation delta.
-func (l *LoggedController) Access(a trace.Access) uint64 {
+func (l *logged) Access(a trace.Access) uint64 {
 	r0 := l.arr.Count(sram.EvRowRead)
 	w0 := l.arr.Count(sram.EvRowWrite)
 	s0 := l.arr.Count(sram.EvSetBufRead) + l.arr.Count(sram.EvSetBufWrite)
@@ -79,20 +62,16 @@ func (l *LoggedController) Access(a trace.Access) uint64 {
 	return v
 }
 
-// RunLogged is Run plus port-op capture: it returns the result and the
-// per-request operation log.
-func RunLogged(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
+// RunLogged is RunContext plus port-op capture: it returns the result and
+// the per-request operation log.
+func RunLogged(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
 	d, err := NewDriver(kind, cfg, opts)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	var log []PortOp
-	logged, err := NewLogged(d.ctrl, &log)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	d.ctrl = logged
-	res, err := d.Drain(context.TODO(), s, max, 0)
+	d.ctrl = newLogged(d.inner, &log)
+	res, err := d.Drain(ctx, s, max, 0)
 	if err != nil {
 		return Result{}, nil, err
 	}

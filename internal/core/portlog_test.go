@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -13,7 +14,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(RMW, c, Options{})
+	ctrl, err := newController(c, Options{}, RMW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,10 +22,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 		t.Fatalf("Kind = %v", ctrl.Kind())
 	}
 	var log []PortOp
-	logged, err := NewLogged(ctrl, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged := newLogged(ctrl, &log)
 	g := c.Geometry()
 	logged.Access(trace.Access{Kind: trace.Write, Addr: 0, Size: 8, Data: 1, Gap: 3})
 	logged.Access(trace.Access{Kind: trace.Read, Addr: uint64(5 * g.BlockBytes), Size: 8, Gap: 1})
@@ -47,7 +45,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 
 func TestRunLoggedBasics(t *testing.T) {
 	stream := randomStream(7, 500, 4096)
-	res, log, err := RunLogged(WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, log, err := RunLogged(context.Background(), WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +64,10 @@ func TestRunLoggedBasics(t *testing.T) {
 	// Bad config propagates.
 	bad := smallCfg()
 	bad.Ways = 3
-	if _, _, err := RunLogged(RMW, bad, Options{}, trace.FromSlice(stream), 0); err == nil {
+	if _, _, err := RunLogged(context.Background(), RMW, bad, Options{}, trace.FromSlice(stream), 0); err == nil {
 		t.Error("bad config accepted")
 	}
-	if _, _, err := RunLogged(Kind(99), smallCfg(), Options{}, trace.FromSlice(stream), 0); err == nil {
+	if _, _, err := RunLogged(context.Background(), Kind(99), smallCfg(), Options{}, trace.FromSlice(stream), 0); err == nil {
 		t.Error("bad kind accepted")
 	}
 }

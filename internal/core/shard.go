@@ -134,7 +134,7 @@ func newShardRun(kind Kind, cfg cache.Config, opts Options, k int) (*shardRun, e
 		if err != nil {
 			return nil, err
 		}
-		c := d.inner.(baseHolder).baseState().cache
+		c := d.inner.walk.cache
 		r.drivers[i], r.caches[i], r.mems[i] = d, c, c.Backing()
 	}
 	return r, nil

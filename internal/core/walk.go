@@ -1,0 +1,133 @@
+package core
+
+import (
+	"cache8t/internal/cache"
+	"cache8t/internal/trace"
+)
+
+// The walk is the functional half every scheme shares: the cache, and
+// through it the shadow memory and replacement state. For each access it
+// does the write-around or Ensure, then reads or writes the word, and
+// reports an outcome beside the access. No scheme changes what the cache
+// holds or what a read returns, so every accountant reads the same outcomes,
+// and a multi-kind run walks once for all of them.
+
+// outcome is what the walk did for one access: the set it mapped to (above
+// outShift) and the flags below.
+type outcome uint64
+
+const (
+	outWrite    outcome = 1 << iota // the access is a write
+	outHit                          // its block was resident before it
+	outSilent                       // a write that changed no byte of its block
+	outStraddle                     // it crosses its block's end
+	outAround                       // a write-around: no fill, no array operation
+	outShift    = iota
+)
+
+// set returns the cache set the access mapped to.
+func (o outcome) set() int { return int(o >> outShift) }
+
+// preWord is one entry of the pre-image log: the eight bytes at offset off
+// of way's line, and that line's state, as they stood before a write.
+type preWord struct {
+	way, off int
+	word     uint64
+	state    cache.LineState
+}
+
+// walk serves accesses against one cache.
+type walk struct {
+	cache   *cache.Cache
+	geom    cache.Geometry
+	noAlloc bool
+	outs    []outcome // the batch entry's outcomes, reused
+	// logging makes every committed write log what it overwrites into pre,
+	// in access order. It is on while a checkpoint sink is set: accounting
+	// runs after the walk, when the old bytes a Set-Buffer's pre-image
+	// needs (checkpoint.go) are gone.
+	logging bool
+	pre     []preWord
+}
+
+// serve applies a to the cache and reports its outcome, with the line a
+// read hit or filled.
+func (w *walk) serve(a *trace.Access) (o outcome, set, way int) {
+	if w.geom.BlockOffset(a.Addr)+int(a.Size) > w.geom.BlockBytes {
+		o = outStraddle
+	}
+	write := a.Kind == trace.Write
+	var hit bool
+	if write && w.noAlloc {
+		// A write miss under no-write-allocate goes around the cache, to
+		// the next level.
+		if set, _, hit = w.cache.Probe(a.Addr); !hit {
+			w.cache.WriteAround(a.Addr, a.Size, a.Data)
+			return o | outWrite | outAround | outcome(set)<<outShift, set, -1
+		}
+	}
+	if set, way, hit = w.cache.Ensure(a.Addr, write); hit {
+		o |= outHit
+	}
+	if write {
+		o |= outWrite
+		if w.logging {
+			w.save(set, way, a.Addr)
+		}
+		if w.cache.WriteWord(set, way, a.Addr, a.Size, a.Data) {
+			o |= outSilent
+		}
+	}
+	return o | outcome(set)<<outShift, set, way
+}
+
+// step serves one access and returns its value — the bytes read, or the
+// bytes now stored — with its outcome.
+func (w *walk) step(a *trace.Access) (uint64, outcome) {
+	w.pre = w.pre[:0]
+	o, set, way := w.serve(a)
+	switch {
+	case o&outWrite == 0:
+		return w.cache.ReadWord(set, way, a.Addr, a.Size), o
+	case o&outAround != 0:
+		return w.cache.PeekWord(a.Addr, a.Size), o
+	}
+	// The line now holds the low Size bytes of Data verbatim (a straddle's
+	// spill included), so a store needs no read-back.
+	return a.Data & sizeMask(a.Size), o
+}
+
+// batch serves accs in order and returns their outcomes, valid until the
+// next call. It leaves values unread, which only step returns: the reads
+// cost fig9_matrix and replay_write_burst about 5% of their throughput.
+func (w *walk) batch(accs []trace.Access) []outcome {
+	w.pre = w.pre[:0]
+	if cap(w.outs) < len(accs) {
+		w.outs = make([]outcome, len(accs))
+	}
+	outs := w.outs[:len(accs)]
+	for i := range outs {
+		outs[i], _, _ = w.serve(&accs[i])
+	}
+	return outs
+}
+
+// save logs the word and state of line (set, way) that a write at addr is
+// about to overwrite.
+func (w *walk) save(set, way int, addr uint64) {
+	off := min(w.geom.BlockOffset(addr), w.geom.BlockBytes-8)
+	at := w.geom.BlockBase(addr) + uint64(off)
+	w.pre = append(w.pre, preWord{way: way, off: off,
+		word: w.cache.ReadWord(set, way, at, 8), state: w.cache.State(set, way)})
+}
+
+// sizeMask selects the low size bytes of a data word. After a write commits,
+// the stored value is exactly a.Data & sizeMask(a.Size) — cache.WriteWord
+// stores those bytes verbatim (spill included) — so the walk returns the
+// mask instead of paying a ReadWord per store.
+func sizeMask(size uint8) uint64 {
+	if size >= 8 {
+		return ^uint64(0)
+	}
+	return 1<<(8*size) - 1
+}

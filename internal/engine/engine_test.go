@@ -85,9 +85,9 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesEngine pins the fan-out contract: core.RunAll (the
-// serial path) and the same kinds mapped across 8 engine workers agree
-// result-for-result, in kind order.
+// TestRunAllMatchesEngine pins the fan-out contract: every kind run at once
+// (core.RunEachStream, one walk on one goroutine) and the same kinds mapped
+// across 8 engine workers agree result-for-result, in kind order.
 func TestRunAllMatchesEngine(t *testing.T) {
 	prof, err := workload.ProfileByName("gcc")
 	if err != nil {
@@ -98,7 +98,8 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.DefaultConfig()
-	serial, err := core.RunAll(context.Background(), core.Kinds(), cfg, core.Options{}, accs)
+	serial, err := core.RunEachStream(context.Background(), core.Kinds(), cfg, core.Options{},
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("engine.Map(workers=8) differs from RunAll")
+		t.Fatal("engine.Map(workers=8) differs from RunEachStream")
 	}
 	for i, k := range core.Kinds() {
 		if parallel[i].Controller != k {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strconv"
 	"testing"
@@ -42,6 +44,21 @@ func TestPortsSimulatedVsAnalytic(t *testing.T) {
 	if cell(t, tab, "RMW", 3) <= cell(t, tab, "WG+RB", 3) {
 		t.Errorf("RMW conflict rate %.2f not above WG+RB %.2f",
 			cell(t, tab, "RMW", 3), cell(t, tab, "WG+RB", 3))
+	}
+}
+
+// TestPortsHonorsContext pins that the ports figure stops on its context,
+// as cmd/figures' -timeout and Ctrl-C need: a cancelled run fails with
+// context.Canceled instead of finishing the table. Streaming skips the
+// materialization pass, so the cancel reaches the port-logged runs.
+func TestPortsHonorsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := testConfig()
+	cfg.Stream = true
+	cfg.Context = ctx
+	if _, err := Ports(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

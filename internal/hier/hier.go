@@ -136,23 +136,17 @@ func (r Result) L2VisiblePerRequest() float64 {
 
 // bridge joins the two levels. It is the L1 cache's Listener, turning L1
 // block traffic into L2 demand accesses in event order, and it wraps the L1
-// controller (core.Driver.Wrap), diffing the controller's live counters
+// controller (core.Driver.Wrap), diffing the L1 driver's live counters
 // after each access to attribute premature write-backs to the access that
 // caused them.
 type bridge struct {
 	core.Controller // the L1
-	peek            counterPeeker
+	l1              *core.Driver
 	prevPWB         uint64
 
 	l2      core.Controller
 	counts  Counts
 	observe func(Event)
-}
-
-// counterPeeker is the mid-run counter view every core controller provides
-// (via its embedded base).
-type counterPeeker interface {
-	PeekCounters() core.Counters
 }
 
 // Access runs one demand access through the L1. Any premature write-backs
@@ -161,7 +155,7 @@ type counterPeeker interface {
 // read triggered.
 func (b *bridge) Access(a trace.Access) uint64 {
 	v := b.Controller.Access(a)
-	for cur := b.peek.PeekCounters().PrematureWBs; b.prevPWB < cur; b.prevPWB++ {
+	for cur := b.l1.PeekCounters().PrematureWBs; b.prevPWB < cur; b.prevPWB++ {
 		b.counts.PrematureWBs++
 		if b.observe != nil {
 			b.observe(Event{Kind: EvPrematureWB})
@@ -218,9 +212,9 @@ func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize 
 	if err != nil {
 		return Result{}, fmt.Errorf("hier: L2: %w", err)
 	}
-	br := &bridge{l2: l2, observe: cfg.Observer}
+	br := &bridge{l1: l1, l2: l2, observe: cfg.Observer}
 	l1.Wrap(func(ctrl core.Controller, c *cache.Cache) core.Controller {
-		br.Controller, br.peek = ctrl, ctrl.(counterPeeker)
+		br.Controller = ctrl
 		c.SetListener(br)
 		return br
 	})

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -87,7 +88,7 @@ func TestBankedDegeneratesToSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, log, err := core.RunLogged(core.RMW, defaultCacheConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	_, log, err := core.RunLogged(context.Background(), core.RMW, defaultCacheConfig(), core.Options{}, trace.FromSlice(accs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestLocalRMWBeatsRMWUnderBankedSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(kind core.Kind, local bool) SimReport {
-		_, log, err := core.RunLogged(kind, defaultCacheConfig(), core.Options{}, trace.FromSlice(accs), 0)
+		_, log, err := core.RunLogged(context.Background(), kind, defaultCacheConfig(), core.Options{}, trace.FromSlice(accs), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

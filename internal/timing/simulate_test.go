@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func loggedRun(t *testing.T, kind core.Kind, accs []trace.Access) (core.Result, []core.PortOp) {
 	t.Helper()
-	res, log, err := core.RunLogged(kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, log, err := core.RunLogged(context.Background(), kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

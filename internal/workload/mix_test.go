@@ -88,7 +88,8 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 	for _, name := range names {
 		g, _ := Stream(name, 1)
 		accs := trace.Collect(trace.NewLimit(g, n), 0)
-		res, err := core.RunAll(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{}, accs)
+		res, err := core.RunEachStream(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
+			func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,8 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := trace.Collect(trace.NewLimit(m, n), 0)
-	res, err := core.RunAll(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{}, mixed)
+	res, err := core.RunEachStream(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
+		func() (trace.Stream, error) { return trace.FromSlice(mixed), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
