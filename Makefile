@@ -6,13 +6,20 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard golden-update fuzz-smoke lifecycle-soak bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test test-export vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard golden-update fuzz-smoke lifecycle-soak bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Tier-1 in a tree exported with `git archive HEAD` outside the checkout,
+# where `git rev-parse` fails and report.GitSHA reads "unknown", as in a
+# source tarball. It tests committed files only.
+test-export:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive HEAD | tar -x -C "$$tmp" && cd "$$tmp" && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -151,4 +158,4 @@ serve-golden-update:
 hier-golden-update:
 	$(SCENARIO) hier -update
 
-ci: build vet fmt-check race lifecycle-soak bench-module regress regress-stream regress-shard bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race test-export lifecycle-soak bench-module regress regress-stream regress-shard bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

@@ -140,19 +140,16 @@ func run() error {
 		sourceName = *workloadName
 	}
 
-	if *shards > 1 {
-		// Refuse, up front, a shard request the driver would silently run
-		// serially — asking for parallelism and getting none is a surprise
-		// worth an error, not a log line. A clamp (fewer shards than asked,
-		// but still parallel) only warns.
-		plan := core.PlanShards(kind, cfg, *shards)
-		if plan.Shards <= 1 && plan.Reason != "" {
-			reason := strings.TrimSuffix(plan.Reason, "; running serially")
-			return fmt.Errorf("-shards %d is not possible for this run: %s (drop -shards, or pick a set-local controller: conventional, word, rmw, localrmw)", *shards, reason)
-		}
-		if plan.Reason != "" {
-			log.Printf("-shards %d: %s", *shards, plan.Reason)
-		}
+	// Refuse, up front, a shard request the driver would silently run
+	// serially — asking for parallelism and getting none is a surprise
+	// worth an error, not a log line. A clamp (fewer shards than asked, but
+	// still parallel) only warns.
+	plan := core.PlanShards(kind, cfg, *shards)
+	if err := plan.Err(); err != nil {
+		return fmt.Errorf("-shards %d: %v", *shards, err)
+	}
+	if plan.Reason != "" {
+		log.Printf("-shards %d: %s", *shards, plan.Reason)
 	}
 
 	start := time.Now()

@@ -199,9 +199,6 @@ func (c *Cache) WriteAround(addr uint64, size uint8, data uint64) {
 	}
 }
 
-// State returns the valid and dirty bits of line (set, way).
-func (c *Cache) State(set, way int) LineState { return c.state[set*c.ways+way] }
-
 // Probe looks up addr without side effects. It returns the set index, the
 // way holding the block (-1 on miss), and whether it hit.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {

@@ -30,10 +30,12 @@ type Ledger struct {
 }
 
 // MergeLedger assembles the canonical sweep ledger from per-point artifact
-// bytes indexed by point position. Every slot must be filled with a
-// decodable artifact — the dispatcher verifies config hashes before bytes
-// get here, and the decode re-check makes "a corrupt artifact is never
-// merged" a property of the merge itself, not just of the dispatch loop.
+// bytes indexed by point position. It rejects a missing slot and an
+// artifact that report.Decode refuses: undecodable JSON, another schema, or
+// a config that does not match its embedded config hash. The dispatcher
+// verifies config hashes before bytes get here; the re-check makes that a
+// property of the merge itself. A changed counter value is merged: only
+// recomputing the point could detect it.
 func MergeLedger(sweepHash string, arts [][]byte) ([]byte, error) {
 	raws := make([]json.RawMessage, len(arts))
 	for i, a := range arts {

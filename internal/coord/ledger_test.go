@@ -97,16 +97,15 @@ func TestMergeLedgerRejectsHolesAndCorruption(t *testing.T) {
 		t.Fatal("merged a ledger with a missing artifact")
 	}
 
+	// Damage a config value, which report.Decode verifies against the
+	// embedded config hash. A changed counter would still merge: only
+	// recomputing the point could tell.
 	corrupt := make([][]byte, len(arts))
 	copy(corrupt, arts)
-	flipped := bytes.Replace(arts[0], []byte(`"reads"`), []byte(`"rAads"`), 1)
-	if bytes.Equal(flipped, arts[0]) {
-		// The artifact body is an implementation detail; if the marker is
-		// not present, damage the bytes cruder.
-		flipped = append([]byte{}, arts[0]...)
-		flipped[len(flipped)/2] ^= 0x01
+	corrupt[0] = bytes.Replace(arts[0], []byte(`"controller": "wgrb"`), []byte(`"controller": "wgrA"`), 1)
+	if bytes.Equal(corrupt[0], arts[0]) {
+		t.Fatalf("artifact has no controller config value to corrupt:\n%s", arts[0])
 	}
-	corrupt[0] = flipped
 	if _, err := MergeLedger(hash, corrupt); err == nil {
 		t.Fatal("merged a ledger containing a corrupt artifact")
 	}

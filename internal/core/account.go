@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -14,9 +13,8 @@ import (
 // never the cache, so every scheme returns the same values by construction.
 type accountant interface {
 	// account charges accs in order: outs[i] is what the walk did for
-	// accs[i], and pre is the log of what its committed writes overwrote
-	// (empty unless the walk is logging).
-	account(accs []trace.Access, outs []outcome, pre []preWord)
+	// accs[i].
+	account(accs []trace.Access, outs []outcome)
 	// drain empties the accountant's buffers, as Finalize does.
 	drain()
 	// book returns the state every accountant keeps.
@@ -130,7 +128,7 @@ type plainAccountant struct {
 	specReads uint64
 }
 
-func (p *plainAccountant) account(accs []trace.Access, outs []outcome, _ []preWord) {
+func (p *plainAccountant) account(accs []trace.Access, outs []outcome) {
 	p.noteBatch(accs)
 	direct := p.kind == Conventional || p.kind == WordGranularity
 	for _, o := range outs {
@@ -174,7 +172,7 @@ type coalesceAccountant struct {
 	pendingDirty bool
 }
 
-func (c *coalesceAccountant) account(accs []trace.Access, outs []outcome, _ []preWord) {
+func (c *coalesceAccountant) account(accs []trace.Access, outs []outcome) {
 	c.noteBatch(accs)
 	for i, o := range outs {
 		base := c.geom.BlockBase(accs[i].Addr)
@@ -247,11 +245,6 @@ type wgEntry struct {
 	// writes counts stores merged into this buffer residency — the size of
 	// the write group, recorded into the group-size histogram at eviction.
 	writes uint64
-	// undo logs, while the walk logs, the words this residency's writes
-	// overwrote since its last fill or write-back, oldest first: laid over
-	// the set's live lines newest first, it gives the lines as the array
-	// held them, which a checkpoint records.
-	undo []preWord
 }
 
 // wgAccountant implements Write Grouping (§4.1, Algorithm 1) and, with
@@ -268,19 +261,15 @@ type wgAccountant struct {
 	bypass  bool
 }
 
-func (c *wgAccountant) account(accs []trace.Access, outs []outcome, pre []preWord) {
+func (c *wgAccountant) account(accs []trace.Access, outs []outcome) {
 	c.noteBatch(accs)
 	for _, o := range outs {
-		var saved *preWord
-		if len(pre) > 0 && o&(outWrite|outAround) == outWrite {
-			saved, pre = &pre[0], pre[1:]
-		}
-		c.step(o, saved)
+		c.step(o)
 	}
 }
 
 // step charges one request per Algorithm 1 (WG) or §4.2 (WG+RB).
-func (c *wgAccountant) step(o outcome, saved *preWord) {
+func (c *wgAccountant) step(o outcome) {
 	if o&outStraddle != 0 {
 		// The rare block-crossing access: flush everything and charge it
 		// as the RMW baseline would.
@@ -305,7 +294,7 @@ func (c *wgAccountant) step(o outcome, saved *preWord) {
 	case o&outAround != 0:
 		// A write-around bypasses the array, and so the Set-Buffer.
 	case o&outWrite != 0:
-		c.write(o, idx, tagHit, saved)
+		c.write(o, idx, tagHit)
 	case tagHit && c.bypass:
 		// WG+RB: the RB mux routes data straight from the Set-Buffer; no
 		// premature write-back, no array read.
@@ -329,7 +318,7 @@ func (c *wgAccountant) step(o outcome, saved *preWord) {
 	}
 }
 
-func (c *wgAccountant) write(o outcome, idx int, tagHit bool, saved *preWord) {
+func (c *wgAccountant) write(o outcome, idx int, tagHit bool) {
 	if tagHit {
 		// The whole point: this write joins the buffered group without any
 		// array access.
@@ -351,9 +340,6 @@ func (c *wgAccountant) write(o outcome, idx int, tagHit bool, saved *preWord) {
 		e.dirty = e.dirty || c.opts.DisableSilentElision
 	} else {
 		e.dirty = true
-		if saved != nil {
-			e.log(*saved, 2*c.geom.SetBytes())
-		}
 	}
 	c.touchMRU(idx)
 }
@@ -376,7 +362,6 @@ func (c *wgAccountant) fill(set int) int {
 	e.set = set
 	e.dirty = false
 	e.writes = 0
-	e.undo = e.undo[:0]
 	return victim
 }
 
@@ -400,7 +385,6 @@ func (c *wgAccountant) writeback(i int, premature bool) {
 		c.counters.PrematureWBs++
 	}
 	e.dirty = false
-	e.undo = e.undo[:0]
 }
 
 // flush writes entry i back and invalidates it, closing its write group.
@@ -438,39 +422,4 @@ func (c *wgAccountant) touchMRU(i int) {
 	e := c.buffers[i]
 	copy(c.buffers[1:i+1], c.buffers[:i])
 	c.buffers[0] = e
-}
-
-// preImage lays the undo log of the entry holding set, if any, over row,
-// the set's live lines, newest entry first: row becomes the set as the
-// array held it at the entry's last fill or write-back.
-func (c *wgAccountant) preImage(set int, row *cache.Row) {
-	i := c.find(set)
-	if i < 0 {
-		return
-	}
-	undo := c.buffers[i].undo
-	for j := len(undo) - 1; j >= 0; j-- {
-		u := &undo[j]
-		binary.LittleEndian.PutUint64(row.Line(u.way)[u.off:], u.word)
-		row.State[u.way] = u.state
-	}
-}
-
-// log appends one pre-image entry. Of two entries for the same word, the
-// older is the one the pre-image needs, so once the log reaches limit it
-// keeps one entry per word, which bounds it by the set's size.
-func (e *wgEntry) log(p preWord, limit int) {
-	e.undo = append(e.undo, p)
-	if len(e.undo) < limit {
-		return
-	}
-	seen := make(map[[2]int]bool, len(e.undo))
-	kept := e.undo[:0]
-	for _, u := range e.undo {
-		if k := [2]int{u.way, u.off}; !seen[k] {
-			seen[k] = true
-			kept = append(kept, u)
-		}
-	}
-	e.undo = kept
 }

@@ -21,15 +21,19 @@ import (
 //
 // The blob is self-describing: it embeds the cache.Config and Options it
 // was captured under, so ResumeDriver needs nothing but the bytes. The
-// format is versioned by ckptVersion; any layout change must bump it, and
-// a decoder seeing an unknown version fails with ErrBadCheckpoint rather
-// than guessing.
+// format is versioned by ckptVersion: the bytes may move only with a bump,
+// and a decoder seeing any other version fails with ErrBadCheckpoint rather
+// than guessing, so a blob of an older build recomputes from access zero.
 
 // ckptMagic guards against feeding arbitrary blobs to the decoder.
 const ckptMagic = "c8tckpt\x00"
 
 // ckptVersion is the snapshot layout version. Bump on any change.
-const ckptVersion uint16 = 1
+//
+// Version 2 records the cache's live lines, and a Set-Buffer entry as its
+// set, Dirty bit and write count. Version 1 recorded a buffered set's lines
+// twice: as the array held them and as its live row.
+const ckptVersion uint16 = 2
 
 // Controller-specific state section tags.
 const (
@@ -148,12 +152,8 @@ func (r *ckptReader) bool() bool {
 // resuming side can rebuild an identical cache. Only the package controller
 // is captured — a Wrap wrapper's own state is not.
 //
-// A set in the Set-Buffer is recorded twice: in the cache section as the
-// array held it at the entry's last fill or write-back, and in the buffer
-// section as its live row, which is what the walk keeps in the cache. The
-// first comes from the entry's pre-image log, kept while a checkpoint sink
-// is set; a snapshot taken without one records the live lines in both
-// sections, which resumes to the same run.
+// A Set-Buffer entry's row is its set's live lines, which the cache section
+// holds, so the entry records only its set, Dirty bit and write count.
 func (d *Driver) Snapshot() ([]byte, error) {
 	acct := d.inner.accts[0]
 	b, c := acct.book(), d.inner.walk.cache
@@ -214,13 +214,9 @@ func (d *Driver) Snapshot() ([]byte, error) {
 	for _, v := range c.RNGState() {
 		w.u64(v)
 	}
-	wg, _ := acct.(*wgAccountant)
 	var row cache.Row
 	for s := 0; s < geom.Sets; s++ {
 		c.ReadRow(s, &row)
-		if wg != nil {
-			wg.preImage(s, &row)
-		}
 		writeRow(w, &row)
 	}
 	for s := 0; s < geom.Sets; s++ {
@@ -268,8 +264,6 @@ func (d *Driver) Snapshot() ([]byte, error) {
 			w.i64(int64(e.set))
 			w.bool(e.dirty)
 			w.u64(e.writes)
-			c.ReadRow(e.set, &row)
-			writeRow(w, &row)
 		}
 	}
 	return w.buf, nil
@@ -445,7 +439,6 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 		if n := r.u32(); r.err == nil && int(n) != len(a.buffers) {
 			return nil, fmt.Errorf("%w: snapshot has %d Set-Buffer entries, options build %d", ErrBadCheckpoint, n, len(a.buffers))
 		}
-		live := cache.NewRow(geom)
 		for i := range a.buffers {
 			e := &a.buffers[i]
 			e.valid = r.bool()
@@ -458,20 +451,6 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 			if r.err == nil && (e.set < 0 || e.set >= geom.Sets) {
 				return nil, fmt.Errorf("%w: Set-Buffer entry %d holds out-of-range set %d", ErrBadCheckpoint, i, e.set)
 			}
-			readRow(r, &live)
-			if r.err != nil {
-				return nil, r.err
-			}
-			// The cache holds the set as the array held it; log all of it
-			// as the entry's pre-image, then lay the live row over it.
-			c.ReadRow(e.set, &row)
-			for way := range row.Tags {
-				for off := 0; off < geom.BlockBytes; off += 8 {
-					e.undo = append(e.undo, preWord{way: way, off: off,
-						word: binary.LittleEndian.Uint64(row.Line(way)[off:]), state: row.State[way]})
-				}
-			}
-			c.WriteRow(e.set, &live)
 		}
 	}
 	if r.err != nil {

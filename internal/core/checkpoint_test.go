@@ -3,9 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"strings"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -111,11 +112,10 @@ func snapshotsOf(t *testing.T, k Kind, accs []trace.Access, batchSize, every int
 	return blobs
 }
 
-// TestResumedSnapshotsMatchStraight pins the Set-Buffer pre-image across a
-// resume: a driver resumed from any snapshot of a checkpointed run takes
-// the same snapshots from there on as the run that never stopped, byte for
-// byte, so a blob's cache section holds a buffered set as the array held it
-// at its last fill or write-back, before and after a resume.
+// TestResumedSnapshotsMatchStraight pins the Set-Buffer across a resume: a
+// driver resumed from any snapshot of a checkpointed run takes the same
+// snapshots from there on as the run that never stopped, byte for byte, so
+// a buffered set's entry and its lines survive a resume mid-residency.
 func TestResumedSnapshotsMatchStraight(t *testing.T) {
 	// The middle third keeps set 0 buffered and dirty across many batch
 	// boundaries: writes to its block, between reads of other sets.
@@ -153,54 +153,6 @@ func TestResumedSnapshotsMatchStraight(t *testing.T) {
 			for j := range blobs {
 				if !bytes.Equal(blobs[j], want[j]) {
 					t.Fatalf("%v from snapshot %d: snapshot %d differs from the straight run's", k, i, i+1+j)
-				}
-			}
-		}
-	}
-}
-
-// TestPreImageMatchesReference holds the Set-Buffer pre-image a checkpoint
-// records to the frozen reference, whose cache holds a buffered set as the
-// array held it at the entry's last fill or write-back. After every batch,
-// each set's live lines with the WG accountant's undo log laid over them
-// must equal the reference cache's lines. A long burst of writes to one
-// set makes the log compact many times.
-func TestPreImageMatchesReference(t *testing.T) {
-	burst := make([]trace.Access, 3000)
-	for i := range burst {
-		burst[i] = trace.Access{Kind: trace.Write, Addr: uint64(i%4) * 8, Size: uint8(1 << (i % 4)), Data: uint64(i) * 0x9e3779b97f4a7c15}
-	}
-	stream := append(append(randomStream(41, 2000, 8192), burst...), randomStream(43, 2000, 8192)...)
-	for _, k := range []Kind{WG, WGRB} {
-		for _, opts := range []Options{{}, {BufferDepth: 2}, {DisableSilentElision: true}} {
-			d, err := NewDriver(k, smallCfg(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.CheckpointEvery(1, func([]byte, uint64) error { return nil })
-			rc, err := cache.New(smallCfg(), newMem())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := newReference(k, rc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg := d.inner.accts[0].(*wgAccountant)
-			var got, want cache.Row
-			for b := stream; len(b) > 0; b = b[min(len(b), 256):] {
-				batch := b[:min(len(b), 256)]
-				d.Feed(batch)
-				for _, a := range batch {
-					ref.Access(a)
-				}
-				for s := 0; s < rc.Geometry().Sets; s++ {
-					d.inner.walk.cache.ReadRow(s, &got)
-					wg.preImage(s, &got)
-					rc.ReadRow(s, &want)
-					if !slices.Equal(got.Tags, want.Tags) || !slices.Equal(got.State, want.State) || !bytes.Equal(got.Data, want.Data) {
-						t.Fatalf("%v %+v: set %d after %d accesses: pre-image differs from the reference's lines", k, opts, s, d.Accesses())
-					}
 				}
 			}
 		}
@@ -258,5 +210,21 @@ func TestResumeCorruptBlob(t *testing.T) {
 	}
 	if _, err := ResumeDriver(append(bytes.Clone(blob), 0)); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
+// TestResumeOlderVersion pins what an upgrade does to a checkpoint journaled
+// by an older build: a blob whose version field reads 1 is refused with
+// ErrBadCheckpoint, naming its version, so the caller recomputes from access
+// zero instead of misreading a layout this build no longer writes.
+func TestResumeOlderVersion(t *testing.T) {
+	for _, k := range []Kind{RMW, WG, WGRB} {
+		blobs := snapshotsOf(t, k, randomStream(13, 2000, 4096), 256, 2)
+		old := bytes.Clone(blobs[len(blobs)-1])
+		binary.LittleEndian.PutUint16(old[len(ckptMagic):], 1)
+		_, err := ResumeDriver(old)
+		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "version 1,") {
+			t.Errorf("%v: version-1 blob: err = %v, want ErrBadCheckpoint naming version 1", k, err)
+		}
 	}
 }

@@ -109,7 +109,7 @@ func Kinds() []Kind {
 	return []Kind{Conventional, RMW, LocalRMW, WordGranularity, Coalesce, WG, WGRB, KindTS}
 }
 
-// SetLocal reports whether this kind's controller factors across cache sets:
+// setLocal reports whether this kind's controller factors across cache sets:
 // every observable effect of an access (cache mutation, counters, array
 // events, memory traffic) depends only on the subsequence of accesses to
 // that access's set. Set-local controllers can be sharded by set index
@@ -120,7 +120,7 @@ func Kinds() []Kind {
 // on the interleaving of *all* sets' accesses — so they must run serially.
 // KindTS's replay schedule counts reads globally (every R-th read
 // mis-speculates regardless of set), so it is not set-local either.
-func (k Kind) SetLocal() bool {
+func (k Kind) setLocal() bool {
 	switch k {
 	case Conventional, WordGranularity, RMW, LocalRMW:
 		return true
@@ -283,7 +283,7 @@ func (c *controller) Access(a trace.Access) uint64 {
 	v, o := c.walk.step(&a)
 	c.one[0], c.oneOut[0] = a, o
 	for _, ac := range c.accts {
-		ac.account(c.one[:], c.oneOut[:], c.walk.pre)
+		ac.account(c.one[:], c.oneOut[:])
 	}
 	return v
 }
@@ -293,7 +293,7 @@ func (c *controller) Access(a trace.Access) uint64 {
 func (c *controller) feed(batch []trace.Access) {
 	outs := c.walk.batch(batch)
 	for _, ac := range c.accts {
-		ac.account(batch, outs, c.walk.pre)
+		ac.account(batch, outs)
 	}
 }
 

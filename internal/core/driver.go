@@ -81,9 +81,6 @@ func (d *Driver) CheckpointEvery(every int, sink CheckpointSink) {
 		sink = nil
 	}
 	d.every, d.sink = every, sink
-	// A Set-Buffer's pre-image needs the bytes its writes overwrote.
-	k := d.inner.Kind()
-	d.inner.walk.logging = sink != nil && (k == WG || k == WGRB)
 }
 
 // Feed runs every access of batch through the controller, in order: as one

@@ -204,7 +204,7 @@ func (c *rmwController) Finalize() Result {
 // timing speculation targets the read critical path.
 //
 // The replay schedule counts reads globally across sets, so the controller
-// is not set-local (SetLocal() is false via the Kind classification) and
+// is not set-local (setLocal() is false via the Kind classification) and
 // sharded runs fall back to the serial driver.
 type tsController struct {
 	base

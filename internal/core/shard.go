@@ -12,7 +12,7 @@ import (
 )
 
 // Set-sharded parallel simulation. In a set-associative cache, sets are
-// independent state machines: for a set-local controller (Kind.SetLocal)
+// independent state machines: for a set-local controller (Kind.setLocal)
 // every observable effect of an access — line contents, replacement state,
 // hit/miss counters, array events, memory traffic — depends only on the
 // subsequence of accesses to that access's set. Partitioning the sets across
@@ -29,7 +29,9 @@ import (
 // coalescer's pending-write window) and the Random replacement policy (one
 // RNG stream shared by every set's policy) do not factor this way; for them
 // PlanShards forces a fall back to the serial streaming driver rather than
-// silently changing semantics.
+// silently changing semantics. PlanShards is the one owner of that decision:
+// a caller that refuses such a request up front (sramd's spec validation,
+// sramsim's -shards) asks the plan's Err.
 
 // ShardPlan records how a requested shard count was resolved against a
 // (controller, cache) pair's capabilities.
@@ -39,9 +41,18 @@ type ShardPlan struct {
 	// Shards is the effective count: Requested when sharding applies,
 	// otherwise 1 (serial fallback).
 	Shards int
-	// Reason is non-empty when Shards < Requested — the logged explanation
-	// for the serial fallback.
+	// Reason is non-empty when Shards < Requested, and says why.
 	Reason string
+}
+
+// Err returns the plan's reason as an error when it runs a parallel request
+// serially, and nil otherwise: a clamp that stays above one shard still runs
+// in parallel.
+func (p ShardPlan) Err() error {
+	if p.Shards > 1 || p.Reason == "" {
+		return nil
+	}
+	return errors.New(p.Reason)
 }
 
 // PlanShards resolves a requested shard count. Sharding applies only to
@@ -52,12 +63,12 @@ func PlanShards(kind Kind, cfg cache.Config, shards int) ShardPlan {
 	switch {
 	case shards <= 1:
 		p.Shards = 1
-	case !kind.SetLocal():
+	case !kind.setLocal():
 		p.Shards = 1
-		p.Reason = fmt.Sprintf("controller %v keeps cross-set state; running serially", kind)
+		p.Reason = fmt.Sprintf("controller %v keeps cross-set state and cannot be set-sharded; the set-local controllers are conventional, word, rmw and localrmw", kind)
 	case cfg.Policy == cache.Random:
 		p.Shards = 1
-		p.Reason = "random replacement draws every set's victims from one shared RNG stream; running serially"
+		p.Reason = "random replacement draws every set's victims from one shared RNG stream and cannot be set-sharded"
 	default:
 		if g, err := cache.NewGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes); err == nil && shards > g.Sets {
 			p.Shards = g.Sets

@@ -16,7 +16,7 @@ func setLocalKinds(t *testing.T) []Kind {
 	t.Helper()
 	var out []Kind
 	for _, k := range Kinds() {
-		if k.SetLocal() {
+		if k.setLocal() {
 			out = append(out, k)
 		}
 	}
@@ -200,7 +200,7 @@ func TestShardedFallbackIdentity(t *testing.T) {
 	// produce exactly the serial result.
 	stream := randomStream(3, 4000, 8192)
 	for _, k := range Kinds() {
-		if k.SetLocal() {
+		if k.setLocal() {
 			continue
 		}
 		plan := PlanShards(k, smallCfg(), 4)
@@ -244,6 +244,12 @@ func TestPlanShards(t *testing.T) {
 		if p.Shards != c.want || (p.Reason != "") != c.wantReason {
 			t.Errorf("%s: PlanShards(%v, %d) = %+v, want shards=%d reason=%v",
 				c.name, c.kind, c.req, p, c.want, c.wantReason)
+		}
+		// Only a request the plan runs serially is refused, with its reason;
+		// a clamp still runs in parallel.
+		err := p.Err()
+		if refused := c.want == 1 && c.wantReason; (err != nil) != refused || (err != nil && err.Error() != p.Reason) {
+			t.Errorf("%s: Err() = %v, want refused=%v with the plan's reason", c.name, err, refused)
 		}
 	}
 }

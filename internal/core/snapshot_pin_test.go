@@ -12,19 +12,20 @@ import (
 )
 
 // TestSnapshotEncodingPinned pins the checkpoint bytes themselves, not only
-// their round trip: a job journaled by one sramd build must resume on the
-// next, so a change to the driver, the cache or the shadow memory may not
-// move a byte of a snapshot. The constants were taken before the shadow
-// memory became a page table.
+// their round trip: the bytes may move only with a ckptVersion bump, so a
+// change to the driver, the cache or the shadow memory that moves one fails
+// here. A blob of another version recomputes from access zero. The
+// constants are version 2's: RMW's blob is version 1's with only its
+// version field changed, and the WG family's drops the buffered row.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	pins := []struct {
 		kind   core.Kind
 		bytes  int
 		sha256 string
 	}{
-		{core.RMW, 298404, "d69905fc4b20464b05979cb81430c483bbadd585a0742b1e3cc259679df0c808"},
-		{core.WG, 298594, "9870401c99291d0e56dde82fdbdf0215f3f481751fb2e312e77195785199ddfa"},
-		{core.WGRB, 298594, "66d18658eb496ef484a10891e496bdd1559b29202b09f945b634dc10cc426665"},
+		{core.RMW, 298404, "cc41cc2d577da5bf904264c1601dd4435769eeb8d31d39e038a5eea05ccf9d64"},
+		{core.WG, 298426, "7ab1b278adf9f58ee46dabe48e8527c37b2bf33d058d8908c621075b09ee8f18"},
+		{core.WGRB, 298426, "ba2cc75a8dc1ba941c6cb1899f68cb8a8521b0e70778a050fa2e20673100b837"},
 	}
 	for _, p := range pins {
 		g, err := workload.Stream("bwaves", 3)

@@ -28,26 +28,12 @@ const (
 // set returns the cache set the access mapped to.
 func (o outcome) set() int { return int(o >> outShift) }
 
-// preWord is one entry of the pre-image log: the eight bytes at offset off
-// of way's line, and that line's state, as they stood before a write.
-type preWord struct {
-	way, off int
-	word     uint64
-	state    cache.LineState
-}
-
 // walk serves accesses against one cache.
 type walk struct {
 	cache   *cache.Cache
 	geom    cache.Geometry
 	noAlloc bool
 	outs    []outcome // the batch entry's outcomes, reused
-	// logging makes every committed write log what it overwrites into pre,
-	// in access order. It is on while a checkpoint sink is set: accounting
-	// runs after the walk, when the old bytes a Set-Buffer's pre-image
-	// needs (checkpoint.go) are gone.
-	logging bool
-	pre     []preWord
 }
 
 // serve applies a to the cache and reports its outcome, with the line a
@@ -71,9 +57,6 @@ func (w *walk) serve(a *trace.Access) (o outcome, set, way int) {
 	}
 	if write {
 		o |= outWrite
-		if w.logging {
-			w.save(set, way, a.Addr)
-		}
 		if w.cache.WriteWord(set, way, a.Addr, a.Size, a.Data) {
 			o |= outSilent
 		}
@@ -84,7 +67,6 @@ func (w *walk) serve(a *trace.Access) (o outcome, set, way int) {
 // step serves one access and returns its value — the bytes read, or the
 // bytes now stored — with its outcome.
 func (w *walk) step(a *trace.Access) (uint64, outcome) {
-	w.pre = w.pre[:0]
 	o, set, way := w.serve(a)
 	switch {
 	case o&outWrite == 0:
@@ -101,7 +83,6 @@ func (w *walk) step(a *trace.Access) (uint64, outcome) {
 // next call. It leaves values unread, which only step returns: the reads
 // cost fig9_matrix and replay_write_burst about 5% of their throughput.
 func (w *walk) batch(accs []trace.Access) []outcome {
-	w.pre = w.pre[:0]
 	if cap(w.outs) < len(accs) {
 		w.outs = make([]outcome, len(accs))
 	}
@@ -110,15 +91,6 @@ func (w *walk) batch(accs []trace.Access) []outcome {
 		outs[i], _, _ = w.serve(&accs[i])
 	}
 	return outs
-}
-
-// save logs the word and state of line (set, way) that a write at addr is
-// about to overwrite.
-func (w *walk) save(set, way int, addr uint64) {
-	off := min(w.geom.BlockOffset(addr), w.geom.BlockBytes-8)
-	at := w.geom.BlockBase(addr) + uint64(off)
-	w.pre = append(w.pre, preWord{way: way, off: off,
-		word: w.cache.ReadWord(set, way, at, 8), state: w.cache.State(set, way)})
 }
 
 // sizeMask selects the low size bytes of a data word. After a write commits,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cache8t/internal/report"
 	"cache8t/internal/rescache"
 )
 
@@ -179,19 +181,11 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryResumesFromCheckpoint is the tentpole end to end, inside
-// the package: a job is killed mid-run (journal frozen to simulate the
-// crash, so its terminal transition is lost), and the restarted server
-// re-runs it from its latest checkpoint to an artifact byte-identical to an
-// uninterrupted in-process run. It doubles as the SSE reconnection test: a
-// watcher re-subscribing after the restart sees a "recovered" event and
-// exactly one terminal status.
-func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "journal")
-	cdir := filepath.Join(dir, "cas")
-	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
-
+// crashMidRun submits body to a journaled server that checkpoints every
+// batch and crashes it mid-run. It returns the job's 202 status; jdir and
+// cdir hold the journal and the disk CAS for a restart.
+func crashMidRun(t *testing.T, jdir, cdir, body string) JobStatus {
+	t.Helper()
 	cache1 := openTestCache(t, cdir)
 	g := newGate(1000)
 	ts1 := newTestServer(t, Config{
@@ -213,6 +207,22 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 	ts1.hs.Close()
 	cache1.Close()
+	return st
+}
+
+// TestCrashRecoveryResumesFromCheckpoint is the tentpole end to end, inside
+// the package: a job is killed mid-run (journal frozen to simulate the
+// crash, so its terminal transition is lost), and the restarted server
+// re-runs it from its latest checkpoint to an artifact byte-identical to an
+// uninterrupted in-process run. It doubles as the SSE reconnection test: a
+// watcher re-subscribing after the restart sees a "recovered" event and
+// exactly one terminal status.
+func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	cdir := filepath.Join(dir, "cas")
+	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
+	st := crashMidRun(t, jdir, cdir, body)
 
 	cache2 := openTestCache(t, cdir)
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
@@ -264,6 +274,99 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 		"sramd_checkpoints_restored_total 1",
 		"sramd_journal_bytes",
 	} {
+		if !strings.Contains(string(m), want) {
+			t.Errorf("metrics missing %q:\n%s", want, m)
+		}
+	}
+}
+
+// asVersion1 returns a copy of a checkpoint blob with its version field, the
+// two bytes after the 8-byte magic, set to 1: a blob as the build before
+// checkpoint version 2 wrote it, as far as the version check can tell.
+func asVersion1(blob []byte) []byte {
+	old := bytes.Clone(blob)
+	binary.LittleEndian.PutUint16(old[8:], 1)
+	return old
+}
+
+// TestRunSpecDurableOlderCheckpoint pins the upgrade path in process: a
+// checkpoint that resumes at this build's version is refused at version 1,
+// and the run starts again from access zero, to the bytes of a straight run.
+func TestRunSpecDurableOlderCheckpoint(t *testing.T) {
+	spec, err := DecodeSpec([]byte(`{"controller":"wg","workload":"bwaves","n":3000,"batch":64}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var blobs [][]byte
+	sink := func(blob []byte, _ uint64) error {
+		blobs = append(blobs, blob)
+		return nil
+	}
+	if _, _, err := RunSpecDurable(ctx, spec, nil, nil, nil, 1, sink); err != nil {
+		t.Fatal(err)
+	}
+	mid := blobs[len(blobs)/2]
+	if _, resumed, err := RunSpecDurable(ctx, spec, nil, nil, mid, 0, nil); err != nil || !resumed {
+		t.Fatalf("current blob: resumed = %v, err = %v; want a resume", resumed, err)
+	}
+	res, resumed, err := RunSpecDurable(ctx, spec, nil, nil, asVersion1(mid), 0, nil)
+	if err != nil || resumed {
+		t.Fatalf("version-1 blob: resumed = %v, err = %v; want a run from access zero", resumed, err)
+	}
+	got, err := report.Encode(Artifact(spec, spec.Workload, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(ctx, spec, spec.Workload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("run after a version-1 blob differs from a straight run")
+	}
+}
+
+// TestRecoveryOlderCheckpointRecomputes is the same upgrade through a
+// restart: a recovered job whose ckpt:<id> blob reads version 1 restores no
+// checkpoint, runs from access zero and ends with the bytes of an
+// uninterrupted run.
+func TestRecoveryOlderCheckpointRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	cdir := filepath.Join(dir, "cas")
+	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
+	st := crashMidRun(t, jdir, cdir, body)
+
+	cache2 := openTestCache(t, cdir)
+	blob, _, ok := cache2.Get("ckpt:" + st.ID)
+	if !ok {
+		t.Fatal("no checkpoint written before the crash")
+	}
+	cache2.Put("ckpt:"+st.ID, asVersion1(blob))
+	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
+
+	final := ts2.waitTerminal(st.ID)
+	if final.State != StateSucceeded || !final.Recovered {
+		t.Fatalf("recovered job ended %s (recovered %v): %s", final.State, final.Recovered, final.Error)
+	}
+	code, got := ts2.get("/v1/jobs/" + st.ID + "/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: %d: %s", code, got)
+	}
+	spec, err := DecodeSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(context.Background(), spec, spec.Workload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("recovered artifact differs from an uninterrupted run")
+	}
+	_, m := ts2.get("/metrics")
+	for _, want := range []string{"sramd_recovered_jobs_total 1", "sramd_checkpoints_restored_total 0"} {
 		if !strings.Contains(string(m), want) {
 			t.Errorf("metrics missing %q:\n%s", want, m)
 		}

@@ -210,7 +210,7 @@ func (s JobSpec) Validate(hasTrace bool) error {
 		add("n", "must be > 0 for workload jobs (synthetic streams are unbounded)")
 	}
 
-	pol, polErr := cache.ParsePolicy(s.Cache.Policy)
+	cfg, polErr := s.CacheConfig()
 	if polErr != nil {
 		add("cache.policy", "%v", polErr)
 	}
@@ -268,10 +268,12 @@ func (s JobSpec) Validate(hasTrace bool) error {
 		add("shards", "must be >= 0")
 	case s.Shards > 1 && s.Hierarchy:
 		add("shards", "hierarchy jobs are serial: the L1 listener drives the L2 on every fill and eviction, so there is no set partition to shard")
-	case s.Shards > 1 && kindErr == nil && !kind.SetLocal():
-		add("shards", "controller %v keeps cross-set state and cannot be set-sharded; drop shards or pick conventional|word|rmw|localrmw", kind)
-	case s.Shards > 1 && polErr == nil && pol == cache.Random:
-		add("shards", "random replacement draws every set's victims from one shared RNG stream and cannot be set-sharded")
+	case s.Shards > 1 && kindErr == nil && polErr == nil:
+		// core.PlanShards decides which runs shard; a request it would run
+		// serially is refused with its reason.
+		if err := core.PlanShards(kind, cfg, s.Shards).Err(); err != nil {
+			add("shards", "%v", err)
+		}
 	}
 	if s.Batch < 0 {
 		add("batch", "must be >= 0")

@@ -155,26 +155,6 @@ func (l *Limit) Err() error {
 	return nil
 }
 
-// Tee forwards a stream while appending every access to sink.
-type Tee struct {
-	inner Stream
-	sink  *[]Access
-}
-
-// NewTee returns a stream that records everything it yields into sink.
-func NewTee(inner Stream, sink *[]Access) *Tee {
-	return &Tee{inner: inner, sink: sink}
-}
-
-// Next returns the next access, recording it.
-func (t *Tee) Next() (Access, bool) {
-	a, ok := t.inner.Next()
-	if ok {
-		*t.sink = append(*t.sink, a)
-	}
-	return a, ok
-}
-
 // Collect drains up to max accesses from s into a slice. max <= 0 drains the
 // whole stream (dangerous for infinite generators).
 func Collect(s Stream, max int) []Access {
@@ -230,20 +210,4 @@ func (s *Stats) WriteFrac() float64 {
 		return 0
 	}
 	return float64(s.Writes) / float64(s.Instructions)
-}
-
-// MeasureStream drains s (up to max accesses; max<=0 means all) and returns
-// its statistics.
-func MeasureStream(s Stream, max int) Stats {
-	var st Stats
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		st.Observe(a)
-		n++
-	}
-	return st
 }

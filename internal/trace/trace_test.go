@@ -60,15 +60,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	var sink []Access
-	s := NewTee(FromSlice([]Access{{Addr: 7}, {Addr: 8}}), &sink)
-	Collect(s, 0)
-	if len(sink) != 2 || sink[0].Addr != 7 || sink[1].Addr != 8 {
-		t.Fatalf("sink = %v", sink)
-	}
-}
-
 func TestCollectMax(t *testing.T) {
 	s := FromSlice(make([]Access, 10))
 	if got := len(Collect(s, 3)); got != 3 {
@@ -113,19 +104,5 @@ func TestStatsEmptyFracs(t *testing.T) {
 	var st Stats
 	if st.ReadFrac() != 0 || st.WriteFrac() != 0 {
 		t.Fatal("empty stats fractions nonzero")
-	}
-}
-
-func TestMeasureStream(t *testing.T) {
-	as := []Access{
-		{Kind: Read, Gap: 1}, {Kind: Write, Gap: 1}, {Kind: Write, Gap: 1},
-	}
-	st := MeasureStream(FromSlice(as), 0)
-	if st.Reads != 1 || st.Writes != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	st = MeasureStream(FromSlice(as), 1)
-	if st.Accesses() != 1 {
-		t.Fatalf("limited measure = %+v", st)
 	}
 }
