@@ -24,8 +24,11 @@ test-export:
 vet:
 	$(GO) vet ./...
 
+# The race tests, then the sharded run's walks and accountant stage soaked
+# 20 times over: every kind at 2/4/8 shards and batch sizes 1 and 7.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestShardStageSoak' ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -40,7 +43,7 @@ bench-core:
 	$(GO) run ./cmd/benchcore
 
 # Shard-scaling sweep: the same entry on RMW plus the set-sharded driver at
-# 1/2/4/8 shards. shards=1 falls back to the serial driver, so its ratio band
+# 1/2/4/8 shards (`benchcore -controller wg -scale ...` times WG instead). shards=1 falls back to the serial driver, so its ratio band
 # should hold 1.0; sub-1.0 ratios at more shards on a single-core host are
 # expected overhead, not regressions. CI runs this at a reduced N as a
 # non-gating artifact (identity-checked, never speed-gated); the committed

@@ -3,7 +3,8 @@
 // across commits. Every entry times the same binary trace two ways:
 // "streamed" decodes it batch by batch as it replays, "materialized" decodes
 // it whole into a slice first. -scale adds the set-sharded driver at each
-// listed shard count; -hier times the two-level driver instead.
+// listed shard count, on the -controller kind; -hier times the two-level
+// driver instead.
 //
 // The modes run round-robin for regress.Rounds rounds, rotating which mode
 // goes first, and every run's result must be identical to the first run's.
@@ -16,6 +17,7 @@
 //	benchcore                   WG, 1M accesses, append to BENCH_core.json
 //	benchcore -n 100000         quicker run
 //	benchcore -scale 1,2,4,8    also the sharded driver at 1/2/4/8 shards (RMW)
+//	benchcore -scale 1,2,4 -controller wg  the same on WG
 //	benchcore -hier             the two-level driver (WG L1 over an RMW L2)
 //	benchcore -out /tmp/b.json  append elsewhere
 //	benchcore -cpuprofile p.out profile the whole run
@@ -34,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cache8t/internal/core"
 	"cache8t/internal/prof"
 	"cache8t/internal/regress"
 	"cache8t/internal/report"
@@ -73,7 +76,8 @@ func run() error {
 	def := regress.DefaultOptions()
 	n := flag.Int("n", 1_000_000, "accesses to replay per mode")
 	seed := flag.Uint64("seed", def.Seed, "workload seed")
-	scale := flag.String("scale", "", "comma-separated shard counts to time the set-sharded driver at, on RMW (e.g. 1,2,4,8)")
+	scale := flag.String("scale", "", "comma-separated shard counts to time the set-sharded driver at, on -controller (e.g. 1,2,4,8)")
+	scaleKind := flag.String("controller", "rmw", "controller -scale times (core.ParseKind names; with -scale only)")
 	hierMode := flag.Bool("hier", false, "time the two-level hierarchy driver instead (WG L1 over an RMW L2)")
 	out := flag.String("out", "BENCH_core.json", "throughput trajectory file to append to")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -87,9 +91,12 @@ func run() error {
 	if *hierMode && *scale != "" {
 		return errors.New("-hier and -scale do not combine: the two-level driver does not shard")
 	}
+	kind, err := core.ParseKind(*scaleKind)
+	if err != nil {
+		return err
+	}
 	var counts []int
 	if *scale != "" {
-		var err error
 		if counts, err = parseScale(*scale); err != nil {
 			return err
 		}
@@ -110,7 +117,7 @@ func run() error {
 	case *hierMode:
 		entry, err = regress.HierBench(opts)
 	case counts != nil:
-		entry, err = regress.ShardScale(opts, counts)
+		entry, err = regress.ShardScale(opts, kind, counts)
 	default:
 		entry, err = regress.CoreBench(opts)
 	}

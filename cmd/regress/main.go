@@ -51,7 +51,7 @@ func main() {
 	update := flag.Bool("update", false, "regenerate goldens instead of diffing")
 	full := flag.Bool("full", false, "render passing metrics in diff tables too")
 	stream := flag.Bool("stream", false, "rebuild artifacts from streamed traces (constant memory; same numbers)")
-	shards := flag.Int("shards", 0, "set-shard parallel simulation for set-local controllers (same numbers; cross-set controllers run serially)")
+	shards := flag.Int("shards", 0, "set-shard every simulation across this many goroutines (same numbers; Random-policy caches run serially)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache CAS for check artifacts (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")
 	flag.Parse()

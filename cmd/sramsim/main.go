@@ -7,7 +7,7 @@
 //	sramsim -workload bwaves -controller wgrb -n 1000000
 //	sramsim -trace requests.c8tt -controller rmw
 //	sramsim -trace huge.c8tt.gz -batch 8192
-//	sramsim -shards 4 -controller rmw -workload mcf
+//	sramsim -shards 4 -controller wg -workload mcf
 //	sramsim -report run.json -workload mcf
 //	sramsim -cpuprofile cpu.out -memprofile mem.out -n 10000000
 //	sramsim -list
@@ -18,8 +18,9 @@
 // so CI can trust the exit code. Every run streams the trace in batches, so
 // memory stays constant no matter the trace size; -batch tunes the batch
 // length. -shards partitions the cache's sets across that many concurrent
-// controller instances; results stay byte-identical, and a shard request a
-// controller cannot honour is refused up front. -report writes the run's
+// walks feeding one accountant stage; results stay byte-identical, and a
+// shard request the cache cannot honour (Random replacement) is refused up
+// front. -report writes the run's
 // canonical artifact (internal/report) for the regression tooling.
 // -cpuprofile/-memprofile write standard pprof profiles of the run.
 package main

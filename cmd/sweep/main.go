@@ -13,9 +13,8 @@
 //	sweep -timeout 30s -stats      per-job timeout, engine snapshot at exit
 //	sweep -stream                  regenerate traces per job (constant memory,
 //	                               identical tables)
-//	sweep -shards 4                set-shard the RMW baseline inside each job
-//	                               (identical tables; WG/WGRB keep cross-set
-//	                               state and run serially)
+//	sweep -shards 4                set-shard each job's one walk of RMW and
+//	                               the swept scheme (identical tables)
 //	sweep -cache-dir DIR           memoize each (grid cell, benchmark) pair in
 //	                               a persistent CAS (shareable with sramd and
 //	                               regress); repeat sweeps skip finished cells
@@ -54,7 +53,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print live job progress to stderr")
 	snap := flag.Bool("stats", false, "print the engine snapshot (JSON) to stderr at exit")
 	streamMode := flag.Bool("stream", false, "stream each job's trace instead of materializing (constant memory; same tables)")
-	shards := flag.Int("shards", 0, "set-shard each job's set-local runs across this many goroutines (same tables)")
+	shards := flag.Int("shards", 0, "set-shard each job's walk across this many goroutines (same tables)")
 	reportPath := flag.String("report", "", "write the sweep artifact (canonical JSON) to this path")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache CAS for (cell, benchmark) reductions (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")

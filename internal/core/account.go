@@ -21,6 +21,42 @@ type accountant interface {
 	book() *ledger
 }
 
+// accountants are the accountants of one run, one per kind, in kind order.
+// Every one charges the same outcomes.
+type accountants []accountant
+
+// newAccountants builds an accountant of each kind for a cache of shape g.
+func newAccountants(g cache.Geometry, opts Options, kinds []Kind) (accountants, error) {
+	accts := make(accountants, len(kinds))
+	for i, k := range kinds {
+		a, err := newAccountant(k, g, opts)
+		if err != nil {
+			return nil, err
+		}
+		accts[i] = a
+	}
+	return accts, nil
+}
+
+// charge charges accs, with outs[i] the walk's outcome for accs[i], to every
+// accountant.
+func (as accountants) charge(accs []trace.Access, outs []outcome) {
+	for _, a := range as {
+		a.account(accs, outs)
+	}
+}
+
+// results drains every accountant and returns their Results in kind order,
+// over the walk's cache statistics st.
+func (as accountants) results(st cache.Stats) []Result {
+	out := make([]Result, len(as))
+	for i, a := range as {
+		a.drain()
+		out[i] = a.book().result(st)
+	}
+	return out
+}
+
 // newAccountant builds the accountant of kind for a cache of shape g.
 func newAccountant(kind Kind, g cache.Geometry, opts Options) (accountant, error) {
 	arr, err := newArrayFor(kind, g)
@@ -120,7 +156,7 @@ const tsReplayPeriod = 16
 //   - KindTS models TS Cache's timing speculation: writes take the RMW
 //     path, and every tsReplayPeriod-th read mis-speculates and replays
 //     through the array at safe timing, a second array read. The schedule
-//     counts reads across sets, so TS is not set-local.
+//     counts reads across sets, and lives here rather than in the walk.
 type plainAccountant struct {
 	ledger
 	// specReads counts reads issued so far under TS. Checkpointed

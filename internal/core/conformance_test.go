@@ -34,11 +34,16 @@ type conformanceInput struct {
 
 // conformanceRow is one execution path. run executes in.accs for every kind
 // of in.kinds and reports each Result it produced under the kind it was
-// meant to be for (a path may report several Results per kind).
+// meant to be for (a path may report several Results per kind), with the
+// run's flushed memory image where the path exposes one.
 type conformanceRow struct {
 	name string
-	run  func(in conformanceInput, got func(k Kind, res Result)) error
+	run  func(in conformanceInput, got reportFunc) error
 }
+
+// reportFunc takes one Result a row produced for kind k, and the run's
+// flushed memory image or nil.
+type reportFunc func(k Kind, res Result, img *mem.Memory)
 
 func conformanceCorpus() []conformanceInput {
 	var in []conformanceInput
@@ -88,14 +93,73 @@ func optionsName(o Options) string {
 }
 
 // perKind lifts a single-kind runner into a row body.
-func perKind(run func(k Kind, in conformanceInput) (Result, error)) func(conformanceInput, func(Kind, Result)) error {
-	return func(in conformanceInput, got func(Kind, Result)) error {
+func perKind(run func(k Kind, in conformanceInput) (Result, error)) func(conformanceInput, reportFunc) error {
+	return func(in conformanceInput, got reportFunc) error {
 		for _, k := range in.kinds {
 			res, err := run(k, in)
 			if err != nil {
 				return fmt.Errorf("%v: %w", k, err)
 			}
-			got(k, res)
+			got(k, res, nil)
+		}
+		return nil
+	}
+}
+
+// eachStream runs every kind of in through RunEachStream in one call.
+func eachStream(in conformanceInput, got reportFunc, batch, shards int) error {
+	open := func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }
+	res, err := RunEachStream(context.Background(), in.kinds, in.cfg, in.opts, open, 0, batch, shards)
+	if err == nil && len(res) != len(in.kinds) {
+		err = fmt.Errorf("%d results for %d kinds", len(res), len(in.kinds))
+	}
+	for i, r := range res {
+		got(in.kinds[i], r, nil)
+	}
+	return err
+}
+
+// shardedRow runs in over shards walks: every kind in one run (together),
+// or one run per kind. It asserts that the plan shards unless shards <= 1
+// or the policy is Random, and reports each sharded run's memory image,
+// combined from its walks.
+func shardedRow(shards int, together bool) func(conformanceInput, reportFunc) error {
+	return func(in conformanceInput, got reportFunc) error {
+		want := shards
+		if shards <= 1 || in.cfg.Policy == cache.Random {
+			want = 1
+		}
+		if plan := PlanShards(in.kinds[0], in.cfg, shards); plan.Shards != want {
+			return fmt.Errorf("plan %+v, want %d shards", plan, want)
+		}
+		groups := [][]Kind{in.kinds}
+		if !together {
+			groups = nil
+			for _, k := range in.kinds {
+				groups = append(groups, []Kind{k})
+			}
+		}
+		for _, kinds := range groups {
+			if want == 1 {
+				sub := in
+				sub.kinds = kinds
+				if err := eachStream(sub, got, 0, shards); err != nil {
+					return err
+				}
+				continue
+			}
+			r, err := newShardRun(in.cfg, in.opts, want, kinds...)
+			if err != nil {
+				return err
+			}
+			res, err := r.run(context.Background(), trace.FromSlice(in.accs), 0, 0)
+			if err != nil {
+				return err
+			}
+			img := shardImage(r)
+			for i, k := range kinds {
+				got(k, res[i], img)
+			}
 		}
 		return nil
 	}
@@ -129,15 +193,13 @@ func conformanceRows() []conformanceRow {
 		)
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		rows = append(rows, conformanceRow{fmt.Sprintf("sharded/%d", shards), perKind(func(k Kind, in conformanceInput) (Result, error) {
-			return RunShardedContext(ctx, k, in.cfg, in.opts, trace.FromSlice(in.accs), 0, 0, shards)
-		})})
+		rows = append(rows, conformanceRow{fmt.Sprintf("sharded/%d", shards), shardedRow(shards, false)})
 	}
 	rows = append(rows,
 		// A straight run snapshotting at every batch boundary (snapshotting
 		// must not perturb it), then a resume from each snapshot at a batch
 		// size whose boundaries never line up with the original ones.
-		conformanceRow{"resumed", func(in conformanceInput, got func(Kind, Result)) error {
+		conformanceRow{"resumed", func(in conformanceInput, got reportFunc) error {
 			for _, k := range in.kinds {
 				d, err := NewDriver(k, in.cfg, in.opts)
 				if err != nil {
@@ -152,7 +214,7 @@ func conformanceRows() []conformanceRow {
 				if err != nil {
 					return err
 				}
-				got(k, straight)
+				got(k, straight, nil)
 				for i, blob := range blobs {
 					rd, err := ResumeDriver(blob)
 					if err != nil {
@@ -162,20 +224,15 @@ func conformanceRows() []conformanceRow {
 					if err != nil {
 						return fmt.Errorf("%v resume from snapshot %d: %w", k, i, err)
 					}
-					got(k, res)
+					got(k, res, nil)
 				}
 			}
 			return nil
 		}},
 		// Every kind at once through the walk-once path, in 7-access
 		// batches, so accountant state crosses many batch boundaries.
-		conformanceRow{"all", func(in conformanceInput, got func(Kind, Result)) error {
-			open := func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }
-			res, err := RunEachStream(ctx, in.kinds, in.cfg, in.opts, open, 0, 7, 0)
-			for i, r := range res {
-				got(in.kinds[i], r)
-			}
-			return err
+		conformanceRow{"all", func(in conformanceInput, got reportFunc) error {
+			return eachStream(in, got, 7, 0)
 		}},
 		conformanceRow{"logged", perKind(func(k Kind, in conformanceInput) (Result, error) {
 			res, log, err := RunLogged(ctx, k, in.cfg, in.opts, trace.FromSlice(in.accs), 0)
@@ -185,25 +242,18 @@ func conformanceRows() []conformanceRow {
 			return res, err
 		})},
 	)
-	for _, shards := range []int{0, 4} {
-		rows = append(rows, conformanceRow{fmt.Sprintf("each-stream/shards%d", shards), func(in conformanceInput, got func(Kind, Result)) error {
-			open := func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }
-			res, err := RunEachStream(ctx, in.kinds, in.cfg, in.opts, open, 0, 0, shards)
-			if err == nil && len(res) != len(in.kinds) {
-				err = fmt.Errorf("%d results for %d kinds", len(res), len(in.kinds))
-			}
-			for i, r := range res {
-				got(in.kinds[i], r)
-			}
-			return err
-		}})
-	}
-	return rows
+	return append(rows,
+		conformanceRow{"each-stream/shards0", func(in conformanceInput, got reportFunc) error {
+			return eachStream(in, got, 0, 0)
+		}},
+		conformanceRow{"each-stream/shards4", shardedRow(4, true)},
+	)
 }
 
 // referenceResult feeds accs to a fresh frozen reference controller one
-// Access at a time — the definition every execution path is held to.
-func referenceResult(t *testing.T, k Kind, cfg cache.Config, opts Options, accs []trace.Access) Result {
+// Access at a time — the definition every execution path is held to — and
+// returns its Result and its flushed memory image.
+func referenceResult(t *testing.T, k Kind, cfg cache.Config, opts Options, accs []trace.Access) (Result, *mem.Memory) {
 	t.Helper()
 	c, err := cache.New(cfg, mem.New())
 	if err != nil {
@@ -216,22 +266,28 @@ func referenceResult(t *testing.T, k Kind, cfg cache.Config, opts Options, accs 
 	for _, a := range accs {
 		ctrl.Access(a)
 	}
-	return ctrl.Finalize()
+	res := ctrl.Finalize()
+	c.FlushAll()
+	return res, c.Backing()
 }
 
 func TestConformance(t *testing.T) {
 	rows := conformanceRows()
 	for _, in := range conformanceCorpus() {
 		want := map[Kind]Result{}
+		wantImg := map[Kind]*mem.Memory{}
 		for _, k := range in.kinds {
-			want[k] = referenceResult(t, k, in.cfg, in.opts, in.accs)
+			want[k], wantImg[k] = referenceResult(t, k, in.cfg, in.opts, in.accs)
 		}
 		for _, row := range rows {
 			t.Run(in.name+"/"+row.name, func(t *testing.T) {
 				reported := map[Kind]int{}
-				err := row.run(in, func(k Kind, res Result) {
+				err := row.run(in, func(k Kind, res Result, img *mem.Memory) {
 					reported[k]++
 					requireResultsEqual(t, fmt.Sprintf("%v #%d", k, reported[k]), res, want[k])
+					if img != nil && !img.Equal(wantImg[k]) {
+						t.Errorf("%v #%d: flushed memory image differs from the reference's", k, reported[k])
+					}
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -109,26 +109,6 @@ func Kinds() []Kind {
 	return []Kind{Conventional, RMW, LocalRMW, WordGranularity, Coalesce, WG, WGRB, KindTS}
 }
 
-// setLocal reports whether this kind's controller factors across cache sets:
-// every observable effect of an access (cache mutation, counters, array
-// events, memory traffic) depends only on the subsequence of accesses to
-// that access's set. Set-local controllers can be sharded by set index
-// (RunShardedContext) with byte-identical merged results. The direct
-// (Conventional, WordGranularity) and RMW (RMW, LocalRMW) controllers
-// qualify; the WG family's Set-Buffer and the coalescer's pending-write
-// window carry global cross-set state — which set is buffered next depends
-// on the interleaving of *all* sets' accesses — so they must run serially.
-// KindTS's replay schedule counts reads globally (every R-th read
-// mis-speculates regardless of set), so it is not set-local either.
-func (k Kind) setLocal() bool {
-	switch k {
-	case Conventional, WordGranularity, RMW, LocalRMW:
-		return true
-	default:
-		return false
-	}
-}
-
 // Options tune behaviours shared by every controller.
 type Options struct {
 	// BufferDepth is the number of Set-Buffer entries for WG/WGRB. The
@@ -252,7 +232,7 @@ func New(kind Kind, c *cache.Cache, opts Options) (Controller, error) {
 // several accountants over its one walk; everything else has one.
 type controller struct {
 	walk  walk
-	accts []accountant
+	accts accountants
 	// one and oneOut hold the access Access is serving, so it is charged
 	// through the batch entry without allocating.
 	one    [1]trace.Access
@@ -264,15 +244,11 @@ func newController(c *cache.Cache, opts Options, kinds ...Kind) (*controller, er
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cache")
 	}
-	ctrl := &controller{walk: walk{cache: c, geom: c.Geometry(), noAlloc: c.NoWriteAllocate()}}
-	for _, k := range kinds {
-		a, err := newAccountant(k, ctrl.walk.geom, opts)
-		if err != nil {
-			return nil, err
-		}
-		ctrl.accts = append(ctrl.accts, a)
+	accts, err := newAccountants(c.Geometry(), opts, kinds)
+	if err != nil {
+		return nil, err
 	}
-	return ctrl, nil
+	return &controller{walk: newWalk(c), accts: accts}, nil
 }
 
 // Kind identifies the (first) scheme.
@@ -282,34 +258,21 @@ func (c *controller) Kind() Kind { return c.accts[0].book().kind }
 func (c *controller) Access(a trace.Access) uint64 {
 	v, o := c.walk.step(&a)
 	c.one[0], c.oneOut[0] = a, o
-	for _, ac := range c.accts {
-		ac.account(c.one[:], c.oneOut[:])
-	}
+	c.accts.charge(c.one[:], c.oneOut[:])
 	return v
 }
 
 // feed is Access over a whole batch: one walk of it, then every accountant
 // charges the outcomes.
 func (c *controller) feed(batch []trace.Access) {
-	outs := c.walk.batch(batch)
-	for _, ac := range c.accts {
-		ac.account(batch, outs)
-	}
+	c.accts.charge(batch, c.walk.batch(batch))
 }
 
 // Finalize returns the (first) scheme's Result.
 func (c *controller) Finalize() Result { return c.results()[0] }
 
 // results drains every accountant and returns their Results in kind order.
-func (c *controller) results() []Result {
-	st := c.walk.cache.Stats()
-	out := make([]Result, len(c.accts))
-	for i, ac := range c.accts {
-		ac.drain()
-		out[i] = ac.book().result(st)
-	}
-	return out
-}
+func (c *controller) results() []Result { return c.accts.results(c.walk.cache.Stats()) }
 
 // newArrayFor derives the SRAM organization implied by a controller choice:
 // one row per cache set, bit-interleaved by the associativity except for the

@@ -195,83 +195,81 @@ func RunStreamContext(ctx context.Context, kind Kind, cfg cache.Config, opts Opt
 	return d.Drain(ctx, s, max, batchSize)
 }
 
-// RunEachStream runs every kind over the stream from open and returns the
-// results in kind order. With shards <= 1 and several kinds, open is called
-// once and the stream is walked once, through one cache, with every kind's
-// accountant charging each walked batch on the one goroutine — a
-// seven-kind comparison decodes its trace and walks its cache once instead
-// of seven times. Otherwise each kind runs RunShardedContext over its own
-// fresh open, so callers must make open yield identical streams (a
-// re-seeded generator or a replayed slice). Either way every kind's Result
-// is byte-identical to its own RunStreamContext over the same accesses.
+// RunEachStream runs every kind over the stream from open, which it calls
+// once, and returns the results in kind order. Each access is walked once
+// for all kinds: on one goroutine, or over the walks PlanShards allows,
+// with every kind's accountant charging each walked batch. A seven-kind
+// comparison thus decodes its trace and walks its cache once instead of
+// seven times, and every kind's Result is byte-identical to its own
+// RunStreamContext over the same accesses.
 func RunEachStream(ctx context.Context, kinds []Kind, cfg cache.Config, opts Options, open func() (trace.Stream, error), max, batchSize, shards int) ([]Result, error) {
-	if shards > 1 || len(kinds) <= 1 {
-		out := make([]Result, len(kinds))
-		for i, k := range kinds {
-			s, err := open()
-			if err != nil {
-				return nil, err
-			}
-			if out[i], err = RunShardedContext(ctx, k, cfg, opts, s, max, batchSize, shards); err != nil {
-				return nil, err
-			}
+	// Build before opening the stream, so construction errors surface
+	// without spinning up the decoder. Every kind plans alike.
+	var run func(trace.Stream) ([]Result, error)
+	if k := PlanShards(0, cfg, shards).Shards; k > 1 {
+		r, err := newShardRun(cfg, opts, k, kinds...)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	// Build the controller before opening the stream, so construction
-	// errors surface without spinning up the decoder.
-	d, err := newDriver(cfg, opts, kinds...)
-	if err != nil {
-		return nil, err
+		run = func(s trace.Stream) ([]Result, error) { return r.run(ctx, s, max, batchSize) }
+	} else {
+		d, err := newDriver(cfg, opts, kinds...)
+		if err != nil {
+			return nil, err
+		}
+		run = func(s trace.Stream) ([]Result, error) {
+			if err := d.drain(ctx, s, max, batchSize); err != nil {
+				return nil, err
+			}
+			return d.inner.results(), nil
+		}
 	}
 	s, err := open()
 	if err != nil {
 		return nil, err
 	}
-	if err := d.drain(ctx, s, max, batchSize); err != nil {
-		return nil, err
-	}
-	return d.inner.results(), nil
+	return run(s)
 }
 
-// feedEach drains feed i of fan into drivers[i], one goroutine per driver,
+// feedEach drains feed i of fan into stages[i], one goroutine per stage,
 // polling ctx once per batch, then joins them and stops fan, so the source
-// is no longer being read when it returns. A panic in the source, the route
-// or any controller stops the other consumers and is re-raised here, on
-// the caller's goroutine, where the engine's containment can recover it.
-// Otherwise feedEach returns the context error a consumer stopped on; how
-// the stream itself ended is fan.Err.
-func feedEach(ctx context.Context, fan *trace.Fanout, drivers []*Driver) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(drivers))
-	panics := make([]any, len(drivers))
+// is no longer being read when it returns. A stage blocked on another must
+// also wait on the ctx it is handed. The first error a stage returns stops
+// every stage and is returned, as is the context error they stopped on. A
+// panic in the source or any stage stops the others and is re-raised here,
+// on the caller's goroutine, where the engine's containment can recover it.
+// How the stream itself ended is fan.Err.
+func feedEach(ctx context.Context, fan *trace.Fanout, stages []func(context.Context, trace.Batch) error) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	errs := make([]error, len(stages))
+	panics := make([]any, len(stages))
 	var wg sync.WaitGroup
-	for i, d := range drivers {
+	for i, stage := range stages {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			feed := fan.Sub(i)
+			// Stopping keeps the decoder flowing past this feed while the
+			// others notice the cancel.
+			defer feed.Stop()
 			defer func() {
-				if p := recover(); p != nil {
-					// Keep the decoder flowing past this feed while the
-					// others notice the cancel.
-					panics[i] = p
-					feed.Stop()
-					cancel()
+				if panics[i] = recover(); panics[i] != nil {
+					cancel(nil)
 				}
 			}()
-			for {
-				if errs[i] = ctx.Err(); errs[i] != nil {
-					feed.Stop()
-					return
-				}
+			for ctx.Err() == nil {
 				batch, ok := feed.Next()
 				if !ok {
 					return
 				}
-				d.Feed(batch)
+				if err := stage(ctx, batch); err != nil {
+					cancel(err)
+				}
 			}
+			// The first cancellation fixes the cause, so every stage that
+			// stopped early records the same error.
+			errs[i] = context.Cause(ctx)
 		}()
 	}
 	wg.Wait()

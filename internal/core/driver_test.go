@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"cache8t/internal/cache"
 	"cache8t/internal/trace"
 )
 
@@ -81,10 +80,12 @@ func TestDriverCountsFeeds(t *testing.T) {
 }
 
 // TestDrainSourcePanicReachesCaller pins panic containment across every
-// fan-out's goroutines: a source that panics on the decoder goroutine, or a
-// controller that panics on a shard's consumer goroutine, panics the
-// goroutine that called the runner, where a caller (the engine, sramd's job
-// runner) can recover it, instead of killing the process.
+// fan-out's goroutines: a source that panics on the decoder goroutine, a
+// walk that panics on its shard's goroutine, or an accountant that panics
+// on the accountant stage's goroutine panics the goroutine that called the
+// runner, where a caller (the engine, sramd's job runner) can recover it,
+// instead of killing the process. The sharded cases run RMW and WG, whose
+// Set-Buffer state crosses sets.
 func TestDrainSourcePanicReachesCaller(t *testing.T) {
 	ctx := context.Background()
 	accs := randomStream(3, 10_000, 8192)
@@ -99,17 +100,14 @@ func TestDrainSourcePanicReachesCaller(t *testing.T) {
 			return accs[served-1], true
 		})
 	}
-	for _, tc := range []struct {
+	type panicCase struct {
 		name string
 		run  func() error
 		want any
-	}{
+	}
+	cases := []panicCase{
 		{"drain", func() error {
 			_, err := RunStreamContext(ctx, RMW, smallCfg(), Options{}, panicking(), 0, 512)
-			return err
-		}, "source failed"},
-		{"sharded", func() error {
-			_, err := RunShardedContext(ctx, RMW, smallCfg(), Options{}, panicking(), 0, 512, 2)
 			return err
 		}, "source failed"},
 		{"each-stream", func() error {
@@ -117,31 +115,37 @@ func TestDrainSourcePanicReachesCaller(t *testing.T) {
 				func() (trace.Stream, error) { return panicking(), nil }, 0, 512, 0)
 			return err
 		}, "source failed"},
-		{"shard controller", func() error {
-			r, err := newShardRun(RMW, smallCfg(), Options{}, 2)
+		{"kind controller", func() error {
+			r, err := newShardRun(smallCfg(), Options{}, 2, RMW, WG)
 			if err != nil {
 				return err
 			}
-			r.drivers[1].Wrap(func(ctrl Controller, _ *cache.Cache) Controller {
-				return &panicAt{Controller: ctrl, left: 2000}
-			})
-			return r.run(ctx, trace.FromSlice(accs), 0, 512)
+			r.accts[1] = &panicAcct{accountant: r.accts[1], left: 5}
+			_, err = r.run(ctx, trace.FromSlice(accs), 0, 512)
+			return err
 		}, "controller failed"},
-		{"kind controller", func() error {
-			var drivers []*Driver
-			for _, k := range []Kind{RMW, WG} {
-				d, err := NewDriver(k, smallCfg(), Options{})
+	}
+	for _, k := range []Kind{RMW, WG} {
+		suffix := ""
+		if k != RMW {
+			suffix = " " + k.String()
+		}
+		cases = append(cases,
+			panicCase{"sharded" + suffix, func() error {
+				_, err := RunShardedContext(ctx, k, smallCfg(), Options{}, panicking(), 0, 512, 2)
+				return err
+			}, "source failed"},
+			panicCase{"shard controller" + suffix, func() error {
+				r, err := newShardRun(smallCfg(), Options{}, 2, k)
 				if err != nil {
 					return err
 				}
-				drivers = append(drivers, d)
-			}
-			drivers[1].Wrap(func(ctrl Controller, _ *cache.Cache) Controller {
-				return &panicAt{Controller: ctrl, left: 2000}
-			})
-			return feedEach(ctx, trace.NewBroadcast(trace.FromSlice(accs), 512, 2, 0), drivers)
-		}, "controller failed"},
-	} {
+				r.walks[1].cache.SetListener(&panicFill{left: 200})
+				_, err = r.run(ctx, trace.FromSlice(accs), 0, 512)
+				return err
+			}, "controller failed"})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
 			p := recovered(func() { err = tc.run() })
@@ -159,21 +163,35 @@ func recovered(fn func()) (p any) {
 	return nil
 }
 
-// panicAt forwards left accesses to its controller, then panics. It yields
-// after each access, so the other consumers run ahead and wait on the
-// decoder, which waits on this consumer's feed, when the panic comes.
-type panicAt struct {
-	Controller
+// panicFill is a cache listener that panics on the fill after left fills.
+// It yields on each fill, so the other goroutines run ahead and wait on
+// the decoder, which waits on this walk's feed, when the panic comes.
+type panicFill struct{ left int }
+
+func (l *panicFill) Fill(uint64) {
+	if l.left == 0 {
+		panic("controller failed")
+	}
+	l.left--
+	runtime.Gosched()
+}
+
+func (l *panicFill) Writeback(uint64, []byte) {}
+
+// panicAcct charges left batches through its accountant, then panics,
+// yielding after each batch as panicFill does.
+type panicAcct struct {
+	accountant
 	left int
 }
 
-func (c *panicAt) Access(a trace.Access) uint64 {
-	if c.left == 0 {
+func (a *panicAcct) account(accs []trace.Access, outs []outcome) {
+	if a.left == 0 {
 		panic("controller failed")
 	}
-	c.left--
+	a.left--
 	runtime.Gosched()
-	return c.Controller.Access(a)
+	a.accountant.account(accs, outs)
 }
 
 // TestDrainJoinsDecoderOnEarlyReturn pins that Drain's decoder goroutine

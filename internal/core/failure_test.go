@@ -83,6 +83,12 @@ func TestConformanceFailures(t *testing.T) {
 			_, err := core.RunShardedContext(ctx, core.RMW, cfg, core.Options{}, s, 0, 0, 2)
 			return err
 		}},
+		// WG's Set-Buffer crosses sets: its accountant stage must still
+		// count every access the walks served before the decode failure.
+		{"sharded-wg", func(ctx context.Context, s trace.Stream) error {
+			_, err := core.RunShardedContext(ctx, core.WG, cfg, core.Options{}, s, 0, 0, 2)
+			return err
+		}},
 		{"each-stream", func(ctx context.Context, s trace.Stream) error {
 			_, err := core.RunEachStream(ctx, []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
 				func() (trace.Stream, error) { return s, nil }, 0, 0, 0)

@@ -34,6 +34,12 @@ type walk struct {
 	geom    cache.Geometry
 	noAlloc bool
 	outs    []outcome // the batch entry's outcomes, reused
+	owned   []int     // a shard's owned indices of a batch, reused
+}
+
+// newWalk returns a walk of c.
+func newWalk(c *cache.Cache) walk {
+	return walk{cache: c, geom: c.Geometry(), noAlloc: c.NoWriteAllocate()}
 }
 
 // serve applies a to the cache and reports its outcome, with the line a
@@ -91,6 +97,38 @@ func (w *walk) batch(accs []trace.Access) []outcome {
 		outs[i], _, _ = w.serve(&accs[i])
 	}
 	return outs
+}
+
+// shard serves, in order, the accesses of accs whose set this walk owns
+// (mine[set] == 1), and writes each outcome at its access's index in outs:
+// one walk of a sharded run. It returns the index of the first access that
+// crosses its block's end, whose spill may reach another walk's set, or -1.
+// Every walk checks every access, so all stop at the same one. A first pass
+// lists the owned accesses without branching on ownership, which would
+// mispredict on about every other access.
+func (w *walk) shard(accs []trace.Access, outs []outcome, mine []uint8) int {
+	if cap(w.owned) < len(accs) {
+		w.owned = make([]int, len(accs))
+	}
+	owned := w.owned[:len(accs)]
+	n, end := 0, 0
+	for j := range accs {
+		a := &accs[j]
+		owned[n] = j
+		n += int(mine[w.geom.SetIndex(a.Addr)])
+		end = max(end, w.geom.BlockOffset(a.Addr)+int(a.Size))
+	}
+	if end > w.geom.BlockBytes {
+		for j := range accs {
+			if w.geom.BlockOffset(accs[j].Addr)+int(accs[j].Size) > w.geom.BlockBytes {
+				return j
+			}
+		}
+	}
+	for _, j := range owned[:n] {
+		outs[j], _, _ = w.serve(&accs[j])
+	}
+	return -1
 }
 
 // sizeMask selects the low size bytes of a data word. After a write commits,

@@ -43,11 +43,11 @@ type Config struct {
 	// Context, when non-nil, cancels in-flight simulations; cmd/figures
 	// wires its -timeout flag here.
 	Context context.Context
-	// Shards, when > 1, runs each set-local controller as Shards concurrent
-	// set-partitions (core.RunShardedContext). Controllers with cross-set
-	// state and Random-policy caches fall back to the serial driver
-	// automatically, so tables are bit-identical for every value — like
-	// Workers, purely a speed knob.
+	// Shards, when > 1, walks each run's cache as Shards concurrent
+	// set-partitions (core.RunShardedContext, core.RunEachStream).
+	// Random-policy caches fall back to the serial driver automatically, so
+	// tables are bit-identical for every value — like Workers, purely a
+	// speed knob.
 	Shards int
 }
 
@@ -198,10 +198,9 @@ func runSource(cfg Config, kind core.Kind, shape cache.Config, opts core.Options
 	return core.RunShardedContext(cfg.ctx(), kind, shape, opts, s, 0, 0, cfg.Shards)
 }
 
-// runKinds drives several controller kinds over src. With sharding off the
-// kinds share a single decode of the stream (core.RunEachStream broadcast);
-// with Shards > 1 each kind instead runs set-sharded over its own fresh
-// open. Either way results are identical to serial per-kind runs.
+// runKinds drives several controller kinds over src, which it opens once:
+// core.RunEachStream walks the stream once for every kind, serially or over
+// Shards walks. Either way results are identical to serial per-kind runs.
 func runKinds(cfg Config, kinds []core.Kind, shape cache.Config, opts core.Options, src *workload.Source) ([]core.Result, error) {
 	return core.RunEachStream(cfg.ctx(), kinds, shape, opts, src.Stream, 0, 0, cfg.Shards)
 }

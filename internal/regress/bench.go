@@ -216,12 +216,11 @@ func CoreBench(opts Options) (ThroughputEntry, error) {
 }
 
 // ShardScale adds the set-sharded driver at each of counts to CoreBench's
-// modes, on the RMW controller: WG keeps cross-set state, so the sharded
-// driver would run it serially and the sweep would time nothing. A count of
-// 1 falls back to the serial driver too, so shards=1 runs the same code as
-// streamed and its ratio band should contain 1.0.
-func ShardScale(opts Options, counts []int) (ThroughputEntry, error) {
-	return coreBench(opts, "shard_scale", core.RMW, counts)
+// modes, on the kind controller. A count of 1 falls back to the serial
+// driver, so shards=1 runs the same code as streamed and its ratio band
+// should contain 1.0.
+func ShardScale(opts Options, kind core.Kind, counts []int) (ThroughputEntry, error) {
+	return coreBench(opts, "shard_scale", kind, counts)
 }
 
 func coreBench(opts Options, bench string, kind core.Kind, counts []int) (ThroughputEntry, error) {

@@ -136,37 +136,39 @@ func TestShardScaleSweep(t *testing.T) {
 	opts := DefaultOptions()
 	opts.N = 5000
 	opts.Context = context.Background()
-	e, err := ShardScale(opts, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Bench != "shard_scale" {
-		t.Errorf("Bench = %q, want shard_scale", e.Bench)
-	}
-	if e.Controller != "RMW" {
-		t.Errorf("Controller = %q, want RMW (set-local sharding)", e.Controller)
-	}
-	if e.GoMaxProcs != runtime.GOMAXPROCS(0) || e.NumCPU != runtime.NumCPU() {
-		t.Errorf("topology = %d/%d, want %d/%d", e.GoMaxProcs, e.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
-	checkModes(t, e, "streamed", "materialized", "shards=1", "shards=2", "shards=4")
-
-	// Identity is the hash of the serial result's identity bytes, so
-	// entries at the same n and seed compare across commits.
 	accs, err := workload.Take(workload.Profiles()[0], opts.Seed, opts.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunContext(opts.Context, core.RMW, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := coreIdentity(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := sha256.Sum256(id); e.Identity != hex.EncodeToString(sum[:]) {
-		t.Errorf("Identity = %s, want the sha256 of the serial run's identity bytes", e.Identity)
+	for _, kind := range []core.Kind{core.RMW, core.WG} {
+		e, err := ShardScale(opts, kind, []int{1, 2, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Bench != "shard_scale" {
+			t.Errorf("Bench = %q, want shard_scale", e.Bench)
+		}
+		if e.Controller != kind.String() {
+			t.Errorf("Controller = %q, want %v", e.Controller, kind)
+		}
+		if e.GoMaxProcs != runtime.GOMAXPROCS(0) || e.NumCPU != runtime.NumCPU() {
+			t.Errorf("topology = %d/%d, want %d/%d", e.GoMaxProcs, e.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
+		}
+		checkModes(t, e, "streamed", "materialized", "shards=1", "shards=2", "shards=4")
+
+		// Identity is the hash of the serial result's identity bytes, so
+		// entries at the same n and seed compare across commits.
+		res, err := core.RunContext(opts.Context, kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := coreIdentity(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(id); e.Identity != hex.EncodeToString(sum[:]) {
+			t.Errorf("%v: Identity = %s, want the sha256 of the serial run's identity bytes", kind, e.Identity)
+		}
 	}
 }
 

@@ -48,11 +48,10 @@ type Options struct {
 	// materialized runs produce byte-identical artifacts, and CI runs both to
 	// prove it.
 	Stream bool
-	// Shards > 1 runs set-local controllers set-sharded
-	// (core.RunShardedContext); controllers with cross-set state fall back
-	// to the serial driver. Goldens are shard-agnostic — sharded runs must
-	// reproduce the serial artifacts byte-identically, and CI runs both to
-	// prove it.
+	// Shards > 1 runs every controller set-sharded (core.RunShardedContext,
+	// core.RunEachStream); Random-policy caches fall back to the serial
+	// driver. Goldens are shard-agnostic — sharded runs must reproduce the
+	// serial artifacts byte-identically, and CI runs both to prove it.
 	Shards int
 	// Context cancels in-flight simulations.
 	Context context.Context

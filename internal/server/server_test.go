@@ -224,57 +224,65 @@ func TestSubmitPollResult(t *testing.T) {
 
 // TestShardedJobMatchesSerial pins end-to-end execution equivalence through
 // the service: a set-sharded daemon job returns the exact bytes of a serial
-// in-process run. Shards are execution knobs, not result knobs, so they stay
-// out of the config hash.
+// in-process run, for RMW and for WG, whose Set-Buffer crosses sets. Shards
+// are execution knobs, not result knobs, so they stay out of the config
+// hash.
 func TestShardedJobMatchesSerial(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2})
-	st := ts.submitJob(`{"controller":"rmw","workload":"bwaves","n":20000,"shards":4}`)
-	final := ts.waitTerminal(st.ID)
-	if final.State != StateSucceeded {
-		t.Fatalf("sharded job ended %s: %s", final.State, final.Error)
-	}
-	_, got := ts.get("/v1/jobs/" + st.ID + "/result")
+	for _, controller := range []string{"rmw", "wg"} {
+		st := ts.submitJob(`{"controller":"` + controller + `","workload":"bwaves","n":20000,"shards":4}`)
+		final := ts.waitTerminal(st.ID)
+		if final.State != StateSucceeded {
+			t.Fatalf("%s: sharded job ended %s: %s", controller, final.State, final.Error)
+		}
+		_, got := ts.get("/v1/jobs/" + st.ID + "/result")
 
-	serial, err := DecodeSpec([]byte(`{"controller":"rmw","workload":"bwaves","n":20000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Execute(context.Background(), serial, serial.Workload, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, local) {
-		t.Fatal("sharded daemon artifact differs from serial local artifact")
+		serial, err := DecodeSpec([]byte(`{"controller":"` + controller + `","workload":"bwaves","n":20000}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := Execute(context.Background(), serial, serial.Workload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, local) {
+			t.Fatalf("%s: sharded daemon artifact differs from serial local artifact", controller)
+		}
 	}
 }
 
-// TestShardedJobPanicFailsJob pins panic containment through the routed
-// fan-out: a sharded job whose stream panics on the decoder goroutine ends
-// failed with the engine's panicked error, and the daemon lives on to serve
-// the next job.
+// TestShardedJobPanicFailsJob pins panic containment through the sharded
+// run's walks and accountant stage: a sharded job whose stream panics on the
+// decoder goroutine ends failed with the engine's panicked error, and the
+// daemon lives on to serve the next job. WG's Set-Buffer crosses sets, so
+// its accountant stage runs beside the walks.
 func TestShardedJobPanicFailsJob(t *testing.T) {
-	var armed atomic.Bool
-	armed.Store(true)
-	ts := newTestServer(t, Config{Workers: 1, testWrapStream: func(_ context.Context, _ *Job, s trace.Stream) trace.Stream {
-		if !armed.CompareAndSwap(true, false) {
-			return s
-		}
-		var served int
-		return trace.Func(func() (trace.Access, bool) {
-			if served == 5000 {
-				panic("source failed")
+	for _, controller := range []string{"rmw", "wg"} {
+		t.Run(controller, func(t *testing.T) {
+			var armed atomic.Bool
+			armed.Store(true)
+			ts := newTestServer(t, Config{Workers: 1, testWrapStream: func(_ context.Context, _ *Job, s trace.Stream) trace.Stream {
+				if !armed.CompareAndSwap(true, false) {
+					return s
+				}
+				var served int
+				return trace.Func(func() (trace.Access, bool) {
+					if served == 5000 {
+						panic("source failed")
+					}
+					served++
+					return s.Next()
+				})
+			}})
+			body := `{"controller":"` + controller + `","workload":"mcf","n":20000,"seed":1,"shards":2}`
+			first := ts.waitTerminal(ts.submitJob(body).ID)
+			if first.State != StateFailed || !strings.Contains(first.Error, "panicked") || !strings.Contains(first.Error, "source failed") {
+				t.Fatalf("panicking job ended %s: %q, want failed with the engine's panicked error", first.State, first.Error)
 			}
-			served++
-			return s.Next()
+			if second := ts.waitTerminal(ts.submitJob(body).ID); second.State != StateSucceeded {
+				t.Fatalf("job after the panic ended %s: %s", second.State, second.Error)
+			}
 		})
-	}})
-	const body = `{"controller":"rmw","workload":"mcf","n":20000,"seed":1,"shards":2}`
-	first := ts.waitTerminal(ts.submitJob(body).ID)
-	if first.State != StateFailed || !strings.Contains(first.Error, "panicked") || !strings.Contains(first.Error, "source failed") {
-		t.Fatalf("panicking job ended %s: %q, want failed with the engine's panicked error", first.State, first.Error)
-	}
-	if second := ts.waitTerminal(ts.submitJob(body).ID); second.State != StateSucceeded {
-		t.Fatalf("job after the panic ended %s: %s", second.State, second.Error)
 	}
 }
 

@@ -40,8 +40,10 @@ type JobSpec struct {
 	Cache CacheSpec `json:"cache"`
 	// Options are the controller behaviour knobs.
 	Options OptionsSpec `json:"options"`
-	// Shards > 1 set-shards the run (set-local controllers only; the spec is
-	// rejected, not silently degraded, when the controller cannot shard).
+	// Shards > 1 set-shards the run (any controller; the spec is rejected,
+	// not silently degraded, when the cache cannot shard). Every shard
+	// holds a whole cache, so Shards × Cache.SizeKB is bounded by
+	// MaxCacheKB.
 	Shards int `json:"shards,omitempty"`
 	// Batch is the streaming batch length in accesses (0 = default).
 	Batch int `json:"batch,omitempty"`
@@ -268,6 +270,10 @@ func (s JobSpec) Validate(hasTrace bool) error {
 		add("shards", "must be >= 0")
 	case s.Shards > 1 && s.Hierarchy:
 		add("shards", "hierarchy jobs are serial: the L1 listener drives the L2 on every fill and eviction, so there is no set partition to shard")
+	case s.Shards > 1 && s.Cache.SizeKB > 0 && s.Shards > MaxCacheKB/s.Cache.SizeKB:
+		// Every shard holds a cache of the full shape, so the shards'
+		// caches together get the cap one cache has.
+		add("shards", "%d shards of a %d KB cache exceed the service cap of %d KB: every shard holds a whole cache", s.Shards, s.Cache.SizeKB, MaxCacheKB)
 	case s.Shards > 1 && kindErr == nil && polErr == nil:
 		// core.PlanShards decides which runs shard; a request it would run
 		// serially is refused with its reason.

@@ -92,8 +92,8 @@ func TestValidateFieldErrors(t *testing.T) {
 			fields: []string{"cache.policy"},
 		},
 		{
-			name:   "shards on cross-set controller",
-			mutate: func(s *JobSpec) { s.Controller = "wgrb"; s.Shards = 4 },
+			name:   "shards over the cache cap",
+			mutate: func(s *JobSpec) { s.Cache.SizeKB = 1024; s.Shards = 128 },
 			fields: []string{"shards"},
 		},
 		{
@@ -135,14 +135,21 @@ func TestValidateFieldErrors(t *testing.T) {
 	}
 }
 
-// TestValidShardedSpec pins that set-local controllers may shard.
+// TestValidShardedSpec pins that every controller may shard, cross-set
+// ones (the WG family, coalesce, ts) included, while the shards' caches
+// together stay within the cap one cache has.
 func TestValidShardedSpec(t *testing.T) {
-	for _, kind := range []string{"conventional", "word", "rmw", "localrmw"} {
+	for _, kind := range []string{"conventional", "word", "rmw", "localrmw", "coalesce", "wg", "wgrb", "ts"} {
 		spec := JobSpec{Controller: kind, Workload: "bwaves", N: 1000, Shards: 4}
 		spec.Normalize()
 		if err := spec.Validate(false); err != nil {
 			t.Errorf("%s with shards should validate: %v", kind, err)
 		}
+	}
+	spec := JobSpec{Controller: "wg", Workload: "bwaves", N: 1000, Cache: CacheSpec{SizeKB: 1024}, Shards: 64}
+	spec.Normalize()
+	if err := spec.Validate(false); err != nil {
+		t.Errorf("64 shards of a 1024 KB cache, at the cap, should validate: %v", err)
 	}
 }
 

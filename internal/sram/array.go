@@ -144,17 +144,6 @@ func (a *Array) RestoreCounts(counts [numEvents]uint64) { a.counts = counts }
 // NumEvents is the length of the ledger returned by Counts.
 const NumEvents = numEvents
 
-// AddCounts accumulates other's event counts into a. It is the ledger-merge
-// primitive behind set-sharded simulation: per-shard arrays of the same
-// configuration sum into the exact event mix a serial run would have
-// recorded, because every event is attributed to the set (row) that caused
-// it and sets are partitioned across shards.
-func (a *Array) AddCounts(other *Array) {
-	for i := range a.counts {
-		a.counts[i] += other.counts[i]
-	}
-}
-
 // Composite operations. Each mirrors a sequence described in §2 / Figure 2.
 
 // ReadAccess records a full array read: precharge, row read, sense, and

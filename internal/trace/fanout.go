@@ -69,10 +69,9 @@ func adaptSlabCap(peak, size int) int {
 // RouteFunc assigns each access of a decoded batch to a feed: called once
 // per batch, it must fill dst[i] with the index of the feed owning
 // batch[i], for every i. A negative value aborts the stream at that access
-// with a *RouteError — how the set-shard router rejects accesses whose
-// effects would span shards (block-straddlers). Batch-at-a-time routing
-// keeps the indirect call off the per-access path and lets implementations
-// scan the batch with whatever locality they like.
+// with a *RouteError, so a router can refuse an access no feed may take.
+// Batch-at-a-time routing keeps the indirect call off the per-access path
+// and lets implementations scan the batch with whatever locality they like.
 type RouteFunc func(batch []Access, dst []int32)
 
 // RouteError reports that the RouteFunc refused an access (returned a
