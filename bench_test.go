@@ -320,14 +320,14 @@ func BenchmarkAllocPolicy(b *testing.B) {
 func BenchmarkEngineSweep(b *testing.B) {
 	profs := workload.Profiles()[:8]
 	const perBench = 30_000
-	streams, err := workload.Materialize(profs, 1, perBench)
-	if err != nil {
-		b.Fatal(err)
-	}
 	kinds := []core.Kind{core.RMW, core.WG, core.WGRB}
 	shape := cache.DefaultConfig()
 	var jobs []engine.Job[core.Result]
-	for _, accs := range streams {
+	for _, p := range profs {
+		accs, err := workload.Take(p, 1, perBench)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, k := range kinds {
 			jobs = append(jobs, engine.Job[core.Result]{
 				Label: k.String(),

@@ -263,18 +263,24 @@ func RunMix(cfg Config, names []string, seed uint64, quantum, n int) (Result, er
 // run simulates the first n accesses of the endless stream s under cfg; a
 // non-positive n simulates none.
 func run(cfg Config, s trace.Stream, n int) (Result, error) {
-	kind, cc, opts, err := cfg.internal()
-	if err != nil {
-		return Result{}, err
-	}
-	if n <= 0 {
-		s = trace.FromSlice(nil)
-	}
-	res, err := core.Run(kind, cc, opts, s, n)
+	res, err := simulate(cfg, s, n)
 	if err != nil {
 		return Result{}, err
 	}
 	return resultFrom(res), nil
+}
+
+// simulate is run returning the simulator's own result, for callers that
+// price it (DVFSSweep).
+func simulate(cfg Config, s trace.Stream, n int) (core.Result, error) {
+	kind, cc, opts, err := cfg.internal()
+	if err != nil {
+		return core.Result{}, err
+	}
+	if n <= 0 {
+		s = trace.FromSlice(nil)
+	}
+	return core.Run(kind, cc, opts, s, n)
 }
 
 // Compare runs the same workload under the configured controller and under

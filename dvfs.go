@@ -3,8 +3,6 @@ package cache8t
 import (
 	"fmt"
 
-	"cache8t/internal/cache"
-	"cache8t/internal/core"
 	"cache8t/internal/energy"
 	"cache8t/internal/sram"
 	"cache8t/internal/timing"
@@ -40,31 +38,11 @@ func DVFSSweep(cfg Config, name string, seed uint64, n, levels int) ([]DVFSPoint
 	if levels < 2 {
 		return nil, fmt.Errorf("cache8t: need at least 2 DVFS levels, got %d", levels)
 	}
-	kind, err := core.ParseKind(cfg.Controller)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Replacement == "" {
-		cfg.Replacement = "lru"
-	}
-	policy, err := cache.ParsePolicy(cfg.Replacement)
-	if err != nil {
-		return nil, err
-	}
 	gen, err := workload.Stream(name, seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(kind, cache.Config{
-		SizeBytes:  cfg.CacheSizeBytes,
-		Ways:       cfg.Ways,
-		BlockBytes: cfg.BlockBytes,
-		Policy:     policy,
-		Seed:       cfg.Seed,
-	}, core.Options{
-		BufferDepth:          cfg.BufferDepth,
-		DisableSilentElision: cfg.DisableSilentElision,
-	}, gen, n)
+	res, err := simulate(cfg, gen, n)
 	if err != nil {
 		return nil, err
 	}
@@ -81,23 +59,26 @@ func DVFSSweep(cfg Config, name string, seed uint64, n, levels int) ([]DVFSPoint
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DVFSPoint, 0, len(points))
-	for _, pt := range points {
-		dp := DVFSPoint{
-			VoltageV:        pt.VoltageV,
-			FreqMHz:         pt.FreqMHz,
-			SixTReachable:   pt.VoltageV >= sram.SixT.VminVolts(),
-			EightTReachable: pt.VoltageV >= sram.EightT.VminVolts(),
+	six, err := energy.Sweep(res, sram.SixT, points, tp)
+	if err != nil {
+		return nil, err
+	}
+	eight, err := energy.Sweep(res, sram.EightT, points, tp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]DVFSPoint, len(points))
+	for i, sp := range eight {
+		out[i] = DVFSPoint{
+			VoltageV:        sp.Point.VoltageV,
+			FreqMHz:         sp.Point.FreqMHz,
+			SixTReachable:   six[i].Reachable,
+			EightTReachable: sp.Reachable,
 			CPI:             trep.CPI(),
 		}
-		if dp.EightTReachable {
-			erep, err := energy.Evaluate(res, pt, tp)
-			if err != nil {
-				return nil, err
-			}
-			dp.EnergyPerAccessNJ = energy.PerAccessJ(erep, res.Requests.Accesses()) * 1e9
+		if sp.Reachable {
+			out[i].EnergyPerAccessNJ = energy.PerAccessJ(sp.Report, res.Requests.Accesses()) * 1e9
 		}
-		out = append(out, dp)
 	}
 	return out, nil
 }

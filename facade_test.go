@@ -154,3 +154,38 @@ func TestNoWriteAllocateKnob(t *testing.T) {
 		t.Errorf("write-around array writes %d not below allocate %d", b.ArrayWrites, a.ArrayWrites)
 	}
 }
+
+// TestDVFSSweepHonorsWriteAllocate prices the same RMW run with and without
+// write-allocate. Write-around changes the array traffic (RunWorkload), so
+// the sweep must price the two configurations differently: it simulates
+// the configuration it was given, every knob included.
+func TestDVFSSweepHonorsWriteAllocate(t *testing.T) {
+	const n = 20000
+	alloc := DefaultConfig()
+	alloc.Controller = "rmw"
+	around := alloc
+	around.NoWriteAllocate = true
+	ra, err := RunWorkload(alloc, "bwaves", 1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := RunWorkload(around, "bwaves", 1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.ArrayAccesses() == rb.ArrayAccesses() {
+		t.Fatalf("write-around left the array traffic at %d", ra.ArrayAccesses())
+	}
+	pa, err := DVFSSweep(alloc, "bwaves", 1, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := DVFSSweep(around, "bwaves", 1, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa[0].CPI == pb[0].CPI || pa[0].EnergyPerAccessNJ == pb[0].EnergyPerAccessNJ {
+		t.Errorf("sweep ignores write-around: CPI %v vs %v, %v vs %v nJ/access",
+			pa[0].CPI, pb[0].CPI, pa[0].EnergyPerAccessNJ, pb[0].EnergyPerAccessNJ)
+	}
+}

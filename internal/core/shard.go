@@ -30,8 +30,8 @@ import (
 //
 // The Random replacement policy draws every set's victims from one RNG
 // stream, so it runs serially. PlanShards is the one owner of that
-// decision: a caller that refuses such a request up front (sramd's spec
-// validation, sramsim's -shards) asks the plan's Err.
+// decision: a caller that refuses such a request up front (the job spec
+// validation sramd and sramsim share) asks the plan's Err.
 
 // shardDepth is how far the walks may run ahead of the accountant stage, in
 // batches: the broadcast's slab count, the number of outcome buffers and the

@@ -4,10 +4,9 @@
 // progress, and engine-level metrics.
 //
 // The engine is generic over the job result type and deliberately depends on
-// nothing else in this repository, so every layer — core, workload,
-// experiments, the CLIs — can fan work out through it without import cycles.
-// workload.MaterializeContext and the experiments grid helpers are thin
-// adapters over this package.
+// nothing else in this repository, so every layer — experiments, the job
+// server, the CLIs — can fan work out through it without import cycles. The
+// experiments grid helpers are thin adapters over this package.
 //
 // # Determinism
 //

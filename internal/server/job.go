@@ -93,7 +93,8 @@ func (j *Job) Status() JobStatus {
 }
 
 // countingStream counts every access a job decodes and wakes SSE watchers
-// once per notify stride. It is the wrap RunSpec hangs on the job's stream.
+// once per notify stride. The daemon's opener (Server.execute) hangs it on
+// every stream it opens for the job.
 // Drain decodes ahead of the simulation, so the count can lead the
 // controller by up to two batches.
 type countingStream struct {

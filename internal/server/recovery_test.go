@@ -303,14 +303,14 @@ func TestRunSpecDurableOlderCheckpoint(t *testing.T) {
 		blobs = append(blobs, blob)
 		return nil
 	}
-	if _, _, err := RunSpecDurable(ctx, spec, nil, nil, nil, 1, sink); err != nil {
+	if _, _, err := RunSpec(ctx, spec, nil, Checkpoint{Every: 1, Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
 	mid := blobs[len(blobs)/2]
-	if _, resumed, err := RunSpecDurable(ctx, spec, nil, nil, mid, 0, nil); err != nil || !resumed {
+	if _, resumed, err := RunSpec(ctx, spec, nil, Checkpoint{Resume: mid}); err != nil || !resumed {
 		t.Fatalf("current blob: resumed = %v, err = %v; want a resume", resumed, err)
 	}
-	res, resumed, err := RunSpecDurable(ctx, spec, nil, nil, asVersion1(mid), 0, nil)
+	res, resumed, err := RunSpec(ctx, spec, nil, Checkpoint{Resume: asVersion1(mid)})
 	if err != nil || resumed {
 		t.Fatalf("version-1 blob: resumed = %v, err = %v; want a run from access zero", resumed, err)
 	}
@@ -370,6 +370,57 @@ func TestRecoveryOlderCheckpointRecomputes(t *testing.T) {
 		if !strings.Contains(string(m), want) {
 			t.Errorf("metrics missing %q:\n%s", want, m)
 		}
+	}
+}
+
+// TestCheckpointOnlySerialJobs pins where the checkpoint rule lives: the
+// server hands every job its checkpoint knobs, and the run path takes
+// checkpoints on serial single-level specs only. On a journaled server that
+// checkpoints every batch, a sharded job and a hierarchy job end with
+// Execute's bytes and write no checkpoint; a serial job then does (another
+// n, since shards do not enter the config hash and the result cache would
+// serve it).
+func TestCheckpointOnlySerialJobs(t *testing.T) {
+	dir := t.TempDir()
+	rc := openTestCache(t, filepath.Join(dir, "cas"))
+	ts := newTestServer(t, Config{Workers: 1, Cache: rc, JournalDir: filepath.Join(dir, "journal"), CheckpointEvery: 1})
+	written := func() float64 {
+		_, m := ts.get("/metrics")
+		return metricValue(t, m, "sramd_checkpoints_written_total")
+	}
+	for _, body := range []string{
+		`{"controller":"wg","workload":"bwaves","n":3000,"batch":64,"shards":4}`,
+		`{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64,"hierarchy":true}`,
+	} {
+		st := submitAccepted(ts, body)
+		if fin := ts.waitTerminal(st.ID); fin.State != StateSucceeded {
+			t.Fatalf("%s: ended %s: %s", body, fin.State, fin.Error)
+		}
+		code, got := ts.get("/v1/jobs/" + st.ID + "/result")
+		if code != http.StatusOK {
+			t.Fatalf("%s: result %d: %s", body, code, got)
+		}
+		spec, err := DecodeSpec([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Execute(context.Background(), spec, spec.Workload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: artifact differs from Execute", body)
+		}
+		if n := written(); n != 0 {
+			t.Fatalf("%s: sramd_checkpoints_written_total = %v, want 0", body, n)
+		}
+	}
+	st := submitAccepted(ts, `{"controller":"wg","workload":"bwaves","n":2000,"batch":64}`)
+	if fin := ts.waitTerminal(st.ID); fin.State != StateSucceeded {
+		t.Fatalf("serial job ended %s: %s", fin.State, fin.Error)
+	}
+	if n := written(); n == 0 {
+		t.Fatal("the serial job wrote no checkpoint")
 	}
 }
 

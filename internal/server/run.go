@@ -15,54 +15,32 @@ import (
 	"cache8t/internal/workload"
 )
 
-// OpenSource returns the stream opener for a validated spec with no uploaded
-// trace: a fresh deterministic generator per open, bounded inside the run by
-// spec.N.
-func OpenSource(spec JobSpec) func() (trace.Stream, error) {
-	return func() (trace.Stream, error) {
-		return workload.Stream(spec.Workload, spec.Seed)
-	}
+// Checkpoint carries a single-level run's checkpoint knobs together: Sink
+// receives a serialized controller snapshot every Every batches, and
+// Resume, when non-nil, restarts the run from an earlier snapshot instead of
+// access zero. The zero value runs without checkpoints. Only a serial run
+// checkpoints: RunSpec ignores all three on a sharded spec, and a hierarchy
+// spec never takes them.
+type Checkpoint struct {
+	Every  int
+	Sink   core.CheckpointSink
+	Resume []byte
 }
 
-// RunSpec executes a validated spec over the stream from open and returns the
-// controller result. Shards and batch come from the spec; RunShardedContext
-// degrades to the serial streaming driver when shards <= 1, so there is one
-// execution path for every job. wrap, when non-nil, interposes on the opened
-// stream — the daemon hangs its progress counter there.
-func RunSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error), wrap func(trace.Stream) trace.Stream) (core.Result, error) {
-	kind, err := core.ParseKind(spec.Controller)
-	if err != nil {
-		return core.Result{}, err
-	}
-	cfg, err := spec.CacheConfig()
-	if err != nil {
-		return core.Result{}, err
-	}
-	if open == nil {
-		open = OpenSource(spec)
-	}
-	s, err := open()
-	if err != nil {
-		return core.Result{}, err
-	}
-	if wrap != nil {
-		s = wrap(s)
-	}
-	return core.RunShardedContext(ctx, kind, cfg, spec.CoreOptions(), s, spec.N, spec.Batch, spec.Shards)
-}
-
-// RunSpecDurable executes a validated spec with checkpointing: sink receives
-// a serialized controller snapshot every `every` batches, and resumeBlob,
-// when non-nil, restarts the run from a previously written snapshot instead
-// of access zero. resumed reports whether the checkpoint was actually used —
-// an unreadable or mismatched blob (core.ErrBadCheckpoint) falls back to a
-// straight run from a freshly opened stream, since checkpoints are an
-// optimization and the determinism contract makes the two byte-identical.
-// Any other resume error is a genuine run failure and propagates.
-//
-// Checkpointing rides the serial streaming driver, so this path ignores
-// spec.Shards; callers gate on Shards <= 1.
-func RunSpecDurable(ctx context.Context, spec JobSpec, open func() (trace.Stream, error), wrap func(trace.Stream) trace.Stream, resumeBlob []byte, every int, sink core.CheckpointSink) (res core.Result, resumed bool, err error) {
+// RunSpec executes a validated single-level spec over the stream from open
+// (nil: a fresh deterministic generator of the spec's workload per open,
+// bounded inside the run by spec.N) and returns the controller result.
+// Shards and batch come from the spec; Shards > 1 runs the set-sharded
+// driver, anything else the serial streaming driver with ck's checkpoints.
+// resumed reports whether ck.Resume was actually used: a blob that
+// core.ErrBadCheckpoint rejects (unreadable, another version, or a position
+// this run's stream or budget does not reach) falls back to a straight run
+// from a freshly opened stream, since checkpoints are an optimization and
+// the determinism contract makes the two byte-identical. Any other resume
+// error is a genuine run failure and propagates. The blob must come from a
+// run of this spec: the resumed driver takes the kind, cache and options
+// the blob records, not the spec's.
+func RunSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error), ck Checkpoint) (res core.Result, resumed bool, err error) {
 	kind, err := core.ParseKind(spec.Controller)
 	if err != nil {
 		return core.Result{}, false, err
@@ -71,8 +49,13 @@ func RunSpecDurable(ctx context.Context, spec JobSpec, open func() (trace.Stream
 	if err != nil {
 		return core.Result{}, false, err
 	}
-	if open == nil {
-		open = OpenSource(spec)
+	open = specSource(spec, open)
+	if spec.Shards > 1 {
+		rs, err := core.RunEachStream(ctx, []core.Kind{kind}, cfg, spec.CoreOptions(), open, spec.N, spec.Batch, spec.Shards)
+		if err != nil {
+			return core.Result{}, false, err
+		}
+		return rs[0], false, nil
 	}
 	drain := func(d *core.Driver, err error) (core.Result, error) {
 		if err != nil {
@@ -82,22 +65,28 @@ func RunSpecDurable(ctx context.Context, spec JobSpec, open func() (trace.Stream
 		if err != nil {
 			return core.Result{}, err
 		}
-		if wrap != nil {
-			s = wrap(s)
-		}
-		d.CheckpointEvery(every, sink)
+		d.CheckpointEvery(ck.Every, ck.Sink)
 		return d.Drain(ctx, s, spec.N, spec.Batch)
 	}
-	if resumeBlob != nil {
-		res, err := drain(core.ResumeDriver(resumeBlob))
+	if ck.Resume != nil {
+		res, err := drain(core.ResumeDriver(ck.Resume))
 		if !errors.Is(err, core.ErrBadCheckpoint) {
 			return res, err == nil, err
 		}
-		// Fall through: the blob does not describe this run (corrupt, wrong
-		// version, wrong geometry). Restart from scratch on a fresh stream.
+		// Fall through: the blob cannot resume this run. Restart from
+		// scratch on a fresh stream.
 	}
 	res, err = drain(core.NewDriver(kind, cfg, spec.CoreOptions()))
 	return res, false, err
+}
+
+// specSource returns open, or when it is nil a fresh deterministic
+// generator of the spec's workload per call.
+func specSource(spec JobSpec, open func() (trace.Stream, error)) func() (trace.Stream, error) {
+	if open != nil {
+		return open
+	}
+	return func() (trace.Stream, error) { return workload.Stream(spec.Workload, spec.Seed) }
 }
 
 // ConfigMap flattens the result-shaping knobs of a spec into the artifact's
@@ -134,27 +123,6 @@ func ConfigMap(spec JobSpec, source string) map[string]string {
 		m["l2_count_fill_traffic"] = fmt.Sprint(spec.L2.Options.CountFillTraffic)
 	}
 	return m
-}
-
-// RunHierSpec executes a validated hierarchy spec over the stream from open
-// and returns the two-level result. Hierarchy runs are serial — Validate
-// rejects shards > 1 — and poll ctx per batch like every other driver.
-func RunHierSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error), wrap func(trace.Stream) trace.Stream) (hier.Result, error) {
-	cfg, err := spec.HierConfig()
-	if err != nil {
-		return hier.Result{}, err
-	}
-	if open == nil {
-		open = OpenSource(spec)
-	}
-	s, err := open()
-	if err != nil {
-		return hier.Result{}, err
-	}
-	if wrap != nil {
-		s = wrap(s)
-	}
-	return hier.RunContext(ctx, cfg, s, spec.N, spec.Batch)
 }
 
 // Artifact assembles the deterministic run artifact for a finished job: the
@@ -220,21 +188,43 @@ func HierArtifact(spec JobSpec, source string, res hier.Result) *report.Artifact
 
 // Execute is the in-process reference runner: it runs a validated spec to
 // completion and returns the encoded canonical artifact. The daemon's job
-// path and Execute share RunSpec/RunHierSpec and Artifact/HierArtifact, so
-// the bytes a client fetches from `GET /v1/jobs/{id}/result` are identical
-// to the bytes Execute produces for the same spec and source — the
-// end-to-end identity the smoke test and cmd/sramload verify.
+// path and Execute share run, so the bytes a client fetches from
+// `GET /v1/jobs/{id}/result` are identical to the bytes Execute produces
+// for the same spec and source — the end-to-end identity the smoke test and
+// cmd/sramload verify.
 func Execute(ctx context.Context, spec JobSpec, source string, open func() (trace.Stream, error)) ([]byte, error) {
-	if spec.Hierarchy {
-		res, err := RunHierSpec(ctx, spec, open, nil)
-		if err != nil {
-			return nil, err
-		}
-		return report.Encode(HierArtifact(spec, source, res))
-	}
-	res, err := RunSpec(ctx, spec, open, nil)
+	art, _, err := run(ctx, spec, source, open, Checkpoint{})
 	if err != nil {
 		return nil, err
 	}
-	return report.Encode(Artifact(spec, source, res))
+	return report.Encode(art)
+}
+
+// run is the one path from a validated spec to its artifact: a single-level
+// spec through RunSpec with ck, a hierarchy spec through the two-level
+// driver. Hierarchy runs are serial (Validate rejects shards > 1) and never
+// checkpoint — the snapshot codec covers one controller and one cache, not
+// an L1/L2 pair — so a recovered hierarchy job re-runs from access zero,
+// which the determinism contract makes byte-identical.
+func run(ctx context.Context, spec JobSpec, source string, open func() (trace.Stream, error), ck Checkpoint) (*report.Artifact, bool, error) {
+	if !spec.Hierarchy {
+		res, resumed, err := RunSpec(ctx, spec, open, ck)
+		if err != nil {
+			return nil, false, err
+		}
+		return Artifact(spec, source, res), resumed, nil
+	}
+	cfg, err := spec.HierConfig()
+	if err != nil {
+		return nil, false, err
+	}
+	s, err := specSource(spec, open)()
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := hier.RunContext(ctx, cfg, s, spec.N, spec.Batch)
+	if err != nil {
+		return nil, false, err
+	}
+	return HierArtifact(spec, source, res), false, nil
 }

@@ -63,9 +63,10 @@ type Config struct {
 	// kill -9. Requires Cache with a disk tier (New errors otherwise).
 	JournalDir string
 	// CheckpointEvery, when positive and journaling is on, snapshots each
-	// serial job's full controller state into the result cache every that
-	// many batches; a recovered running job resumes from its latest snapshot
-	// instead of re-simulating from access zero. DESIGN.md §12 documents the
+	// job's full controller state into the result cache every that many
+	// batches; a recovered running job resumes from its latest snapshot
+	// instead of re-simulating from access zero. Sharded and hierarchy jobs
+	// take no checkpoints (see Checkpoint). DESIGN.md §12 documents the
 	// blob format and the byte-identity guarantee.
 	CheckpointEvery int
 	// JournalRetain, when positive and journaling is on, is the terminal-job
@@ -384,68 +385,50 @@ func (s *Server) executeEncoded(ctx context.Context, j *Job) ([]byte, error) {
 	return report.Encode(art)
 }
 
-// execute opens the job's source, hangs the progress counter on it, and runs
-// the spec. It runs on a worker goroutine inside the engine's containment.
+// execute runs the job's spec. Its opener opens the job's source and hangs
+// the progress counter on the stream. On a journaled server the run
+// checkpoints into the result cache under "ckpt:<job-id>" — job ids survive
+// restarts, so the key does too — and a recovered job resumes from its
+// latest snapshot; the run path decides which specs checkpoint. execute
+// runs on a worker goroutine inside the engine's containment.
 func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) {
-	open := OpenSource(j.Spec)
+	src := specSource(j.Spec, nil)
 	if j.tracePath != "" {
 		f, err := os.Open(j.tracePath)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		open = func() (trace.Stream, error) { return trace.NewAnyReader(f) }
+		src = func() (trace.Stream, error) { return trace.NewAnyReader(f) }
 	}
-	wrap := func(st trace.Stream) trace.Stream {
-		var out trace.Stream = &countingStream{inner: st, job: j}
-		if s.cfg.testWrapStream != nil {
-			out = s.cfg.testWrapStream(ctx, j, out)
-		}
-		return out
-	}
-	// Hierarchy jobs run the two-level driver. They are excluded from the
-	// checkpoint path below — the snapshot codec covers one controller and
-	// one cache, not an L1/L2 pair — so a recovered hierarchy job re-runs
-	// from access zero, which the determinism contract makes byte-identical.
-	if j.Spec.Hierarchy {
-		res, err := RunHierSpec(ctx, j.Spec, open, wrap)
+	open := func() (trace.Stream, error) {
+		st, err := src()
 		if err != nil {
 			return nil, err
 		}
-		return HierArtifact(j.Spec, j.Source, res), nil
-	}
-	// Checkpointing rides the serial streaming driver, so sharded jobs (and
-	// servers without a journal) take the plain path. A recovered job looks
-	// for its latest snapshot under "ckpt:<job-id>" — job ids survive
-	// restarts, so the key does too — and resumes mid-trace when the blob is
-	// intact; otherwise it re-simulates from access zero, which the
-	// determinism contract makes byte-identical.
-	if s.journal != nil && s.cfg.CheckpointEvery > 0 && j.Spec.Shards <= 1 {
-		var resumeBlob []byte
-		if j.IsRecovered() {
-			if blob, _, ok := s.cache.Get("ckpt:" + j.ID); ok {
-				resumeBlob = blob
-			}
+		st = &countingStream{inner: st, job: j}
+		if s.cfg.testWrapStream != nil {
+			st = s.cfg.testWrapStream(ctx, j, st)
 		}
-		sink := func(blob []byte, accesses uint64) error {
+		return st, nil
+	}
+	var ck Checkpoint
+	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
+		ck.Every = s.cfg.CheckpointEvery
+		ck.Sink = func(blob []byte, _ uint64) error {
 			s.cache.Put("ckpt:"+j.ID, blob)
 			s.met.ckptWritten.Add(1)
 			return nil
 		}
-		res, resumed, err := RunSpecDurable(ctx, j.Spec, open, wrap, resumeBlob, s.cfg.CheckpointEvery, sink)
-		if err != nil {
-			return nil, err
+		if j.IsRecovered() {
+			ck.Resume, _, _ = s.cache.Get("ckpt:" + j.ID)
 		}
-		if resumed {
-			s.met.ckptRestored.Add(1)
-		}
-		return Artifact(j.Spec, j.Source, res), nil
 	}
-	res, err := RunSpec(ctx, j.Spec, open, wrap)
-	if err != nil {
-		return nil, err
+	art, resumed, err := run(ctx, j.Spec, j.Source, open, ck)
+	if resumed {
+		s.met.ckptRestored.Add(1)
 	}
-	return Artifact(j.Spec, j.Source, res), nil
+	return art, err
 }
 
 // finishJob applies the terminal transition once: journal record, metrics

@@ -1,6 +1,7 @@
 // Package stats provides the small numeric and reporting utilities shared by
-// the experiment harness: means, percentage helpers, counter sets, aligned
-// text tables, CSV emission, and ASCII bar charts for figure-style output.
+// the experiment harness: means, quantiles, bootstrap confidence intervals,
+// percentage helpers, aligned text tables, CSV and Markdown emission, and
+// ASCII bar charts for figure-style output.
 package stats
 
 import (
@@ -21,39 +22,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries make a
-// geometric mean undefined; they are skipped, matching common practice in
-// architecture papers when a benchmark reports a zero.
-func GeoMean(xs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		logSum += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -66,20 +34,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Percent formats ratio (0..1) as a percentage string like "27.3%".
@@ -102,54 +56,6 @@ func Reduction(after, before uint64) float64 {
 		return 0
 	}
 	return 1 - float64(after)/float64(before)
-}
-
-// Counter is a named monotonically increasing event count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Set is an ordered collection of named counters. Order is insertion order so
-// reports are stable.
-type Set struct {
-	order  []string
-	counts map[string]uint64
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counts: make(map[string]uint64)}
-}
-
-// Add increments counter name by n, creating it if absent.
-func (s *Set) Add(name string, n uint64) {
-	if _, ok := s.counts[name]; !ok {
-		s.order = append(s.order, name)
-	}
-	s.counts[name] += n
-}
-
-// Inc increments counter name by 1.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
-// Get returns the value of counter name (0 if absent).
-func (s *Set) Get(name string) uint64 { return s.counts[name] }
-
-// Counters returns the counters in insertion order.
-func (s *Set) Counters() []Counter {
-	out := make([]Counter, 0, len(s.order))
-	for _, name := range s.order {
-		out = append(out, Counter{Name: name, Value: s.counts[name]})
-	}
-	return out
-}
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	for _, c := range other.Counters() {
-		s.Add(c.Name, c.Value)
-	}
 }
 
 // Quantile returns the q-quantile (0..1) of xs using linear interpolation.
@@ -175,59 +81,3 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-width bucket histogram over [min, max).
-type Histogram struct {
-	min, max float64
-	buckets  []uint64
-	under    uint64
-	over     uint64
-	count    uint64
-	sum      float64
-}
-
-// NewHistogram returns a histogram with n buckets over [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{min: min, max: max, buckets: make([]uint64, n)}
-}
-
-// Observe records x.
-func (h *Histogram) Observe(x float64) {
-	h.count++
-	h.sum += x
-	switch {
-	case x < h.min:
-		h.under++
-	case x >= h.max:
-		h.over++
-	default:
-		idx := int((x - h.min) / (h.max - h.min) * float64(len(h.buckets)))
-		if idx >= len(h.buckets) { // float edge
-			idx = len(h.buckets) - 1
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Outliers returns the number of observations below min and at or above max.
-func (h *Histogram) Outliers() (under, over uint64) { return h.under, h.over }

@@ -80,14 +80,6 @@ func (r Report) CPI() float64 {
 	return r.Cycles / float64(r.Instructions)
 }
 
-// Speedup returns how much faster this report is than base (base CPI / CPI).
-func (r Report) Speedup(base Report) float64 {
-	if r.CPI() == 0 {
-		return 0
-	}
-	return base.CPI() / r.CPI()
-}
-
 // Evaluate models the run described by res under params.
 func Evaluate(res core.Result, params Params) (Report, error) {
 	if err := params.Validate(); err != nil {

@@ -84,16 +84,6 @@ func (p Profile) ImpliedWriteShare() float64 {
 	return num / den
 }
 
-// ImpliedReadFrac returns the expected reads-per-instruction (Figure 3 bar).
-func (p Profile) ImpliedReadFrac() float64 {
-	return p.MemFrac * (1 - p.ImpliedWriteShare())
-}
-
-// ImpliedWriteFrac returns the expected writes-per-instruction.
-func (p Profile) ImpliedWriteFrac() float64 {
-	return p.MemFrac * p.ImpliedWriteShare()
-}
-
 // w builds a Weights value in pattern order: SeqRead, SeqWrite, Copy,
 // RMWSweep, PointerChase, StrideRead, Stack.
 func w(sr, sw, cp, rmw, pc, st, sk float64) Weights {
@@ -186,4 +176,17 @@ func ProfileByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Names())
+}
+
+// Resolve turns a CLI -bench argument into a profile list: the full
+// 25-benchmark suite for "", or the single named profile.
+func Resolve(name string) ([]Profile, error) {
+	if name == "" {
+		return Profiles(), nil
+	}
+	p, err := ProfileByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return []Profile{p}, nil
 }

@@ -7,9 +7,9 @@ import (
 	"cache8t/internal/trace"
 )
 
-// MaterializeCap bounds how many accesses a single Materialize/Take call may
-// hold in memory: at 24 bytes per access the default (64 Mi accesses) is a
-// 1.5 GiB slice — past that a materialized run is almost certainly a mistake
+// MaterializeCap bounds how many accesses a single Take call may hold in
+// memory: at 24 bytes per access the default (64 Mi accesses) is a 1.5 GiB
+// slice — past that a materialized run is almost certainly a mistake
 // and the streaming path (Source with streaming=true, the CLIs' -stream flag)
 // is the right tool. The cap is a variable, not a constant, so callers with
 // big machines can raise it deliberately.
