@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-export vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard golden-update fuzz-smoke lifecycle-soak bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
+.PHONY: build test test-export vet race bench bench-core bench-scale bench-hier bench-smoke check fmt-check regress regress-stream regress-shard sweep-smoke golden-update fuzz-smoke lifecycle-soak bench-module serve-smoke serve-golden-update cache-smoke crash-smoke coord-smoke hier-smoke hier-golden-update ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,26 @@ regress-stream:
 regress-shard:
 	$(GO) run ./cmd/regress -shards 4
 
+# Design-space sweep smoke: cmd/sweep walks each cache shape once for all
+# the grid cells that share it, and caches every cell's reduction under its
+# own key. Five runs at -n 5000 (plain, set-sharded, streamed, and twice on
+# one fresh -cache-dir) must print the same tables, and the second cached
+# run must be served from the cache with 0 misses.
+sweep-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/sweep" ./cmd/sweep && \
+	"$$tmp/sweep" -n 5000 > "$$tmp/plain.txt" && \
+	"$$tmp/sweep" -n 5000 -shards 4 > "$$tmp/shards.txt" && \
+	"$$tmp/sweep" -n 5000 -stream > "$$tmp/stream.txt" && \
+	"$$tmp/sweep" -n 5000 -cache-dir "$$tmp/cas" > "$$tmp/cold.txt" && \
+	"$$tmp/sweep" -n 5000 -cache-dir "$$tmp/cas" > "$$tmp/warm.txt" 2> "$$tmp/warm.err" && \
+	for run in shards stream cold warm; do \
+		cmp "$$tmp/plain.txt" "$$tmp/$$run.txt" || exit 1; \
+	done && \
+	if ! grep -q ', 0 misses,' "$$tmp/warm.err"; then \
+		cat "$$tmp/warm.err"; echo "sweep-smoke: the warm run missed the cache"; exit 1; \
+	fi
+
 # Regenerate the goldens after an intentional change to the reproduced
 # numbers. Review the golden/ diff and commit it with the change that caused
 # it (policy in README "Reproducing the paper").
@@ -163,4 +183,4 @@ serve-golden-update:
 hier-golden-update:
 	$(SCENARIO) hier -update
 
-ci: build vet fmt-check race test-export lifecycle-soak bench-module regress regress-stream regress-shard bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke
+ci: build vet fmt-check race test-export lifecycle-soak bench-module regress regress-stream regress-shard sweep-smoke bench-smoke serve-smoke cache-smoke crash-smoke coord-smoke hier-smoke fuzz-smoke

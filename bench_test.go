@@ -93,11 +93,12 @@ func BenchmarkFig8Example(b *testing.B) {
 	stream := experiments.Fig8Stream(g)
 	var total uint64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.WGRB, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0)
+		res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: core.WGRB, Opts: cfg.Opts}}, cfg.Cache,
+			func() (trace.Stream, error) { return trace.FromSlice(stream), nil }, 0, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		total = res.ArrayAccesses()
+		total = res[0].ArrayAccesses()
 	}
 	b.ReportMetric(float64(total), "wgrb-accesses")
 }
@@ -208,11 +209,12 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.WGRB, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+		res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: core.WGRB}}, cache.DefaultConfig(),
+			func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Requests.Accesses() != 100_000 {
+		if res[0].Requests.Accesses() != 100_000 {
 			b.Fatal("short run")
 		}
 	}

@@ -22,6 +22,7 @@
 package cache8t
 
 import (
+	"context"
 	"fmt"
 
 	"cache8t/internal/cache"
@@ -267,35 +268,35 @@ func run(cfg Config, s trace.Stream, n int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFrom(res), nil
+	return resultFrom(res[0]), nil
 }
 
-// simulate is run returning the simulator's own result, for callers that
-// price it (DVFSSweep).
-func simulate(cfg Config, s trace.Stream, n int) (core.Result, error) {
+// simulate is run returning the simulator's own results, for callers that
+// price them (DVFSSweep): cfg's controller first, then each of also under
+// cfg's options, all over one walk of the cache.
+func simulate(cfg Config, s trace.Stream, n int, also ...core.Kind) ([]core.Result, error) {
 	kind, cc, opts, err := cfg.internal()
 	if err != nil {
-		return core.Result{}, err
+		return nil, err
 	}
 	if n <= 0 {
 		s = trace.FromSlice(nil)
 	}
-	return core.Run(kind, cc, opts, s, n)
+	schemes := core.Schemes(opts, append([]core.Kind{kind}, also...)...)
+	return core.RunSchemes(context.Background(), schemes, cc, func() (trace.Stream, error) { return s, nil }, n, 0, 0)
 }
 
 // Compare runs the same workload under the configured controller and under
-// the RMW baseline, returning both results. The headline metric is
-// technique.ReductionVs(baseline).
+// the RMW baseline, over one walk of the cache, returning both results. The
+// headline metric is technique.ReductionVs(baseline).
 func Compare(cfg Config, name string, seed uint64, n int) (technique, baseline Result, err error) {
-	technique, err = RunWorkload(cfg, name, seed, n)
+	gen, err := workload.Stream(name, seed)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	base := cfg
-	base.Controller = "rmw"
-	baseline, err = RunWorkload(base, name, seed, n)
+	res, err := simulate(cfg, gen, n, core.RMW)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	return technique, baseline, nil
+	return resultFrom(res[0]), resultFrom(res[1]), nil
 }

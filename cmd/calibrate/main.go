@@ -72,7 +72,7 @@ func main() {
 					return row{}, err
 				}
 				an := core.Analyze(trace.FromSlice(accs), g, 0)
-				res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg, core.Options{},
+				res, err := core.RunSchemes(jctx, core.Schemes(core.Options{}, core.RMW, core.WG, core.WGRB), cfg,
 					func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 				if err != nil {
 					return row{}, err
@@ -174,7 +174,7 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 					if err != nil {
 						return red{}, err
 					}
-					res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, core.WG, core.WGRB}, s.cfg, core.Options{},
+					res, err := core.RunSchemes(jctx, core.Schemes(core.Options{}, core.RMW, core.WG, core.WGRB), s.cfg,
 						func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 					if err != nil {
 						return red{}, err

@@ -1,8 +1,10 @@
 // Command sweep explores the design space around the paper's sensitivity
 // analysis (§5.3): access-frequency reduction across cache sizes, block
 // sizes, associativities, and Set-Buffer depths, for one benchmark or the
-// mean over all of them. Every (grid cell, benchmark) pair is an independent
-// simulation, so the whole sweep fans out across the execution engine.
+// mean over all of them. Grid cells that share a cache shape share its
+// walk: each (shape, benchmark) pair is one simulation of RMW and every
+// Set-Buffer option set its cells ask for, and the pairs fan out across the
+// execution engine.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 //	sweep -stream                  regenerate traces per job (constant memory,
 //	                               identical tables)
 //	sweep -shards 4                set-shard each job's one walk of RMW and
-//	                               the swept scheme (identical tables)
+//	                               the swept schemes (identical tables)
 //	sweep -cache-dir DIR           memoize each (grid cell, benchmark) pair in
 //	                               a persistent CAS (shareable with sramd and
 //	                               regress); repeat sweeps skip finished cells
@@ -29,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"time"
 
 	"cache8t/internal/cache"
@@ -72,7 +75,7 @@ func main() {
 	}
 
 	// Ctrl-C cancels in-flight simulations; partial grids are never printed
-	// because each table renders only after its cells all complete.
+	// because the tables render only after every cell completes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -100,38 +103,74 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s (%v)\n", p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
 	}
-	eng := engine.New[float64](ecfg)
+	eng := engine.New[[]float64](ecfg)
 
 	// cell is one grid point; its reduction is the mean over benchmarks.
 	type cell struct {
 		cfg  cache.Config
 		opts core.Options
 	}
-	// meanReductions evaluates cells on the engine, one job per
-	// (cell, benchmark) pair, and averages per cell. Jobs land by
-	// submission index, so the tables are identical for any -workers.
+	// meanReductions evaluates cells and averages each over the benchmarks.
+	// Cells of one cache shape share its walks: one job per (shape,
+	// benchmark) runs RMW and an accountant of kind for each distinct
+	// option set among the shape's cells. RMW ignores the Set-Buffer options
+	// the grids vary, so one RMW serves them all. Each (cell, benchmark)
+	// reduction keeps its own cache key, and a job walks only if one of its
+	// keys misses. Jobs land by submission index and sums run in benchmark
+	// order, so the tables are identical for any -workers.
 	meanReductions := func(cells []cell) []float64 {
-		jobs := make([]engine.Job[float64], 0, len(cells)*len(srcs))
+		type shape struct {
+			cfg  cache.Config
+			opts []core.Options // distinct, in first-use order
+		}
+		var shapes []shape
+		at := make([][2]int, len(cells)) // cell → (shape, option set)
 		for ci, c := range cells {
-			c := c
-			for si, src := range srcs {
-				src := src
-				prof := profiles[si]
-				jobs = append(jobs, engine.Job[float64]{
-					Label:  fmt.Sprintf("cell%d/%s", ci, prof.Name),
-					Weight: 2 * int64(*n),
-					Fn: func(jctx context.Context) (float64, error) {
-						compute := func() (float64, error) {
-							res, err := core.RunEachStream(jctx, []core.Kind{core.RMW, kind}, c.cfg, c.opts, src.Stream, 0, 0, *shards)
-							if err != nil {
-								return 0, err
+			si := slices.IndexFunc(shapes, func(s shape) bool { return s.cfg == c.cfg })
+			if si < 0 {
+				si, shapes = len(shapes), append(shapes, shape{cfg: c.cfg})
+			}
+			oi := slices.Index(shapes[si].opts, c.opts)
+			if oi < 0 {
+				oi, shapes[si].opts = len(shapes[si].opts), append(shapes[si].opts, c.opts)
+			}
+			at[ci] = [2]int{si, oi}
+		}
+		jobs := make([]engine.Job[[]float64], 0, len(shapes)*len(srcs))
+		for si, sh := range shapes {
+			schemes := []core.Scheme{{Kind: core.RMW}}
+			for _, o := range sh.opts {
+				schemes = append(schemes, core.Scheme{Kind: kind, Opts: o})
+			}
+			for bi, src := range srcs {
+				prof := profiles[bi]
+				jobs = append(jobs, engine.Job[[]float64]{
+					Label:  fmt.Sprintf("shape%d/%s", si, prof.Name),
+					Weight: int64(*n),
+					Fn: func(jctx context.Context) ([]float64, error) {
+						var res []core.Result
+						reds := make([]float64, len(sh.opts))
+						for oi, o := range sh.opts {
+							compute := func() (float64, error) {
+								if res == nil {
+									var err error
+									if res, err = core.RunSchemes(jctx, schemes, sh.cfg, src.Stream, 0, 0, *shards); err != nil {
+										return 0, err
+									}
+								}
+								return stats.Reduction(res[oi+1].ArrayAccesses(), res[0].ArrayAccesses()), nil
 							}
-							return stats.Reduction(res[1].ArrayAccesses(), res[0].ArrayAccesses()), nil
+							var err error
+							if rc == nil {
+								reds[oi], err = compute()
+							} else {
+								reds[oi], err = cachedReduction(jctx, rc, reductionKey(kind, prof.Name, *n, *seed, sh.cfg, o), compute)
+							}
+							if err != nil {
+								return nil, err
+							}
 						}
-						if rc == nil {
-							return compute()
-						}
-						return cachedReduction(jctx, rc, reductionKey(kind, prof.Name, *n, *seed, c.cfg, c.opts), compute)
+						return reds, nil
 					},
 				})
 			}
@@ -145,10 +184,10 @@ func main() {
 			log.Fatal(err)
 		}
 		means := make([]float64, len(cells))
-		for ci := range cells {
+		for ci, a := range at {
 			var sum float64
-			for si := range srcs {
-				sum += vals[ci*len(srcs)+si]
+			for bi := range srcs {
+				sum += vals[a[0]*len(srcs)+bi][a[1]]
 			}
 			means[ci] = sum / float64(len(srcs))
 		}
@@ -167,6 +206,8 @@ func main() {
 	art.SetConfig("bench", label)
 	art.SetConfig("n", *n)
 
+	// Every grid's cells, built before any runs, so a shape two grids share
+	// walks once.
 	// Grid 1: capacity x block size (fixed 4-way, LRU, depth 1).
 	sizesKB := []int{16, 32, 64, 128, 256}
 	blocks := []int{16, 32, 64, 128}
@@ -176,7 +217,28 @@ func main() {
 			cells = append(cells, cell{cfg: cache.Config{SizeBytes: kb * 1024, Ways: 4, BlockBytes: b, Policy: cache.LRU}})
 		}
 	}
+	// Grid 2: associativity (64KB/32B). Associativity changes the set row
+	// width, so the Set-Buffer covers more blocks at higher ways.
+	ways := []int{1, 2, 4, 8, 16}
+	for _, w := range ways {
+		cells = append(cells, cell{cfg: cache.Config{SizeBytes: 64 * 1024, Ways: w, BlockBytes: 32, Policy: cache.LRU}})
+	}
+	// Grid 3: Set-Buffer depth (baseline shape).
+	depths := []int{1, 2, 4, 8, 16}
+	for _, d := range depths {
+		cells = append(cells, cell{cfg: cache.DefaultConfig(), opts: core.Options{BufferDepth: d}})
+	}
+	// Grid 4: replacement policy (baseline shape) — reductions are about
+	// write locality, so policy should barely matter; surprises here would
+	// flag a modeling bug.
+	policies := []cache.PolicyKind{cache.LRU, cache.FIFO, cache.Random, cache.TreePLRU}
+	for _, pol := range policies {
+		cfg := cache.DefaultConfig()
+		cfg.Policy = pol
+		cells = append(cells, cell{cfg: cfg})
+	}
 	means := meanReductions(cells)
+
 	t := stats.NewTable("capacity x block size (4-way, LRU)", gridCols("size \\ block", blocks)...)
 	for i, kb := range sizesKB {
 		row := []any{fmt.Sprintf("%dKB", kb)}
@@ -187,47 +249,24 @@ func main() {
 		t.AddRowf(row...)
 	}
 	render(t)
+	means = means[len(sizesKB)*len(blocks):]
 
-	// Grid 2: associativity (64KB/32B). Associativity changes the set row
-	// width, so the Set-Buffer covers more blocks at higher ways.
-	ways := []int{1, 2, 4, 8, 16}
-	cells = cells[:0]
-	for _, w := range ways {
-		cells = append(cells, cell{cfg: cache.Config{SizeBytes: 64 * 1024, Ways: w, BlockBytes: 32, Policy: cache.LRU}})
-	}
-	means = meanReductions(cells)
 	t = stats.NewTable("associativity (64KB, 32B blocks)", "ways", "reduction")
 	for i, w := range ways {
 		t.AddRowf(fmt.Sprintf("%d", w), stats.Pct(means[i]))
 		art.SetMetric(fmt.Sprintf("assoc.%d", w), means[i])
 	}
 	render(t)
+	means = means[len(ways):]
 
-	// Grid 3: Set-Buffer depth (baseline shape).
-	depths := []int{1, 2, 4, 8, 16}
-	cells = cells[:0]
-	for _, d := range depths {
-		cells = append(cells, cell{cfg: cache.DefaultConfig(), opts: core.Options{BufferDepth: d}})
-	}
-	means = meanReductions(cells)
 	t = stats.NewTable("Set-Buffer depth (64KB/4w/32B)", "entries", "reduction")
 	for i, d := range depths {
 		t.AddRowf(fmt.Sprintf("%d", d), stats.Pct(means[i]))
 		art.SetMetric(fmt.Sprintf("depth.%d", d), means[i])
 	}
 	render(t)
+	means = means[len(depths):]
 
-	// Grid 4: replacement policy (baseline shape) — reductions are about
-	// write locality, so policy should barely matter; surprises here would
-	// flag a modeling bug.
-	policies := []cache.PolicyKind{cache.LRU, cache.FIFO, cache.Random, cache.TreePLRU}
-	cells = cells[:0]
-	for _, pol := range policies {
-		cfg := cache.DefaultConfig()
-		cfg.Policy = pol
-		cells = append(cells, cell{cfg: cfg})
-	}
-	means = meanReductions(cells)
 	t = stats.NewTable("replacement policy (64KB/4w/32B)", "policy", "reduction")
 	for i, pol := range policies {
 		t.AddRowf(pol.String(), stats.Pct(means[i]))

@@ -42,10 +42,11 @@ func DVFSSweep(cfg Config, name string, seed uint64, n, levels int) ([]DVFSPoint
 	if err != nil {
 		return nil, err
 	}
-	res, err := simulate(cfg, gen, n)
+	sim, err := simulate(cfg, gen, n)
 	if err != nil {
 		return nil, err
 	}
+	res := sim[0]
 
 	ap := sram.DefaultAlphaPower()
 	// Sweep down to just above the device threshold so the table spans

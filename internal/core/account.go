@@ -21,15 +21,18 @@ type accountant interface {
 	book() *ledger
 }
 
-// accountants are the accountants of one run, one per kind, in kind order.
-// Every one charges the same outcomes.
+// accountants are the accountants of one run, one per scheme, in scheme
+// order. Every one charges the same outcomes.
 type accountants []accountant
 
-// newAccountants builds an accountant of each kind for a cache of shape g.
-func newAccountants(g cache.Geometry, opts Options, kinds []Kind) (accountants, error) {
-	accts := make(accountants, len(kinds))
-	for i, k := range kinds {
-		a, err := newAccountant(k, g, opts)
+// newAccountants builds an accountant of each scheme for a cache of shape g.
+func newAccountants(g cache.Geometry, schemes []Scheme) (accountants, error) {
+	if len(schemes) == 0 {
+		return nil, fmt.Errorf("core: no scheme to run")
+	}
+	accts := make(accountants, len(schemes))
+	for i, sc := range schemes {
+		a, err := newAccountant(sc, g)
 		if err != nil {
 			return nil, err
 		}
@@ -46,8 +49,8 @@ func (as accountants) charge(accs []trace.Access, outs []outcome) {
 	}
 }
 
-// results drains every accountant and returns their Results in kind order,
-// over the walk's cache statistics st.
+// results drains every accountant and returns their Results in scheme
+// order, over the walk's cache statistics st.
 func (as accountants) results(st cache.Stats) []Result {
 	out := make([]Result, len(as))
 	for i, a := range as {
@@ -57,8 +60,9 @@ func (as accountants) results(st cache.Stats) []Result {
 	return out
 }
 
-// newAccountant builds the accountant of kind for a cache of shape g.
-func newAccountant(kind Kind, g cache.Geometry, opts Options) (accountant, error) {
+// newAccountant builds the accountant of sc for a cache of shape g.
+func newAccountant(sc Scheme, g cache.Geometry) (accountant, error) {
+	kind, opts := sc.Kind, sc.Opts
 	arr, err := newArrayFor(kind, g)
 	if err != nil {
 		return nil, err

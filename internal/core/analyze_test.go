@@ -93,7 +93,7 @@ func TestAnalyzeMatchesControllerSilentCount(t *testing.T) {
 	cfg := cache.DefaultConfig()
 	g := cache.MustGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes)
 	a := Analyze(trace.FromSlice(stream), g, 0)
-	r, err := Run(WG, cfg, Options{}, trace.FromSlice(stream), 0)
+	r, err := runOne(WG, cfg, Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

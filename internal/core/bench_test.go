@@ -22,7 +22,7 @@ func BenchmarkRunMaterialized(b *testing.B) {
 	b.SetBytes(int64(len(accs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(accs), 0); err != nil {
+		if _, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(accs), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func BenchmarkRunMaterialized(b *testing.B) {
 // batch entry, or through one walk feeding several kinds' accountants.
 func TestControllerSteadyStateNoAlloc(t *testing.T) {
 	accs := randomStream(42, 20_000, 1<<13)
-	multi, err := newDriver(smallCfg(), Options{}, RMW, WG, WGRB)
+	multi, err := NewDriver(smallCfg(), Schemes(Options{}, RMW, WG, WGRB)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestControllerSteadyStateNoAlloc(t *testing.T) {
 			t.Errorf("%v: %.1f allocations per warm 20k-access replay, want 0", k, avg)
 		}
 
-		d, err := NewDriver(k, smallCfg(), Options{})
+		d, err := NewDriver(smallCfg(), Scheme{Kind: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkRunStreamedBinary(b *testing.B) {
 	b.SetBytes(int64(len(accs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0); err != nil {
+		if _, err := runOne(WG, smallCfg(), Options{}, trace.NewReader(bytes.NewReader(data)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,11 +19,13 @@ import (
 // resume ≡ straight-through, byte-identical down to the flushed memory
 // image (pinned by the conformance suite for every controller kind).
 //
-// The blob is self-describing: it embeds the cache.Config and Options it
-// was captured under, so ResumeDriver needs nothing but the bytes. The
-// format is versioned by ckptVersion: the bytes may move only with a bump,
-// and a decoder seeing any other version fails with ErrBadCheckpoint rather
-// than guessing, so a blob of an older build recomputes from access zero.
+// The blob embeds the kind, cache.Config and Options it was captured under,
+// and ResumeDriver checks them against the run it is asked to resume: a blob
+// of another scheme or cache shape fails with ErrBadCheckpoint, so its
+// caller recomputes from access zero rather than finish someone else's run.
+// The format is versioned by ckptVersion: the bytes may move only with a
+// bump, and a decoder seeing any other version fails with ErrBadCheckpoint
+// rather than guessing, so a blob of an older build recomputes too.
 
 // ckptMagic guards against feeding arbitrary blobs to the decoder.
 const ckptMagic = "c8tckpt\x00"
@@ -148,13 +150,16 @@ func (r *ckptReader) bool() bool {
 }
 
 // Snapshot serializes the driver's complete state at the current (batch)
-// boundary. The blob embeds the driver's cache.Config and Options so the
-// resuming side can rebuild an identical cache. Only the package controller
-// is captured — a Wrap wrapper's own state is not.
+// boundary. The blob embeds the driver's scheme and cache.Config, which
+// ResumeDriver checks. A blob holds one scheme, so a driver of several
+// cannot snapshot.
 //
 // A Set-Buffer entry's row is its set's live lines, which the cache section
 // holds, so the entry records only its set, Dirty bit and write count.
 func (d *Driver) Snapshot() ([]byte, error) {
+	if n := len(d.inner.accts); n != 1 {
+		return nil, fmt.Errorf("core: a snapshot holds one scheme, this driver runs %d", n)
+	}
 	acct := d.inner.accts[0]
 	b, c := acct.book(), d.inner.walk.cache
 	cfg, geom := d.cfg, b.geom
@@ -296,12 +301,13 @@ func readRow(r *ckptReader, row *cache.Row) {
 	}
 }
 
-// ResumeDriver reconstructs a Driver — controller, cache, replacement
-// state, and memory image included — from a Snapshot blob. Its Accesses()
-// is the snapshot position, which Drain skips on the identical stream
-// before feeding the rest. Any malformation yields an error wrapping
-// ErrBadCheckpoint.
-func ResumeDriver(blob []byte) (*Driver, error) {
+// ResumeDriver reconstructs a Driver of scheme sc over a cache of shape cfg
+// — controller, cache, replacement state, and memory image included — from
+// a Snapshot blob. Its Accesses() is the snapshot position, which Drain
+// skips on the identical stream before feeding the rest. A blob that
+// records another scheme or cache shape, and any malformation, yields an
+// error wrapping ErrBadCheckpoint.
+func ResumeDriver(blob []byte, sc Scheme, cfg cache.Config) (*Driver, error) {
 	r := &ckptReader{buf: blob}
 	if string(r.take(len(ckptMagic))) != ckptMagic {
 		r.fail("magic mismatch")
@@ -312,19 +318,23 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 	}
 	kind := Kind(r.u8())
 
-	cfg := cache.Config{
+	got := cache.Config{
 		SizeBytes:  int(r.i64()),
 		Ways:       int(r.i64()),
 		BlockBytes: int(r.i64()),
 		Policy:     cache.PolicyKind(r.u8()),
 		Seed:       r.u64(),
 	}
-	cfg.NoWriteAllocate = r.bool()
+	got.NoWriteAllocate = r.bool()
 
 	var opts Options
 	opts.BufferDepth = int(r.i64())
 	opts.DisableSilentElision = r.bool()
 	opts.CountFillTraffic = r.bool()
+	if r.err == nil && (got != cfg || (Scheme{kind, opts}) != sc) {
+		return nil, fmt.Errorf("%w: snapshot of %v %+v on %+v, this run is %v %+v on %+v",
+			ErrBadCheckpoint, kind, opts, got, sc.Kind, sc.Opts, cfg)
+	}
 
 	fed := r.u64()
 	var requests trace.Stats
@@ -411,7 +421,7 @@ func ResumeDriver(blob []byte) (*Driver, error) {
 		m.Write(base, chunk)
 	}
 
-	ctrl, err := newController(c, opts, kind)
+	ctrl, err := newController(c, sc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}

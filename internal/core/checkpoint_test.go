@@ -50,7 +50,7 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 	for _, v := range checkpointVariants() {
 		for _, k := range Kinds() {
 			label := fmt.Sprintf("%v/%s", k, v.label)
-			sd, err := NewDriver(k, v.cfg, v.opts)
+			sd, err := NewDriver(v.cfg, Scheme{k, v.opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,9 +63,9 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 					}
 				}
 			}
-			straight := sd.Finish()
+			straight := sd.Finish()[0]
 
-			rd, err := ResumeDriver(blob)
+			rd, err := ResumeDriver(blob, Scheme{k, v.opts}, v.cfg)
 			if err != nil {
 				t.Fatalf("%s: ResumeDriver: %v", label, err)
 			}
@@ -79,7 +79,7 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 				t.Errorf("%s: re-snapshot differs from original blob", label)
 			}
 			rd.Feed(stream[rd.Accesses():])
-			resumed := rd.Finish()
+			resumed := rd.Finish()[0]
 			requireResultsEqual(t, label, resumed, straight)
 
 			sc := sd.inner.walk.cache
@@ -93,11 +93,12 @@ func TestCheckpointResumeMemoryImage(t *testing.T) {
 	}
 }
 
-// snapshotsOf runs accs straight through a fresh driver of kind at
-// batchSize, snapshotting every `every` batches, and returns the blobs.
+// snapshotsOf runs accs straight through a fresh driver of kind on
+// smallCfg at batchSize, snapshotting every `every` batches, and returns the
+// blobs.
 func snapshotsOf(t *testing.T, k Kind, accs []trace.Access, batchSize, every int) [][]byte {
 	t.Helper()
-	d, err := NewDriver(k, smallCfg(), Options{})
+	d, err := NewDriver(smallCfg(), Scheme{Kind: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestResumedSnapshotsMatchStraight(t *testing.T) {
 	for _, k := range Kinds() {
 		straight := snapshotsOf(t, k, stream, 97, 1)
 		for i := 0; i < len(straight)-1; i++ {
-			d, err := ResumeDriver(straight[i])
+			d, err := ResumeDriver(straight[i], Scheme{Kind: k}, smallCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,11 +160,11 @@ func TestResumedSnapshotsMatchStraight(t *testing.T) {
 	}
 }
 
-// resume restores blob and drains s through it.
-func resume(blob []byte, s trace.Stream, max int) (Result, error) {
-	d, err := ResumeDriver(blob)
+// resume restores a blob of snapshotsOf(k) and drains s through it.
+func resume(blob []byte, k Kind, s trace.Stream, max int) ([]Result, error) {
+	d, err := ResumeDriver(blob, Scheme{Kind: k}, smallCfg())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	return d.Drain(context.Background(), s, max, 0)
 }
@@ -174,12 +175,12 @@ func TestResumeAgainstWrongStream(t *testing.T) {
 	stream := randomStream(5, 3000, 4096)
 	blobs := snapshotsOf(t, RMW, stream, 256, 1)
 	last := blobs[len(blobs)-1]
-	_, err := resume(last, trace.FromSlice(stream[:100]), 0)
+	_, err := resume(last, RMW, trace.FromSlice(stream[:100]), 0)
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("short stream: err = %v, want ErrBadCheckpoint", err)
 	}
 	// A budget below the snapshot position is equally unresumable.
-	_, err = resume(last, trace.FromSlice(stream), 100)
+	_, err = resume(last, RMW, trace.FromSlice(stream), 100)
 	if !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("small budget: err = %v, want ErrBadCheckpoint", err)
 	}
@@ -191,11 +192,12 @@ func TestResumeCorruptBlob(t *testing.T) {
 	stream := randomStream(9, 2000, 4096)
 	blobs := snapshotsOf(t, WGRB, stream, 512, 2)
 	blob := blobs[len(blobs)-1]
-	if _, err := ResumeDriver(nil); !errors.Is(err, ErrBadCheckpoint) {
+	sc, cfg := Scheme{Kind: WGRB}, smallCfg()
+	if _, err := ResumeDriver(nil, sc, cfg); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("nil blob: err = %v, want ErrBadCheckpoint", err)
 	}
 	for cut := 0; cut < len(blob); cut += 91 {
-		if _, err := ResumeDriver(blob[:cut]); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := ResumeDriver(blob[:cut], sc, cfg); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("truncation at %d: err = %v, want ErrBadCheckpoint", cut, err)
 		}
 	}
@@ -204,11 +206,11 @@ func TestResumeCorruptBlob(t *testing.T) {
 		mut[off] ^= 0x5a
 		// A flip may land in a data byte and still decode; the contract is
 		// no panic and no non-wrapped error.
-		if _, err := ResumeDriver(mut); err != nil && !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := ResumeDriver(mut, sc, cfg); err != nil && !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("flip at %d: err = %v, want ErrBadCheckpoint wrap", off, err)
 		}
 	}
-	if _, err := ResumeDriver(append(bytes.Clone(blob), 0)); !errors.Is(err, ErrBadCheckpoint) {
+	if _, err := ResumeDriver(append(bytes.Clone(blob), 0), sc, cfg); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadCheckpoint", err)
 	}
 }
@@ -222,9 +224,36 @@ func TestResumeOlderVersion(t *testing.T) {
 		blobs := snapshotsOf(t, k, randomStream(13, 2000, 4096), 256, 2)
 		old := bytes.Clone(blobs[len(blobs)-1])
 		binary.LittleEndian.PutUint16(old[len(ckptMagic):], 1)
-		_, err := ResumeDriver(old)
+		_, err := ResumeDriver(old, Scheme{Kind: k}, smallCfg())
 		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "version 1,") {
 			t.Errorf("%v: version-1 blob: err = %v, want ErrBadCheckpoint naming version 1", k, err)
+		}
+	}
+}
+
+// TestResumeOtherRun pins that a blob resumes only the run it was taken
+// from: offered to a run of another kind, other options or another cache
+// shape, ResumeDriver refuses it with ErrBadCheckpoint, so the caller
+// recomputes from access zero instead of finishing someone else's run.
+func TestResumeOtherRun(t *testing.T) {
+	blobs := snapshotsOf(t, WG, randomStream(17, 2000, 4096), 256, 2)
+	blob := blobs[len(blobs)-1]
+	if _, err := ResumeDriver(blob, Scheme{Kind: WG}, smallCfg()); err != nil {
+		t.Fatalf("own run: %v", err)
+	}
+	bigger := smallCfg()
+	bigger.SizeBytes *= 2
+	for _, c := range []struct {
+		name string
+		sc   Scheme
+		cfg  cache.Config
+	}{
+		{"kind", Scheme{Kind: WGRB}, smallCfg()},
+		{"options", Scheme{WG, Options{BufferDepth: 2}}, smallCfg()},
+		{"cache", Scheme{Kind: WG}, bigger},
+	} {
+		if _, err := ResumeDriver(blob, c.sc, c.cfg); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("other %s: err = %v, want ErrBadCheckpoint", c.name, err)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestCoalesceMergesSameBlockWrites(t *testing.T) {
 			Kind: trace.Write, Addr: uint64(i * 8), Size: 8, Data: uint64(i + 1),
 		})
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestCoalesceSilentElision(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 8, Data: 0}, // silent on zeroed memory
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 0},
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestWGBeatsCoalescerOnSetLocality(t *testing.T) {
 			Kind: trace.Write, Addr: addr + uint64(i/2*8)%32, Size: 8, Data: uint64(i + 1),
 		})
 	}
-	wg, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	wg, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	co, err := runOne(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCoalesceReadToPendingBlockFlushes(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 8, Data: 5},
 		{Kind: trace.Read, Addr: 8, Size: 8}, // same block: must flush first
 	}
-	res, err := Run(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(Coalesce, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,57 +16,69 @@ import (
 // must reproduce, byte for byte, the Result of feeding the same accesses to
 // a freshly built frozen reference controller (reference_test.go) one
 // Access call at a time. The corpus is the oracle suite's traces and
-// ablations, every kind under each ablation option set, the metamorphic
-// suite's mutated traces, and the stochastic-replacement and
-// no-write-allocate shapes whose state is the hardest to checkpoint. A new
-// execution path earns its place in the repository by passing every row
-// here.
+// ablations, every kind under each ablation option set, scheme lists that
+// mix options within one run, the metamorphic suite's mutated traces, and
+// the stochastic-replacement and no-write-allocate shapes whose state is
+// the hardest to checkpoint. A new execution path earns its place in the
+// repository by passing every row here.
 
-// conformanceInput is one corpus entry: the kinds to run and what to run
+// conformanceInput is one corpus entry: the schemes to run and what to run
 // them over.
 type conformanceInput struct {
-	name  string
-	kinds []Kind
-	cfg   cache.Config
-	opts  Options
-	accs  []trace.Access
+	name    string
+	schemes []Scheme
+	cfg     cache.Config
+	accs    []trace.Access
 }
 
-// conformanceRow is one execution path. run executes in.accs for every kind
-// of in.kinds and reports each Result it produced under the kind it was
-// meant to be for (a path may report several Results per kind), with the
-// run's flushed memory image where the path exposes one.
+// conformanceRow is one execution path. run executes in.accs for every
+// scheme of in.schemes and reports each Result it produced under the index
+// of the scheme it was meant to be for (a path may report several Results
+// per scheme), with the run's flushed memory image where the path exposes
+// one.
 type conformanceRow struct {
 	name string
 	run  func(in conformanceInput, got reportFunc) error
 }
 
-// reportFunc takes one Result a row produced for kind k, and the run's
+// reportFunc takes one Result a row produced for scheme i, and the run's
 // flushed memory image or nil.
-type reportFunc func(k Kind, res Result, img *mem.Memory)
+type reportFunc func(i int, res Result, img *mem.Memory)
 
 func conformanceCorpus() []conformanceInput {
 	var in []conformanceInput
 	for seed := uint64(1); seed <= 3; seed++ {
 		accs := randomStream(seed, 4000, 1<<13)
-		in = append(in, conformanceInput{fmt.Sprintf("oracle/seed%d", seed), Kinds(), smallCfg(), Options{}, accs})
+		in = append(in, conformanceInput{fmt.Sprintf("oracle/seed%d", seed), Schemes(Options{}, Kinds()...), smallCfg(), accs})
 		for _, oc := range oracleCases() {
 			if oc.opts != (Options{}) {
-				in = append(in, conformanceInput{fmt.Sprintf("oracle/%s/seed%d", oc.name, seed), []Kind{oc.kind}, smallCfg(), oc.opts, accs})
+				in = append(in, conformanceInput{fmt.Sprintf("oracle/%s/seed%d", oc.name, seed), []Scheme{{oc.kind, oc.opts}}, smallCfg(), accs})
 			}
 		}
 		base := randomStream(seed, 3000, 1<<13)
-		metamorphic := []Kind{RMW, WG, WGRB, KindTS}
+		metamorphic := Schemes(Options{}, RMW, WG, WGRB, KindTS)
 		in = append(in,
-			conformanceInput{fmt.Sprintf("silent-dup/seed%d", seed), metamorphic, smallCfg(), Options{}, withSilentDuplicates(base)},
-			conformanceInput{fmt.Sprintf("read-dup/seed%d", seed), metamorphic, smallCfg(), Options{}, withDuplicateReads(base)},
+			conformanceInput{fmt.Sprintf("silent-dup/seed%d", seed), metamorphic, smallCfg(), withSilentDuplicates(base)},
+			conformanceInput{fmt.Sprintf("read-dup/seed%d", seed), metamorphic, smallCfg(), withDuplicateReads(base)},
 		)
 	}
 	// Every kind under each ablation option set, so the walk-once rows see
 	// each one.
 	for i, opts := range []Options{{BufferDepth: 2}, {BufferDepth: 4}, {DisableSilentElision: true}, {CountFillTraffic: true}} {
-		in = append(in, conformanceInput{"options/" + optionsName(opts), Kinds(), smallCfg(), opts, randomStream(uint64(20+i), 4000, 1<<13)})
+		in = append(in, conformanceInput{"options/" + optionsName(opts), Schemes(opts, Kinds()...), smallCfg(), randomStream(uint64(20+i), 4000, 1<<13)})
 	}
+	// Options mixed within one run: A1's three schemes, A2's depths, and the
+	// paper's three schemes under both counting conventions.
+	fills := Options{CountFillTraffic: true}
+	depths := []Scheme{{Kind: RMW}}
+	for _, d := range []int{1, 2, 4, 8} {
+		depths = append(depths, Scheme{WGRB, Options{BufferDepth: d}})
+	}
+	in = append(in,
+		conformanceInput{"mixed/silent", []Scheme{{Kind: RMW}, {Kind: WG}, {WG, Options{DisableSilentElision: true}}}, smallCfg(), randomStream(30, 4000, 1<<13)},
+		conformanceInput{"mixed/depth", depths, smallCfg(), randomStream(31, 4000, 1<<13)},
+		conformanceInput{"mixed/fills", append(Schemes(Options{}, RMW, WG, WGRB), Schemes(fills, RMW, WG, WGRB)...), smallCfg(), randomStream(32, 4000, 1<<13)},
+	)
 	random := smallCfg()
 	random.Policy = cache.Random
 	random.Seed = 42
@@ -75,8 +87,8 @@ func conformanceCorpus() []conformanceInput {
 	noalloc.NoWriteAllocate = true
 	accs := randomStream(11, 6000, 8192)
 	return append(in,
-		conformanceInput{"random-depth2", Kinds(), random, Options{BufferDepth: 2}, accs},
-		conformanceInput{"plru-noalloc", Kinds(), noalloc, Options{DisableSilentElision: true, CountFillTraffic: true}, accs},
+		conformanceInput{"random-depth2", Schemes(Options{BufferDepth: 2}, Kinds()...), random, accs},
+		conformanceInput{"plru-noalloc", Schemes(Options{DisableSilentElision: true, CountFillTraffic: true}, Kinds()...), noalloc, accs},
 	)
 }
 
@@ -92,35 +104,41 @@ func optionsName(o Options) string {
 	}
 }
 
-// perKind lifts a single-kind runner into a row body.
-func perKind(run func(k Kind, in conformanceInput) (Result, error)) func(conformanceInput, reportFunc) error {
+// perScheme lifts a single-scheme runner into a row body.
+func perScheme(run func(sc Scheme, in conformanceInput) (Result, error)) func(conformanceInput, reportFunc) error {
 	return func(in conformanceInput, got reportFunc) error {
-		for _, k := range in.kinds {
-			res, err := run(k, in)
+		for i, sc := range in.schemes {
+			res, err := run(sc, in)
 			if err != nil {
-				return fmt.Errorf("%v: %w", k, err)
+				return fmt.Errorf("%v: %w", sc, err)
 			}
-			got(k, res, nil)
+			got(i, res, nil)
 		}
 		return nil
 	}
 }
 
-// eachStream runs every kind of in through RunEachStream in one call.
-func eachStream(in conformanceInput, got reportFunc, batch, shards int) error {
-	open := func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }
-	res, err := RunEachStream(context.Background(), in.kinds, in.cfg, in.opts, open, 0, batch, shards)
-	if err == nil && len(res) != len(in.kinds) {
-		err = fmt.Errorf("%d results for %d kinds", len(res), len(in.kinds))
+// runSlice runs schemes over open through RunSchemes at batch and shards,
+// and checks it returned one Result per scheme.
+func runSlice(schemes []Scheme, cfg cache.Config, open func() (trace.Stream, error), batch, shards int) ([]Result, error) {
+	res, err := RunSchemes(context.Background(), schemes, cfg, open, 0, batch, shards)
+	if err == nil && len(res) != len(schemes) {
+		err = fmt.Errorf("%d results for %d schemes", len(res), len(schemes))
 	}
+	return res, err
+}
+
+// eachStream runs every scheme of in through RunSchemes in one call.
+func eachStream(in conformanceInput, got reportFunc, batch, shards int) error {
+	res, err := runSlice(in.schemes, in.cfg, func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }, batch, shards)
 	for i, r := range res {
-		got(in.kinds[i], r, nil)
+		got(i, r, nil)
 	}
 	return err
 }
 
-// shardedRow runs in over shards walks: every kind in one run (together),
-// or one run per kind. It asserts that the plan shards unless shards <= 1
+// shardedRow runs in over shards walks: every scheme in one run (together),
+// or one run per scheme. It asserts that the plan shards unless shards <= 1
 // or the policy is Random, and reports each sharded run's memory image,
 // combined from its walks.
 func shardedRow(shards int, together bool) func(conformanceInput, reportFunc) error {
@@ -129,26 +147,34 @@ func shardedRow(shards int, together bool) func(conformanceInput, reportFunc) er
 		if shards <= 1 || in.cfg.Policy == cache.Random {
 			want = 1
 		}
-		if plan := PlanShards(in.kinds[0], in.cfg, shards); plan.Shards != want {
+		if plan := PlanShards(in.cfg, shards); plan.Shards != want {
 			return fmt.Errorf("plan %+v, want %d shards", plan, want)
 		}
-		groups := [][]Kind{in.kinds}
-		if !together {
-			groups = nil
-			for _, k := range in.kinds {
-				groups = append(groups, []Kind{k})
+		// groups[g] lists the scheme indexes run g serves.
+		var groups [][]int
+		for i := range in.schemes {
+			if together && i > 0 {
+				groups[0] = append(groups[0], i)
+			} else {
+				groups = append(groups, []int{i})
 			}
 		}
-		for _, kinds := range groups {
+		for _, idx := range groups {
+			schemes := make([]Scheme, len(idx))
+			for j, i := range idx {
+				schemes[j] = in.schemes[i]
+			}
 			if want == 1 {
-				sub := in
-				sub.kinds = kinds
-				if err := eachStream(sub, got, 0, shards); err != nil {
+				res, err := runSlice(schemes, in.cfg, func() (trace.Stream, error) { return trace.FromSlice(in.accs), nil }, 0, shards)
+				if err != nil {
 					return err
+				}
+				for j, i := range idx {
+					got(i, res[j], nil)
 				}
 				continue
 			}
-			r, err := newShardRun(in.cfg, in.opts, want, kinds...)
+			r, err := newShardRun(in.cfg, want, schemes...)
 			if err != nil {
 				return err
 			}
@@ -157,8 +183,8 @@ func shardedRow(shards int, together bool) func(conformanceInput, reportFunc) er
 				return err
 			}
 			img := shardImage(r)
-			for i, k := range kinds {
-				got(k, res[i], img)
+			for j, i := range idx {
+				got(i, res[j], img)
 			}
 		}
 		return nil
@@ -177,18 +203,17 @@ func encodeBinary(accs []trace.Access) []byte {
 func conformanceRows() []conformanceRow {
 	ctx := context.Background()
 	rows := []conformanceRow{
-		{"serial", perKind(func(k Kind, in conformanceInput) (Result, error) {
-			return Run(k, in.cfg, in.opts, trace.FromSlice(in.accs), 0)
+		{"serial", perScheme(func(sc Scheme, in conformanceInput) (Result, error) {
+			return runOne(sc.Kind, in.cfg, sc.Opts, trace.FromSlice(in.accs), 0)
 		})},
 	}
 	for _, bs := range []int{1, 7, 512, 0} {
 		rows = append(rows,
-			conformanceRow{fmt.Sprintf("streamed/slice/batch%d", bs), perKind(func(k Kind, in conformanceInput) (Result, error) {
-				return RunStreamContext(ctx, k, in.cfg, in.opts, trace.FromSlice(in.accs), 0, bs)
+			conformanceRow{fmt.Sprintf("streamed/slice/batch%d", bs), perScheme(func(sc Scheme, in conformanceInput) (Result, error) {
+				return runScheme(sc, in.cfg, trace.FromSlice(in.accs), 0, bs, 0)
 			})},
-			conformanceRow{fmt.Sprintf("streamed/reader/batch%d", bs), perKind(func(k Kind, in conformanceInput) (Result, error) {
-				r := trace.NewReader(bytes.NewReader(encodeBinary(in.accs)))
-				return RunStreamContext(ctx, k, in.cfg, in.opts, r, 0, bs)
+			conformanceRow{fmt.Sprintf("streamed/reader/batch%d", bs), perScheme(func(sc Scheme, in conformanceInput) (Result, error) {
+				return runScheme(sc, in.cfg, trace.NewReader(bytes.NewReader(encodeBinary(in.accs))), 0, bs, 0)
 			})},
 		)
 	}
@@ -200,8 +225,8 @@ func conformanceRows() []conformanceRow {
 		// must not perturb it), then a resume from each snapshot at a batch
 		// size whose boundaries never line up with the original ones.
 		conformanceRow{"resumed", func(in conformanceInput, got reportFunc) error {
-			for _, k := range in.kinds {
-				d, err := NewDriver(k, in.cfg, in.opts)
+			for i, sc := range in.schemes {
+				d, err := NewDriver(in.cfg, sc)
 				if err != nil {
 					return err
 				}
@@ -214,28 +239,28 @@ func conformanceRows() []conformanceRow {
 				if err != nil {
 					return err
 				}
-				got(k, straight, nil)
-				for i, blob := range blobs {
-					rd, err := ResumeDriver(blob)
+				got(i, straight[0], nil)
+				for b, blob := range blobs {
+					rd, err := ResumeDriver(blob, sc, in.cfg)
 					if err != nil {
-						return fmt.Errorf("%v snapshot %d: %w", k, i, err)
+						return fmt.Errorf("%v snapshot %d: %w", sc, b, err)
 					}
 					res, err := rd.Drain(ctx, trace.FromSlice(in.accs), 0, 97)
 					if err != nil {
-						return fmt.Errorf("%v resume from snapshot %d: %w", k, i, err)
+						return fmt.Errorf("%v resume from snapshot %d: %w", sc, b, err)
 					}
-					got(k, res, nil)
+					got(i, res[0], nil)
 				}
 			}
 			return nil
 		}},
-		// Every kind at once through the walk-once path, in 7-access
+		// Every scheme at once through the walk-once path, in 7-access
 		// batches, so accountant state crosses many batch boundaries.
 		conformanceRow{"all", func(in conformanceInput, got reportFunc) error {
 			return eachStream(in, got, 7, 0)
 		}},
-		conformanceRow{"logged", perKind(func(k Kind, in conformanceInput) (Result, error) {
-			res, log, err := RunLogged(ctx, k, in.cfg, in.opts, trace.FromSlice(in.accs), 0)
+		conformanceRow{"logged", perScheme(func(sc Scheme, in conformanceInput) (Result, error) {
+			res, log, err := RunLogged(ctx, sc.Kind, in.cfg, sc.Opts, trace.FromSlice(in.accs), 0)
 			if err == nil && len(log) != len(in.accs) {
 				err = fmt.Errorf("logged %d port ops for %d accesses", len(log), len(in.accs))
 			}
@@ -274,27 +299,28 @@ func referenceResult(t *testing.T, k Kind, cfg cache.Config, opts Options, accs 
 func TestConformance(t *testing.T) {
 	rows := conformanceRows()
 	for _, in := range conformanceCorpus() {
-		want := map[Kind]Result{}
-		wantImg := map[Kind]*mem.Memory{}
-		for _, k := range in.kinds {
-			want[k], wantImg[k] = referenceResult(t, k, in.cfg, in.opts, in.accs)
+		want := make([]Result, len(in.schemes))
+		wantImg := make([]*mem.Memory, len(in.schemes))
+		for i, sc := range in.schemes {
+			want[i], wantImg[i] = referenceResult(t, sc.Kind, in.cfg, sc.Opts, in.accs)
 		}
 		for _, row := range rows {
 			t.Run(in.name+"/"+row.name, func(t *testing.T) {
-				reported := map[Kind]int{}
-				err := row.run(in, func(k Kind, res Result, img *mem.Memory) {
-					reported[k]++
-					requireResultsEqual(t, fmt.Sprintf("%v #%d", k, reported[k]), res, want[k])
-					if img != nil && !img.Equal(wantImg[k]) {
-						t.Errorf("%v #%d: flushed memory image differs from the reference's", k, reported[k])
+				reported := make([]int, len(in.schemes))
+				err := row.run(in, func(i int, res Result, img *mem.Memory) {
+					reported[i]++
+					label := fmt.Sprintf("%d:%v%+v #%d", i, in.schemes[i].Kind, in.schemes[i].Opts, reported[i])
+					requireResultsEqual(t, label, res, want[i])
+					if img != nil && !img.Equal(wantImg[i]) {
+						t.Errorf("%s: flushed memory image differs from the reference's", label)
 					}
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range in.kinds {
-					if reported[k] == 0 {
-						t.Errorf("%v: no result reported", k)
+				for i, n := range reported {
+					if n == 0 {
+						t.Errorf("%d:%v: no result reported", i, in.schemes[i])
 					}
 				}
 			})

@@ -109,7 +109,8 @@ func Kinds() []Kind {
 	return []Kind{Conventional, RMW, LocalRMW, WordGranularity, Coalesce, WG, WGRB, KindTS}
 }
 
-// Options tune behaviours shared by every controller.
+// Options tune one scheme's accounting (Scheme). None changes what the cache
+// holds, so schemes that differ only in options share a walk.
 type Options struct {
 	// BufferDepth is the number of Set-Buffer entries for WG/WGRB. The
 	// paper uses exactly 1; larger depths are the A2 ablation. Ignored by
@@ -123,6 +124,23 @@ type Options struct {
 	// dirty evictions) to the array-access totals at Finalize. The paper's
 	// Pin tool counts request traffic only, so this defaults to off.
 	CountFillTraffic bool
+}
+
+// Scheme is one write path a run accounts for: a controller kind with its
+// own options. No scheme changes what the cache holds (DESIGN.md §5), so one
+// walk of a cache shape serves any list of schemes, options and all.
+type Scheme struct {
+	Kind Kind
+	Opts Options
+}
+
+// Schemes pairs each of kinds with opts, in order.
+func Schemes(opts Options, kinds ...Kind) []Scheme {
+	out := make([]Scheme, len(kinds))
+	for i, k := range kinds {
+		out[i] = Scheme{Kind: k, Opts: opts}
+	}
+	return out
 }
 
 // Counters are the per-run event counts a controller accumulates beyond the
@@ -210,7 +228,7 @@ func (r Result) AccessesPerRequest() float64 {
 
 // Controller consumes a request stream against a cache, accounting array
 // traffic according to one write-path scheme. The package builds one
-// implementation; the interface is what a wrapper (Driver.Wrap) forwards.
+// implementation; the interface is what RunLogged's port-op logger wraps.
 type Controller interface {
 	// Kind identifies the scheme.
 	Kind() Kind
@@ -224,11 +242,11 @@ type Controller interface {
 
 // New builds a controller of the given kind over c.
 func New(kind Kind, c *cache.Cache, opts Options) (Controller, error) {
-	return newController(c, opts, kind)
+	return newController(c, Scheme{Kind: kind, Opts: opts})
 }
 
 // controller is the one Controller: a walk of the cache (walk.go), and one
-// accountant (account.go) for each kind it serves. A multi-kind run has
+// accountant (account.go) for each scheme it serves. A multi-scheme run has
 // several accountants over its one walk; everything else has one.
 type controller struct {
 	walk  walk
@@ -239,12 +257,12 @@ type controller struct {
 	oneOut [1]outcome
 }
 
-// newController builds a walk of c and an accountant for each kind.
-func newController(c *cache.Cache, opts Options, kinds ...Kind) (*controller, error) {
+// newController builds a walk of c and an accountant for each scheme.
+func newController(c *cache.Cache, schemes ...Scheme) (*controller, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cache")
 	}
-	accts, err := newAccountants(c.Geometry(), opts, kinds)
+	accts, err := newAccountants(c.Geometry(), schemes)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +289,8 @@ func (c *controller) feed(batch []trace.Access) {
 // Finalize returns the (first) scheme's Result.
 func (c *controller) Finalize() Result { return c.results()[0] }
 
-// results drains every accountant and returns their Results in kind order.
+// results drains every accountant and returns their Results in scheme
+// order.
 func (c *controller) results() []Result { return c.accts.results(c.walk.cache.Stats()) }
 
 // newArrayFor derives the SRAM organization implied by a controller choice:

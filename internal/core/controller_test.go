@@ -13,6 +13,21 @@ import (
 
 func newMem() *mem.Memory { return mem.New() }
 
+// runScheme runs sc over up to max accesses of s through RunSchemes, at
+// batch, over shards walks.
+func runScheme(sc Scheme, cfg cache.Config, s trace.Stream, max, batch, shards int) (Result, error) {
+	res, err := RunSchemes(context.Background(), []Scheme{sc}, cfg, func() (trace.Stream, error) { return s, nil }, max, batch, shards)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// runOne runs kind under opts serially over up to max accesses of s.
+func runOne(kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, error) {
+	return runScheme(Scheme{kind, opts}, cfg, s, max, 0, 0)
+}
+
 func TestKindStringAndParse(t *testing.T) {
 	for _, k := range Kinds() {
 		name := k.String()
@@ -72,7 +87,7 @@ func randomStream(seed uint64, n int, footprint uint64) []trace.Access {
 // runAll runs accs through every kind at once, on the walk-once path.
 func runAll(t *testing.T, kinds []Kind, cfg cache.Config, opts Options, accs []trace.Access) []Result {
 	t.Helper()
-	res, err := RunEachStream(context.Background(), kinds, cfg, opts,
+	res, err := RunSchemes(context.Background(), Schemes(opts, kinds...), cfg,
 		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +165,7 @@ func TestRMWOccupiesBothPorts(t *testing.T) {
 		{Kind: trace.Write, Addr: 0, Size: 4, Data: 1},
 		{Kind: trace.Write, Addr: 64, Size: 4, Data: 2},
 	}
-	r, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	r, err := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +181,8 @@ func TestWGFreesReadPortForGroupedWrites(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		stream = append(stream, trace.Access{Kind: trace.Write, Addr: 0, Size: 4, Data: uint64(i + 1)})
 	}
-	rmw, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	wg, _ := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	rmw, _ := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	wg, _ := runOne(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if rmw.Events.ReadPortBusy() != 10 {
 		t.Errorf("RMW read-port ops = %d, want 10", rmw.Events.ReadPortBusy())
 	}
@@ -187,8 +202,8 @@ func TestSilentElisionRemovesWriteback(t *testing.T) {
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 0},
 		{Kind: trace.Write, Addr: 16, Size: 8, Data: 0},
 	}
-	on, _ := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	off, _ := Run(WG, smallCfg(), Options{DisableSilentElision: true}, trace.FromSlice(stream), 0)
+	on, _ := runOne(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	off, _ := runOne(WG, smallCfg(), Options{DisableSilentElision: true}, trace.FromSlice(stream), 0)
 	if on.Counters.BufferWritebacks != 0 {
 		t.Errorf("with elision: %d writebacks, want 0", on.Counters.BufferWritebacks)
 	}
@@ -212,8 +227,8 @@ func TestDeeperBufferGroupsInterleavedSets(t *testing.T) {
 		addr := uint64((i % 2) * g.BlockBytes) // set 0 / set 1
 		stream = append(stream, trace.Access{Kind: trace.Write, Addr: addr, Size: 4, Data: uint64(i)})
 	}
-	d1, _ := Run(WG, smallCfg(), Options{BufferDepth: 1}, trace.FromSlice(stream), 0)
-	d2, _ := Run(WG, smallCfg(), Options{BufferDepth: 2}, trace.FromSlice(stream), 0)
+	d1, _ := runOne(WG, smallCfg(), Options{BufferDepth: 1}, trace.FromSlice(stream), 0)
+	d2, _ := runOne(WG, smallCfg(), Options{BufferDepth: 2}, trace.FromSlice(stream), 0)
 	if d2.ArrayAccesses() >= d1.ArrayAccesses() {
 		t.Errorf("depth 2 (%d) not better than depth 1 (%d) on ping-pong writes",
 			d2.ArrayAccesses(), d1.ArrayAccesses())
@@ -225,8 +240,8 @@ func TestDeeperBufferGroupsInterleavedSets(t *testing.T) {
 
 func TestCountFillTrafficAddsMissCosts(t *testing.T) {
 	stream := randomStream(3, 2000, 65536) // big footprint: many misses
-	base, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	with, _ := Run(RMW, smallCfg(), Options{CountFillTraffic: true}, trace.FromSlice(stream), 0)
+	base, _ := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	with, _ := runOne(RMW, smallCfg(), Options{CountFillTraffic: true}, trace.FromSlice(stream), 0)
 	if with.ArrayAccesses() <= base.ArrayAccesses() {
 		t.Error("CountFillTraffic did not add accesses")
 	}
@@ -305,8 +320,8 @@ func TestResultDerivedFields(t *testing.T) {
 
 func TestLocalRMWMatchesRMWTrafficButFlagsLocality(t *testing.T) {
 	stream := randomStream(21, 3000, 8192)
-	rmw, _ := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	local, _ := Run(LocalRMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	rmw, _ := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	local, _ := runOne(LocalRMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if rmw.ArrayAccesses() != local.ArrayAccesses() {
 		t.Errorf("LocalRMW traffic %d != RMW traffic %d", local.ArrayAccesses(), rmw.ArrayAccesses())
 	}
@@ -317,8 +332,8 @@ func TestLocalRMWMatchesRMWTrafficButFlagsLocality(t *testing.T) {
 
 func TestWordGranularityMatchesConventionalTraffic(t *testing.T) {
 	stream := randomStream(22, 3000, 8192)
-	conv, _ := Run(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0)
-	word, _ := Run(WordGranularity, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	conv, _ := runOne(Conventional, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	word, _ := runOne(WordGranularity, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if conv.ArrayAccesses() != word.ArrayAccesses() {
 		t.Errorf("WordGranularity %d != Conventional %d", word.ArrayAccesses(), conv.ArrayAccesses())
 	}
@@ -333,7 +348,7 @@ func TestWordGranularityMatchesConventionalTraffic(t *testing.T) {
 
 func TestRunRespectsMax(t *testing.T) {
 	stream := randomStream(5, 100, 4096)
-	r, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 10)
+	r, err := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +365,7 @@ func TestTinyCacheSubarrayClamp(t *testing.T) {
 	for _, k := range []Kind{Conventional, WordGranularity, Coalesce, WG, WGRB} {
 		requireMatchesReference(t, "2-set cache", k, cfg, Options{BufferDepth: 4}, stream)
 	}
-	res, err := Run(WGRB, cfg, Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(WGRB, cfg, Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 func TestRunStreamHonorsMax(t *testing.T) {
 	accs := randomStream(12, 5000, 8192)
 	const max = 1234
-	want, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(accs[:max]), 0)
+	want, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(accs[:max]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStreamContext(context.Background(), WG, smallCfg(), Options{}, trace.FromSlice(accs), max, 0)
+	got, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(accs), max)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +27,21 @@ func TestRunStreamHonorsMax(t *testing.T) {
 	}
 }
 
-// TestRunEachStreamMatchesRunAll pins the walk-once path under an access
-// budget and an odd batch size against each kind run on its own: every kind
-// stops at the same access.
-func TestRunEachStreamMatchesRunAll(t *testing.T) {
+// TestRunSchemesMatchesSeparateRuns pins the walk-once path under an access
+// budget and an odd batch size against each scheme run on its own: every
+// scheme, whatever its options, stops at the same access.
+func TestRunSchemesMatchesSeparateRuns(t *testing.T) {
 	accs := randomStream(16, 4000, 8192)
 	const max = 1234
-	kinds := Kinds()
-	want := make([]Result, len(kinds))
-	for i, k := range kinds {
+	schemes := append(Schemes(Options{}, Kinds()...), Scheme{WGRB, Options{BufferDepth: 4}}, Scheme{RMW, Options{CountFillTraffic: true}})
+	want := make([]Result, len(schemes))
+	for i, sc := range schemes {
 		var err error
-		if want[i], err = Run(k, smallCfg(), Options{}, trace.FromSlice(accs[:max]), 0); err != nil {
+		if want[i], err = runOne(sc.Kind, smallCfg(), sc.Opts, trace.FromSlice(accs[:max]), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{},
+	got, err := RunSchemes(context.Background(), schemes, smallCfg(),
 		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, max, 333, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -48,23 +49,28 @@ func TestRunEachStreamMatchesRunAll(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
-	for i, k := range kinds {
-		requireResultsEqual(t, k.String(), got[i], want[i])
+	for i, sc := range schemes {
+		requireResultsEqual(t, fmt.Sprintf("%v%+v", sc.Kind, sc.Opts), got[i], want[i])
 	}
 }
 
-func TestRunEachStreamPropagatesOpenError(t *testing.T) {
+func TestRunSchemesPropagatesOpenError(t *testing.T) {
 	wantErr := errors.New("open failed")
-	_, err := RunEachStream(context.Background(), []Kind{RMW}, smallCfg(), Options{},
+	_, err := RunSchemes(context.Background(), []Scheme{{Kind: RMW}}, smallCfg(),
 		func() (trace.Stream, error) { return nil, wantErr }, 0, 0, 0)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
+	}
+	// An empty scheme list is refused before the stream is opened.
+	if _, err := RunSchemes(context.Background(), nil, smallCfg(),
+		func() (trace.Stream, error) { return nil, wantErr }, 0, 0, 0); err == nil || errors.Is(err, wantErr) {
+		t.Fatalf("no schemes: err = %v, want a refusal before open", err)
 	}
 }
 
 func TestDriverCountsFeeds(t *testing.T) {
 	accs := randomStream(17, 100, 4096)
-	d, err := NewDriver(WG, smallCfg(), Options{})
+	d, err := NewDriver(smallCfg(), Scheme{Kind: WG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +79,7 @@ func TestDriverCountsFeeds(t *testing.T) {
 	if d.Accesses() != uint64(len(accs)) {
 		t.Fatalf("Accesses = %d, want %d", d.Accesses(), len(accs))
 	}
-	r := d.Finish()
+	r := d.Finish()[0]
 	if r.Requests.Accesses() != uint64(len(accs)) {
 		t.Fatalf("finalized %d requests, want %d", r.Requests.Accesses(), len(accs))
 	}
@@ -107,16 +113,17 @@ func TestDrainSourcePanicReachesCaller(t *testing.T) {
 	}
 	cases := []panicCase{
 		{"drain", func() error {
-			_, err := RunStreamContext(ctx, RMW, smallCfg(), Options{}, panicking(), 0, 512)
+			_, err := RunSchemes(ctx, []Scheme{{Kind: RMW}}, smallCfg(),
+				func() (trace.Stream, error) { return panicking(), nil }, 0, 512, 0)
 			return err
 		}, "source failed"},
 		{"each-stream", func() error {
-			_, err := RunEachStream(ctx, []Kind{RMW, WG}, smallCfg(), Options{},
+			_, err := RunSchemes(ctx, Schemes(Options{}, RMW, WG), smallCfg(),
 				func() (trace.Stream, error) { return panicking(), nil }, 0, 512, 0)
 			return err
 		}, "source failed"},
 		{"kind controller", func() error {
-			r, err := newShardRun(smallCfg(), Options{}, 2, RMW, WG)
+			r, err := newShardRun(smallCfg(), 2, Schemes(Options{}, RMW, WG)...)
 			if err != nil {
 				return err
 			}
@@ -132,11 +139,12 @@ func TestDrainSourcePanicReachesCaller(t *testing.T) {
 		}
 		cases = append(cases,
 			panicCase{"sharded" + suffix, func() error {
-				_, err := RunShardedContext(ctx, k, smallCfg(), Options{}, panicking(), 0, 512, 2)
+				_, err := RunSchemes(ctx, []Scheme{{Kind: k}}, smallCfg(),
+					func() (trace.Stream, error) { return panicking(), nil }, 0, 512, 2)
 				return err
 			}, "source failed"},
 			panicCase{"shard controller" + suffix, func() error {
-				r, err := newShardRun(smallCfg(), Options{}, 2, k)
+				r, err := newShardRun(smallCfg(), 2, Scheme{Kind: k})
 				if err != nil {
 					return err
 				}
@@ -211,7 +219,7 @@ func TestDrainJoinsDecoderOnEarlyReturn(t *testing.T) {
 		{"cancelled", func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
-		d, err := NewDriver(WG, smallCfg(), Options{})
+		d, err := NewDriver(smallCfg(), Scheme{Kind: WG})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,11 +40,11 @@ func TestConformanceFailures(t *testing.T) {
 	cleanAccesses := uint64(len(accs) - 1)
 
 	cfg := cache.DefaultConfig()
-	hierCfg := hier.Config{L1Kind: core.WG, L1: cfg, L2Kind: core.RMW,
+	hierCfg := hier.Config{L1Schemes: []core.Scheme{{Kind: core.WG}}, L1: cfg, L2Kind: core.RMW,
 		L2: cache.Config{SizeBytes: 256 * 1024, Ways: 8, BlockBytes: 64, Policy: cache.LRU}}
 
 	// An early snapshot, for the resumed runner.
-	d, err := core.NewDriver(core.WGRB, cfg, core.Options{})
+	d, err := core.NewDriver(cfg, core.Scheme{Kind: core.WGRB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestConformanceFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	resume := func(ctx context.Context, s trace.Stream) error {
-		rd, err := core.ResumeDriver(blob)
+		rd, err := core.ResumeDriver(blob, core.Scheme{Kind: core.WGRB}, cfg)
 		if err != nil {
 			return err
 		}
@@ -67,33 +67,25 @@ func TestConformanceFailures(t *testing.T) {
 		return err
 	}
 
+	// schemes runs kinds through core.RunSchemes at batch and shards.
+	schemes := func(batch, shards int, kinds ...core.Kind) func(context.Context, trace.Stream) error {
+		return func(ctx context.Context, s trace.Stream) error {
+			_, err := core.RunSchemes(ctx, core.Schemes(core.Options{}, kinds...), cfg,
+				func() (trace.Stream, error) { return s, nil }, 0, batch, shards)
+			return err
+		}
+	}
 	runners := []struct {
 		name string
 		run  func(ctx context.Context, s trace.Stream) error
 	}{
-		{"serial", func(ctx context.Context, s trace.Stream) error {
-			_, err := core.RunContext(ctx, core.WG, cfg, core.Options{}, s, 0)
-			return err
-		}},
-		{"streamed", func(ctx context.Context, s trace.Stream) error {
-			_, err := core.RunStreamContext(ctx, core.WGRB, cfg, core.Options{}, s, 0, 7)
-			return err
-		}},
-		{"sharded", func(ctx context.Context, s trace.Stream) error {
-			_, err := core.RunShardedContext(ctx, core.RMW, cfg, core.Options{}, s, 0, 0, 2)
-			return err
-		}},
+		{"serial", schemes(0, 0, core.WG)},
+		{"streamed", schemes(7, 0, core.WGRB)},
+		{"sharded", schemes(0, 2, core.RMW)},
 		// WG's Set-Buffer crosses sets: its accountant stage must still
 		// count every access the walks served before the decode failure.
-		{"sharded-wg", func(ctx context.Context, s trace.Stream) error {
-			_, err := core.RunShardedContext(ctx, core.WG, cfg, core.Options{}, s, 0, 0, 2)
-			return err
-		}},
-		{"each-stream", func(ctx context.Context, s trace.Stream) error {
-			_, err := core.RunEachStream(ctx, []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
-				func() (trace.Stream, error) { return s, nil }, 0, 0, 0)
-			return err
-		}},
+		{"sharded-wg", schemes(0, 2, core.WG)},
+		{"each-stream", schemes(0, 0, core.RMW, core.WG)},
 		{"logged", func(ctx context.Context, s trace.Stream) error {
 			_, _, err := core.RunLogged(ctx, core.RMW, cfg, core.Options{}, s, 0)
 			return err

@@ -40,7 +40,7 @@ func fig8Results(t *testing.T) map[Kind]Result {
 	stream := fig8Stream(cache.MustGeometry(cfg.SizeBytes, cfg.Ways, cfg.BlockBytes))
 	out := make(map[Kind]Result)
 	for _, k := range []Kind{Conventional, RMW, WG, WGRB} {
-		r, err := Run(k, cfg, Options{}, trace.FromSlice(stream), 0)
+		r, err := runOne(k, cfg, Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

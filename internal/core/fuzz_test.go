@@ -45,7 +45,7 @@ func requireMatchesReference(t *testing.T, label string, k Kind, cfg cache.Confi
 	if !c.Backing().Equal(rc.Backing()) {
 		t.Fatalf("%s: memory image differs from the reference's", label)
 	}
-	got, err := Run(k, cfg, opts, trace.FromSlice(accs), 0)
+	got, err := runOne(k, cfg, opts, trace.FromSlice(accs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestWGRBCounterIdentities(t *testing.T) {
 	for seed := uint64(40); seed < 46; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := runOne(WGRB, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestWGRBCounterIdentities(t *testing.T) {
 func TestWGCounterIdentities(t *testing.T) {
 	for seed := uint64(50); seed < 56; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestWGCounterIdentities(t *testing.T) {
 func TestGroupSizeHistogramConsistency(t *testing.T) {
 	for seed := uint64(60); seed < 64; seed++ {
 		stream := randomStream(seed, 6000, 8192)
-		res, err := Run(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		res, err := runOne(WG, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestGroupSizeHistogramConsistency(t *testing.T) {
 
 func TestRMWEventIdentities(t *testing.T) {
 	stream := randomStream(70, 6000, 8192)
-	res, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

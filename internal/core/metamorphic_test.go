@@ -15,7 +15,7 @@ import (
 // mustRun runs accs through Run, failing the test on error.
 func mustRun(t *testing.T, kind Kind, opts Options, accs []trace.Access) Result {
 	t.Helper()
-	res, err := Run(kind, smallCfg(), opts, trace.FromSlice(accs), 0)
+	res, err := runOne(kind, smallCfg(), opts, trace.FromSlice(accs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

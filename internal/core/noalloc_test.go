@@ -29,7 +29,7 @@ func TestNoAllocWriteMissBypassesArray(t *testing.T) {
 		{Kind: trace.Write, Addr: 0x100, Size: 8, Data: 42}, // miss: write-around
 		{Kind: trace.Read, Addr: 0x100, Size: 8},            // miss: fills, reads 42
 	}
-	res, err := Run(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestNoAllocWriteHitStillGroups(t *testing.T) {
 		{Kind: trace.Write, Addr: 8, Size: 8, Data: 2},
 		{Kind: trace.Write, Addr: 16, Size: 8, Data: 3},
 	}
-	res, err := Run(WG, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	res, err := runOne(WG, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestNoAllocReducesWriteTraffic(t *testing.T) {
 	// On a miss-heavy stream, write-around removes RMWs that allocate-mode
 	// must perform.
 	stream := randomStream(130, 6000, 1<<20) // huge footprint: mostly misses
-	alloc, err := Run(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+	alloc, err := runOne(RMW, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noalloc, err := Run(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
+	noalloc, err := runOne(RMW, noAllocCfg(), Options{}, trace.FromSlice(stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func TestOracleArrayTrafficOrdering(t *testing.T) {
 		accs := randomStream(seed, 4000, 1<<13)
 		byKind := map[Kind]Result{}
 		for _, k := range []Kind{RMW, WG, WGRB} {
-			res, err := Run(k, cfg, Options{}, trace.FromSlice(accs), 0)
+			res, err := runOne(k, cfg, Options{}, trace.FromSlice(accs), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,10 +62,12 @@ func (l *logged) Access(a trace.Access) uint64 {
 	return v
 }
 
-// RunLogged is RunContext plus port-op capture: it returns the result and
-// the per-request operation log.
+// RunLogged runs one scheme serially over up to max accesses of s (max <= 0
+// drains the stream) and also returns the per-request operation log. It
+// feeds the walk access by access, since the log needs each access's
+// array-operation delta, so it is the one run that keeps to one scheme.
 func RunLogged(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max int) (Result, []PortOp, error) {
-	d, err := NewDriver(kind, cfg, opts)
+	d, err := NewDriver(cfg, Scheme{kind, opts})
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -75,5 +77,5 @@ func RunLogged(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return res, log, nil
+	return res[0], log, nil
 }

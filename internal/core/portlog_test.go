@@ -14,7 +14,7 @@ func TestLoggedControllerRecordsPerRequestOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := newController(c, Options{}, RMW)
+	ctrl, err := newController(c, Scheme{Kind: RMW})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 //
 // So a sharded run splits the walk and keeps one accountant stage: K walks,
 // each over its own cache and shadow memory, serve the accesses of their
-// own sets, and the stage charges every kind's accountants with the
+// own sets, and the stage charges every scheme's accountants with the
 // outcomes in stream order. The accountants see the serial outcome sequence,
 // so their counters and event ledgers are the serial run's by construction;
 // only the walks' cache statistics and memory images combine. The decoder
@@ -62,10 +62,10 @@ func (p ShardPlan) Err() error {
 	return errors.New(p.Reason)
 }
 
-// PlanShards resolves a requested shard count. Every kind shards alike, so
-// the kind does not change the plan: only the Random policy runs serially,
-// and a run never uses more shards than there are sets.
-func PlanShards(_ Kind, cfg cache.Config, shards int) ShardPlan {
+// PlanShards resolves a requested shard count for a cache of shape cfg.
+// Every scheme shards alike: only the Random policy runs serially, and a run
+// never uses more shards than there are sets.
+func PlanShards(cfg cache.Config, shards int) ShardPlan {
 	p := ShardPlan{Requested: shards, Shards: shards}
 	switch {
 	case shards <= 1:
@@ -82,23 +82,9 @@ func PlanShards(_ Kind, cfg cache.Config, shards int) ShardPlan {
 	return p
 }
 
-// RunShardedContext drives up to max accesses of s (max <= 0 drains the
-// stream) through shards concurrent walks, each over its own partition of
-// the cache's sets, and one accountant stage, and returns the exact Result a
-// serial RunStreamContext would have produced. The trace is decoded once,
-// and ctx is polled once per batch. A plan that falls back (the Random
-// policy, shards <= 1) runs serially; PlanShards gives the reason.
-func RunShardedContext(ctx context.Context, kind Kind, cfg cache.Config, opts Options, s trace.Stream, max, batchSize, shards int) (Result, error) {
-	res, err := RunEachStream(ctx, []Kind{kind}, cfg, opts, func() (trace.Stream, error) { return s, nil }, max, batchSize, shards)
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
-
 // shardRun is one sharded execution: K walks over K private caches (each
 // over its own backing memory), the set→walk route, and the accountants of
-// every kind. Tests reach into it to randomize the route and inspect the
+// every scheme. Tests reach into it to randomize the route and inspect the
 // walks' caches.
 type shardRun struct {
 	geom  cache.Geometry
@@ -108,9 +94,9 @@ type shardRun struct {
 	fed   uint64 // accesses the accountant stage has charged
 }
 
-// newShardRun builds k walks and an accountant of each kind. Every walk
+// newShardRun builds k walks and an accountant of each scheme. Every walk
 // gets the full cache shape; sets outside its partition stay cold.
-func newShardRun(cfg cache.Config, opts Options, k int, kinds ...Kind) (*shardRun, error) {
+func newShardRun(cfg cache.Config, k int, schemes ...Scheme) (*shardRun, error) {
 	r := &shardRun{walks: make([]walk, k)}
 	for i := range r.walks {
 		c, err := cache.New(cfg, mem.New())
@@ -120,7 +106,7 @@ func newShardRun(cfg cache.Config, opts Options, k int, kinds ...Kind) (*shardRu
 		r.walks[i] = newWalk(c)
 	}
 	g := r.walks[0].geom
-	accts, err := newAccountants(g, opts, kinds)
+	accts, err := newAccountants(g, schemes)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +126,7 @@ func newShardRun(cfg cache.Config, opts Options, k int, kinds ...Kind) (*shardRu
 }
 
 // run feeds up to max accesses of s to the walks and the accountant stage,
-// one goroutine each, and returns every kind's Result. A decode failure
+// one goroutine each, and returns every scheme's Result. A decode failure
 // surfaces as *StreamError carrying how many accesses the stage charged,
 // and a block-straddling access aborts the run with *ShardCrossSetError.
 func (r *shardRun) run(ctx context.Context, s trace.Stream, max, batchSize int) ([]Result, error) {
@@ -223,7 +209,7 @@ func addCacheStats(dst *cache.Stats, src cache.Stats) {
 
 // ShardCrossSetError aborts a sharded run that met a block-straddling
 // access: its spill bytes may belong to a set on another shard, so
-// set-locality does not hold for it. Rerun serially (RunStreamContext) to
+// set-locality does not hold for it. Rerun serially (shards <= 1) to
 // simulate such traces.
 type ShardCrossSetError struct {
 	Access trace.Access

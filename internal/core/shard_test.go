@@ -65,7 +65,7 @@ func TestShardedRandomPartitionProperty(t *testing.T) {
 			serial, sc := serialRun(t, k, cfg, stream)
 
 			const shards = 4
-			r, err := newShardRun(cfg, Options{}, shards, k)
+			r, err := newShardRun(cfg, shards, Scheme{Kind: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestShardedBacksEachChunkOnce(t *testing.T) {
 		sc.FlushAll()
 		want := sc.Backing().FootprintBytes()
 		for _, shards := range []int{2, 3, 4} {
-			r, err := newShardRun(cfg, Options{}, shards, RMW)
+			r, err := newShardRun(cfg, shards, Scheme{Kind: RMW})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestShardedBacksEachChunkOnce(t *testing.T) {
 
 	// More shards than chunk runs (16 sets, 8 runs): every walk still
 	// owns a set.
-	r, err := newShardRun(smallCfg(), Options{}, 16, RMW)
+	r, err := newShardRun(smallCfg(), 16, Scheme{Kind: RMW})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestShardedZeroSetShardIdentity(t *testing.T) {
 	// run still equals serial.
 	stream := randomStream(17, 5000, 8192)
 	for _, k := range Kinds() {
-		serial, err := Run(k, smallCfg(), Options{}, trace.FromSlice(stream), 0)
+		serial, err := runOne(k, smallCfg(), Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatalf("%v serial: %v", k, err)
 		}
 		const shards = 4
-		r, err := newShardRun(smallCfg(), Options{}, shards, k)
+		r, err := newShardRun(smallCfg(), shards, Scheme{Kind: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,16 +197,15 @@ func TestShardedFallbackIdentity(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Policy, cfg.Seed = cache.Random, 7
 	stream := randomStream(3, 4000, 8192)
+	if plan := PlanShards(cfg, 4); plan.Shards != 1 || plan.Reason == "" {
+		t.Errorf("plan %+v, want serial fallback with reason", plan)
+	}
 	for _, k := range Kinds() {
-		plan := PlanShards(k, cfg, 4)
-		if plan.Shards != 1 || plan.Reason == "" {
-			t.Errorf("%v: plan %+v, want serial fallback with reason", k, plan)
-		}
-		serial, err := Run(k, cfg, Options{}, trace.FromSlice(stream), 0)
+		serial, err := runOne(k, cfg, Options{}, trace.FromSlice(stream), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunShardedContext(context.Background(), k, cfg, Options{}, trace.FromSlice(stream), 0, 0, 4)
+		got, err := runScheme(Scheme{Kind: k}, cfg, trace.FromSlice(stream), 0, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,27 +219,22 @@ func TestPlanShards(t *testing.T) {
 	random.Policy = cache.Random
 	cases := []struct {
 		name       string
-		kind       Kind
 		cfg        cache.Config
 		req        int
 		want       int
 		wantReason bool
 	}{
-		{"serial request", RMW, cfg, 1, 1, false},
-		{"zero request", RMW, cfg, 0, 1, false},
-		{"set-local", RMW, cfg, 4, 4, false},
-		{"cross-set controller", WG, cfg, 4, 4, false},
-		{"coalescer", Coalesce, cfg, 4, 4, false},
-		{"random policy", RMW, random, 4, 1, true},
-		{"random policy, cross-set controller", WG, random, 4, 1, true},
-		{"clamp to sets", RMW, cfg, 32, 16, true},
-		{"clamp to sets, cross-set controller", WGRB, cfg, 32, 16, true},
+		{"serial request", cfg, 1, 1, false},
+		{"zero request", cfg, 0, 1, false},
+		{"sharded", cfg, 4, 4, false},
+		{"random policy", random, 4, 1, true},
+		{"clamp to sets", cfg, 32, 16, true},
 	}
 	for _, c := range cases {
-		p := PlanShards(c.kind, c.cfg, c.req)
+		p := PlanShards(c.cfg, c.req)
 		if p.Shards != c.want || (p.Reason != "") != c.wantReason {
-			t.Errorf("%s: PlanShards(%v, %d) = %+v, want shards=%d reason=%v",
-				c.name, c.kind, c.req, p, c.want, c.wantReason)
+			t.Errorf("%s: PlanShards(%d) = %+v, want shards=%d reason=%v",
+				c.name, c.req, p, c.want, c.wantReason)
 		}
 		// Only a request the plan runs serially is refused, with its reason;
 		// a clamp still runs in parallel.
@@ -249,16 +243,13 @@ func TestPlanShards(t *testing.T) {
 			t.Errorf("%s: Err() = %v, want refused=%v with the plan's reason", c.name, err, refused)
 		}
 	}
-	// Every kind shards under every deterministic policy, clamped to the
-	// set count.
+	// Every deterministic policy shards, clamped to the set count.
 	for _, pol := range []cache.PolicyKind{cache.LRU, cache.FIFO, cache.TreePLRU} {
 		c := cfg
 		c.Policy = pol
-		for _, k := range Kinds() {
-			for _, req := range []int{2, 8, 16, 64} {
-				if p := PlanShards(k, c, req); p.Shards != min(req, 16) || p.Err() != nil {
-					t.Errorf("%v under %v: PlanShards(%d) = %+v, want %d shards", k, pol, req, p, min(req, 16))
-				}
+		for _, req := range []int{2, 8, 16, 64} {
+			if p := PlanShards(c, req); p.Shards != min(req, 16) || p.Err() != nil {
+				t.Errorf("%v: PlanShards(%d) = %+v, want %d shards", pol, req, p, min(req, 16))
 			}
 		}
 	}
@@ -275,7 +266,7 @@ func TestShardedStraddleAborts(t *testing.T) {
 	stream = append(append(stream, randomStream(32, 2000, 8192)...), later)
 	for _, k := range []Kind{RMW, WG} {
 		for _, batch := range []int{1, 0} {
-			_, err := RunShardedContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), 0, batch, 2)
+			_, err := runScheme(Scheme{Kind: k}, smallCfg(), trace.FromSlice(stream), 0, batch, 2)
 			var cross *ShardCrossSetError
 			if !errors.As(err, &cross) {
 				t.Fatalf("%v batch %d: err = %v, want ShardCrossSetError", k, batch, err)
@@ -291,11 +282,11 @@ func TestShardedHonorsMax(t *testing.T) {
 	stream := randomStream(9, 4000, 8192)
 	const max = 1500
 	for _, k := range []Kind{RMW, WG} {
-		serial, err := Run(k, smallCfg(), Options{}, trace.FromSlice(stream), max)
+		serial, err := runOne(k, smallCfg(), Options{}, trace.FromSlice(stream), max)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunShardedContext(context.Background(), k, smallCfg(), Options{}, trace.FromSlice(stream), max, 0, 4)
+		got, err := runScheme(Scheme{Kind: k}, smallCfg(), trace.FromSlice(stream), max, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,10 +297,10 @@ func TestShardedHonorsMax(t *testing.T) {
 	}
 }
 
-// TestRunEachStreamShardedOnePass pins that a sharded multi-kind run opens
-// its stream once, reads each access once, and walks each access once, in
+// TestRunSchemesShardedOnePass pins that a sharded multi-kind run opens its
+// stream once, reads each access once, and walks each access once, in
 // exactly one walk, while every kind's Result equals its serial run.
-func TestRunEachStreamShardedOnePass(t *testing.T) {
+func TestRunSchemesShardedOnePass(t *testing.T) {
 	accs := randomStream(21, 5000, 8192)
 	kinds := Kinds()
 	opens, read := 0, 0
@@ -323,7 +314,7 @@ func TestRunEachStreamShardedOnePass(t *testing.T) {
 			return accs[read-1], true
 		}), nil
 	}
-	got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{}, open, 0, 0, 4)
+	got, err := RunSchemes(context.Background(), Schemes(Options{}, kinds...), smallCfg(), open, 0, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +322,14 @@ func TestRunEachStreamShardedOnePass(t *testing.T) {
 		t.Fatalf("opened %d times and read %d accesses, want 1 open and %d accesses", opens, read, len(accs))
 	}
 	for i, k := range kinds {
-		want, err := Run(k, smallCfg(), Options{}, trace.FromSlice(accs), 0)
+		want, err := runOne(k, smallCfg(), Options{}, trace.FromSlice(accs), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireResultsEqual(t, k.String(), got[i], want)
 	}
 
-	r, err := newShardRun(smallCfg(), Options{}, 4, kinds...)
+	r, err := newShardRun(smallCfg(), 4, Schemes(Options{}, kinds...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +361,7 @@ func TestShardedCancelLeavesNoGoroutine(t *testing.T) {
 		served++
 		return accs[served%len(accs)], true
 	})
-	_, err := RunShardedContext(ctx, WG, smallCfg(), Options{}, src, 0, 512, 4)
+	_, err := RunSchemes(ctx, []Scheme{{Kind: WG}}, smallCfg(), func() (trace.Stream, error) { return src, nil }, 0, 512, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -383,28 +374,29 @@ func TestShardedCancelLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestShardStageSoak runs every kind at 2, 4 and 8 shards, at batch sizes
-// 1 and 7, so walks and the accountant stage hand off thousands of batches.
-// CI runs it under the race detector many times over (make race).
+// TestShardStageSoak runs every kind, and a deeper Set-Buffer beside the
+// paper's, at 2, 4 and 8 shards, at batch sizes 1 and 7, so walks and the
+// accountant stage hand off thousands of batches. CI runs it under the
+// race detector many times over (make race).
 func TestShardStageSoak(t *testing.T) {
 	accs := randomStream(8, 3000, 8192)
-	kinds := Kinds()
-	want := make([]Result, len(kinds))
-	for i, k := range kinds {
+	schemes := append(Schemes(Options{}, Kinds()...), Scheme{WGRB, Options{BufferDepth: 4}})
+	want := make([]Result, len(schemes))
+	for i, sc := range schemes {
 		var err error
-		if want[i], err = Run(k, smallCfg(), Options{}, trace.FromSlice(accs), 0); err != nil {
+		if want[i], err = runOne(sc.Kind, smallCfg(), sc.Opts, trace.FromSlice(accs), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	open := func() (trace.Stream, error) { return trace.FromSlice(accs), nil }
 	for _, shards := range []int{2, 4, 8} {
 		for _, batch := range []int{1, 7} {
-			got, err := RunEachStream(context.Background(), kinds, smallCfg(), Options{}, open, 0, batch, shards)
+			got, err := RunSchemes(context.Background(), schemes, smallCfg(), open, 0, batch, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, k := range kinds {
-				requireResultsEqual(t, fmt.Sprintf("%v shards=%d batch=%d", k, shards, batch), got[i], want[i])
+			for i, sc := range schemes {
+				requireResultsEqual(t, fmt.Sprintf("%v%+v shards=%d batch=%d", sc.Kind, sc.Opts, shards, batch), got[i], want[i])
 			}
 		}
 	}
@@ -422,7 +414,7 @@ func BenchmarkRunSharded(b *testing.B) {
 				b.SetBytes(int64(len(accs)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := RunShardedContext(context.Background(), k, cfg, Options{}, trace.FromSlice(accs), 0, 0, shards)
+					res, err := runScheme(Scheme{Kind: k}, cfg, trace.FromSlice(accs), 0, 0, shards)
 					if err != nil {
 						b.Fatal(err)
 					}

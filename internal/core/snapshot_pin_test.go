@@ -32,7 +32,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := core.NewDriver(p.kind, cache.DefaultConfig(), core.Options{})
+		d, err := core.NewDriver(cache.DefaultConfig(), core.Scheme{Kind: p.kind})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -25,11 +26,12 @@ func runBench(t *testing.T, kind core.Kind, name string, n int) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: kind}}, cache.DefaultConfig(),
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 func TestEvaluateValidation(t *testing.T) {

@@ -18,6 +18,15 @@ import (
 	"cache8t/internal/workload"
 )
 
+// runKind runs kind over accs on a cache of shape cfg.
+func runKind(ctx context.Context, kind core.Kind, cfg cache.Config, accs []trace.Access) (core.Result, error) {
+	res, err := core.RunSchemes(ctx, []core.Scheme{{Kind: kind}}, cfg, func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return res[0], nil
+}
+
 // simJobs builds the real workload the determinism test replays: every
 // controller kind over two cache shapes on one benchmark stream.
 func simJobs(t *testing.T, n int) []engine.Job[core.Result] {
@@ -39,7 +48,7 @@ func simJobs(t *testing.T, n int) []engine.Job[core.Result] {
 			jobs = append(jobs, engine.Job[core.Result]{
 				Label: k.String(),
 				Fn: func(ctx context.Context) (core.Result, error) {
-					return core.RunContext(ctx, k, shape, core.Options{}, trace.FromSlice(accs), 0)
+					return runKind(ctx, k, shape, accs)
 				},
 			})
 		}
@@ -86,7 +95,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestRunAllMatchesEngine pins the fan-out contract: every kind run at once
-// (core.RunEachStream, one walk on one goroutine) and the same kinds mapped
+// (core.RunSchemes, one walk on one goroutine) and the same kinds mapped
 // across 8 engine workers agree result-for-result, in kind order.
 func TestRunAllMatchesEngine(t *testing.T) {
 	prof, err := workload.ProfileByName("gcc")
@@ -98,7 +107,7 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cache.DefaultConfig()
-	serial, err := core.RunEachStream(context.Background(), core.Kinds(), cfg, core.Options{},
+	serial, err := core.RunSchemes(context.Background(), core.Schemes(core.Options{}, core.Kinds()...), cfg,
 		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +117,7 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		jobs[i] = engine.Job[core.Result]{
 			Label: k.String(),
 			Fn: func(ctx context.Context) (core.Result, error) {
-				return core.RunContext(ctx, k, cfg, core.Options{}, trace.FromSlice(accs), 0)
+				return runKind(ctx, k, cfg, accs)
 			},
 		}
 	}
@@ -117,7 +126,7 @@ func TestRunAllMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("engine.Map(workers=8) differs from RunEachStream")
+		t.Fatal("engine.Map(workers=8) differs from RunSchemes")
 	}
 	for i, k := range core.Kinds() {
 		if parallel[i].Controller != k {

@@ -17,33 +17,36 @@ import (
 func Alloc(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Allocation-policy sensitivity (mean over benchmarks)",
 		"policy", "RMW acc/req", "WG+RB acc/req", "WG+RB reduction")
-	for _, noAlloc := range []bool{false, true} {
-		shape := cfg.Cache
-		shape.NoWriteAllocate = noAlloc
-		var rmwSum, rbSum, redSum float64
-		n := 0
-		err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-			n++
-			res, err := runKinds(cfg, []core.Kind{core.RMW, core.WGRB}, shape, cfg.Opts, src)
+	// Each policy is its own cache shape, so each benchmark walks twice.
+	vals, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([2][3]float64, error) {
+		var out [2][3]float64
+		for p, noAlloc := range []bool{false, true} {
+			shape := cfg.Cache
+			shape.NoWriteAllocate = noAlloc
+			res, err := runSchemes(cfg, shape, src.Stream, core.Schemes(cfg.Opts, core.RMW, core.WGRB)...)
 			if err != nil {
-				return err
+				return out, err
 			}
-			rmwSum += res[0].AccessesPerRequest()
-			rbSum += res[1].AccessesPerRequest()
-			redSum += stats.Reduction(res[1].ArrayAccesses(), res[0].ArrayAccesses())
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			out[p] = [3]float64{res[0].AccessesPerRequest(), res[1].AccessesPerRequest(),
+				stats.Reduction(res[1].ArrayAccesses(), res[0].ArrayAccesses())}
 		}
-		name := "write-allocate (paper)"
-		if noAlloc {
-			name = "no-write-allocate"
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := float64(len(vals))
+	for p, name := range []string{"write-allocate (paper)", "no-write-allocate"} {
+		var rmwSum, rbSum, redSum float64
+		for _, v := range vals {
+			rmwSum += v[p][0]
+			rbSum += v[p][1]
+			redSum += v[p][2]
 		}
 		t.AddRowf(name,
-			fmt.Sprintf("%.3f", rmwSum/float64(n)),
-			fmt.Sprintf("%.3f", rbSum/float64(n)),
-			stats.Pct(redSum/float64(n)))
+			fmt.Sprintf("%.3f", rmwSum/n),
+			fmt.Sprintf("%.3f", rbSum/n),
+			stats.Pct(redSum/n))
 	}
 	return t, nil
 }

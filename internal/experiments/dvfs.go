@@ -46,11 +46,12 @@ func DVFS(cfg Config) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, kind := range []core.Kind{core.RMW, core.WGRB} {
-		res, err := core.Run(kind, cfg.Cache, cfg.Opts, trace.FromSlice(accs), 0)
-		if err != nil {
-			return nil, err
-		}
+	results, err := runSchemes(cfg, cfg.Cache, func() (trace.Stream, error) { return trace.FromSlice(accs), nil },
+		core.Schemes(cfg.Opts, core.RMW, core.WGRB)...)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range results {
 		em, err := sram.NewEnergyModel(res.Events.Config(), 1.0)
 		if err != nil {
 			return nil, err
@@ -65,7 +66,7 @@ func DVFS(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRowf(kind.String(),
+		t.AddRowf(res.Controller.String(),
 			fmt.Sprintf("%.4f", six.EnergyJ*1e3),
 			fmt.Sprintf("%.4f", eight.EnergyJ*1e3),
 			stats.Pct(1-eight.EnergyJ/six.EnergyJ))

@@ -14,6 +14,7 @@ import (
 	"cache8t/internal/core"
 	"cache8t/internal/engine"
 	"cache8t/internal/stats"
+	"cache8t/internal/trace"
 	"cache8t/internal/workload"
 )
 
@@ -43,10 +44,11 @@ type Config struct {
 	// Context, when non-nil, cancels in-flight simulations; cmd/figures
 	// wires its -timeout flag here.
 	Context context.Context
-	// Shards, when > 1, walks each run's cache as Shards concurrent
-	// set-partitions (core.RunShardedContext, core.RunEachStream).
-	// Random-policy caches fall back to the serial driver automatically, so
-	// tables are bit-identical for every value — like Workers, purely a
+	// Shards, when > 1, walks each benchmark's cache as Shards concurrent
+	// set-partitions, every scheme of the walk accounting in one stage
+	// (core.RunSchemes). Random-policy caches fall back to the serial
+	// driver automatically, and hierarchy and port-logged runs are serial,
+	// so tables are bit-identical for every value — like Workers, purely a
 	// speed knob.
 	Shards int
 }
@@ -133,43 +135,11 @@ func (c Config) sources() []*workload.Source {
 	return workload.Sources(workload.Profiles(), c.Seed, c.AccessesPerBench, c.Stream)
 }
 
-// forEachBench runs fn over every benchmark profile with its trace source.
-// In materialized mode the slices are generated up front through the engine
-// (parallel across profiles) exactly as before sources existed; fn itself
-// runs serially in profile order because the callers' closures append table
-// rows in place.
-func forEachBench(cfg Config, fn func(prof workload.Profile, src *workload.Source) error) error {
-	srcs := cfg.sources()
-	if !cfg.Stream {
-		jobs := make([]engine.Job[int], len(srcs))
-		for i, src := range srcs {
-			src := src
-			jobs[i] = engine.Job[int]{
-				Label:  src.Profile().Name,
-				Weight: int64(cfg.AccessesPerBench),
-				Fn: func(context.Context) (int, error) {
-					accs, err := src.Accesses()
-					return len(accs), err
-				},
-			}
-		}
-		if _, err := engine.Map(cfg.ctx(), engine.Config{Workers: cfg.Workers}, jobs); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
-	for _, src := range srcs {
-		if err := fn(src.Profile(), src); err != nil {
-			return fmt.Errorf("experiments: %s: %w", src.Profile().Name, err)
-		}
-	}
-	return nil
-}
-
 // benchMap fans fn out across the benchmark suite on the engine — one job
 // per profile, covering both trace generation and simulation — and returns
-// the per-benchmark values in profile order. It is the parallel counterpart
-// of forEachBench for experiments whose per-benchmark work is pure, and the
-// path the heavy reduction figures run on.
+// the per-benchmark values in profile order. It is the one per-benchmark
+// helper: every experiment builds its rows, and sums its means, from the
+// values in that order, so tables do not depend on Workers.
 func benchMap[T any](cfg Config, fn func(prof workload.Profile, src *workload.Source) (T, error)) ([]T, error) {
 	srcs := cfg.sources()
 	jobs := make([]engine.Job[T], len(srcs))
@@ -186,35 +156,38 @@ func benchMap[T any](cfg Config, fn func(prof workload.Profile, src *workload.So
 	return engine.Map(cfg.ctx(), engine.Config{Workers: cfg.Workers}, jobs)
 }
 
-// runSource drives one controller kind over a fresh open of src on the
-// batched streaming path. Materialized sources replay their cached slice
-// (zero-copy batches), streaming sources regenerate; either way the result
-// is identical.
-func runSource(cfg Config, kind core.Kind, shape cache.Config, opts core.Options, src *workload.Source) (core.Result, error) {
-	s, err := src.Stream()
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.RunShardedContext(cfg.ctx(), kind, shape, opts, s, 0, 0, cfg.Shards)
+// runSchemes runs every scheme over one walk of the stream from open on a
+// cache of shape shape, serially or over cfg.Shards walks: either way each
+// Result is what a run of its scheme alone would give. Materialized sources
+// replay their cached slice (zero-copy batches), streaming sources
+// regenerate.
+func runSchemes(cfg Config, shape cache.Config, open func() (trace.Stream, error), schemes ...core.Scheme) ([]core.Result, error) {
+	return core.RunSchemes(cfg.ctx(), schemes, shape, open, 0, 0, cfg.Shards)
 }
 
-// runKinds drives several controller kinds over src, which it opens once:
-// core.RunEachStream walks the stream once for every kind, serially or over
-// Shards walks. Either way results are identical to serial per-kind runs.
-func runKinds(cfg Config, kinds []core.Kind, shape cache.Config, opts core.Options, src *workload.Source) ([]core.Result, error) {
-	return core.RunEachStream(cfg.ctx(), kinds, shape, opts, src.Stream, 0, 0, cfg.Shards)
+// reductionsVsRMW runs RMW under cfg.Opts and every scheme over one walk of
+// the stream from open, and returns each scheme's access-frequency
+// reduction against that RMW baseline, in order.
+func reductionsVsRMW(cfg Config, shape cache.Config, open func() (trace.Stream, error), schemes ...core.Scheme) ([]float64, error) {
+	res, err := runSchemes(cfg, shape, open, append([]core.Scheme{{Kind: core.RMW, Opts: cfg.Opts}}, schemes...)...)
+	if err != nil {
+		return nil, err
+	}
+	reds := make([]float64, len(schemes))
+	for i := range reds {
+		reds[i] = stats.Reduction(res[i+1].ArrayAccesses(), res[0].ArrayAccesses())
+	}
+	return reds, nil
 }
 
 // reductions runs the benchmark trace through RMW, WG, and WG+RB over the
 // given cache shape and returns the two access-frequency reductions. The
-// three controllers run serially: callers already parallelize across
+// three controllers share one walk: callers already parallelize across
 // benchmarks, the outer axis with 25-way width.
 func reductions(cfg Config, shape cache.Config, src *workload.Source) (wg, wgrb float64, err error) {
-	res, err := runKinds(cfg, []core.Kind{core.RMW, core.WG, core.WGRB}, shape, cfg.Opts, src)
+	reds, err := reductionsVsRMW(cfg, shape, src.Stream, core.Schemes(cfg.Opts, core.WG, core.WGRB)...)
 	if err != nil {
 		return 0, 0, err
 	}
-	base := res[0].ArrayAccesses()
-	return stats.Reduction(res[1].ArrayAccesses(), base),
-		stats.Reduction(res[2].ArrayAccesses(), base), nil
+	return reds[0], reds[1], nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -342,6 +344,36 @@ func TestAblationRelatedRuns(t *testing.T) {
 	}
 }
 
+// tableSHA256 pins every experiment's rendered table at 20k accesses per
+// benchmark, seed 1, on the baseline cache: the sha256 of tab.String(). A
+// change to how an experiment runs its schemes (how many walks, which
+// options ride on one walk, how rows are gathered) must leave these bytes
+// alone; only a deliberate change to the reproduced numbers may move one,
+// and then with the goldens.
+var tableSHA256 = map[string]string{
+	"fig3":             "ccb5ad7eb7079c4981f5a6a072ddd1e4f0dbfa3acc0884ea701e41871e1a5f90",
+	"fig4":             "d03a5dfe0045d68fca59e247d13596a561ef481023cfe211a818f105e159d775",
+	"fig5":             "317e2a23bce3dcc561508002e9185a41cdbf6b818a5dc505b1de5cbd4a4e5f04",
+	"rmw":              "8f30850fd94343467667f8248833f97ec88bc568e728ba84369a10fc845aac97",
+	"fig8":             "3a218d7f777f3c9a9ba91f9808c83b92b5d9292b39dd553075a0ccf077580adb",
+	"fig9":             "5f0f440366591af6164831dffab65b952f24c480c06f78e2f17475973721d239",
+	"fig10":            "47b5cfe1110b128d892a2750232c10175c27d2dcc13f024920c17b593d74f9c8",
+	"fig11":            "76953dc979316897f24197b6c9fc27b9094132761bed84798cb5f8ac527dbfc4",
+	"area":             "d5dc281abfabab3d94c9f3c4d5300057e0f9193537c1423677ce1fcf1485299a",
+	"perf":             "ec50a7816157a73e638970341c021995071a365b0e31b106f838b01d88ccc692",
+	"ports":            "3a9aa948807098d09b50193c65437274e446bfad8c5b6fdfaf1ea32af996b352",
+	"groups":           "0a9920d6e61e58c16571dabc57033797e71bf5ed8068a831b0f0b43d824d939b",
+	"ecc":              "f9dbb99d2ad6e6c8ba47b2f29eeaea5aea273e9f376af174b80bca6b31e3f8c4",
+	"mix":              "2853d7d0c251caa377abc68f04e340e787abe889858c8d2bfe073bb79b8ed568",
+	"dvfs":             "931398f1ae64d5a3b20698a4a5aeede288294c6f323747d82f9a494450429642",
+	"alloc":            "a639004b42b82d407feb1a83ede4ced7cb614662a44a3258dd855f58af70b010",
+	"fills":            "78ddb9473ad47804e24bf4eece9c5c39fe7d17f0d4fa98d2f6ae25f7e2f44159",
+	"hier":             "0aa3943750c6aa23a8e0ba85c40702719b68992dace497cafcd063b29f597227",
+	"ablation-silent":  "63d93680f68d70142c4aa8aa1232a99a1d9f919e59fa664b452776c76c5c71f9",
+	"ablation-depth":   "790ab084d3d9dbcf95156aad4d9ab60116b3696618e0218f6199b38417aef56c",
+	"ablation-related": "5647fb23273d1413789e80eb53283c80de20813bf87439e8f02a4d1cacd372a9",
+}
+
 func TestAllExperimentsRenderAndCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is slow")
@@ -358,6 +390,9 @@ func TestAllExperimentsRenderAndCSV(t *testing.T) {
 			out := tab.String()
 			if len(out) == 0 || !strings.Contains(out, tab.Columns[0]) {
 				t.Error("empty render")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != tableSHA256[e.ID] {
+				t.Errorf("table bytes moved: sha256 %s, pinned %s\n%s", got, tableSHA256[e.ID], out)
 			}
 			var b strings.Builder
 			if err := tab.CSV(&b); err != nil {

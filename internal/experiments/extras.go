@@ -47,6 +47,58 @@ func Area(cfg Config) (*stats.Table, error) {
 	return t, nil
 }
 
+// priced is one scheme's Result under the timing and energy models at the
+// nominal operating point.
+type priced struct{ accPerReq, cpi, readLat, portUtil, nJ float64 }
+
+// meanPriced runs kinds under cfg.Opts over one walk of every benchmark,
+// prices each Result at 1.0V/2000MHz, and returns each kind's mean over
+// benchmarks, summed in profile order.
+func meanPriced(cfg Config, kinds []core.Kind) ([]priced, error) {
+	point := sram.OperatingPoint{VoltageV: 1.0, FreqMHz: 2000}
+	tp := timing.DefaultParams()
+	rows, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([]priced, error) {
+		res, err := runSchemes(cfg, cfg.Cache, src.Stream, core.Schemes(cfg.Opts, kinds...)...)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]priced, len(res))
+		for i, r := range res {
+			trep, err := timing.Evaluate(r, tp)
+			if err != nil {
+				return nil, err
+			}
+			erep, err := energy.Evaluate(r, point, tp)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = priced{r.AccessesPerRequest(), trep.CPI(), trep.AvgReadLatency,
+				trep.ReadPortUtilization, energy.PerAccessJ(erep, r.Requests.Accesses()) * 1e9}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	means := make([]priced, len(kinds))
+	for _, row := range rows {
+		for i, p := range row {
+			m := &means[i]
+			m.accPerReq += p.accPerReq
+			m.cpi += p.cpi
+			m.readLat += p.readLat
+			m.portUtil += p.portUtil
+			m.nJ += p.nJ
+		}
+	}
+	n := float64(len(rows))
+	for i := range means {
+		m := &means[i]
+		*m = priced{m.accPerReq / n, m.cpi / n, m.readLat / n, m.portUtil / n, m.nJ / n}
+	}
+	return means, nil
+}
+
 // PerfPower quantifies §5.5 with the timing and energy models: CPI, average
 // read latency, read-port utilization, and energy per access for each
 // controller, averaged across benchmarks at the nominal operating point.
@@ -54,80 +106,42 @@ func PerfPower(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("§5.5 quantified — timing and energy (mean over benchmarks, 1.0V/2000MHz)",
 		"scheme", "CPI", "avg read latency", "read-port util", "nJ/access")
 	kinds := []core.Kind{core.Conventional, core.RMW, core.LocalRMW, core.WG, core.WGRB}
-	point := sram.OperatingPoint{VoltageV: 1.0, FreqMHz: 2000}
-	tp := timing.DefaultParams()
-	sums := make(map[core.Kind]*[4]float64)
-	for _, k := range kinds {
-		sums[k] = &[4]float64{}
-	}
-	n := 0
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		n++
-		for _, k := range kinds {
-			res, err := runSource(cfg, k, cfg.Cache, cfg.Opts, src)
-			if err != nil {
-				return err
-			}
-			trep, err := timing.Evaluate(res, tp)
-			if err != nil {
-				return err
-			}
-			erep, err := energy.Evaluate(res, point, tp)
-			if err != nil {
-				return err
-			}
-			s := sums[k]
-			s[0] += trep.CPI()
-			s[1] += trep.AvgReadLatency
-			s[2] += trep.ReadPortUtilization
-			s[3] += energy.PerAccessJ(erep, res.Requests.Accesses()) * 1e9
-		}
-		return nil
-	})
+	means, err := meanPriced(cfg, kinds)
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range kinds {
-		s := sums[k]
+	for i, k := range kinds {
+		m := means[i]
 		t.AddRowf(k.String(),
-			fmt.Sprintf("%.4f", s[0]/float64(n)),
-			fmt.Sprintf("%.3f", s[1]/float64(n)),
-			stats.Pct(s[2]/float64(n)),
-			fmt.Sprintf("%.4f", s[3]/float64(n)))
+			fmt.Sprintf("%.4f", m.cpi),
+			fmt.Sprintf("%.3f", m.readLat),
+			stats.Pct(m.portUtil),
+			fmt.Sprintf("%.4f", m.nJ))
 	}
 	return t, nil
 }
 
 // AblationSilent isolates the Dirty-bit silent-write optimization (A1):
-// WG with and without elision, mean reduction vs RMW.
+// WG with and without elision, mean reduction vs RMW, all three over one
+// walk of each benchmark.
 func AblationSilent(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("A1 — contribution of silent-write elision to WG",
 		"benchmark", "WG", "WG (no silent elision)", "delta")
-	var on, off []float64
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		base, err := runSource(cfg, core.RMW, cfg.Cache, cfg.Opts, src)
-		if err != nil {
-			return err
-		}
-		wgOn, err := runSource(cfg, core.WG, cfg.Cache, cfg.Opts, src)
-		if err != nil {
-			return err
-		}
-		noSilent := cfg.Opts
-		noSilent.DisableSilentElision = true
-		wgOff, err := runSource(cfg, core.WG, cfg.Cache, noSilent, src)
-		if err != nil {
-			return err
-		}
-		rOn := stats.Reduction(wgOn.ArrayAccesses(), base.ArrayAccesses())
-		rOff := stats.Reduction(wgOff.ArrayAccesses(), base.ArrayAccesses())
-		t.AddRowf(prof.Name, stats.Pct(rOn), stats.Pct(rOff), stats.Pct(rOn-rOff))
-		on = append(on, rOn)
-		off = append(off, rOff)
-		return nil
+	noSilent := cfg.Opts
+	noSilent.DisableSilentElision = true
+	reds, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([]float64, error) {
+		return reductionsVsRMW(cfg, cfg.Cache, src.Stream,
+			core.Scheme{Kind: core.WG, Opts: cfg.Opts}, core.Scheme{Kind: core.WG, Opts: noSilent})
 	})
 	if err != nil {
 		return nil, err
+	}
+	var on, off []float64
+	for i, prof := range workload.Profiles() {
+		rOn, rOff := reds[i][0], reds[i][1]
+		t.AddRowf(prof.Name, stats.Pct(rOn), stats.Pct(rOff), stats.Pct(rOn-rOff))
+		on = append(on, rOn)
+		off = append(off, rOff)
 	}
 	t.AddRowf("MEAN", stats.Pct(stats.Mean(on)), stats.Pct(stats.Mean(off)),
 		stats.Pct(stats.Mean(on)-stats.Mean(off)))
@@ -136,43 +150,35 @@ func AblationSilent(cfg Config) (*stats.Table, error) {
 
 // AblationDepth sweeps the Set-Buffer entry count (A2): the paper's buffer
 // is a single entry; deeper buffers group write streams that interleave
-// across sets.
+// across sets. Every depth rides on one walk of each benchmark.
 func AblationDepth(cfg Config) (*stats.Table, error) {
 	depths := []int{1, 2, 4, 8}
 	cols := []string{"benchmark"}
-	for _, d := range depths {
+	schemes := make([]core.Scheme, len(depths))
+	for i, d := range depths {
 		cols = append(cols, fmt.Sprintf("WG+RB depth %d", d))
+		schemes[i] = core.Scheme{Kind: core.WGRB, Opts: cfg.Opts}
+		schemes[i].Opts.BufferDepth = d
 	}
 	t := stats.NewTable("A2 — Set-Buffer depth sweep (reduction vs RMW)", cols...)
-	sums := make([]float64, len(depths))
-	n := 0
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		n++
-		base, err := runSource(cfg, core.RMW, cfg.Cache, cfg.Opts, src)
-		if err != nil {
-			return err
-		}
-		row := []any{prof.Name}
-		for i, d := range depths {
-			opts := cfg.Opts
-			opts.BufferDepth = d
-			res, err := runSource(cfg, core.WGRB, cfg.Cache, opts, src)
-			if err != nil {
-				return err
-			}
-			red := stats.Reduction(res.ArrayAccesses(), base.ArrayAccesses())
-			row = append(row, stats.Pct(red))
-			sums[i] += red
-		}
-		t.AddRowf(row...)
-		return nil
+	reds, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([]float64, error) {
+		return reductionsVsRMW(cfg, cfg.Cache, src.Stream, schemes...)
 	})
 	if err != nil {
 		return nil, err
 	}
+	sums := make([]float64, len(depths))
+	for i, prof := range workload.Profiles() {
+		row := []any{prof.Name}
+		for j, red := range reds[i] {
+			row = append(row, stats.Pct(red))
+			sums[j] += red
+		}
+		t.AddRowf(row...)
+	}
 	mean := []any{"MEAN"}
 	for _, s := range sums {
-		mean = append(mean, stats.Pct(s/float64(n)))
+		mean = append(mean, stats.Pct(s/float64(len(reds))))
 	}
 	t.AddRowf(mean...)
 	return t, nil
@@ -194,44 +200,16 @@ func AblationRelated(cfg Config) (*stats.Table, error) {
 		core.WG:              "paper",
 		core.WGRB:            "paper",
 	}
-	point := sram.OperatingPoint{VoltageV: 1.0, FreqMHz: 2000}
-	tp := timing.DefaultParams()
-	sums := make(map[core.Kind]*[3]float64)
-	for _, k := range kinds {
-		sums[k] = &[3]float64{}
-	}
-	n := 0
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		n++
-		for _, k := range kinds {
-			res, err := runSource(cfg, k, cfg.Cache, cfg.Opts, src)
-			if err != nil {
-				return err
-			}
-			trep, err := timing.Evaluate(res, tp)
-			if err != nil {
-				return err
-			}
-			erep, err := energy.Evaluate(res, point, tp)
-			if err != nil {
-				return err
-			}
-			s := sums[k]
-			s[0] += res.AccessesPerRequest()
-			s[1] += trep.CPI()
-			s[2] += energy.PerAccessJ(erep, res.Requests.Accesses()) * 1e9
-		}
-		return nil
-	})
+	means, err := meanPriced(cfg, kinds)
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range kinds {
-		s := sums[k]
+	for i, k := range kinds {
+		m := means[i]
 		t.AddRowf(k.String(),
-			fmt.Sprintf("%.3f", s[0]/float64(n)),
-			fmt.Sprintf("%.4f", s[1]/float64(n)),
-			fmt.Sprintf("%.4f", s[2]/float64(n)),
+			fmt.Sprintf("%.3f", m.accPerReq),
+			fmt.Sprintf("%.4f", m.cpi),
+			fmt.Sprintf("%.4f", m.nJ),
 			caveats[k])
 	}
 	return t, nil

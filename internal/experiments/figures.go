@@ -8,27 +8,35 @@ import (
 	"cache8t/internal/workload"
 )
 
+// analyses returns every benchmark's stream analysis on cfg's cache shape,
+// in profile order: the input of Figures 3-5.
+func analyses(cfg Config) ([]core.StreamAnalysis, error) {
+	g := cfg.geometry()
+	return benchMap(cfg, func(_ workload.Profile, src *workload.Source) (core.StreamAnalysis, error) {
+		s, err := src.Stream()
+		if err != nil {
+			return core.StreamAnalysis{}, err
+		}
+		return core.Analyze(s, g, 0), nil
+	})
+}
+
 // Fig3 reproduces Figure 3: read and write frequency as a fraction of
 // executed instructions. Paper anchors: 26% reads / 14% writes on average;
 // bwaves above 22% writes.
 func Fig3(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Figure 3 — memory access frequency (fraction of instructions)",
 		"benchmark", "reads/instr", "writes/instr")
-	g := cfg.geometry()
+	ans, err := analyses(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var reads, writes []float64
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		s, err := src.Stream()
-		if err != nil {
-			return err
-		}
-		an := core.Analyze(s, g, 0)
+	for i, prof := range workload.Profiles() {
+		an := ans[i]
 		t.AddRowf(prof.Name, stats.Pct(an.Stats.ReadFrac()), stats.Pct(an.Stats.WriteFrac()))
 		reads = append(reads, an.Stats.ReadFrac())
 		writes = append(writes, an.Stats.WriteFrac())
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	t.AddRowf("MEAN (measured)", stats.Pct(stats.Mean(reads)), stats.Pct(stats.Mean(writes)))
 	t.AddRow("MEAN (paper)", "26.0%", "14.0%")
@@ -42,14 +50,13 @@ func Fig3(cfg Config) (*stats.Table, error) {
 func Fig4(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Figure 4 — consecutive same-set access scenarios (share of all pairs)",
 		"benchmark", "RR", "RW", "WR", "WW", "same-set total")
-	g := cfg.geometry()
+	ans, err := analyses(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var rr, rw, wr, ww, ss []float64
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		s, err := src.Stream()
-		if err != nil {
-			return err
-		}
-		an := core.Analyze(s, g, 0)
+	for i, prof := range workload.Profiles() {
+		an := ans[i]
 		t.AddRowf(prof.Name, stats.Pct(an.RR()), stats.Pct(an.RW()),
 			stats.Pct(an.WR()), stats.Pct(an.WW()), stats.Pct(an.SameSetFrac()))
 		rr = append(rr, an.RR())
@@ -57,10 +64,6 @@ func Fig4(cfg Config) (*stats.Table, error) {
 		wr = append(wr, an.WR())
 		ww = append(ww, an.WW())
 		ss = append(ss, an.SameSetFrac())
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	t.AddRowf("MEAN (measured)", stats.Pct(stats.Mean(rr)), stats.Pct(stats.Mean(rw)),
 		stats.Pct(stats.Mean(wr)), stats.Pct(stats.Mean(ww)), stats.Pct(stats.Mean(ss)))
@@ -73,20 +76,14 @@ func Fig4(cfg Config) (*stats.Table, error) {
 func Fig5(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Figure 5 — silent write frequency (share of writes)",
 		"benchmark", "silent writes")
-	g := cfg.geometry()
-	var silent []float64
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		s, err := src.Stream()
-		if err != nil {
-			return err
-		}
-		an := core.Analyze(s, g, 0)
-		t.AddRowf(prof.Name, stats.Pct(an.SilentFrac()))
-		silent = append(silent, an.SilentFrac())
-		return nil
-	})
+	ans, err := analyses(cfg)
 	if err != nil {
 		return nil, err
+	}
+	var silent []float64
+	for i, prof := range workload.Profiles() {
+		t.AddRowf(prof.Name, stats.Pct(ans[i].SilentFrac()))
+		silent = append(silent, ans[i].SilentFrac())
 	}
 	t.AddRowf("MEAN (measured)", stats.Pct(stats.Mean(silent)))
 	t.AddRow("MEAN (paper)", ">42%")
@@ -107,7 +104,7 @@ type InflationRow struct {
 // harness so goldens pin exactly what the table prints.
 func InflationMatrix(cfg Config) ([]InflationRow, error) {
 	return benchMap(cfg, func(prof workload.Profile, src *workload.Source) (InflationRow, error) {
-		res, err := runKinds(cfg, []core.Kind{core.Conventional, core.RMW}, cfg.Cache, cfg.Opts, src)
+		res, err := runSchemes(cfg, cfg.Cache, src.Stream, core.Schemes(cfg.Opts, core.Conventional, core.RMW)...)
 		if err != nil {
 			return InflationRow{}, err
 		}
@@ -150,12 +147,13 @@ func Fig8(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Figure 8 — worked example: array accesses per scheme",
 		"scheme", "array reads", "array writes", "total")
 	stream := Fig8Stream(cfg.geometry())
-	for _, k := range []core.Kind{core.Conventional, core.RMW, core.WG, core.WGRB} {
-		res, err := core.Run(k, cfg.Cache, cfg.Opts, trace.FromSlice(stream), 0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRowf(k.String(), res.ArrayReads, res.ArrayWrites, res.ArrayAccesses())
+	res, err := runSchemes(cfg, cfg.Cache, func() (trace.Stream, error) { return trace.FromSlice(stream), nil },
+		core.Schemes(cfg.Opts, core.Conventional, core.RMW, core.WG, core.WGRB)...)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range res {
+		t.AddRowf(r.Controller.String(), r.ArrayReads, r.ArrayWrites, r.ArrayAccesses())
 	}
 	return t, nil
 }

@@ -15,30 +15,34 @@ import (
 func Fills(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Counting-convention sensitivity: reductions with miss traffic included",
 		"counting", "WG", "WG+RB")
-	for _, countFills := range []bool{false, true} {
-		opts := cfg.Opts
-		opts.CountFillTraffic = countFills
-		var wgSum, rbSum float64
-		n := 0
-		err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-			n++
-			res, err := runKinds(cfg, []core.Kind{core.RMW, core.WG, core.WGRB}, cfg.Cache, opts, src)
-			if err != nil {
-				return err
-			}
-			base := res[0].ArrayAccesses()
-			wgSum += stats.Reduction(res[1].ArrayAccesses(), base)
-			rbSum += stats.Reduction(res[2].ArrayAccesses(), base)
-			return nil
-		})
+	// Both conventions ride on one walk: RMW, WG and WG+RB without fill
+	// traffic, then the same three with it.
+	withFills := cfg.Opts
+	withFills.CountFillTraffic = true
+	kinds := []core.Kind{core.RMW, core.WG, core.WGRB}
+	schemes := append(core.Schemes(cfg.Opts, kinds...), core.Schemes(withFills, kinds...)...)
+	reds, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([2][2]float64, error) {
+		res, err := runSchemes(cfg, cfg.Cache, src.Stream, schemes...)
 		if err != nil {
-			return nil, err
+			return [2][2]float64{}, err
 		}
-		name := "requests only (paper)"
-		if countFills {
-			name = "requests + fills/evictions"
+		var out [2][2]float64
+		for c := range out {
+			base := res[3*c].ArrayAccesses()
+			out[c] = [2]float64{stats.Reduction(res[3*c+1].ArrayAccesses(), base), stats.Reduction(res[3*c+2].ArrayAccesses(), base)}
 		}
-		t.AddRowf(name, stats.Pct(wgSum/float64(n)), stats.Pct(rbSum/float64(n)))
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, name := range []string{"requests only (paper)", "requests + fills/evictions"} {
+		var wgSum, rbSum float64
+		for _, r := range reds {
+			wgSum += r[c][0]
+			rbSum += r[c][1]
+		}
+		t.AddRowf(name, stats.Pct(wgSum/float64(len(reds))), stats.Pct(rbSum/float64(len(reds))))
 	}
 	return t, nil
 }

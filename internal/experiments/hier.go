@@ -54,39 +54,39 @@ type HierRow struct {
 	Points []HierPoint
 }
 
-// HierMatrix runs every benchmark through a two-level hierarchy once per L1
-// scheme in HierKinds, fanned out across the engine, and returns rows in
-// profile order. The L2 is HierL2Shape under an RMW controller throughout —
-// the comparison varies only the L1 scheme. Hierarchy runs are serial by
-// construction, so cfg.Shards does not apply; materialized and streaming
-// sources produce identical rows like everywhere else.
+// HierMatrix runs every benchmark through one two-level hierarchy whose L1
+// walk accounts every scheme in HierKinds, fanned out across the engine,
+// and returns rows in profile order. The L2 is HierL2Shape under an RMW
+// controller — the comparison varies only the L1 scheme, and the L2 stream
+// does not depend on it. Hierarchy runs are serial by construction, so
+// cfg.Shards does not apply; materialized and streaming sources produce
+// identical rows like everywhere else.
 func HierMatrix(cfg Config) ([]HierRow, error) {
-	l2 := HierL2Shape(cfg.Cache)
+	hcfg := hier.Config{
+		L1Schemes: core.Schemes(cfg.Opts, HierKinds()...),
+		L1:        cfg.Cache,
+		L2Kind:    core.RMW,
+		L2:        HierL2Shape(cfg.Cache),
+	}
 	return benchMap(cfg, func(prof workload.Profile, src *workload.Source) (HierRow, error) {
-		row := HierRow{Points: make([]HierPoint, 0, len(HierKinds()))}
-		for _, k := range HierKinds() {
-			s, err := src.Stream()
-			if err != nil {
-				return HierRow{}, err
+		s, err := src.Stream()
+		if err != nil {
+			return HierRow{}, err
+		}
+		res, err := hier.RunContext(cfg.ctx(), hcfg, s, 0, 0)
+		if err != nil {
+			return HierRow{}, err
+		}
+		row := HierRow{Points: make([]HierPoint, len(res))}
+		for i, r := range res {
+			row.Points[i] = HierPoint{
+				Refills:         r.Traffic.Refills,
+				Writebacks:      r.Traffic.Writebacks,
+				PrematureWBs:    r.Traffic.PrematureWBs,
+				L2Visible:       r.L2Visible(),
+				PerRequest:      r.L2VisiblePerRequest(),
+				L2ArrayAccesses: r.L2.ArrayAccesses(),
 			}
-			res, err := hier.RunContext(cfg.ctx(), hier.Config{
-				L1Kind: k,
-				L1:     cfg.Cache,
-				Opts:   cfg.Opts,
-				L2Kind: core.RMW,
-				L2:     l2,
-			}, s, 0, 0)
-			if err != nil {
-				return HierRow{}, err
-			}
-			row.Points = append(row.Points, HierPoint{
-				Refills:         res.Traffic.Refills,
-				Writebacks:      res.Traffic.Writebacks,
-				PrematureWBs:    res.Traffic.PrematureWBs,
-				L2Visible:       res.L2Visible(),
-				PerRequest:      res.L2VisiblePerRequest(),
-				L2ArrayAccesses: res.L2.ArrayAccesses(),
-			})
 		}
 		return row, nil
 	})

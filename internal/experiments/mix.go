@@ -29,13 +29,12 @@ func Mix(cfg Config) (*stats.Table, error) {
 	cols = append(cols, "mix q=10, depth 4")
 	t := stats.NewTable("Multiprogrammed mixes — WG+RB reduction vs RMW", cols...)
 
-	reduction := func(accs []trace.Access, opts core.Options) (float64, error) {
-		res, err := core.RunEachStream(cfg.ctx(), []core.Kind{core.RMW, core.WGRB}, cfg.Cache, opts,
-			func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Reduction(res[1].ArrayAccesses(), res[0].ArrayAccesses()), nil
+	// The q=10 mix also runs a depth-4 Set-Buffer, on the same walk.
+	deep := cfg.Opts
+	deep.BufferDepth = 4
+	wgrb := []core.Scheme{{Kind: core.WGRB, Opts: cfg.Opts}, {Kind: core.WGRB, Opts: deep}}
+	reduce := func(accs []trace.Access, schemes ...core.Scheme) ([]float64, error) {
+		return reductionsVsRMW(cfg, cfg.Cache, func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, schemes...)
 	}
 
 	for _, pair := range pairs {
@@ -46,36 +45,34 @@ func Mix(cfg Config) (*stats.Table, error) {
 				return nil, err
 			}
 			accs := trace.Collect(trace.NewLimit(gen, uint64(cfg.AccessesPerBench)), 0)
-			red, err := reduction(accs, cfg.Opts)
+			reds, err := reduce(accs, wgrb[0])
 			if err != nil {
 				return nil, err
 			}
-			soloSum += red
+			soloSum += reds[0]
 		}
 		row := []any{pair[0] + "+" + pair[1], stats.Pct(soloSum / 2)}
-		var smallQ []trace.Access
-		for _, q := range quanta {
+		var deepRed float64
+		for i, q := range quanta {
 			m, err := workload.NewMixByNames(pair[:], cfg.Seed, q)
 			if err != nil {
 				return nil, err
 			}
 			accs := trace.Collect(trace.NewLimit(m, uint64(cfg.AccessesPerBench)), 0)
-			if q == quanta[0] {
-				smallQ = accs
+			run := wgrb[:1]
+			if i == 0 {
+				run = wgrb
 			}
-			red, err := reduction(accs, cfg.Opts)
+			reds, err := reduce(accs, run...)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, stats.Pct(red))
+			row = append(row, stats.Pct(reds[0]))
+			if i == 0 {
+				deepRed = reds[1]
+			}
 		}
-		deepOpts := cfg.Opts
-		deepOpts.BufferDepth = 4
-		deep, err := reduction(smallQ, deepOpts)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, stats.Pct(deep))
+		row = append(row, stats.Pct(deepRed))
 		t.AddRowf(row...)
 	}
 	return t, nil

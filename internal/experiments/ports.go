@@ -20,45 +20,49 @@ func Ports(cfg Config) (*stats.Table, error) {
 	kinds := []core.Kind{core.RMW, core.LocalRMW, core.WG, core.WGRB}
 	params := timing.DefaultParams()
 	type agg struct{ sim, ana, conf, lat float64 }
-	sums := map[core.Kind]*agg{}
-	for _, k := range kinds {
-		sums[k] = &agg{}
-	}
-	n := 0
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		n++
-		for _, k := range kinds {
+	// The port simulator replays each scheme's per-access log, which only
+	// RunLogged keeps, so every kind walks on its own.
+	rows, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) ([]agg, error) {
+		out := make([]agg, len(kinds))
+		for i, k := range kinds {
 			stream, err := src.Stream()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			res, log, err := core.RunLogged(cfg.ctx(), k, cfg.Cache, cfg.Opts, stream, 0)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			sim, err := timing.SimulateBanked(log, params, params.Subarrays, res.LocalWriteback)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ana, err := timing.Evaluate(res, params)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			s := sums[k]
-			s.sim += sim.CPI()
-			s.ana += ana.CPI()
+			out[i] = agg{sim: sim.CPI(), ana: ana.CPI(), lat: sim.AvgReadLatency}
 			if sim.Instructions > 0 {
-				s.conf += 1000 * float64(sim.PortConflictCycles) / float64(sim.Instructions)
+				out[i].conf = 1000 * float64(sim.PortConflictCycles) / float64(sim.Instructions)
 			}
-			s.lat += sim.AvgReadLatency
 		}
-		return nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range kinds {
-		s := sums[k]
+	sums := make([]agg, len(kinds))
+	for _, row := range rows {
+		for i, a := range row {
+			sums[i].sim += a.sim
+			sums[i].ana += a.ana
+			sums[i].conf += a.conf
+			sums[i].lat += a.lat
+		}
+	}
+	n := len(rows)
+	for i, k := range kinds {
+		s := sums[i]
 		t.AddRowf(k.String(),
 			fmt.Sprintf("%.4f", s.sim/float64(n)),
 			fmt.Sprintf("%.4f", s.ana/float64(n)),
@@ -75,33 +79,34 @@ func Ports(cfg Config) (*stats.Table, error) {
 func Groups(cfg Config) (*stats.Table, error) {
 	t := stats.NewTable("Write-group size distribution under WG (per benchmark)",
 		"benchmark", "1", "2", "3-4", "5-8", "9+", "mean writes/group")
-	labels := 5
-	var meanSum float64
-	var totals [5]uint64
-	n := 0
-	err := forEachBench(cfg, func(prof workload.Profile, src *workload.Source) error {
-		n++
-		res, err := runSource(cfg, core.WG, cfg.Cache, cfg.Opts, src)
+	counters, err := benchMap(cfg, func(_ workload.Profile, src *workload.Source) (core.Counters, error) {
+		res, err := runSchemes(cfg, cfg.Cache, src.Stream, core.Scheme{Kind: core.WG, Opts: cfg.Opts})
 		if err != nil {
-			return err
+			return core.Counters{}, err
 		}
-		var groups uint64
-		for _, g := range res.Counters.GroupSizes {
-			groups += g
-		}
-		row := []any{prof.Name}
-		for i := 0; i < labels; i++ {
-			totals[i] += res.Counters.GroupSizes[i]
-			row = append(row, stats.Pct(stats.Ratio(res.Counters.GroupSizes[i], groups)))
-		}
-		mean := res.Counters.MeanGroupSize()
-		meanSum += mean
-		row = append(row, fmt.Sprintf("%.2f", mean))
-		t.AddRowf(row...)
-		return nil
+		return res[0].Counters, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	labels := 5
+	var meanSum float64
+	var totals [5]uint64
+	for i, prof := range workload.Profiles() {
+		c := counters[i]
+		var groups uint64
+		for _, g := range c.GroupSizes {
+			groups += g
+		}
+		row := []any{prof.Name}
+		for j := 0; j < labels; j++ {
+			totals[j] += c.GroupSizes[j]
+			row = append(row, stats.Pct(stats.Ratio(c.GroupSizes[j], groups)))
+		}
+		mean := c.MeanGroupSize()
+		meanSum += mean
+		row = append(row, fmt.Sprintf("%.2f", mean))
+		t.AddRowf(row...)
 	}
 	var grand uint64
 	for _, v := range totals {
@@ -111,7 +116,7 @@ func Groups(cfg Config) (*stats.Table, error) {
 	for i := 0; i < labels; i++ {
 		row = append(row, stats.Pct(stats.Ratio(totals[i], grand)))
 	}
-	row = append(row, fmt.Sprintf("%.2f", meanSum/float64(n)))
+	row = append(row, fmt.Sprintf("%.2f", meanSum/float64(len(counters))))
 	t.AddRowf(row...)
 	return t, nil
 }

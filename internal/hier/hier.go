@@ -1,36 +1,35 @@
 // Package hier composes two internal/core cache instances into an L1→L2
-// hierarchy. The L1 controller runs the demand trace exactly as a
-// single-level simulation would; its externally visible behaviour — refills,
-// dirty write-backs, and the WG family's premature Set-Buffer write-backs —
-// is captured as a typed Event stream, and the functional part of that
-// stream (refills and write-backs) is synthesized into demand accesses that
-// drive a second core controller as the L2.
+// hierarchy. The L1 walks the demand trace exactly as a single-level
+// simulation would, on the batch path, with one accountant per L1 scheme;
+// its externally visible behaviour — refills and dirty write-backs — is
+// captured as a typed Event stream and synthesized into demand accesses
+// that drive a second core controller as the L2.
 //
 // The synthesis rule is fixed and deliberately simple:
 //
 //	Refill(base)          → L2 Read  {Addr: base, Size: 8}
 //	Writeback(base, data) → L2 Write {Addr: base, Size: 8, Data: data[0:8]}
-//	PrematureWB           → counted, no L2 access
 //
-// Premature write-backs are on-chip row transfers between the Set-Buffer and
-// the data array; they never carry new architectural state past the L1
-// boundary, so they must not perturb the L2's functional simulation. They
-// are still part of the traffic the L1 scheme presents downstream — the
-// paper's WG controller pays one row write-back per read-interrupted write
-// group that RMW never issues — so Result.L2Visible counts them alongside
-// the refill/write-back stream. That makes the L2-visible totals
-// kind-DEPENDENT even though the functional refill/write-back stream is
-// kind-independent (every controller leaves identical cache.Stats and memory
-// images; see DESIGN.md §5): the per-kind delta isolates exactly the
-// microarchitectural component.
+// No L1 scheme changes what the L1 cache holds (DESIGN.md §5), so the
+// refill/write-back stream, and with it the whole L2 run, is the same for
+// every L1 scheme: one L1 walk and one L2 serve any list of L1 schemes.
 //
-// Determinism: the L1 access order is the trace order, listener events fire
-// synchronously inside the L1 cache operations that cause them (victim
-// write-back strictly before the fill that displaced it), and premature
-// write-backs are attributed to their causing access by a controller
-// wrapper that diffs the L1 controller's live counters after each access.
-// No goroutines, no maps iterated for effect — a hierarchy run is
-// bit-reproducible and byte-identical between daemon and in-process
+// The WG family's premature Set-Buffer write-backs are on-chip row
+// transfers between the Set-Buffer and the data array; they never carry new
+// architectural state past the L1 boundary, so they do not perturb the L2.
+// They are still part of the traffic the L1 scheme presents downstream —
+// the paper's WG controller pays one row write-back per read-interrupted
+// write group that RMW never issues — so each scheme's Result counts them,
+// from its own L1 counters, in Traffic and L2Visible. That makes the
+// L2-visible totals scheme-DEPENDENT even though the functional stream is
+// not: the per-scheme delta isolates exactly the microarchitectural
+// component.
+//
+// Determinism: the L1 access order is the trace order, and listener events
+// fire synchronously inside the L1 cache operations that cause them (victim
+// write-back strictly before the fill that displaced it). No goroutines
+// beyond the driver's decoder, no maps iterated for effect — a hierarchy
+// run is bit-reproducible and byte-identical between daemon and in-process
 // execution.
 package hier
 
@@ -53,10 +52,6 @@ const (
 	EvRefill EventKind = iota
 	// EvWriteback is a dirty block leaving L1 (eviction or flush).
 	EvWriteback
-	// EvPrematureWB is a Set-Buffer row forced back into the array early by
-	// a read Tag-Buffer hit (WG family only). On-chip: no address, no L2
-	// access, but counted in the L2-visible totals.
-	EvPrematureWB
 )
 
 // String names the event kind.
@@ -66,8 +61,6 @@ func (k EventKind) String() string {
 		return "refill"
 	case EvWriteback:
 		return "writeback"
-	case EvPrematureWB:
-		return "premature-wb"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
@@ -76,7 +69,7 @@ func (k EventKind) String() string {
 // Event is one element of the L1's externally visible stream.
 type Event struct {
 	Kind EventKind
-	// Addr is the block base address (zero for EvPrematureWB).
+	// Addr is the block base address.
 	Addr uint64
 	// Data is the first 8 bytes of the victim block for EvWriteback.
 	Data uint64
@@ -84,12 +77,10 @@ type Event struct {
 
 // Config describes a two-level run.
 type Config struct {
-	// L1Kind and L1 configure the first-level controller and cache; Opts
-	// applies to the L1 controller (BufferDepth, silent-elision ablation,
-	// fill-traffic accounting).
-	L1Kind core.Kind
-	L1     cache.Config
-	Opts   core.Options
+	// L1Schemes are the first-level write paths, each a kind with its own
+	// options, and L1 the first-level cache they all share.
+	L1Schemes []core.Scheme
+	L1        cache.Config
 
 	// L2Kind and L2 configure the second-level instance, driven only by the
 	// synthesized refill/write-back stream. L2Opts applies to it.
@@ -97,12 +88,15 @@ type Config struct {
 	L2     cache.Config
 	L2Opts core.Options
 
-	// Observer, when non-nil, receives every Event in order. Used by tests
-	// and tooling; nil adds no per-event work beyond the counters.
+	// Observer, when non-nil, receives every refill and write-back Event in
+	// order. Used by tests and tooling; nil adds no per-event work beyond
+	// the counters.
 	Observer func(Event)
 }
 
-// Counts aggregates the typed event stream.
+// Counts is the traffic one L1 scheme presents downstream: the refill and
+// write-back events, which every scheme shares, and the scheme's own
+// premature write-backs.
 type Counts struct {
 	Refills      uint64 `json:"refills"`
 	Writebacks   uint64 `json:"writebacks"`
@@ -112,8 +106,8 @@ type Counts struct {
 // Total returns all events, functional and on-chip.
 func (c Counts) Total() uint64 { return c.Refills + c.Writebacks + c.PrematureWBs }
 
-// Result reports a two-level run: each level's full single-level Result plus
-// the event-stream totals that connect them.
+// Result reports a two-level run for one L1 scheme: each level's full
+// single-level Result plus the traffic that connects them.
 type Result struct {
 	L1      core.Result
 	L2      core.Result
@@ -122,8 +116,8 @@ type Result struct {
 
 // L2Visible returns the traffic the L1 scheme presents downstream: the
 // functional refill/write-back stream plus the scheme's premature
-// write-backs. The functional part is identical for every L1 kind, so
-// per-kind deltas of this quantity isolate the microarchitectural cost.
+// write-backs. The functional part is identical for every L1 scheme, so
+// per-scheme deltas of this quantity isolate the microarchitectural cost.
 func (r Result) L2Visible() uint64 { return r.Traffic.Total() }
 
 // L2VisiblePerRequest normalizes L2Visible by L1 demand requests.
@@ -134,34 +128,12 @@ func (r Result) L2VisiblePerRequest() float64 {
 	return 0
 }
 
-// bridge joins the two levels. It is the L1 cache's Listener, turning L1
-// block traffic into L2 demand accesses in event order, and it wraps the L1
-// controller (core.Driver.Wrap), diffing the L1 driver's live counters
-// after each access to attribute premature write-backs to the access that
-// caused them.
+// bridge joins the two levels: it is the L1 cache's Listener, turning L1
+// block traffic into L2 demand accesses in event order.
 type bridge struct {
-	core.Controller // the L1
-	l1              *core.Driver
-	prevPWB         uint64
-
 	l2      core.Controller
 	counts  Counts
 	observe func(Event)
-}
-
-// Access runs one demand access through the L1. Any premature write-backs
-// it caused follow its cache events: the Set-Buffer row retires into the
-// array before the read's data is served, but after any miss handling the
-// read triggered.
-func (b *bridge) Access(a trace.Access) uint64 {
-	v := b.Controller.Access(a)
-	for cur := b.l1.PeekCounters().PrematureWBs; b.prevPWB < cur; b.prevPWB++ {
-		b.counts.PrematureWBs++
-		if b.observe != nil {
-			b.observe(Event{Kind: EvPrematureWB})
-		}
-	}
-	return v
 }
 
 // Fill handles an L1 refill: the miss fetches the block from the next
@@ -185,39 +157,31 @@ func (b *bridge) Writeback(base uint64, data []byte) {
 	b.l2.Access(trace.Access{Kind: trace.Write, Addr: base, Size: 8, Data: word})
 }
 
-// Run drives up to max accesses of s (max <= 0 drains the stream) through a
-// fresh two-level hierarchy. Hierarchy runs are serial by construction — the
-// L1 listener mutates the L2 on every fill and eviction, so there is no
-// set-partitioned execution to shard.
-func Run(cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
-	return RunContext(context.Background(), cfg, s, max, batchSize)
-}
-
-// RunContext is Run with cancellation: the L1 runs on core.Driver.Drain, so
-// ctx is polled once per batch and a decode failure is a *core.StreamError,
-// exactly as for a single-level run.
-func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize int) (Result, error) {
+// RunContext drives up to max accesses of s (max <= 0 drains the stream)
+// through a fresh two-level hierarchy and returns one Result per L1 scheme,
+// in order. The L1 runs on core.Driver.Drain, so ctx is polled once per
+// batch and a decode failure is a *core.StreamError, exactly as for a
+// single-level run. Hierarchy runs are serial: the L1 listener mutates the
+// L2 on every fill and eviction, so there is no set-partitioned execution
+// to shard.
+func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize int) ([]Result, error) {
 	if cfg.L1.BlockBytes < 8 || cfg.L2.BlockBytes < 8 {
-		return Result{}, fmt.Errorf("hier: block size must be at least 8 bytes")
+		return nil, fmt.Errorf("hier: block size must be at least 8 bytes")
 	}
-	l1, err := core.NewDriver(cfg.L1Kind, cfg.L1, cfg.Opts)
+	l1, err := core.NewDriver(cfg.L1, cfg.L1Schemes...)
 	if err != nil {
-		return Result{}, fmt.Errorf("hier: L1: %w", err)
+		return nil, fmt.Errorf("hier: L1: %w", err)
 	}
 	l2c, err := cache.New(cfg.L2, mem.New())
 	if err != nil {
-		return Result{}, fmt.Errorf("hier: L2: %w", err)
+		return nil, fmt.Errorf("hier: L2: %w", err)
 	}
 	l2, err := core.New(cfg.L2Kind, l2c, cfg.L2Opts)
 	if err != nil {
-		return Result{}, fmt.Errorf("hier: L2: %w", err)
+		return nil, fmt.Errorf("hier: L2: %w", err)
 	}
-	br := &bridge{l1: l1, l2: l2, observe: cfg.Observer}
-	l1.Wrap(func(ctrl core.Controller, c *cache.Cache) core.Controller {
-		br.Controller = ctrl
-		c.SetListener(br)
-		return br
-	})
+	br := &bridge{l2: l2, observe: cfg.Observer}
+	l1.Listen(br)
 	// Draining finalizes L1 first: the WG family's Set-Buffer drain may dirty
 	// cache lines but reaches no backing memory, so it emits no events. The
 	// L1 cache is deliberately NOT flushed — only traffic the run itself
@@ -225,7 +189,13 @@ func RunContext(ctx context.Context, cfg Config, s trace.Stream, max, batchSize 
 	// either.
 	l1res, err := l1.Drain(ctx, s, max, batchSize)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return Result{L1: l1res, L2: l2.Finalize(), Traffic: br.counts}, nil
+	l2res := l2.Finalize()
+	out := make([]Result, len(l1res))
+	for i, r := range l1res {
+		out[i] = Result{L1: r, L2: l2res, Traffic: br.counts}
+		out[i].Traffic.PrematureWBs = r.Counters.PrematureWBs
+	}
+	return out, nil
 }

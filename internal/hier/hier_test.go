@@ -209,11 +209,20 @@ func hierStream(seed uint64, n int, footprint uint64) []trace.Access {
 
 func testConfig() Config {
 	return Config{
-		L1Kind: core.RMW,
-		L1:     cache.Config{SizeBytes: 1024, Ways: 2, BlockBytes: 32, Policy: cache.LRU},
-		L2Kind: core.RMW,
-		L2:     cache.Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, Policy: cache.LRU},
+		L1Schemes: []core.Scheme{{Kind: core.RMW}},
+		L1:        cache.Config{SizeBytes: 1024, Ways: 2, BlockBytes: 32, Policy: cache.LRU},
+		L2Kind:    core.RMW,
+		L2:        cache.Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, Policy: cache.LRU},
 	}
+}
+
+// runOne runs cfg, whose L1 has one scheme, over up to max accesses of s.
+func runOne(cfg Config, s trace.Stream, max, batch int) (Result, error) {
+	res, err := RunContext(context.Background(), cfg, s, max, batch)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // TestDifferentialOracle is the hierarchy's §5-style contract: against the
@@ -227,7 +236,7 @@ func TestDifferentialOracle(t *testing.T) {
 		accs := hierStream(seed, 4000, 1<<13)
 		var got []Event
 		cfg.Observer = func(e Event) { got = append(got, e) }
-		res, err := Run(cfg, trace.FromSlice(accs), 0, 17)
+		res, err := runOne(cfg, trace.FromSlice(accs), 0, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,24 +276,30 @@ func at(events []Event, i int) Event {
 // TestKindIndependentFunctionalStream: every L1 controller leaves the same
 // refill/write-back stream (the architectural contract), so the L2 result is
 // identical across L1 kinds; only the premature write-back component — and
-// with it L2Visible — may differ, and only for the WG family.
+// with it L2Visible — may differ, and only for the WG family. Each kind runs
+// in its own hierarchy here, and one hierarchy serving every kind at once
+// must reproduce each of those runs.
 func TestKindIndependentFunctionalStream(t *testing.T) {
 	accs := hierStream(3, 6000, 1<<13)
-	baseCfg := testConfig()
-	baseRes, err := Run(baseCfg, trace.FromSlice(accs), 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	run := func(schemes ...core.Scheme) []Result {
+		cfg := testConfig()
+		cfg.L1Schemes = schemes
+		res, err := RunContext(context.Background(), cfg, trace.FromSlice(accs), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	baseRes := run(core.Scheme{Kind: core.RMW})[0]
 	if baseRes.Traffic.PrematureWBs != 0 {
 		t.Fatalf("RMW produced premature write-backs: %+v", baseRes.Traffic)
 	}
+	all := run(core.Schemes(core.Options{}, core.Kinds()...)...)
 	var wgPWB uint64
-	for _, k := range core.Kinds() {
-		cfg := testConfig()
-		cfg.L1Kind = k
-		res, err := Run(cfg, trace.FromSlice(accs), 0, 0)
-		if err != nil {
-			t.Fatal(err)
+	for i, k := range core.Kinds() {
+		res := run(core.Scheme{Kind: k})[0]
+		if !reflect.DeepEqual(all[i], res) {
+			t.Errorf("%v: one hierarchy of every kind differs from the kind's own run", k)
 		}
 		if res.Traffic.Refills != baseRes.Traffic.Refills || res.Traffic.Writebacks != baseRes.Traffic.Writebacks {
 			t.Errorf("%v: functional stream diverged: %+v vs %+v", k, res.Traffic, baseRes.Traffic)
@@ -335,10 +350,10 @@ func TestDeterminism(t *testing.T) {
 	accs := hierStream(7, 3000, 1<<12)
 	run := func(batch int) (Result, []Event) {
 		cfg := testConfig()
-		cfg.L1Kind = core.WGRB
+		cfg.L1Schemes = []core.Scheme{{Kind: core.WGRB}}
 		var ev []Event
 		cfg.Observer = func(e Event) { ev = append(ev, e) }
-		res, err := Run(cfg, trace.FromSlice(accs), 0, batch)
+		res, err := runOne(cfg, trace.FromSlice(accs), 0, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +373,7 @@ func TestDeterminism(t *testing.T) {
 func TestLimitAndCancel(t *testing.T) {
 	accs := hierStream(9, 2000, 1<<12)
 	cfg := testConfig()
-	res, err := Run(cfg, trace.FromSlice(accs), 500, 0)
+	res, err := runOne(cfg, trace.FromSlice(accs), 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +387,22 @@ func TestLimitAndCancel(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: undersized blocks and bad kinds are rejected.
+// TestConfigValidation: undersized blocks, bad kinds and an L1 without a
+// scheme are rejected.
 func TestConfigValidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.L1.BlockBytes = 4
-	if _, err := Run(cfg, trace.FromSlice(nil), 0, 0); err == nil {
+	if _, err := runOne(cfg, trace.FromSlice(nil), 0, 0); err == nil {
 		t.Error("4-byte L1 block accepted")
 	}
 	cfg = testConfig()
 	cfg.L2Kind = core.Kind(99)
-	if _, err := Run(cfg, trace.FromSlice(nil), 0, 0); err == nil {
+	if _, err := runOne(cfg, trace.FromSlice(nil), 0, 0); err == nil {
 		t.Error("bogus L2 kind accepted")
+	}
+	cfg = testConfig()
+	cfg.L1Schemes = nil
+	if _, err := RunContext(context.Background(), cfg, trace.FromSlice(nil), 0, 0); err == nil {
+		t.Error("L1 without a scheme accepted")
 	}
 }

@@ -230,12 +230,17 @@ func coreBench(opts Options, bench string, kind core.Kind, counts []int) (Throug
 	}
 	e.Controller = kind.String()
 	ctx, shape := opts.ctx(), cache.DefaultConfig()
-	modes := replayModes(data, func(s trace.Stream) (core.Result, error) {
-		return core.RunContext(ctx, kind, shape, core.Options{}, s, 0)
-	})
+	run := func(s trace.Stream, shards int) (core.Result, error) {
+		res, err := core.RunSchemes(ctx, []core.Scheme{{Kind: kind}}, shape, func() (trace.Stream, error) { return s, nil }, 0, 0, shards)
+		if err != nil {
+			return core.Result{}, err
+		}
+		return res[0], nil
+	}
+	modes := replayModes(data, func(s trace.Stream) (core.Result, error) { return run(s, 1) })
 	for _, shards := range counts {
 		modes = append(modes, mode[core.Result]{fmt.Sprintf("shards=%d", shards), func() (core.Result, error) {
-			return core.RunShardedContext(ctx, kind, shape, core.Options{}, trace.NewReader(bytes.NewReader(data)), 0, 0, shards)
+			return run(trace.NewReader(bytes.NewReader(data)), shards)
 		}})
 	}
 	err = measure(&e, Rounds, modes, coreIdentity)
@@ -247,19 +252,23 @@ func coreBench(opts Options, bench string, kind core.Kind, counts []int) (Throug
 // over the default RMW second level.
 func HierBench(opts Options) (ThroughputEntry, error) {
 	cfg := hier.Config{
-		L1Kind: core.WG,
-		L1:     cache.DefaultConfig(),
-		L2Kind: core.RMW,
-		L2:     experiments.HierL2Shape(cache.DefaultConfig()),
+		L1Schemes: []core.Scheme{{Kind: core.WG}},
+		L1:        cache.DefaultConfig(),
+		L2Kind:    core.RMW,
+		L2:        experiments.HierL2Shape(cache.DefaultConfig()),
 	}
 	e, data, err := startBench(opts, "hier")
 	if err != nil {
 		return e, err
 	}
-	e.Controller, e.L2Controller = cfg.L1Kind.String(), cfg.L2Kind.String()
+	e.Controller, e.L2Controller = core.WG.String(), cfg.L2Kind.String()
 	ctx := opts.ctx()
 	modes := replayModes(data, func(s trace.Stream) (hier.Result, error) {
-		return hier.RunContext(ctx, cfg, s, 0, 0)
+		res, err := hier.RunContext(ctx, cfg, s, 0, 0)
+		if err != nil {
+			return hier.Result{}, err
+		}
+		return res[0], nil
 	})
 	err = measure(&e, Rounds, modes, hierIdentity)
 	return e, err

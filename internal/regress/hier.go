@@ -85,8 +85,8 @@ func buildHier(opts Options) (*report.Artifact, error) {
 		a.SetMetric("mean.l2_visible_per_request."+names[j], stats.Mean(perReq[j]))
 	}
 
-	// Single-level comparison points on one benchmark: TS replay overhead
-	// and the 9T repricing of the WGRB ledger.
+	// Single-level comparison points on one benchmark, over one walk: TS
+	// replay overhead and the 9T repricing of the WGRB ledger.
 	prof, err := workload.ProfileByName(hierEnergyBench)
 	if err != nil {
 		return nil, err
@@ -95,22 +95,12 @@ func buildHier(opts Options) (*report.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rmwAcc, tsAcc uint64
-	var wgrbRes core.Result
-	for _, k := range []core.Kind{core.RMW, core.KindTS, core.WGRB} {
-		res, err := core.RunContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(accs), 0)
-		if err != nil {
-			return nil, err
-		}
-		switch k {
-		case core.RMW:
-			rmwAcc = res.ArrayAccesses()
-		case core.KindTS:
-			tsAcc = res.ArrayAccesses()
-		case core.WGRB:
-			wgrbRes = res
-		}
+	res, err := core.RunSchemes(opts.ctx(), core.Schemes(core.Options{}, core.RMW, core.KindTS, core.WGRB), shape,
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
+	if err != nil {
+		return nil, err
 	}
+	rmwAcc, tsAcc, wgrbRes := res[0].ArrayAccesses(), res[1].ArrayAccesses(), res[2]
 	a.SetMetric("ts.array_accesses", float64(tsAcc))
 	a.SetMetric("ts.rmw_array_accesses", float64(rmwAcc))
 	a.SetMetric("ts.replay_overhead", float64(tsAcc)/float64(rmwAcc)-1)

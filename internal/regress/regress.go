@@ -48,10 +48,10 @@ type Options struct {
 	// materialized runs produce byte-identical artifacts, and CI runs both to
 	// prove it.
 	Stream bool
-	// Shards > 1 runs every controller set-sharded (core.RunShardedContext,
-	// core.RunEachStream); Random-policy caches fall back to the serial
-	// driver. Goldens are shard-agnostic — sharded runs must reproduce the
-	// serial artifacts byte-identically, and CI runs both to prove it.
+	// Shards > 1 runs every controller set-sharded (core.RunSchemes);
+	// Random-policy caches fall back to the serial driver. Goldens are
+	// shard-agnostic — sharded runs must reproduce the serial artifacts
+	// byte-identically, and CI runs both to prove it.
 	Shards int
 	// Context cancels in-flight simulations.
 	Context context.Context
@@ -319,23 +319,24 @@ func newArtifact(opts Options, check string, shape cache.Config) *report.Artifac
 	return a
 }
 
-// buildFig8 replays the §4.3 worked example through all four schemes and
-// records the complete per-controller event ledgers — the most fine-grained
-// drift detector in the matrix: any change to controller bookkeeping moves
-// at least one exact-compared counter.
+// buildFig8 replays the §4.3 worked example through all four schemes, over
+// one walk, and records the complete per-controller event ledgers — the
+// most fine-grained drift detector in the matrix: any change to controller
+// bookkeeping moves at least one exact-compared counter.
 func buildFig8(opts Options) (*report.Artifact, error) {
 	shape := cache.DefaultConfig()
 	a := newArtifact(opts, "fig8", shape)
 	g := cache.MustGeometry(shape.SizeBytes, shape.Ways, shape.BlockBytes)
 	stream := experiments.Fig8Stream(g)
 	a.SetConfig("stream_len", len(stream))
-	for _, k := range []core.Kind{core.Conventional, core.RMW, core.WG, core.WGRB} {
-		res, err := core.RunContext(opts.ctx(), k, shape, core.Options{}, trace.FromSlice(stream), 0)
-		if err != nil {
-			return nil, err
-		}
-		a.AddController(res)
-		a.SetMetric(k.String()+".array_accesses", float64(res.ArrayAccesses()))
+	schemes := core.Schemes(core.Options{}, core.Conventional, core.RMW, core.WG, core.WGRB)
+	res, err := core.RunSchemes(opts.ctx(), schemes, shape, func() (trace.Stream, error) { return trace.FromSlice(stream), nil }, 0, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range res {
+		a.AddController(r)
+		a.SetMetric(r.Controller.String()+".array_accesses", float64(r.ArrayAccesses()))
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cache8t/internal/cache"
 	"cache8t/internal/core"
 	"cache8t/internal/rng"
+	"cache8t/internal/trace"
 	"cache8t/internal/workload"
 )
 
@@ -92,6 +94,15 @@ func TestWriteReadFileRoundTrip(t *testing.T) {
 	}
 }
 
+// runOne runs kind over up to max accesses of s on a cache of shape cfg.
+func runOne(kind core.Kind, cfg cache.Config, s trace.Stream, max int) (core.Result, error) {
+	res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: kind}}, cfg, func() (trace.Stream, error) { return s, nil }, max, 0, 0)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return res[0], nil
+}
+
 // TestLedgerMatchesResult runs a real controller and checks the flattened
 // ledger agrees with the Result it came from.
 func TestLedgerMatchesResult(t *testing.T) {
@@ -100,7 +111,7 @@ func TestLedgerMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape := cache.Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
-	res, err := core.Run(core.WG, shape, core.Options{}, gen, 5000)
+	res, err := runOne(core.WG, shape, gen, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +147,7 @@ func TestEncodeDeterministicWithControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape := cache.Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
-	res, err := core.Run(core.Conventional, shape, core.Options{}, gen, 2000)
+	res, err := runOne(core.Conventional, shape, gen, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,6 +327,46 @@ func TestRunSpecDurableOlderCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointOfAnotherSpecRecomputes pins that a run resumes only its
+// own checkpoint: a blob of a 32 KB WG bwaves run offered to the same spec
+// at 64 KB is refused, so the run starts from access zero, reports resumed
+// false, and ends with Execute's bytes rather than the blob's geometry.
+func TestCheckpointOfAnotherSpecRecomputes(t *testing.T) {
+	decode := func(body string) JobSpec {
+		spec, err := DecodeSpec([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	small := decode(`{"controller":"wg","workload":"bwaves","n":3000,"batch":64,"cache":{"size_kb":32}}`)
+	spec := decode(`{"controller":"wg","workload":"bwaves","n":3000,"batch":64,"cache":{"size_kb":64}}`)
+	ctx := context.Background()
+	var blobs [][]byte
+	sink := func(blob []byte, _ uint64) error {
+		blobs = append(blobs, blob)
+		return nil
+	}
+	if _, _, err := RunSpec(ctx, small, nil, Checkpoint{Every: 1, Sink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	res, resumed, err := RunSpec(ctx, spec, nil, Checkpoint{Resume: blobs[len(blobs)/2]})
+	if err != nil || resumed {
+		t.Fatalf("32 KB blob on a 64 KB spec: resumed = %v, err = %v; want a run from access zero", resumed, err)
+	}
+	got, err := report.Encode(Artifact(spec, spec.Workload, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(ctx, spec, spec.Workload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("run offered another spec's checkpoint differs from a straight run")
+	}
+}
+
 // TestRecoveryOlderCheckpointRecomputes is the same upgrade through a
 // restart: a recovered job whose ckpt:<id> blob reads version 1 restores no
 // checkpoint, runs from access zero and ends with the bytes of an

@@ -33,13 +33,12 @@ type Checkpoint struct {
 // Shards and batch come from the spec; Shards > 1 runs the set-sharded
 // driver, anything else the serial streaming driver with ck's checkpoints.
 // resumed reports whether ck.Resume was actually used: a blob that
-// core.ErrBadCheckpoint rejects (unreadable, another version, or a position
-// this run's stream or budget does not reach) falls back to a straight run
-// from a freshly opened stream, since checkpoints are an optimization and
-// the determinism contract makes the two byte-identical. Any other resume
-// error is a genuine run failure and propagates. The blob must come from a
-// run of this spec: the resumed driver takes the kind, cache and options
-// the blob records, not the spec's.
+// core.ErrBadCheckpoint rejects (unreadable, another version, another
+// controller, options or cache shape than the spec's, or a position this
+// run's stream or budget does not reach) falls back to a straight run from
+// a freshly opened stream, since checkpoints are an optimization and the
+// determinism contract makes the two byte-identical. Any other resume error
+// is a genuine run failure and propagates.
 func RunSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error), ck Checkpoint) (res core.Result, resumed bool, err error) {
 	kind, err := core.ParseKind(spec.Controller)
 	if err != nil {
@@ -49,9 +48,10 @@ func RunSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error
 	if err != nil {
 		return core.Result{}, false, err
 	}
+	sc := core.Scheme{Kind: kind, Opts: spec.CoreOptions()}
 	open = specSource(spec, open)
 	if spec.Shards > 1 {
-		rs, err := core.RunEachStream(ctx, []core.Kind{kind}, cfg, spec.CoreOptions(), open, spec.N, spec.Batch, spec.Shards)
+		rs, err := core.RunSchemes(ctx, []core.Scheme{sc}, cfg, open, spec.N, spec.Batch, spec.Shards)
 		if err != nil {
 			return core.Result{}, false, err
 		}
@@ -66,17 +66,21 @@ func RunSpec(ctx context.Context, spec JobSpec, open func() (trace.Stream, error
 			return core.Result{}, err
 		}
 		d.CheckpointEvery(ck.Every, ck.Sink)
-		return d.Drain(ctx, s, spec.N, spec.Batch)
+		rs, err := d.Drain(ctx, s, spec.N, spec.Batch)
+		if err != nil {
+			return core.Result{}, err
+		}
+		return rs[0], nil
 	}
 	if ck.Resume != nil {
-		res, err := drain(core.ResumeDriver(ck.Resume))
+		res, err := drain(core.ResumeDriver(ck.Resume, sc, cfg))
 		if !errors.Is(err, core.ErrBadCheckpoint) {
 			return res, err == nil, err
 		}
 		// Fall through: the blob cannot resume this run. Restart from
 		// scratch on a fresh stream.
 	}
-	res, err = drain(core.NewDriver(kind, cfg, spec.CoreOptions()))
+	res, err = drain(core.NewDriver(cfg, sc))
 	return res, false, err
 }
 
@@ -226,5 +230,5 @@ func run(ctx context.Context, spec JobSpec, source string, open func() (trace.St
 	if err != nil {
 		return nil, false, err
 	}
-	return HierArtifact(spec, source, res), false, nil
+	return HierArtifact(spec, source, res[0]), false, nil
 }

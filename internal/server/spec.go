@@ -187,7 +187,7 @@ func (s JobSpec) Validate(hasTrace bool) error {
 		fields = append(fields, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 
-	kind, kindErr := core.ParseKind(s.Controller)
+	_, kindErr := core.ParseKind(s.Controller)
 	if s.Controller == "" {
 		add("controller", "required (one of conventional|rmw|localrmw|word|coalesce|wg|wgrb|ts)")
 	} else if kindErr != nil {
@@ -277,7 +277,7 @@ func (s JobSpec) Validate(hasTrace bool) error {
 	case s.Shards > 1 && kindErr == nil && polErr == nil:
 		// core.PlanShards decides which runs shard; a request it would run
 		// serially is refused with its reason.
-		if err := core.PlanShards(kind, cfg, s.Shards).Err(); err != nil {
+		if err := core.PlanShards(cfg, s.Shards).Err(); err != nil {
 			add("shards", "%v", err)
 		}
 	}
@@ -351,10 +351,9 @@ func (s JobSpec) HierConfig() (hier.Config, error) {
 		return hier.Config{}, err
 	}
 	return hier.Config{
-		L1Kind: l1Kind,
-		L1:     l1Cfg,
-		Opts:   s.CoreOptions(),
-		L2Kind: l2Kind,
+		L1Schemes: []core.Scheme{{Kind: l1Kind, Opts: s.CoreOptions()}},
+		L1:        l1Cfg,
+		L2Kind:    l2Kind,
 		L2: cache.Config{
 			SizeBytes:  s.L2.Cache.SizeKB * 1024,
 			Ways:       s.L2.Cache.Ways,

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"testing"
 
 	"cache8t/internal/cache"
@@ -11,11 +12,12 @@ import (
 
 func runKind(t *testing.T, kind core.Kind, accs []trace.Access) core.Result {
 	t.Helper()
-	res, err := core.Run(kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: kind}}, cache.DefaultConfig(),
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 func benchStream(t *testing.T, name string, n int) []trace.Access {

@@ -88,7 +88,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 	for _, name := range names {
 		g, _ := Stream(name, 1)
 		accs := trace.Collect(trace.NewLimit(g, n), 0)
-		res, err := core.RunEachStream(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
+		res, err := core.RunSchemes(context.Background(), core.Schemes(core.Options{}, core.RMW, core.WG), cfg,
 			func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,8 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := trace.Collect(trace.NewLimit(m, n), 0)
-	res, err := core.RunEachStream(context.Background(), []core.Kind{core.RMW, core.WG}, cfg, core.Options{},
+	// The depth-4 WG rides on the same walk.
+	res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: core.RMW}, {Kind: core.WG}, {Kind: core.WG, Opts: core.Options{BufferDepth: 4}}}, cfg,
 		func() (trace.Stream, error) { return trace.FromSlice(mixed), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +113,7 @@ func TestMixTruncatesWriteGroups(t *testing.T) {
 		t.Errorf("mixing did not hurt WG: mixed %.3f vs solo mean %.3f", mixRed, soloMean)
 	}
 
-	deep, err := core.Run(core.WG, cfg, core.Options{BufferDepth: 4}, trace.FromSlice(mixed), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deep := res[2]
 	rmw := res[0].ArrayAccesses()
 	deepRed := 1 - float64(deep.ArrayAccesses())/float64(rmw)
 	if deepRed <= mixRed {
