@@ -10,9 +10,9 @@
 //	sramd -listen 127.0.0.1:0              # ephemeral port (printed on stdout)
 //	sramd -queue 128 -max-body 512000000   # backpressure limits
 //	sramd -job-timeout 5m -drain 30s       # per-job cap, shutdown deadline
-//	sramd -cache-dir /var/cache/sramd      # persist the result cache (CAS)
+//	sramd -cache-dir /var/cache/sramd      # persist the result cache (disk tier)
 //	sramd -cache-mem-bytes 134217728       # hot-tier budget (default 64 MiB)
-//	sramd -cache-disk-bytes 2147483648     # CAS size cap (default 1 GiB)
+//	sramd -cache-disk-bytes 2147483648     # disk-tier size cap (default 1 GiB)
 //	sramd -no-cache                        # disable result caching entirely
 //	sramd -journal-dir /var/lib/sramd      # durable jobs: survive a kill -9
 //	sramd -checkpoint-every 4              # denser mid-job checkpoints
@@ -23,14 +23,15 @@
 //	sramd -version
 //
 // Result caching is on by default (memory tier only; add -cache-dir for a
-// persistent disk CAS shared with cmd/regress and cmd/sweep). A submission
+// persistent disk tier shared with cmd/regress and cmd/sweep). A submission
 // whose config hash is already cached completes instantly with
 // `"cached": true` in its status; see the README "Result caching" section.
 //
 // -journal-dir makes jobs durable: state transitions are fsynced to an
-// append-only journal, running jobs checkpoint their full controller state
-// into the result cache, and a restarted daemon replays the journal — same
-// job ids, same states, running jobs resumed from their latest checkpoint.
+// append-only journal, each running job checkpoints its full controller
+// state into one file, DIR/ckpt/<job-id>, removed when the job finishes,
+// and a restarted daemon replays the journal — same job ids, same states,
+// running jobs resumed from their latest checkpoint.
 // The directory is locked per daemon (stale locks from a crash are taken
 // over; a live twin fails fast). See DESIGN.md §12 and the README
 // "Durability and crash recovery" section.
@@ -92,9 +93,9 @@ func run() error {
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job run deadline (0 = none)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 		spool       = flag.String("spool", "", "directory for spooled trace uploads (default: system temp)")
-		cacheDir    = flag.String("cache-dir", "", "directory for the persistent result-cache CAS (default: memory-only)")
+		cacheDir    = flag.String("cache-dir", "", "directory for the persistent result-cache disk tier (default: memory-only)")
 		cacheMem    = flag.Int64("cache-mem-bytes", 0, "result-cache memory-tier budget (0 = 64 MiB)")
-		cacheDisk   = flag.Int64("cache-disk-bytes", 0, "result-cache disk CAS size cap (0 = 1 GiB)")
+		cacheDisk   = flag.Int64("cache-disk-bytes", 0, "result-cache disk tier size cap (0 = 1 GiB)")
 		noCache     = flag.Bool("no-cache", false, "disable result caching: every job simulates")
 		journalDir  = flag.String("journal-dir", "", "directory for the durable job journal: jobs survive a daemon kill (default: off)")
 		ckptEvery   = flag.Int("checkpoint-every", 16, "with -journal-dir, checkpoint running jobs every N batches (0 = journal only, no checkpoints)")
@@ -120,7 +121,7 @@ func run() error {
 
 	if *journalDir != "" {
 		if *noCache {
-			return fmt.Errorf("-journal-dir requires the result cache (specs and checkpoints live in its disk CAS); drop -no-cache")
+			return fmt.Errorf("-journal-dir requires the result cache (specs live in its disk tier); drop -no-cache")
 		}
 		// The journal claims its directory exclusively: fail fast on an
 		// unwritable path or a live twin daemon, take over a stale lock left
@@ -131,7 +132,7 @@ func run() error {
 		}
 		defer release()
 		if *cacheDir == "" {
-			// Durability needs a disk CAS; co-locate it with the journal so
+			// Durability needs a disk tier; co-locate it with the journal so
 			// one -journal-dir flag yields a fully durable daemon.
 			*cacheDir = filepath.Join(*journalDir, "cas")
 		}
@@ -148,7 +149,7 @@ func run() error {
 			return err
 		}
 		defer cache.Close()
-		// Lock the CAS dir after Open: a fresh CAS dir must be empty when
+		// Lock the cache dir after Open: a fresh cache dir must be empty when
 		// Open first sees it, and Open's own errors already cover the
 		// unwritable case. The lock adds live-twin detection.
 		if *cacheDir != "" {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -48,8 +49,9 @@ type fault int
 const (
 	// crashDaemon kills the daemon with kill -9 once the job has simulated
 	// 5000 accesses (failing if it finishes first), restarts it on the same
-	// journal, and requires a live twin to be refused and the job to be back
-	// under its id with recovered: true.
+	// journal, and requires a live twin to be refused, the job to be back
+	// under its id with recovered: true, and, once it has succeeded, no
+	// checkpoint file left in <journal>/ckpt/.
 	crashDaemon fault = iota + 1
 	// killWorker kills worker 0 with kill -9 once 1 <= done <= points-4, so
 	// round-robin must revisit it; the sweep must succeed with retries >= 1.
@@ -81,7 +83,7 @@ var scenarios = []scenario{{
 	golden: "golden/hier-serve.json", ownsGolden: true,
 	metrics: []string{`sramd_jobs_total{state="succeeded"} == 1`},
 }, {
-	// Per-batch checkpoints at batch 64 fsync into the CAS, which stretches
+	// Per-batch checkpoints at batch 64, each an fsynced file write, stretch
 	// the run enough to kill it mid-flight without sleeping or guessing.
 	// Batch is an execution knob: the artifact does not change.
 	name:    "crash",
@@ -134,6 +136,11 @@ func runScenario(ctx context.Context, sc scenario, bin string, update bool) erro
 	}
 	if err != nil {
 		return err
+	}
+	if sc.fault == crashDaemon {
+		if ents, err := os.ReadDir(filepath.Join(tmp, "ckpt")); err != nil || len(ents) > 0 {
+			return fmt.Errorf("after the recovered job succeeded, the checkpoint dir holds %d files (%v); want none", len(ents), err)
+		}
 	}
 	if err := checkGolden(sc, art, update); err != nil {
 		return err

@@ -283,7 +283,7 @@ func main() {
 	}
 	if rc != nil {
 		cs := rc.Snapshot()
-		fmt.Fprintf(os.Stderr, "sweep: result cache: %d hits, %d misses, %d deduped (%d blobs on disk)\n",
+		fmt.Fprintf(os.Stderr, "sweep: result cache: %d hits, %d misses, %d deduped (%d entries on disk)\n",
 			cs.Hits(), cs.Misses, cs.Dedups, cs.DiskEntries)
 	}
 

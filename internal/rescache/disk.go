@@ -2,8 +2,10 @@ package rescache
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,46 +15,71 @@ import (
 	"sync"
 )
 
-// Disk layout under the CAS root:
+// Disk layout under the cache root:
 //
-//	format              — layout/format tag; mismatch clears the cache
-//	blobs/sha256/<hex>  — blob bytes, named by their own sha256
-//	keys/sha256/<hex>   — key links: "sha256:<blob digest>\n" per cache key
-//	atime.log           — access journal: "<unixnano> <blob digest>\n"
+//	format          — layout/format tag; mismatch clears the cache
+//	entries/<hex>   — one sealed file per key (see WriteSealed), named by
+//	                  the key (or its sha256 when the key is not a digest)
+//	atime.log       — access journal: "<logical clock> <entry name>\n"
 //
-// Blobs are content-addressed, so a read can re-verify integrity by
-// re-hashing the bytes against the filename — a flipped bit is detected,
-// the blob and its key links evicted, and the caller recomputes. Several
-// keys may link to one blob (dedup for identical artifacts). Writes are
-// crash-safe: temp file in the target directory, write, fsync, rename,
-// fsync the directory; a crash leaves either the old state or the new
-// state, never a torn blob, and leftover tmp-* files are swept at Open.
+// A read re-hashes the value against the sha256 sealed in front of it, so
+// a flipped bit is detected, the entry evicted, and the caller recomputes.
+// A re-put replaces the entry in place. Writes are crash-safe
+// (WriteFileAtomic): a crash leaves either the old entry or the new one,
+// never a torn file, and leftover tmp-* files are swept at Open.
 //
 // Eviction is LRU by the atime journal: every Get appends an access
-// record; when resident bytes exceed the cap, the coldest blobs (and any
-// key links pointing at them) are removed until under cap. The journal is
-// compacted — rewritten as one record per live blob — when it grows past
-// compactLogFactor times the blob count, and on Close.
+// record; when resident bytes exceed the cap, the coldest entries are
+// removed until under cap. The journal is compacted — rewritten as one
+// record per live entry — when it grows past compactLogFactor times the
+// entry count, and on Close.
 
-const (
-	blobPrefix = "sha256:"
-	// compactLogFactor bounds journal growth: compact when the journal holds
-	// more than this many records per live blob.
-	compactLogFactor = 8
-)
+// compactLogFactor bounds journal growth: compact when the journal holds
+// more than this many records per live entry.
+const compactLogFactor = 8
 
-// Disk is the persistent CAS tier. All methods are safe for concurrent
-// use; a single mutex serializes metadata (the size and atime maps and the
-// journal), which is fine because blob I/O is small compared to the
+// ErrCorrupt marks a sealed file whose value no longer hashes to the
+// sha256 it was written with, or that is too short to hold one.
+var ErrCorrupt = errors.New("rescache: sealed file is corrupt")
+
+// WriteSealed writes value to path crash-safely (WriteFileAtomic), behind
+// its sha256, so ReadSealed can tell an intact file from a damaged one.
+// The disk tier's entries and the job server's checkpoint files are
+// sealed files.
+func WriteSealed(path string, value []byte) error {
+	sum := sha256.Sum256(value)
+	return WriteFileAtomic(path, append(sum[:], value...))
+}
+
+// ReadSealed returns the value WriteSealed stored at path after re-checking
+// its sha256. A damaged file fails with ErrCorrupt; a missing one with an
+// error for which os.IsNotExist holds.
+func ReadSealed(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(b) < sha256.Size {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, path)
+	}
+	value := b[sha256.Size:]
+	if sum := sha256.Sum256(value); !bytes.Equal(sum[:], b[:sha256.Size]) {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, path)
+	}
+	return value, nil
+}
+
+// Disk is the persistent tier. All methods are safe for concurrent use; a
+// single mutex serializes metadata (the size and atime maps and the
+// journal), which is fine because entry I/O is small compared to the
 // simulations being memoized.
 type Disk struct {
-	root   string
-	cap    int64
-	format string
+	root string
+	cap  int64
 
 	mu     sync.Mutex
-	sizes  map[string]int64 // live blobs: digest → byte size
-	atimes map[string]int64 // digest → last access (unix nanos, logical clock)
+	sizes  map[string]int64 // live entries: name → value size
+	atimes map[string]int64 // name → last access (logical clock)
 	clock  int64            // monotonic logical time for atime ordering
 	logF   *os.File         // open atime journal, append mode
 	logN   int              // records written since last compaction
@@ -61,20 +88,21 @@ type Disk struct {
 	corrupt   uint64
 }
 
-// OpenDisk attaches to (or initializes) the CAS rooted at dir. A directory
-// written under a different format tag is cleared; a non-empty directory
-// that is not a CAS at all (no format file, but has other content) is
-// refused rather than clobbered.
-func OpenDisk(dir string, capBytes int64, format string) (*Disk, error) {
+// OpenDisk attaches to (or initializes) the disk tier rooted at dir. A
+// directory written under another format tag than ArtifactFormat() is
+// cleared; a non-empty directory that is not a cache at all (no format
+// file, but has other content) is refused rather than clobbered.
+func OpenDisk(dir string, capBytes int64) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("rescache: create cache dir: %w", err)
 	}
+	format := ArtifactFormat()
 	fPath := filepath.Join(dir, "format")
 	have, err := os.ReadFile(fPath)
 	switch {
 	case err == nil:
 		if strings.TrimSpace(string(have)) != format {
-			if err := clearCAS(dir); err != nil {
+			if err := clearCache(dir); err != nil {
 				return nil, err
 			}
 			if err := WriteFileAtomic(fPath, []byte(format+"\n")); err != nil {
@@ -95,18 +123,14 @@ func OpenDisk(dir string, capBytes int64, format string) (*Disk, error) {
 	default:
 		return nil, fmt.Errorf("rescache: read format file: %w", err)
 	}
-	for _, sub := range []string{filepath.Join("blobs", "sha256"), filepath.Join("keys", "sha256")} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("rescache: create %s: %w", sub, err)
-		}
-	}
-
 	d := &Disk{
 		root:   dir,
 		cap:    capBytes,
-		format: format,
 		sizes:  map[string]int64{},
 		atimes: map[string]int64{},
+	}
+	if err := os.MkdirAll(d.entryDir(), 0o755); err != nil {
+		return nil, fmt.Errorf("rescache: create entries: %w", err)
 	}
 	if err := d.scan(); err != nil {
 		return nil, err
@@ -128,10 +152,11 @@ func OpenDisk(dir string, capBytes int64, format string) (*Disk, error) {
 	return d, nil
 }
 
-// clearCAS removes the cache-owned entries under dir, leaving the
-// directory itself (the caller may not own it).
-func clearCAS(dir string) error {
-	for _, name := range []string{"blobs", "keys", "atime.log", "format"} {
+// clearCache removes the cache-owned entries under dir, leaving the
+// directory itself (the caller may not own it). blobs and keys are the
+// content-addressed layout of format 1.
+func clearCache(dir string) error {
+	for _, name := range []string{"entries", "blobs", "keys", "atime.log", "format"} {
 		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
 			return fmt.Errorf("rescache: clear stale cache: %w", err)
 		}
@@ -139,18 +164,16 @@ func clearCAS(dir string) error {
 	return nil
 }
 
-// scan inventories live blobs, sweeps crashed temp files, and drops key
-// links whose blob no longer exists.
+// scan inventories live entries and sweeps crashed temp files.
 func (d *Disk) scan() error {
-	blobDir := d.blobDir()
-	entries, err := os.ReadDir(blobDir)
+	entries, err := os.ReadDir(d.entryDir())
 	if err != nil {
-		return fmt.Errorf("rescache: scan blobs: %w", err)
+		return fmt.Errorf("rescache: scan entries: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasPrefix(name, "tmp-") {
-			os.Remove(filepath.Join(blobDir, name))
+			os.Remove(filepath.Join(d.entryDir(), name))
 			continue
 		}
 		if !isHexDigest(name) {
@@ -160,36 +183,16 @@ func (d *Disk) scan() error {
 		if err != nil {
 			continue
 		}
-		d.sizes[name] = info.Size()
+		d.sizes[name] = max(info.Size()-sha256.Size, 0)
 		d.atimes[name] = 0 // journal replay refines this
-	}
-	keyDir := d.keyDir()
-	kents, err := os.ReadDir(keyDir)
-	if err != nil {
-		return fmt.Errorf("rescache: scan keys: %w", err)
-	}
-	for _, e := range kents {
-		name := e.Name()
-		path := filepath.Join(keyDir, name)
-		if strings.HasPrefix(name, "tmp-") {
-			os.Remove(path)
-			continue
-		}
-		digest, ok := d.readLink(path)
-		if !ok {
-			os.Remove(path)
-			continue
-		}
-		if _, live := d.sizes[digest]; !live {
-			os.Remove(path)
-		}
 	}
 	return nil
 }
 
-// replayJournal restores blob recency from the atime log. Records for dead
-// blobs are skipped; malformed lines are ignored (the journal is advisory
-// — losing it only degrades eviction ordering, never correctness).
+// replayJournal restores entry recency from the atime log. Records for
+// dead entries are skipped; malformed lines are ignored (the journal is
+// advisory — losing it only degrades eviction ordering, never
+// correctness).
 func (d *Disk) replayJournal() error {
 	f, err := os.Open(d.logPath())
 	if os.IsNotExist(err) {
@@ -220,13 +223,12 @@ func (d *Disk) replayJournal() error {
 	return nil // scanner errors degrade to partial replay, same as truncation
 }
 
-func (d *Disk) blobDir() string { return filepath.Join(d.root, "blobs", "sha256") }
-func (d *Disk) keyDir() string  { return filepath.Join(d.root, "keys", "sha256") }
-func (d *Disk) logPath() string { return filepath.Join(d.root, "atime.log") }
+func (d *Disk) entryDir() string { return filepath.Join(d.root, "entries") }
+func (d *Disk) logPath() string  { return filepath.Join(d.root, "atime.log") }
 
 // normKey maps an arbitrary cache key onto a fixed-width hex filename. The
 // server's config hashes are already 64-hex sha256 strings and pass
-// through unchanged, so CAS key files line up with artifact config hashes;
+// through unchanged, so entry files line up with artifact config hashes;
 // anything else is hashed first.
 func normKey(key string) string {
 	if isHexDigest(key) {
@@ -250,94 +252,55 @@ func isHexDigest(s string) bool {
 	return true
 }
 
-// readLink parses a key-link file; ok is false when the content is not a
-// well-formed "sha256:<hex>" reference.
-func (d *Disk) readLink(path string) (digest string, ok bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", false
-	}
-	s := strings.TrimSpace(string(b))
-	if !strings.HasPrefix(s, blobPrefix) {
-		return "", false
-	}
-	digest = strings.TrimPrefix(s, blobPrefix)
-	return digest, isHexDigest(digest)
-}
-
-// Get returns the blob linked from key after re-verifying its content hash
-// against its filename. Corruption — a dangling or malformed link, or blob
-// bytes that no longer hash to the blob's name — evicts the offending
-// entries and misses, so the caller recomputes instead of consuming a
-// damaged artifact.
+// Get returns the value stored under key after re-verifying its sealed
+// sha256. A damaged entry is evicted and counted, and Get misses, so the
+// caller recomputes instead of consuming a damaged artifact.
 func (d *Disk) Get(key string) ([]byte, bool) {
-	kpath := filepath.Join(d.keyDir(), normKey(key))
-	digest, ok := d.readLink(kpath)
-	if !ok {
-		if _, err := os.Stat(kpath); err == nil {
-			// The link exists but is malformed — evict it.
-			d.mu.Lock()
-			d.corrupt++
-			d.mu.Unlock()
-			os.Remove(kpath)
-		}
-		return nil, false
-	}
-	blob, err := os.ReadFile(filepath.Join(d.blobDir(), digest))
-	if err != nil {
-		os.Remove(kpath)
-		return nil, false
-	}
-	sum := sha256.Sum256(blob)
-	if hex.EncodeToString(sum[:]) != digest {
-		d.mu.Lock()
-		d.corrupt++
-		delete(d.sizes, digest)
-		delete(d.atimes, digest)
-		d.mu.Unlock()
-		os.Remove(filepath.Join(d.blobDir(), digest))
-		os.Remove(kpath)
-		return nil, false
-	}
+	name := normKey(key)
+	blob, err := ReadSealed(filepath.Join(d.entryDir(), name))
 	d.mu.Lock()
-	d.touchLocked(digest)
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	if errors.Is(err, ErrCorrupt) {
+		d.corrupt++
+		d.dropLocked(name)
+	}
+	if err != nil {
+		return nil, false
+	}
+	d.touchLocked(name)
 	return blob, true
 }
 
-// Put stores blob content-addressed and links key to it, then sweeps if
-// over cap. Storing an already-present blob only adds the key link.
+// Put stores blob under key, replacing any earlier entry, then sweeps if
+// over cap.
 func (d *Disk) Put(key string, blob []byte) error {
-	sum := sha256.Sum256(blob)
-	digest := hex.EncodeToString(sum[:])
-
-	d.mu.Lock()
-	_, have := d.sizes[digest]
-	d.mu.Unlock()
-	if !have {
-		if err := WriteFileAtomic(filepath.Join(d.blobDir(), digest), blob); err != nil {
-			return err
-		}
-	}
-	if err := WriteFileAtomic(filepath.Join(d.keyDir(), normKey(key)), []byte(blobPrefix+digest+"\n")); err != nil {
+	name := normKey(key)
+	if err := WriteSealed(filepath.Join(d.entryDir(), name), blob); err != nil {
 		return err
 	}
 	d.mu.Lock()
-	d.sizes[digest] = int64(len(blob))
-	d.touchLocked(digest)
+	d.sizes[name] = int64(len(blob))
+	d.touchLocked(name)
 	d.sweepLocked()
 	d.mu.Unlock()
 	return nil
 }
 
-// touchLocked stamps digest as most recently used and journals the access.
+// dropLocked removes an entry's file and bookkeeping.
+func (d *Disk) dropLocked(name string) {
+	os.Remove(filepath.Join(d.entryDir(), name))
+	delete(d.sizes, name)
+	delete(d.atimes, name)
+}
+
+// touchLocked stamps name as most recently used and journals the access.
 // The clock is logical (monotonic per process, seeded from the replayed
 // journal) so recency ordering never depends on wall-clock sanity.
-func (d *Disk) touchLocked(digest string) {
+func (d *Disk) touchLocked(name string) {
 	d.clock++
-	d.atimes[digest] = d.clock
+	d.atimes[name] = d.clock
 	if d.logF != nil {
-		fmt.Fprintf(d.logF, "%d %s\n", d.clock, digest)
+		fmt.Fprintf(d.logF, "%d %s\n", d.clock, name)
 		d.logN++
 		if d.logN > compactLogFactor*(len(d.sizes)+1) {
 			d.compactLocked()
@@ -345,8 +308,8 @@ func (d *Disk) touchLocked(digest string) {
 	}
 }
 
-// sweepLocked evicts least-recently-used blobs until resident bytes fit
-// the cap, then prunes key links left dangling by the evictions.
+// sweepLocked evicts least-recently-used entries until resident bytes fit
+// the cap.
 func (d *Disk) sweepLocked() {
 	var total int64
 	for _, sz := range d.sizes {
@@ -355,51 +318,33 @@ func (d *Disk) sweepLocked() {
 	if total <= d.cap {
 		return
 	}
-	type ent struct {
-		digest string
-		atime  int64
-	}
-	order := make([]ent, 0, len(d.sizes))
-	for digest := range d.sizes {
-		order = append(order, ent{digest, d.atimes[digest]})
+	order := make([]string, 0, len(d.sizes))
+	for name := range d.sizes {
+		order = append(order, name)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if order[i].atime != order[j].atime {
-			return order[i].atime < order[j].atime
+		if ai, aj := d.atimes[order[i]], d.atimes[order[j]]; ai != aj {
+			return ai < aj
 		}
-		return order[i].digest < order[j].digest
+		return order[i] < order[j]
 	})
-	dropped := map[string]bool{}
-	for _, e := range order {
+	for _, name := range order {
 		if total <= d.cap {
 			break
 		}
-		os.Remove(filepath.Join(d.blobDir(), e.digest))
-		total -= d.sizes[e.digest]
-		delete(d.sizes, e.digest)
-		delete(d.atimes, e.digest)
-		dropped[e.digest] = true
+		total -= d.sizes[name]
+		d.dropLocked(name)
 		d.evictions++
-	}
-	if len(dropped) == 0 {
-		return
-	}
-	if kents, err := os.ReadDir(d.keyDir()); err == nil {
-		for _, ke := range kents {
-			path := filepath.Join(d.keyDir(), ke.Name())
-			if digest, ok := d.readLink(path); ok && dropped[digest] {
-				os.Remove(path)
-			}
-		}
 	}
 }
 
-// compactLocked rewrites the journal as one record per live blob, bounding
-// its size. Best-effort: on any failure the old journal stays in place.
+// compactLocked rewrites the journal as one record per live entry,
+// bounding its size. Best-effort: on any failure the old journal stays in
+// place.
 func (d *Disk) compactLocked() {
 	var buf strings.Builder
-	for digest, at := range d.atimes {
-		fmt.Fprintf(&buf, "%d %s\n", at, digest)
+	for name, at := range d.atimes {
+		fmt.Fprintf(&buf, "%d %s\n", at, name)
 	}
 	if err := WriteFileAtomic(d.logPath(), []byte(buf.String())); err != nil {
 		return
@@ -416,8 +361,8 @@ func (d *Disk) compactLocked() {
 	d.logN = len(d.atimes)
 }
 
-// Stats returns live blob count, resident bytes, cap, and cumulative
-// eviction/corruption counters.
+// Stats returns live entry count, resident value bytes, cap, and
+// cumulative eviction/corruption counters.
 func (d *Disk) Stats() (entries int, bytes, capBytes int64, evictions, corrupt uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -442,8 +387,8 @@ func (d *Disk) Close() error {
 
 // WriteFileAtomic writes path crash-safely: temp file in the same
 // directory, write, fsync, rename over the target, fsync the directory so
-// the rename itself is durable. The CAS and the server journal write
-// through it.
+// the rename itself is durable. Sealed files and the server journal's
+// compaction write through it.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "tmp-*")

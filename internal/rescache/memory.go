@@ -78,19 +78,6 @@ func (m *Memory) Put(key string, blob []byte) {
 	}
 }
 
-// Remove drops key if present (used when a blob fails integrity checks
-// downstream and must not be re-served).
-func (m *Memory) Remove(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.index[key]; ok {
-		ent := el.Value.(*memEntry)
-		m.order.Remove(el)
-		delete(m.index, key)
-		m.bytes -= int64(len(ent.blob))
-	}
-}
-
 // Stats returns entry count, resident bytes, byte budget, and cumulative
 // evictions.
 func (m *Memory) Stats() (entries int, bytes, capBytes int64, evictions uint64) {

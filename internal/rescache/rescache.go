@@ -1,20 +1,21 @@
-// Package rescache is the content-addressed result cache: a two-tier
-// memoization layer that lets the service stack (and the regression/sweep
-// CLIs) skip re-running a simulation whose artifact it has already
-// computed. The determinism contract makes this sound — a job's canonical
-// artifact is a pure function of its normalized spec, so the sha256 of the
-// artifact's config map (internal/report's config hash, with execution
-// knobs excluded and the trace digest folded in for uploads) is a perfect
-// cache key.
+// Package rescache is the result cache: a two-tier memoization layer that
+// lets the service stack (and the regression/sweep CLIs) skip re-running a
+// simulation whose artifact it has already computed. The determinism
+// contract makes this sound — a job's canonical artifact is a pure
+// function of its normalized spec, so the sha256 of the artifact's config
+// map (internal/report's config hash, with execution knobs excluded and
+// the trace digest folded in for uploads) is a perfect cache key. A key's
+// bytes never change, so the cache holds results only: state that changes
+// while a job runs, such as its checkpoints, lives elsewhere.
 //
 // Tier one is an in-memory LRU of hot artifact bytes under a configurable
-// byte budget (Memory). Tier two is a crash-safe disk CAS (Disk): blobs
-// live at blobs/sha256/<digest-of-bytes>, key links at keys/sha256/<key>
-// point at blob digests, every read re-hashes the blob and evicts
-// corruption, and a size-capped eviction sweep drops the least-recently
-// used blobs by atime journal. Cache ties the tiers together behind one
-// Get/Put/Do surface, with singleflight deduplication in Do so N
-// concurrent identical computations run once.
+// byte budget (Memory). Tier two is a crash-safe disk tier (Disk): one
+// sealed file per key at entries/<key>, holding the value's sha256 and then
+// the value; every read re-hashes the value and evicts corruption, a
+// re-put replaces the file, and a size-capped eviction sweep drops the
+// least-recently used entries by atime journal. Cache ties the tiers
+// together behind one Get/Put/Do surface, with singleflight deduplication
+// in Do so N concurrent identical computations run once.
 //
 // Accounting contract (what /metrics renders): Get counts hits only —
 // every artifact served from a tier, with its bytes. Do classifies the
@@ -43,29 +44,24 @@ const (
 	TierDisk   Tier = "disk"
 )
 
-// ArtifactFormat is the disk-layout format tag for caches holding
-// schema-versioned canonical artifacts (and blobs derived from them). It
-// folds in report.SchemaVersion, so a schema bump invalidates — clears —
-// any CAS directory written by an older build instead of serving artifacts
-// the new build could not have produced.
+// ArtifactFormat is the disk tier's format tag: its layout version, and
+// report.SchemaVersion, so a layout change or a schema bump invalidates —
+// clears — any cache directory written by an older build instead of
+// serving entries the new build could not have produced.
 func ArtifactFormat() string {
-	return fmt.Sprintf("cache8t-rescache-1-artifact-schema-%d", report.SchemaVersion)
+	return fmt.Sprintf("cache8t-rescache-2-artifact-schema-%d", report.SchemaVersion)
 }
 
 // Config tunes a Cache. The zero value is a memory-only cache with a
 // 64 MiB budget.
 type Config struct {
-	// Dir roots the disk CAS ("" = no disk tier).
+	// Dir roots the disk tier ("" = no disk tier).
 	Dir string
 	// MemBytes budgets the in-memory LRU (<= 0: 64 MiB).
 	MemBytes int64
-	// DiskBytes caps the disk CAS (<= 0: 1 GiB). Exceeding it triggers an
+	// DiskBytes caps the disk tier (<= 0: 1 GiB). Exceeding it triggers an
 	// LRU eviction sweep by atime journal.
 	DiskBytes int64
-	// Format tags the disk layout ("" = ArtifactFormat()). Opening a CAS
-	// directory written under a different format clears it — cached data is
-	// derived and safe to drop, stale formats are not safe to serve.
-	Format string
 }
 
 // withDefaults resolves zero fields.
@@ -76,14 +72,11 @@ func (c Config) withDefaults() Config {
 	if c.DiskBytes <= 0 {
 		c.DiskBytes = 1 << 30
 	}
-	if c.Format == "" {
-		c.Format = ArtifactFormat()
-	}
 	return c
 }
 
 // Cache is the two-tier result cache: an in-memory LRU in front of an
-// optional disk CAS, plus singleflight deduplication for in-flight
+// optional disk tier, plus singleflight deduplication for in-flight
 // computations. All methods are safe for concurrent use.
 type Cache struct {
 	mem  *Memory
@@ -114,7 +107,7 @@ type call struct {
 var errAborted = errors.New("rescache: in-flight computation aborted")
 
 // Open builds a Cache from cfg, initializing (or re-attaching to) the disk
-// CAS when cfg.Dir is set.
+// tier when cfg.Dir is set.
 func Open(cfg Config) (*Cache, error) {
 	cfg = cfg.withDefaults()
 	c := &Cache{
@@ -123,7 +116,7 @@ func Open(cfg Config) (*Cache, error) {
 		calls: map[string]*call{},
 	}
 	if cfg.Dir != "" {
-		d, err := OpenDisk(cfg.Dir, cfg.DiskBytes, cfg.Format)
+		d, err := OpenDisk(cfg.Dir, cfg.DiskBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -133,8 +126,8 @@ func Open(cfg Config) (*Cache, error) {
 }
 
 // HasDisk reports whether the cache has a persistent disk tier — the
-// property sramd's job journal requires, since specs and checkpoints must
-// survive a process kill.
+// property sramd's job journal requires, since the specs it records by
+// key must survive a process kill.
 func (c *Cache) HasDisk() bool { return c.disk != nil }
 
 // Get returns the blob stored under key and the tier that served it. Disk
@@ -262,15 +255,17 @@ type Snapshot struct {
 	MemBytes     int64
 	MemCapBytes  int64
 	MemEvictions uint64
+	// DiskEntries counts keys on disk, one file each, and DiskBytes sums
+	// their values.
 	DiskEntries  int
 	DiskBytes    int64
 	DiskCapBytes int64
-	// DiskEvictions counts blobs dropped by the size-cap sweep;
-	// DiskCorrupt counts blobs or key links rejected by integrity checks.
+	// DiskEvictions counts entries dropped by the size-cap sweep;
+	// DiskCorrupt counts entries rejected by integrity re-verification.
 	DiskEvictions uint64
 	DiskCorrupt   uint64
 
-	// Dir is the CAS root ("" when the disk tier is off).
+	// Dir is the disk tier's root ("" when the disk tier is off).
 	Dir string
 }
 

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cache8t/internal/report"
 )
 
 func hexKey(s string) string {
@@ -108,9 +110,35 @@ func TestDiskRoundTripAndPersistence(t *testing.T) {
 	if _, tier, ok := c2.Get(key); !ok || tier != TierMemory {
 		t.Fatalf("second Get = (%v, %q), want promoted memory hit", ok, tier)
 	}
-	sum := sha256.Sum256(blob)
-	if _, err := os.Stat(filepath.Join(dir, "blobs", "sha256", hex.EncodeToString(sum[:]))); err != nil {
-		t.Fatalf("blob not content-addressed on disk: %v", err)
+	if got, err := ReadSealed(filepath.Join(dir, "entries", key)); err != nil || string(got) != string(blob) {
+		t.Fatalf("entry file under the key = (%q, %v), want the sealed blob", got, err)
+	}
+}
+
+// TestDiskRePutReplacesEntry pins one entry per key: re-putting a key
+// replaces its file, so 15 different values leave one entry holding the
+// last one, on disk and across a reopen.
+func TestDiskRePutReplacesEntry(t *testing.T) {
+	dir := t.TempDir()
+	key := hexKey("checkpointed")
+	c1 := mustOpen(t, Config{Dir: dir, MemBytes: 1})
+	var last []byte
+	for i := 0; i < 15; i++ {
+		last = []byte(strings.Repeat(fmt.Sprint(i), 100+i))
+		c1.Put(key, last)
+	}
+	if s := c1.Snapshot(); s.DiskEntries != 1 || s.DiskBytes != int64(len(last)) {
+		t.Fatalf("after 15 puts: DiskEntries = %d, DiskBytes = %d; want 1 and %d", s.DiskEntries, s.DiskBytes, len(last))
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "entries")); err != nil || len(ents) != 1 {
+		t.Fatalf("entries dir holds %d files (err %v), want 1", len(ents), err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := mustOpen(t, Config{Dir: dir, MemBytes: 1})
+	if got, _, ok := c2.Get(key); !ok || string(got) != string(last) {
+		t.Fatalf("after reopen: Get = (%d bytes, %v), want the last value", len(got), ok)
 	}
 }
 
@@ -121,29 +149,25 @@ func TestDiskCorruptBlobEvicted(t *testing.T) {
 	c := mustOpen(t, Config{Dir: dir, MemBytes: 1}) // tiny memory: force the disk path
 	c.Put(key, blob)
 
-	sum := sha256.Sum256(blob)
-	blobPath := filepath.Join(dir, "blobs", "sha256", hex.EncodeToString(sum[:]))
-	raw, err := os.ReadFile(blobPath)
+	entryPath := filepath.Join(dir, "entries", key)
+	raw, err := os.ReadFile(entryPath)
 	if err != nil {
-		t.Fatalf("read blob: %v", err)
+		t.Fatalf("read entry: %v", err)
 	}
-	raw[0] ^= 0x01 // flip one bit
-	if err := os.WriteFile(blobPath, raw, 0o644); err != nil {
-		t.Fatalf("corrupt blob: %v", err)
+	raw[len(raw)-1] ^= 0x01 // flip one bit of the value
+	if err := os.WriteFile(entryPath, raw, 0o644); err != nil {
+		t.Fatalf("corrupt entry: %v", err)
 	}
 
 	if _, _, ok := c.Get(key); ok {
 		t.Fatal("corrupted blob served as a hit")
 	}
-	if _, err := os.Stat(blobPath); !os.IsNotExist(err) {
-		t.Fatalf("corrupt blob not evicted from disk: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "keys", "sha256", key)); !os.IsNotExist(err) {
-		t.Fatalf("key link to corrupt blob not evicted: %v", err)
+	if _, err := os.Stat(entryPath); !os.IsNotExist(err) {
+		t.Fatalf("corrupt entry not evicted from disk: %v", err)
 	}
 	s := c.Snapshot()
-	if s.DiskCorrupt != 1 {
-		t.Fatalf("DiskCorrupt = %d, want 1", s.DiskCorrupt)
+	if s.DiskCorrupt != 1 || s.DiskEntries != 0 {
+		t.Fatalf("DiskCorrupt = %d, DiskEntries = %d; want 1 and 0", s.DiskCorrupt, s.DiskEntries)
 	}
 
 	// The next Do recomputes and re-stores.
@@ -154,26 +178,32 @@ func TestDiskCorruptBlobEvicted(t *testing.T) {
 	if string(got) != string(blob) {
 		t.Fatalf("recomputed blob mismatch: %q", got)
 	}
-	if _, err := os.Stat(blobPath); err != nil {
+	if _, err := ReadSealed(entryPath); err != nil {
 		t.Fatalf("recomputed blob not re-stored: %v", err)
 	}
 }
 
-func TestDiskCorruptKeyLinkEvicted(t *testing.T) {
+// TestDiskTruncatedEntryEvicted cuts an entry file short of its sealed
+// sha256: the read rejects it, evicts it and counts it as corrupt.
+func TestDiskTruncatedEntryEvicted(t *testing.T) {
 	dir := t.TempDir()
-	key := hexKey("linked")
+	key := hexKey("truncated")
 	c := mustOpen(t, Config{Dir: dir, MemBytes: 1})
 	c.Put(key, []byte("payload"))
 
-	kpath := filepath.Join(dir, "keys", "sha256", key)
-	if err := os.WriteFile(kpath, []byte("not a digest at all\n"), 0o644); err != nil {
-		t.Fatalf("mangle key link: %v", err)
+	path := filepath.Join(dir, "entries", key)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()/2); err != nil {
+		t.Fatalf("truncate entry: %v", err)
 	}
 	if _, _, ok := c.Get(key); ok {
-		t.Fatal("malformed key link served as a hit")
+		t.Fatal("truncated entry served as a hit")
 	}
-	if _, err := os.Stat(kpath); !os.IsNotExist(err) {
-		t.Fatalf("malformed key link not removed: %v", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("truncated entry not removed: %v", err)
 	}
 	if s := c.Snapshot(); s.DiskCorrupt != 1 {
 		t.Fatalf("DiskCorrupt = %d, want 1", s.DiskCorrupt)
@@ -229,26 +259,42 @@ func TestDiskRecencySurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestFormatMismatchClearsCache is the upgrade path from the
+// content-addressed layout: a directory tagged with the format-1 tag and
+// holding a format-1 blob and key link is cleared once, and the key misses.
 func TestFormatMismatchClearsCache(t *testing.T) {
 	dir := t.TempDir()
 	key := hexKey("old")
-	c1, err := Open(Config{Dir: dir, Format: "format-v1"})
-	if err != nil {
-		t.Fatalf("Open v1: %v", err)
+	blob := []byte("old-format artifact")
+	sum := sha256.Sum256(blob)
+	digest := hex.EncodeToString(sum[:])
+	old := fmt.Sprintf("cache8t-rescache-1-artifact-schema-%d", report.SchemaVersion)
+	blobPath := filepath.Join(dir, "blobs", "sha256", digest)
+	linkPath := filepath.Join(dir, "keys", "sha256", key)
+	for path, data := range map[string]string{
+		filepath.Join(dir, "format"): old + "\n",
+		blobPath:                     string(blob),
+		linkPath:                     "sha256:" + digest + "\n",
+	} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c1.Put(key, []byte("old-format artifact"))
-	c1.Close()
 
-	c2, err := Open(Config{Dir: dir, Format: "format-v2"})
-	if err != nil {
-		t.Fatalf("Open v2: %v", err)
-	}
-	defer c2.Close()
-	if _, _, ok := c2.Get(key); ok {
+	c := mustOpen(t, Config{Dir: dir})
+	if _, _, ok := c.Get(key); ok {
 		t.Fatal("artifact written under the old format tag survived")
 	}
-	if got, _ := os.ReadFile(filepath.Join(dir, "format")); strings.TrimSpace(string(got)) != "format-v2" {
-		t.Fatalf("format file = %q, want format-v2", got)
+	for _, sub := range []string{"blobs", "keys"} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
+			t.Fatalf("old-layout %s/ survived the format change: %v", sub, err)
+		}
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "format")); strings.TrimSpace(string(got)) != ArtifactFormat() {
+		t.Fatalf("format file = %q, want %q", got, ArtifactFormat())
 	}
 }
 
@@ -404,12 +450,12 @@ func TestPutErrorsCountedNotFatal(t *testing.T) {
 	}
 	dir := t.TempDir()
 	c := mustOpen(t, Config{Dir: dir})
-	// Make the key dir unwritable so the disk put fails.
-	keyDir := filepath.Join(dir, "keys", "sha256")
-	if err := os.Chmod(keyDir, 0o555); err != nil {
+	// Make the entries dir unwritable so the disk put fails.
+	entryDir := filepath.Join(dir, "entries")
+	if err := os.Chmod(entryDir, 0o555); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(keyDir, 0o755)
+	defer os.Chmod(entryDir, 0o755)
 	key := hexKey("unwritable")
 	c.Put(key, []byte("still served from memory"))
 	if _, tier, ok := c.Get(key); !ok || tier != TierMemory {
@@ -450,9 +496,9 @@ func TestNonHexKeysAreHashed(t *testing.T) {
 	if blob, _, ok := c.Get(key); !ok || string(blob) != "check result" {
 		t.Fatalf("round-trip through non-hex key failed (ok=%v)", ok)
 	}
-	// The on-disk key file is the sha256 of the key string.
-	if _, err := os.Stat(filepath.Join(dir, "keys", "sha256", hexKey(key))); err != nil {
-		t.Fatalf("key file not stored under hashed name: %v", err)
+	// The on-disk entry file is named by the sha256 of the key string.
+	if _, err := os.Stat(filepath.Join(dir, "entries", hexKey(key))); err != nil {
+		t.Fatalf("entry file not stored under hashed name: %v", err)
 	}
 }
 
@@ -461,41 +507,14 @@ func TestCrashedTempFilesSweptAtOpen(t *testing.T) {
 	c1 := mustOpen(t, Config{Dir: dir})
 	c1.Put(hexKey("x"), []byte("x"))
 	c1.Close()
-	// Simulate a crash mid-write: stray temp files in both dirs.
-	for _, sub := range [][]string{{"blobs", "sha256"}, {"keys", "sha256"}} {
-		p := filepath.Join(dir, sub[0], sub[1], "tmp-crashed")
-		if err := os.WriteFile(p, []byte("torn write"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Simulate a crash mid-write: a stray temp file beside the entries.
+	p := filepath.Join(dir, "entries", "tmp-crashed")
+	if err := os.WriteFile(p, []byte("torn write"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	c2 := mustOpen(t, Config{Dir: dir})
 	defer c2.Close()
-	for _, sub := range [][]string{{"blobs", "sha256"}, {"keys", "sha256"}} {
-		if _, err := os.Stat(filepath.Join(dir, sub[0], sub[1], "tmp-crashed")); !os.IsNotExist(err) {
-			t.Fatalf("crashed temp file in %s not swept: %v", sub[0], err)
-		}
-	}
-}
-
-func TestSharedBlobSurvivesSingleKeyEviction(t *testing.T) {
-	// Two keys linking the same bytes share one blob; corrupting one key
-	// link must not take the other key down.
-	dir := t.TempDir()
-	c := mustOpen(t, Config{Dir: dir, MemBytes: 1})
-	blob := []byte("shared artifact")
-	k1, k2 := hexKey("alias-1"), hexKey("alias-2")
-	c.Put(k1, blob)
-	c.Put(k2, blob)
-	if s := c.Snapshot(); s.DiskEntries != 1 {
-		t.Fatalf("DiskEntries = %d, want 1 (deduplicated blob)", s.DiskEntries)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "keys", "sha256", k1), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Get(k1); ok {
-		t.Fatal("garbage key link served")
-	}
-	if got, _, ok := c.Get(k2); !ok || string(got) != string(blob) {
-		t.Fatal("sibling key lost the shared blob")
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("crashed temp file not swept: %v", err)
 	}
 }

@@ -181,8 +181,8 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCorruptBlobRecomputed flips a byte in the stored CAS blob: the next
-// identical submission must detect the damage, evict it, rerun the
+// TestCorruptBlobRecomputed flips a byte in the stored cache entry: the
+// next identical submission must detect the damage, evict it, rerun the
 // simulation, and serve correct bytes — never the corrupted ones.
 func TestCorruptBlobRecomputed(t *testing.T) {
 	dir := t.TempDir()
@@ -198,12 +198,12 @@ func TestCorruptBlobRecomputed(t *testing.T) {
 	}
 	_, want := ts.get("/v1/jobs/" + first.ID + "/result")
 
-	blobDir := filepath.Join(dir, "blobs", "sha256")
-	entries, err := os.ReadDir(blobDir)
+	entryDir := filepath.Join(dir, "entries")
+	entries, err := os.ReadDir(entryDir)
 	if err != nil || len(entries) != 1 {
-		t.Fatalf("want exactly one CAS blob, got %d (err %v)", len(entries), err)
+		t.Fatalf("want exactly one cache entry, got %d (err %v)", len(entries), err)
 	}
-	blobPath := filepath.Join(blobDir, entries[0].Name())
+	blobPath := filepath.Join(entryDir, entries[0].Name())
 	raw, err := os.ReadFile(blobPath)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +231,10 @@ func TestCorruptBlobRecomputed(t *testing.T) {
 		t.Fatal("recomputed artifact differs from the original")
 	}
 	if _, err := os.Stat(blobPath); err != nil {
-		t.Fatalf("recomputed blob not re-stored in the CAS: %v", err)
+		t.Fatalf("recomputed entry not re-stored: %v", err)
 	}
 	if fresh, err := os.ReadFile(blobPath); err != nil || bytes.Equal(fresh, raw) {
-		t.Fatal("CAS still holds the corrupted bytes")
+		t.Fatal("the disk tier still holds the corrupted bytes")
 	}
 	_, metrics := ts.get("/metrics")
 	if !strings.Contains(string(metrics), "rescache_corrupt_total 1") {

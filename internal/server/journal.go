@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,11 +17,11 @@ import (
 // transition (queued → running → succeeded|failed|cancelled) of a job, or of
 // a coordinator's sweep, is appended as one JSON line and fsynced before the
 // transition is acknowledged. Specs are not duplicated into the journal —
-// they live in the rescache CAS ("spec:<config-hash>" for a job,
+// they live in the result cache's disk tier ("spec:<config-hash>" for a job,
 // "sweep:<hash>" for a sweep), so a record carries only the hash. On open
 // the journal is replayed (longest valid prefix: a torn final write or
 // corrupt tail drops silently, pinned by FuzzJournal) and compacted to one
-// record per id through the disk CAS's crash-safe write, so the file stays
+// record per id through rescache's crash-safe write, so the file stays
 // bounded by the table, not by churn.
 
 // journalVersion is the record schema version; decodeJournal rejects
@@ -163,10 +164,13 @@ type Journal struct {
 	mu    sync.Mutex
 	f     *os.File
 	bytes int64
-	// frozen (tests only) silently drops appends — the hook crash tests use
-	// to simulate a kill between an in-memory transition and its record.
+	// frozen (tests only) drops appends — the hook crash tests use to
+	// simulate a kill between an in-memory transition and its record.
 	frozen bool
 }
+
+// errFrozen is a frozen journal's append error: the record is not durable.
+var errFrozen = errors.New("journal: frozen")
 
 // OpenRecordJournal opens (creating if needed) the journal in dir, replays
 // it, compacts it in place, and returns the merged records in submission
@@ -183,7 +187,7 @@ func OpenRecordJournal(dir string) (*Journal, []Record, error) {
 // are never aged out, whatever their age; neither are records that carry
 // no timestamp. retain <= 0 keeps everything. Dropping a record forgets
 // only the id: its artifact, if any, stays in the result cache until the
-// CAS evicts it on its own budget.
+// disk tier evicts it on its own budget.
 func openJournal(dir string, retain time.Duration, now time.Time) (*Journal, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -225,7 +229,7 @@ func (j *Journal) AppendRecord(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.frozen {
-		return nil
+		return errFrozen
 	}
 	if _, err := j.f.Write(line); err != nil {
 		return err
@@ -251,7 +255,7 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// freeze (tests only) makes every later AppendRecord a silent no-op,
+// freeze (tests only) makes every later AppendRecord fail with errFrozen,
 // simulating a crash that loses transitions written after this point.
 func (j *Journal) freeze() {
 	j.mu.Lock()

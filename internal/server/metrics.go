@@ -29,7 +29,7 @@ type serverMetrics struct {
 	busyNanos atomic.Int64 // summed job run time, for accesses/sec
 
 	recovered    atomic.Int64 // jobs replayed from the journal at startup
-	ckptWritten  atomic.Int64 // controller checkpoints persisted to the CAS
+	ckptWritten  atomic.Int64 // controller checkpoints written to their job's file
 	ckptRestored atomic.Int64 // jobs resumed from a checkpoint (vs restarted)
 
 	mu     sync.Mutex
@@ -154,7 +154,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 			one("rescache_disk_entries", "gauge", "Blobs resident in the disk CAS.", cache.DiskEntries)
 			one("rescache_disk_bytes", "gauge", "Bytes resident in the disk CAS.", cache.DiskBytes)
 			one("rescache_disk_cap_bytes", "gauge", "Byte budget of the disk CAS.", cache.DiskCapBytes)
-			one("rescache_corrupt_total", "counter", "Blobs or key links rejected by integrity re-verification.", cache.DiskCorrupt)
+			one("rescache_corrupt_total", "counter", "Entries rejected by integrity re-verification.", cache.DiskCorrupt)
 		}
 	}
 

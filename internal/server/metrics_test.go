@@ -113,7 +113,7 @@ rescache_disk_bytes 22
 # HELP rescache_disk_cap_bytes Byte budget of the disk CAS.
 # TYPE rescache_disk_cap_bytes gauge
 rescache_disk_cap_bytes 23
-# HELP rescache_corrupt_total Blobs or key links rejected by integrity re-verification.
+# HELP rescache_corrupt_total Entries rejected by integrity re-verification.
 # TYPE rescache_corrupt_total counter
 rescache_corrupt_total 25
 # HELP sramd_job_seconds Job run latency by controller kind.

@@ -16,6 +16,7 @@ import (
 
 	"cache8t/internal/report"
 	"cache8t/internal/rescache"
+	"cache8t/internal/trace"
 )
 
 // openTestCache opens a disk-backed result cache under dir and schedules it
@@ -183,7 +184,8 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 
 // crashMidRun submits body to a journaled server that checkpoints every
 // batch and crashes it mid-run. It returns the job's 202 status; jdir and
-// cdir hold the journal and the disk CAS for a restart.
+// cdir hold the journal (with the job's checkpoint file) and the disk tier
+// for a restart.
 func crashMidRun(t *testing.T, jdir, cdir, body string) JobStatus {
 	t.Helper()
 	cache1 := openTestCache(t, cdir)
@@ -368,22 +370,50 @@ func TestCheckpointOfAnotherSpecRecomputes(t *testing.T) {
 }
 
 // TestRecoveryOlderCheckpointRecomputes is the same upgrade through a
-// restart: a recovered job whose ckpt:<id> blob reads version 1 restores no
-// checkpoint, runs from access zero and ends with the bytes of an
-// uninterrupted run.
+// restart: a recovered job whose checkpoint file holds a version-1 blob
+// restores no checkpoint, runs from access zero and ends with the bytes of
+// an uninterrupted run.
 func TestRecoveryOlderCheckpointRecomputes(t *testing.T) {
+	recoverDamagedCheckpoint(t, func(path string) {
+		blob, err := rescache.ReadSealed(path)
+		if err != nil {
+			t.Fatalf("no checkpoint written before the crash: %v", err)
+		}
+		if err := rescache.WriteSealed(path, asVersion1(blob)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRecoveryCorruptCheckpointRecomputes flips one byte of a crashed job's
+// checkpoint file: the sealed sha256 rejects it, so the recovered job
+// restores no checkpoint and ends with the bytes of an uninterrupted run.
+func TestRecoveryCorruptCheckpointRecomputes(t *testing.T) {
+	recoverDamagedCheckpoint(t, func(path string) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("no checkpoint written before the crash: %v", err)
+		}
+		raw[len(raw)/2] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// recoverDamagedCheckpoint crashes a job mid-run, applies damage to its
+// checkpoint file, restarts, and requires a run from access zero to the
+// bytes of an uninterrupted run.
+func recoverDamagedCheckpoint(t *testing.T, damage func(path string)) {
+	t.Helper()
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
 	st := crashMidRun(t, jdir, cdir, body)
+	damage(filepath.Join(jdir, "ckpt", st.ID))
 
 	cache2 := openTestCache(t, cdir)
-	blob, _, ok := cache2.Get("ckpt:" + st.ID)
-	if !ok {
-		t.Fatal("no checkpoint written before the crash")
-	}
-	cache2.Put("ckpt:"+st.ID, asVersion1(blob))
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
 
 	final := ts2.waitTerminal(st.ID)
@@ -464,6 +494,121 @@ func TestCheckpointOnlySerialJobs(t *testing.T) {
 	}
 }
 
+// TestCheckpointRemovedAtTerminal pins that a checkpoint is job state, not
+// a result: a succeeded, a failed and a cancelled job, each checkpointed
+// every batch, leave <journal>/ckpt/ empty, and no checkpoint reaches the
+// result cache.
+func TestCheckpointRemovedAtTerminal(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	rc := openTestCache(t, filepath.Join(dir, "cas"))
+	g := newGate(1000)
+	ts := newTestServer(t, Config{
+		Workers: 1, Cache: rc, JournalDir: jdir, CheckpointEvery: 1,
+		testWrapStream: func(ctx context.Context, j *Job, s trace.Stream) trace.Stream {
+			switch j.Spec.Seed {
+			case 2: // fails mid-run
+				var served int
+				return trace.Func(func() (trace.Access, bool) {
+					if served == 1000 {
+						panic("source failed")
+					}
+					served++
+					return s.Next()
+				})
+			case 3: // held mid-run until cancelled
+				return g.wrap(ctx, j, s)
+			}
+			return s
+		},
+	})
+	for _, tc := range []struct {
+		seed int
+		want State
+	}{{1, StateSucceeded}, {2, StateFailed}, {3, StateCancelled}} {
+		st := submitAccepted(ts, fmt.Sprintf(`{"controller":"wg","workload":"bwaves","n":3000,"batch":64,"seed":%d}`, tc.seed))
+		if tc.want == StateCancelled {
+			<-g.entered
+			ts.cancel(st.ID)
+		}
+		if fin := ts.waitTerminal(st.ID); fin.State != tc.want {
+			t.Fatalf("seed %d: job ended %s (%s), want %s", tc.seed, fin.State, fin.Error, tc.want)
+		}
+		if ents, err := os.ReadDir(filepath.Join(jdir, "ckpt")); err != nil || len(ents) != 0 {
+			t.Fatalf("%s job left %d checkpoint files (err %v), want none", tc.want, len(ents), err)
+		}
+		if _, _, ok := rc.Get("ckpt:" + st.ID); ok {
+			t.Fatalf("%s job's checkpoint is in the result cache", tc.want)
+		}
+	}
+	_, m := ts.get("/metrics")
+	if n := metricValue(t, m, "sramd_checkpoints_written_total"); n <= 0 {
+		t.Fatalf("sramd_checkpoints_written_total = %v, want > 0", n)
+	}
+}
+
+// TestRecoverySweepsCheckpoints pins the recovery sweep: New removes the
+// checkpoint file of a terminal job and one of an id the journal does not
+// know, and keeps the re-enqueued job's, which the job then resumes from.
+func TestRecoverySweepsCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	jdir := filepath.Join(dir, "journal")
+	cdir := filepath.Join(dir, "cas")
+	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
+	st := crashMidRun(t, jdir, cdir, body)
+
+	f, err := os.OpenFile(filepath.Join(jdir, journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fmt.Fprintf(f, `{"v":1,"job":"j-000050","state":"succeeded","spec_key":"%s","accesses":12}`+"\n", strings.Repeat("ab", 32))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{filepath.Join(jdir, "ckpt", "j-000050"), filepath.Join(jdir, "ckpt", "j-999999")}
+	for _, path := range stale {
+		if err := rescache.WriteSealed(path, []byte("stale checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cache2 := openTestCache(t, cdir)
+	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
+	for _, path := range stale {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("recovery kept %s: %v", path, err)
+		}
+	}
+	if fin := ts2.waitTerminal(st.ID); fin.State != StateSucceeded {
+		t.Fatalf("recovered job ended %s: %s", fin.State, fin.Error)
+	}
+	code, got := ts2.get("/v1/jobs/" + st.ID + "/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: %d: %s", code, got)
+	}
+	spec, err := DecodeSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(context.Background(), spec, spec.Workload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("recovered artifact differs from an uninterrupted run")
+	}
+	_, m := ts2.get("/metrics")
+	if !strings.Contains(string(m), "sramd_checkpoints_restored_total 1") {
+		t.Errorf("the re-enqueued job did not resume from its kept checkpoint:\n%s", m)
+	}
+	if ents, err := os.ReadDir(filepath.Join(jdir, "ckpt")); err != nil || len(ents) != 0 {
+		t.Fatalf("%d checkpoint files left after the recovered job succeeded (err %v)", len(ents), err)
+	}
+}
+
 // TestRecoverySpecMissing pins the degraded path: a journaled unfinished job
 // whose spec blob did not survive (CAS evicted or wiped) must fail with an
 // explicit error, not vanish from the table or wedge the queue.
@@ -508,8 +653,8 @@ func TestRecoverySpecMissing(t *testing.T) {
 }
 
 // TestNewJournalRequiresDiskCache pins the misconfiguration guard: a journal
-// without a persistent CAS cannot hold specs or checkpoints, so New must
-// refuse rather than degrade silently.
+// without a persistent disk tier cannot keep specs, so New must refuse
+// rather than degrade silently.
 func TestNewJournalRequiresDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := New(Config{JournalDir: dir}); err == nil {

@@ -20,6 +20,7 @@ import (
 	"mime"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,8 +64,9 @@ type Config struct {
 	// kill -9. Requires Cache with a disk tier (New errors otherwise).
 	JournalDir string
 	// CheckpointEvery, when positive and journaling is on, snapshots each
-	// job's full controller state into the result cache every that many
-	// batches; a recovered running job resumes from its latest snapshot
+	// running job's full controller state every that many batches into one
+	// sealed file, <JournalDir>/ckpt/<job-id>, removed once the job's
+	// terminal record is durable; a recovered running job resumes from it
 	// instead of re-simulating from access zero. Sharded and hierarchy jobs
 	// take no checkpoints (see Checkpoint). DESIGN.md §12 documents the
 	// blob format and the byte-identity guarantee.
@@ -115,6 +117,7 @@ type Server struct {
 	met     *serverMetrics
 	cache   *rescache.Cache
 	journal *Journal
+	ckptDir string // <JournalDir>/ckpt; "" without a journal
 	queue   chan *Job
 
 	baseCtx    context.Context
@@ -132,9 +135,10 @@ type Server struct {
 
 // New builds a Server, replays the job journal when one is configured, and
 // starts the worker pool. It errors when JournalDir is set without a result
-// cache with a disk tier — the journal stores specs, checkpoints, and
-// artifacts in the CAS, so durability without persistence is a misconfig,
-// not something to degrade silently.
+// cache with a disk tier — the journal keeps specs and artifacts there by
+// key, so durability without persistence is a misconfig, not something to
+// degrade silently. Recovery removes every checkpoint file but those of
+// the jobs it re-enqueues.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -154,12 +158,20 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Cache == nil || !cfg.Cache.HasDisk() {
 			return nil, errors.New("server: JournalDir requires a result cache with a disk tier")
 		}
+		s.ckptDir = filepath.Join(cfg.JournalDir, "ckpt")
+		if err := os.MkdirAll(s.ckptDir, 0o755); err != nil {
+			return nil, fmt.Errorf("server: checkpoint dir: %w", err)
+		}
 		journal, recs, err := openJournal(cfg.JournalDir, cfg.JournalRetain, time.Now())
 		if err != nil {
 			return nil, err
 		}
 		s.journal = journal
 		pending = s.recoverJobs(recs)
+		if err := sweepCheckpoints(s.ckptDir, pending); err != nil {
+			journal.Close()
+			return nil, err
+		}
 	}
 
 	s.accepting.Store(true)
@@ -235,6 +247,26 @@ func (s *Server) recoverJobs(recs []Record) []*Job {
 	return pending
 }
 
+// sweepCheckpoints removes every file in dir but the checkpoints of the
+// jobs in keep: those of terminal or forgotten jobs, and the temp files of
+// writes a crash cut short.
+func sweepCheckpoints(dir string, keep []*Job) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("server: checkpoint dir: %w", err)
+	}
+	live := map[string]bool{}
+	for _, j := range keep {
+		live[j.ID] = true
+	}
+	for _, e := range ents {
+		if !live[e.Name()] {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
+}
+
 // fileExists reports whether path names an existing file.
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
@@ -273,10 +305,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // journalSubmit makes an accepted job durable: the canonical spec bytes go
-// into the CAS under "spec:<hash>" (so recovery can rebuild the job), then
-// the queued record is fsynced. Runtime journal errors are deliberately
-// swallowed — the job still runs this process; durability degrades, service
-// does not.
+// into the result cache under "spec:<hash>" (so recovery can rebuild the
+// job), then the queued record is fsynced. Runtime journal errors are
+// deliberately swallowed — the job still runs this process; durability
+// degrades, service does not.
 func (s *Server) journalSubmit(j *Job) {
 	if s.journal == nil {
 		return
@@ -295,12 +327,13 @@ func (s *Server) journalSubmit(j *Job) {
 	})
 }
 
-// journalState fsyncs one state transition for a journaled job.
-func (s *Server) journalState(j *Job, state State, errText string) {
+// journalState fsyncs one state transition for a journaled job; the error
+// says whether the record is durable.
+func (s *Server) journalState(j *Job, state State, errText string) error {
 	if s.journal == nil {
-		return
+		return nil
 	}
-	s.journal.AppendRecord(Record{
+	return s.journal.AppendRecord(Record{
 		Job:      j.ID,
 		State:    state,
 		Accesses: j.accesses.Load(),
@@ -387,10 +420,12 @@ func (s *Server) executeEncoded(ctx context.Context, j *Job) ([]byte, error) {
 
 // execute runs the job's spec. Its opener opens the job's source and hangs
 // the progress counter on the stream. On a journaled server the run
-// checkpoints into the result cache under "ckpt:<job-id>" — job ids survive
-// restarts, so the key does too — and a recovered job resumes from its
-// latest snapshot; the run path decides which specs checkpoint. execute
-// runs on a worker goroutine inside the engine's containment.
+// checkpoints into the sealed file <JournalDir>/ckpt/<job-id> — job ids
+// survive restarts, so the file does too — and a recovered job resumes
+// from it; a file that fails its sha256 re-check resumes nothing, so the
+// job runs from access zero. A failed write keeps the previous checkpoint
+// and the job runs on. The run path decides which specs checkpoint.
+// execute runs on a worker goroutine inside the engine's containment.
 func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) {
 	src := specSource(j.Spec, nil)
 	if j.tracePath != "" {
@@ -414,14 +449,16 @@ func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) 
 	}
 	var ck Checkpoint
 	if s.journal != nil && s.cfg.CheckpointEvery > 0 {
+		path := filepath.Join(s.ckptDir, j.ID)
 		ck.Every = s.cfg.CheckpointEvery
 		ck.Sink = func(blob []byte, _ uint64) error {
-			s.cache.Put("ckpt:"+j.ID, blob)
-			s.met.ckptWritten.Add(1)
+			if rescache.WriteSealed(path, blob) == nil {
+				s.met.ckptWritten.Add(1)
+			}
 			return nil
 		}
 		if j.IsRecovered() {
-			ck.Resume, _, _ = s.cache.Get("ckpt:" + j.ID)
+			ck.Resume, _ = rescache.ReadSealed(path)
 		}
 	}
 	art, resumed, err := run(ctx, j.Spec, j.Source, open, ck)
@@ -434,10 +471,14 @@ func (s *Server) execute(ctx context.Context, j *Job) (*report.Artifact, error) 
 // finishJob applies the terminal transition once: journal record, metrics
 // and spool cleanup first, then the terminal state itself, then queue
 // accounting. A client that sees the job finished — SSE frame, status or
-// result — therefore also sees it counted and its upload gone.
+// result — therefore also sees it counted and its upload gone. The job's
+// checkpoint goes only once its terminal record is durable: until then a
+// restart re-runs the job, and may resume from it.
 func (s *Server) finishJob(j *Job, state State, errText string, artifact []byte) {
 	if !j.Finish(time.Now(), state, errText, artifact, func() {
-		s.journalState(j, state, errText)
+		if s.journalState(j, state, errText) == nil && s.ckptDir != "" {
+			os.Remove(filepath.Join(s.ckptDir, j.ID))
+		}
 		st := j.Status()
 		s.met.observe(j.Spec.Controller, st.RunMS/1e3, st.Accesses, state)
 		if j.tracePath != "" {

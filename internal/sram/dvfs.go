@@ -81,13 +81,6 @@ func (a AlphaPower) Levels(vmin float64, n int) ([]OperatingPoint, error) {
 	return out, nil
 }
 
-// LevelsForCell builds the DVFS table reachable with a cache built from the
-// given cell: the table bottoms out at the cell's Vmin. This is the paper's
-// framing — the cache is "the bottleneck in deciding Vmin".
-func (a AlphaPower) LevelsForCell(cell CellKind, n int) ([]OperatingPoint, error) {
-	return a.Levels(cell.VminVolts(), n)
-}
-
 // EnergyPerOpAt returns dynamic energy of one composite op (given its energy
 // at the model's voltage) rescaled to voltage v: E scales with V^2 for
 // full-swing nets. Limited-swing terms scale slightly better; treating all

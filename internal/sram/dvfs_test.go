@@ -65,11 +65,11 @@ func TestLevelsForCellReflectVmin(t *testing.T) {
 	// The 8T cache lets DVFS descend far below the 6T wall — the paper's
 	// motivating claim.
 	a := DefaultAlphaPower()
-	six, err := a.LevelsForCell(SixT, 8)
+	six, err := a.Levels(SixT.VminVolts(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := a.LevelsForCell(EightT, 8)
+	eight, err := a.Levels(EightT.VminVolts(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

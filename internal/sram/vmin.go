@@ -83,10 +83,3 @@ func (m VminModel) ArrayVmin(bits int, targetYield float64) (float64, error) {
 	}
 	return hi, nil
 }
-
-// CacheVmin returns the statistical Vmin of a cache of the given byte
-// capacity built from cell, at 99% array yield.
-func CacheVmin(cell CellKind, capacityBytes int) (float64, error) {
-	m := DefaultVminModel(cell)
-	return m.ArrayVmin(capacityBytes*8, 0.99)
-}

@@ -75,11 +75,11 @@ func TestVminGrowsWithCapacity(t *testing.T) {
 func TestCacheVminMatchesHeadlineNumbers(t *testing.T) {
 	// The model is calibrated so a 64 KB cache lands near the published
 	// figures the simple CellKind.VminVolts constants carry.
-	six, err := CacheVmin(SixT, 64*1024)
+	six, err := DefaultVminModel(SixT).ArrayVmin(64*1024*8, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := CacheVmin(EightT, 64*1024)
+	eight, err := DefaultVminModel(EightT).ArrayVmin(64*1024*8, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestBatcherDrain(t *testing.T) {
 
 func TestTextReaderStreamsAndMatchesParseText(t *testing.T) {
 	src := "# header comment\nR 0x1000 8\nW 0x1008 8 0x2a gap=3\n\nW 0x1010 4 42\n"
-	want, err := ParseText(strings.NewReader(src))
+	want, err := parseText(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}

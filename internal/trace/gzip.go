@@ -100,20 +100,3 @@ func WriteAllAuto(w io.Writer, s Stream, max int, compress bool) (uint64, error)
 	}
 	return gw.Count(), gw.Close()
 }
-
-// ReadAllAuto decodes an entire trace, auto-detecting gzip framing.
-func ReadAllAuto(r io.Reader) ([]Access, error) {
-	tr, err := NewAutoReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Access
-	for {
-		a, ok := tr.Next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	return out, tr.Err()
-}

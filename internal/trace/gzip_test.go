@@ -2,8 +2,20 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
+
+// readAuto drains NewAutoReader over r: what it decoded, and the first
+// error, from the constructor or the stream's Err.
+func readAuto(r io.Reader) ([]Access, error) {
+	tr, err := NewAutoReader(r)
+	if err != nil {
+		return nil, err
+	}
+	out := Collect(tr, 0)
+	return out, tr.Err()
+}
 
 func sampleAccesses(n int) []Access {
 	out := make([]Access, n)
@@ -26,7 +38,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if n != 2000 {
 		t.Fatalf("wrote %d", n)
 	}
-	out, err := ReadAllAuto(&buf)
+	out, err := readAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +58,7 @@ func TestAutoReaderHandlesPlainTraces(t *testing.T) {
 	if _, err := WriteAllAuto(&buf, FromSlice(in), 0, false); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadAllAuto(&buf)
+	out, err := readAuto(&buf)
 	if err != nil || len(out) != 100 {
 		t.Fatalf("plain auto-read: %d, %v", len(out), err)
 	}
@@ -76,16 +88,16 @@ func TestIsGzipPath(t *testing.T) {
 }
 
 func TestAutoReaderRejectsGarbage(t *testing.T) {
-	if _, err := ReadAllAuto(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
+	if _, err := readAuto(bytes.NewReader([]byte{0x1f, 0x8b, 0xff, 0xff})); err == nil {
 		t.Error("corrupt gzip accepted")
 	}
-	if _, err := ReadAllAuto(bytes.NewReader([]byte("XY"))); err == nil {
+	if _, err := readAuto(bytes.NewReader([]byte("XY"))); err == nil {
 		t.Error("garbage accepted as trace")
 	}
 }
 
 func TestAutoReaderEmptyInput(t *testing.T) {
-	if _, err := ReadAllAuto(bytes.NewReader(nil)); err == nil {
+	if _, err := readAuto(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should fail header validation")
 	}
 }

@@ -20,23 +20,6 @@ import (
 // encoded (they are observations; only write data feeds silent-store
 // detection), so a binary->text->binary round trip zeroes them.
 
-// ParseText decodes a text trace.
-func ParseText(r io.Reader) ([]Access, error) {
-	tr := NewTextReader(r)
-	var out []Access
-	for {
-		a, ok := tr.Next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	if err := tr.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // TextReader decodes the text trace format one record at a time, so text
 // traces stream through the batched pipeline like binary ones. It implements
 // ErrStream; a parse error ends the stream and is surfaced via Err.

@@ -2,9 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
+
+// parseText drains a TextReader over r: what it decoded, and its Err.
+func parseText(r io.Reader) ([]Access, error) {
+	tr := NewTextReader(r)
+	out := Collect(tr, 0)
+	return out, tr.Err()
+}
 
 func TestParseTextBasics(t *testing.T) {
 	src := `
@@ -14,7 +22,7 @@ W 0x1008 8 0x2a
 W 0x1010 4 42 gap=3   # trailing comment
 r 512 2
 `
-	got, err := ParseText(strings.NewReader(src))
+	got, err := parseText(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +54,7 @@ func TestParseTextErrors(t *testing.T) {
 		"R 0x100 8 bogus",  // unexpected field
 	}
 	for _, src := range cases {
-		if _, err := ParseText(strings.NewReader(src)); err == nil {
+		if _, err := parseText(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
@@ -58,7 +66,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseText(&buf)
+	out, err := parseText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +88,7 @@ func TestTextRoundTrip(t *testing.T) {
 }
 
 func TestParseTextEmpty(t *testing.T) {
-	got, err := ParseText(strings.NewReader("# only comments\n\n"))
+	got, err := parseText(strings.NewReader("# only comments\n\n"))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty parse: %v, %v", got, err)
 	}

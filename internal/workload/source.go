@@ -71,9 +71,6 @@ func (s *Source) N() int {
 	return s.n
 }
 
-// Streaming reports whether opens regenerate rather than replay a cache.
-func (s *Source) Streaming() bool { return s.streaming }
-
 // Stream opens the trace from the beginning. Every call returns a stream
 // yielding the same sequence.
 func (s *Source) Stream() (trace.Stream, error) {

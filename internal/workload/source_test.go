@@ -81,8 +81,8 @@ func TestSourceStreamingRefusesAccesses(t *testing.T) {
 
 func TestSourceUnboundedForcesStreaming(t *testing.T) {
 	src := NewSource(testProfile(t), 7, 0, false)
-	if !src.Streaming() {
-		t.Fatal("unbounded source must stream")
+	if _, err := src.Accesses(); err == nil {
+		t.Fatal("unbounded source handed out a materialized slice; it must stream")
 	}
 	if src.N() != 0 {
 		t.Fatalf("N = %d, want 0", src.N())
