@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDisk -fuzztime=$(FUZZTIME) -run='^$$' ./internal/rescache
 	$(GO) test -fuzz=FuzzSweepSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/coord
 	$(GO) test -fuzz=FuzzSchemesAgainstReference -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
+	$(GO) test -fuzz=FuzzGeneratorBatch -fuzztime=$(FUZZTIME) -run='^$$' ./internal/workload
 
 # End-to-end service gates. Each target runs one row of the scenario table
 # in cmd/sramload/scenario.go against a freshly built sramd: the row spawns
@@ -150,7 +151,7 @@ fuzz-smoke:
 # every surviving process to exit cleanly on SIGTERM.
 #
 #   serve-smoke  the pinned golden workload vs golden/serve.json
-#   cache-smoke  fresh disk CAS: miss then memory-tier hit, hit == miss
+#   cache-smoke  fresh disk tier: miss then memory-tier hit, hit == miss
 #   crash-smoke  journaled daemon, kill -9 mid-job, restart on the same
 #                journal: the job resumes from a checkpoint under its id
 #   coord-smoke  coordinator + 3 workers, a 12-point sweep, kill -9 one

@@ -16,9 +16,9 @@
 //	                            constant memory per benchmark)
 //	regress -shards 4           set-sharded parallel simulation (same numbers;
 //	                            CI proves sharded == serial goldens)
-//	regress -cache-dir DIR      memoize check artifacts in a persistent CAS
-//	                            (shareable with sramd and sweep); repeat runs
-//	                            with the same n/seed decode instead of
+//	regress -cache-dir DIR      memoize check artifacts in a persistent result
+//	                            cache (shareable with sramd and sweep); repeat
+//	                            runs with the same n/seed decode instead of
 //	                            simulating. Don't combine with -stream/-shards
 //	                            runs whose purpose is proving mode equivalence.
 //
@@ -52,7 +52,7 @@ func main() {
 	full := flag.Bool("full", false, "render passing metrics in diff tables too")
 	stream := flag.Bool("stream", false, "rebuild artifacts from streamed traces (constant memory; same numbers)")
 	shards := flag.Int("shards", 0, "set-shard every simulation across this many goroutines (same numbers; Random-policy caches run serially)")
-	cacheDir := flag.String("cache-dir", "", "persistent result-cache CAS for check artifacts (default: no caching)")
+	cacheDir := flag.String("cache-dir", "", "persistent result cache for check artifacts (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")
 	flag.Parse()
 	if *showVersion {

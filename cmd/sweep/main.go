@@ -18,8 +18,9 @@
 //	sweep -shards 4                set-shard each job's one walk of RMW and
 //	                               the swept schemes (identical tables)
 //	sweep -cache-dir DIR           memoize each (grid cell, benchmark) pair in
-//	                               a persistent CAS (shareable with sramd and
-//	                               regress); repeat sweeps skip finished cells
+//	                               a persistent result cache (shareable with
+//	                               sramd and regress); repeat sweeps skip
+//	                               finished cells
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 	streamMode := flag.Bool("stream", false, "stream each job's trace instead of materializing (constant memory; same tables)")
 	shards := flag.Int("shards", 0, "set-shard each job's walk across this many goroutines (same tables)")
 	reportPath := flag.String("report", "", "write the sweep artifact (canonical JSON) to this path")
-	cacheDir := flag.String("cache-dir", "", "persistent result-cache CAS for (cell, benchmark) reductions (default: no caching)")
+	cacheDir := flag.String("cache-dir", "", "persistent result cache for (cell, benchmark) reductions (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")
 	flag.Parse()
 	if *showVersion {
@@ -323,9 +324,9 @@ func reductionKey(kind core.Kind, bench string, n int, seed uint64, cfg cache.Co
 	return key
 }
 
-// cachedReduction memoizes one reduction value through the CAS: the blob
-// is the canonical encoding of {"reduction": v}, so cached sweeps decode
-// the exact float a fresh simulation would produce.
+// cachedReduction memoizes one reduction value through the result cache:
+// the value is the canonical encoding of {"reduction": v}, so cached sweeps
+// decode the exact float a fresh simulation would produce.
 func cachedReduction(ctx context.Context, rc *rescache.Cache, key string, compute func() (float64, error)) (float64, error) {
 	blob, _, err := rc.Do(ctx, key, func() ([]byte, error) {
 		v, err := compute()

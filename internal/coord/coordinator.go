@@ -161,9 +161,9 @@ type Coordinator struct {
 
 // New builds a Coordinator, registers cfg.Workers, and — when JournalDir is
 // set — replays the sweep journal: terminal sweeps re-appear with their
-// ledgers served from the CAS, non-terminal sweeps resume dispatching, with
-// already-finished points found under their config hashes and never
-// re-simulated.
+// ledgers served from the result cache, non-terminal sweeps resume
+// dispatching, with already-finished points found under their config
+// hashes and never re-simulated.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.JournalDir != "" && (cfg.Cache == nil || !cfg.Cache.HasDisk()) {
@@ -206,9 +206,10 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // recover rebuilds the sweep table from compacted journal records. Terminal
-// sweeps are re-registered as-is (ledger served from the CAS); non-terminal
-// sweeps whose canonical spec survives in the CAS are re-dispatched from
-// scratch — per-point cache hits make the re-dispatch resume, not restart.
+// sweeps are re-registered as-is (ledger served from the result cache);
+// non-terminal sweeps whose canonical spec survives in the result cache are
+// re-dispatched from scratch — per-point cache hits make the re-dispatch
+// resume, not restart.
 // A non-terminal sweep whose spec is gone fails explicitly rather than
 // vanishing.
 func (c *Coordinator) recover(recs []server.Record) {

@@ -67,7 +67,8 @@ func TestCoordinatedSweepMatchesSerialByteForByte(t *testing.T) {
 func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 	// Crash recovery: a coordinator that died with a sweep journaled but
 	// unfinished must, on restart, re-dispatch the sweep — resuming, not
-	// restarting, because points already in the CAS are never re-simulated.
+	// restarting, because points already in the result cache are never
+	// re-simulated.
 	dir := t.TempDir()
 	cache, err := rescache.Open(rescache.Config{Dir: filepath.Join(dir, "cas")})
 	if err != nil {
@@ -87,7 +88,7 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the dead coordinator's footprint: canonical spec in the CAS,
+	// Simulate the dead coordinator's footprint: canonical spec in the cache,
 	// a queued record in the journal, and point 0 already finished.
 	canon, err := spec.Canonical()
 	if err != nil {
@@ -141,7 +142,7 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 	}
 
 	// Second life: everything terminal now, so a restarted coordinator
-	// re-registers both sweeps and serves the merged ledger from the CAS.
+	// re-registers both sweeps and serves the merged ledger from the cache.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	h.c.Shutdown(ctx)
@@ -171,8 +172,8 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 }
 
 func TestSubmitShortCircuitsOnCachedLedger(t *testing.T) {
-	// Submitting a sweep whose merged ledger is already content-addressed
-	// in the CAS finishes succeeded without touching a single worker — the
+	// Submitting a sweep whose merged ledger is already in the result
+	// cache finishes succeeded without touching a single worker — the
 	// sweep-level analogue of the worker's cached submit.
 	dir := t.TempDir()
 	cache, err := rescache.Open(rescache.Config{Dir: filepath.Join(dir, "cas")})
@@ -213,7 +214,7 @@ func TestSubmitShortCircuitsOnCachedLedger(t *testing.T) {
 }
 
 // TestRecoveredSweepResultGone: a recovered succeeded sweep whose merged
-// ledger left the CAS answers 410, as a worker does for an evicted
+// ledger left the result cache answers 410, as a worker does for an evicted
 // artifact — the sweep succeeded, its bytes are gone, and resubmitting
 // recomputes them.
 func TestRecoveredSweepResultGone(t *testing.T) {

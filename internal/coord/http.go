@@ -46,8 +46,8 @@ func clientID(r *http.Request) string {
 // handleSubmit accepts a sweep: 202 with the sweep status, 400 on a
 // malformed or invalid spec (field-level errors), 413 past the body limit,
 // 429 when rate-limited or the active-sweep table is full, 503 while
-// draining. A sweep whose merged ledger is already in the CAS short-circuits
-// to succeeded without a single dispatch — the sweep-level analogue of the
+// draining. A sweep whose merged ledger is already in the result cache
+// short-circuits to succeeded without a single dispatch — the sweep-level analogue of the
 // worker's cache hit on submit.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !c.accepting.Load() {
@@ -157,7 +157,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult serves the merged canonical ledger once succeeded (410 when
-// a recovered sweep's ledger left the CAS), and 409 with the current state
+// a recovered sweep's ledger left the result cache), and 409 with the current state
 // otherwise.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	s := c.lookup(w, r)

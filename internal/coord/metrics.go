@@ -20,7 +20,7 @@ type coordMetrics struct {
 
 	pointsDispatched atomic.Int64 // dispatch attempts sent to workers
 	pointsSucceeded  atomic.Int64 // points finished with a verified artifact
-	pointsCached     atomic.Int64 // points served from the CAS, never dispatched
+	pointsCached     atomic.Int64 // points served from the result cache, never dispatched
 	redispatches     atomic.Int64 // failed/timed-out attempts retried elsewhere
 	corruptArtifacts atomic.Int64 // fetched artifacts rejected by hash verification
 	rateLimited      atomic.Int64 // submissions bounced by the token bucket

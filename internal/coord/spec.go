@@ -8,8 +8,8 @@
 // worker from absorbing every retry, and a corrupt artifact (config-hash
 // mismatch) is re-dispatched elsewhere and never merged. The coordinator's
 // only state is its sweep table, journaled through the internal/server
-// journal plus the rescache CAS, so a killed coordinator recovers its
-// sweeps mid-flight — already-finished points are found in the CAS and
+// journal plus the result cache, so a killed coordinator recovers its
+// sweeps mid-flight — already-finished points are found in the cache and
 // never re-simulated. Workers stay stateless and unchanged on the wire.
 //
 // The determinism contract extends one level up: a coordinated sweep's
@@ -310,7 +310,7 @@ func (s SweepSpec) Decompose() ([]Point, error) {
 }
 
 // Canonical renders the sweep spec as canonical JSON; Hash is its content
-// address — the sweep's identity in the journal and the CAS.
+// address — the sweep's identity in the journal and the result cache.
 func (s SweepSpec) Canonical() ([]byte, error) {
 	return report.Canonical(s)
 }

@@ -19,14 +19,14 @@ type Sweep struct {
 	// Spec is the validated, normalized sweep as submitted.
 	Spec SweepSpec
 	// Hash is the sha256 of the canonical sweep spec — the sweep's identity
-	// in the journal and the key of its merged ledger in the CAS.
+	// in the journal and the key of its merged ledger in the result cache.
 	Hash string
 	// PointCount is the matrix size.
 	PointCount int
 
 	// done counts points with a verified artifact; cached counts the subset
-	// served from the CAS without a dispatch; retries counts re-dispatched
-	// attempts. All live progress for status polling.
+	// served from the result cache without a dispatch; retries counts
+	// re-dispatched attempts. All live progress for status polling.
 	done    atomic.Int64
 	cached  atomic.Int64
 	retries atomic.Int64
@@ -45,8 +45,8 @@ type SweepStatus struct {
 	SweepHash string       `json:"sweep_hash"`
 	Spec      SweepSpec    `json:"spec"`
 	// Points is the matrix size; Done counts points with verified artifacts
-	// so far; Cached is the subset served from the CAS without dispatching;
-	// Retries counts re-dispatched attempts.
+	// so far; Cached is the subset served from the result cache without
+	// dispatching; Retries counts re-dispatched attempts.
 	Points  int `json:"points"`
 	Done    int `json:"done"`
 	Cached  int `json:"cached,omitempty"`

@@ -87,10 +87,10 @@ func memoTwins() (a, b uint64) {
 }
 
 // FuzzMemory applies an arbitrary sequence of stores, spanning reads and
-// writes, word accesses, clones and comparisons to a Memory and to a flat
-// byte map. Every read, the backed chunk set, the footprint and Equal must
-// agree with the map: the page table stores exactly the bytes and chunks a
-// map of chunks would.
+// writes, word accesses (XorWord's read-modify-write too), clones and
+// comparisons to a Memory and to a flat byte map. Every read, the backed
+// chunk set, the footprint and Equal must agree with the map: the page
+// table stores exactly the bytes and chunks a map of chunks would.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0xfc, 0x0f, 0xab, 2, 0, 0xf0, 0x0f, 80})
@@ -125,7 +125,7 @@ func FuzzMemory(f *testing.F) {
 			if !ok {
 				break
 			}
-			switch op % 7 {
+			switch op % 8 {
 			case 0: // StoreByte
 				m.StoreByte(addr, arg)
 				ref.store(addr, arg)
@@ -195,6 +195,18 @@ func FuzzMemory(f *testing.F) {
 					if m.Equal(other) || other.Equal(m) {
 						t.Fatalf("Equal missed a differing byte at %#x", addr)
 					}
+				}
+			case 7: // XorWord returns the new value and stores it
+				size := uint8(1) << (arg % 4)
+				x := uint64(arg)*0x0101010101010101 ^ addr<<3
+				var want uint64
+				for i := 0; i < int(size); i++ {
+					b := ref.bytes[addr+uint64(i)] ^ byte(x>>(8*i))
+					ref.store(addr+uint64(i), b)
+					want |= uint64(b) << (8 * i)
+				}
+				if got := m.XorWord(addr, size, x); got != want {
+					t.Fatalf("XorWord(%#x, %d, %#x) = %#x, want %#x", addr, size, x, got, want)
 				}
 			}
 			if got, want := m.LoadByte(addr), ref.bytes[addr]; got != want {

@@ -46,8 +46,8 @@ type memoSlot struct {
 // number to page, fronted by a memo of recent lookups hashed by page number
 // into direct-mapped slots. The memo remembers absent pages too, as the
 // shared all-nil page, so reads of never-written memory (fills from a
-// read-only region, a generator's shadow reads) skip the map as well. Even
-// reads update the memo, so a Memory is not safe for concurrent readers.
+// read-only region) skip the map as well. Even reads update the memo, so a
+// Memory is not safe for concurrent readers.
 type Memory struct {
 	pages  map[uint64]*page
 	chunks int // backed chunks
@@ -159,6 +159,22 @@ func (m *Memory) WriteWord(addr uint64, size uint8, data uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], data)
 	m.Write(addr, buf[:size])
+}
+
+// XorWord xors the low size bytes of x into the size bytes at addr and
+// returns their new value: a read-modify-write through one chunk lookup
+// when the eight bytes at addr lie in one chunk.
+func (m *Memory) XorWord(addr uint64, size uint8, x uint64) uint64 {
+	x &= WordMask(size)
+	if off := addr & (ChunkSize - 1); off <= ChunkSize-8 && size <= 8 {
+		c, _ := m.chunkFor(addr, true)
+		w := binary.LittleEndian.Uint64(c[off:]) ^ x
+		binary.LittleEndian.PutUint64(c[off:], w)
+		return w & WordMask(size)
+	}
+	w := m.ReadWord(addr, size) ^ x
+	m.WriteWord(addr, size, w)
+	return w
 }
 
 // WouldBeSilent reports whether writing data (size bytes) at addr would leave

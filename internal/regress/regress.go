@@ -61,7 +61,7 @@ type Options struct {
 	// repeat run with the same result-shaping knobs decodes the stored
 	// canonical bytes instead of re-simulating. Stream and Shards stay out
 	// of the key — they are execution knobs that provably do not change
-	// artifacts — so do not point a cached run at the CAS when the purpose
+	// artifacts — so do not point a cached run at the cache when the purpose
 	// of the run is to prove that equivalence. Update always rebuilds.
 	Cache *rescache.Cache
 }
@@ -276,7 +276,7 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 // buildCached builds a check's artifact, through the result cache when one
 // is attached: the stored blob is the artifact's canonical encoding, so a
 // hit decodes to exactly what a rebuild would produce (content hash
-// re-verified by both the CAS and report.Decode). Update runs always
+// re-verified by both the result cache and report.Decode). Update runs always
 // rebuild — regenerating goldens from a cache would be circular.
 func buildCached(opts Options, c Check) (*report.Artifact, bool, error) {
 	if opts.Cache == nil || opts.Update {

@@ -143,7 +143,9 @@ const maxTrials = 1 << 20
 
 // Trials returns the number of Chance(t) trials up to and including the
 // first success, at least 1 and at most 2^20. The ends take no draw: t =
-// 2^53 returns 1 and t = 0 returns the cap.
+// 2^53 returns 1 and t = 0 returns the cap. Every other t takes one draw
+// per trial counted. The loop is Uint64's with the state held in locals,
+// since the workload generator draws every gap and run length here.
 func (x *Xoshiro256) Trials(t uint64) int {
 	switch t {
 	case 1 << 53:
@@ -151,28 +153,24 @@ func (x *Xoshiro256) Trials(t uint64) int {
 	case 0:
 		return maxTrials
 	}
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
 	n := 1
-	for x.Uint64()>>11 >= t && n < maxTrials {
+	for {
+		result := rotl(s1*5, 7) * 9
+		t17 := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t17
+		s3 = rotl(s3, 45)
+		if result>>11 < t || n == maxTrials {
+			break
+		}
 		n++
 	}
+	x.s = [4]uint64{s0, s1, s2, s3}
 	return n
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p, i.e. the number of trials until the first success, at least
-// 1. For p >= 1 it returns 1; for p <= 0 it is capped at 2^20 to keep run
-// lengths finite. Geometric(p) is Trials(Threshold(p)).
-func (x *Xoshiro256) Geometric(p float64) int { return x.Trials(Threshold(p)) }
-
-// Perm fills dst with a random permutation of [0, len(dst)).
-func (x *Xoshiro256) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
 }
 
 // Pick returns an index in [0, len(weights)) chosen with probability

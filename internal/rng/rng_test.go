@@ -1,9 +1,12 @@
-package rng
+package rng_test
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"cache8t/internal/rng"
+	"cache8t/internal/workload"
 )
 
 func TestSplitMix64KnownSequence(t *testing.T) {
@@ -15,7 +18,7 @@ func TestSplitMix64KnownSequence(t *testing.T) {
 		0xf88bb8a8724c81ec,
 		0x1b39896a51a8749b,
 	}
-	s := NewSplitMix64(0)
+	s := rng.NewSplitMix64(0)
 	for i, w := range want {
 		if got := s.Next(); got != w {
 			t.Fatalf("SplitMix64 value %d = %#x, want %#x", i, got, w)
@@ -24,15 +27,15 @@ func TestSplitMix64KnownSequence(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, b := New(42), New(42)
+	a, b := rng.New(42), rng.New(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same-seed generators diverged at step %d", i)
 		}
 	}
-	c := New(43)
+	c := rng.New(43)
 	same := 0
-	a = New(42)
+	a = rng.New(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == c.Uint64() {
 			same++
@@ -44,7 +47,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestIntnRange(t *testing.T) {
-	x := New(1)
+	x := rng.New(1)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
 		for i := 0; i < 200; i++ {
 			v := x.Intn(n)
@@ -61,11 +64,11 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 			t.Fatal("Intn(0) did not panic")
 		}
 	}()
-	New(1).Intn(0)
+	rng.New(1).Intn(0)
 }
 
 func TestIntnUniformity(t *testing.T) {
-	x := New(7)
+	x := rng.New(7)
 	const n, trials = 10, 100000
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
@@ -80,7 +83,7 @@ func TestIntnUniformity(t *testing.T) {
 }
 
 func TestFloat64Range(t *testing.T) {
-	x := New(99)
+	x := rng.New(99)
 	var sum float64
 	const trials = 100000
 	for i := 0; i < trials; i++ {
@@ -96,7 +99,7 @@ func TestFloat64Range(t *testing.T) {
 }
 
 func TestBoolEdges(t *testing.T) {
-	x := New(3)
+	x := rng.New(3)
 	for i := 0; i < 100; i++ {
 		if x.Bool(0) {
 			t.Fatal("Bool(0) returned true")
@@ -108,7 +111,7 @@ func TestBoolEdges(t *testing.T) {
 }
 
 func TestBoolProbability(t *testing.T) {
-	x := New(5)
+	x := rng.New(5)
 	const trials = 200000
 	for _, p := range []float64{0.1, 0.42, 0.77} {
 		hits := 0
@@ -125,41 +128,85 @@ func TestBoolProbability(t *testing.T) {
 }
 
 func TestGeometricMean(t *testing.T) {
-	x := New(11)
+	x := rng.New(11)
 	const trials = 50000
 	p := 0.25
 	var sum int
 	for i := 0; i < trials; i++ {
-		g := x.Geometric(p)
+		g := x.Trials(rng.Threshold(p))
 		if g < 1 {
-			t.Fatalf("Geometric returned %d < 1", g)
+			t.Fatalf("Trials returned %d < 1", g)
 		}
 		sum += g
 	}
 	mean := float64(sum) / trials
 	if math.Abs(mean-1/p) > 0.2 {
-		t.Errorf("Geometric(%v) mean = %.3f, want ~%.1f", p, mean, 1/p)
+		t.Errorf("Trials(Threshold(%v)) mean = %.3f, want ~%.1f", p, mean, 1/p)
 	}
-	if g := x.Geometric(1); g != 1 {
-		t.Errorf("Geometric(1) = %d, want 1", g)
+	if g := x.Trials(rng.Threshold(1)); g != 1 {
+		t.Errorf("Trials(Threshold(1)) = %d, want 1", g)
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	x := New(13)
-	dst := make([]int, 64)
-	x.Perm(dst)
-	seen := make([]bool, len(dst))
-	for _, v := range dst {
-		if v < 0 || v >= len(dst) || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", dst)
+// frozenTrials is Trials as it stood before its loop kept the xoshiro
+// state in locals: one Uint64 call per trial, capped at 2^20 trials. It is
+// the definition Trials is held to.
+func frozenTrials(x *rng.Xoshiro256, t uint64) int {
+	switch t {
+	case 1 << 53:
+		return 1
+	case 0:
+		return 1 << 20
+	}
+	n := 1
+	for x.Uint64()>>11 >= t && n < 1<<20 {
+		n++
+	}
+	return n
+}
+
+// TestTrialsMatchesFrozenLoop holds Trials to frozenTrials draw for draw:
+// at the edge thresholds and at every threshold the workload generator
+// draws against, each call must return the same count and leave the same
+// state, over several seeds. The generated traces, and so every golden,
+// hang on this sequence of draws.
+func TestTrialsMatchesFrozenLoop(t *testing.T) {
+	ths := []uint64{0, 1, 2, rng.Threshold(0.45), rng.Threshold(0.5), 1<<53 - 1, 1 << 53}
+	for _, p := range workload.Profiles() {
+		ths = append(ths, rng.Threshold(p.MemFrac), rng.Threshold(1/float64(p.RunMean)))
+	}
+	for _, seed := range []uint64{1, 2, 99, 0x9e3779b97f4a7c15} {
+		got, want := rng.New(seed), rng.New(seed)
+		for _, th := range ths {
+			calls := 100
+			if th == 1 || th == 2 {
+				calls = 2 // almost surely runs to the cap
+			}
+			for i := 0; i < calls; i++ {
+				g, w := got.Trials(th), frozenTrials(want, th)
+				if g != w || got.State() != want.State() {
+					t.Fatalf("seed %d, threshold %d, call %d: Trials = %d, state %x; frozen loop = %d, state %x",
+						seed, th, i, g, got.State(), w, want.State())
+				}
+			}
 		}
-		seen[v] = true
+	}
+	// Threshold 1 succeeds only on a zero draw, so it runs to the cap:
+	// exactly 2^20 draws.
+	x, y := rng.New(7), rng.New(7)
+	if n := x.Trials(1); n != 1<<20 {
+		t.Fatalf("Trials(1) = %d, want the cap %d", n, 1<<20)
+	}
+	for i := 0; i < 1<<20; i++ {
+		y.Uint64()
+	}
+	if x.State() != y.State() {
+		t.Fatal("Trials(1) did not take exactly 2^20 draws")
 	}
 }
 
 func TestPickRespectsWeights(t *testing.T) {
-	x := New(17)
+	x := rng.New(17)
 	weights := []float64{0, 1, 3, 0, 6}
 	counts := make([]int, len(weights))
 	const trials = 100000
@@ -184,13 +231,13 @@ func TestPickPanicsWithoutPositiveWeight(t *testing.T) {
 			t.Fatal("Pick with all-zero weights did not panic")
 		}
 	}()
-	New(1).Pick([]float64{0, 0, -1})
+	rng.New(1).Pick([]float64{0, 0, -1})
 }
 
 func TestIntnCoversAllValues(t *testing.T) {
 	// Property: for small n, every value in [0,n) is eventually produced.
 	f := func(seed uint64) bool {
-		x := New(seed)
+		x := rng.New(seed)
 		const n = 5
 		var seen [n]bool
 		for i := 0; i < 500; i++ {
@@ -209,7 +256,7 @@ func TestIntnCoversAllValues(t *testing.T) {
 }
 
 func BenchmarkXoshiroUint64(b *testing.B) {
-	x := New(1)
+	x := rng.New(1)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += x.Uint64()

@@ -151,9 +151,9 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 		WriteFamily(w, "rescache_evictions_total", "counter", "Entries evicted by tier.",
 			Sample{`{tier="memory"}`, cache.MemEvictions}, Sample{`{tier="disk"}`, cache.DiskEvictions})
 		if cache.Dir != "" {
-			one("rescache_disk_entries", "gauge", "Blobs resident in the disk CAS.", cache.DiskEntries)
-			one("rescache_disk_bytes", "gauge", "Bytes resident in the disk CAS.", cache.DiskBytes)
-			one("rescache_disk_cap_bytes", "gauge", "Byte budget of the disk CAS.", cache.DiskCapBytes)
+			one("rescache_disk_entries", "gauge", "Entries resident in the disk tier.", cache.DiskEntries)
+			one("rescache_disk_bytes", "gauge", "Bytes resident in the disk tier.", cache.DiskBytes)
+			one("rescache_disk_cap_bytes", "gauge", "Byte budget of the disk tier.", cache.DiskCapBytes)
 			one("rescache_corrupt_total", "counter", "Entries rejected by integrity re-verification.", cache.DiskCorrupt)
 		}
 	}

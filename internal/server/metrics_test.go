@@ -104,13 +104,13 @@ rescache_mem_cap_bytes 19
 # TYPE rescache_evictions_total counter
 rescache_evictions_total{tier="memory"} 20
 rescache_evictions_total{tier="disk"} 24
-# HELP rescache_disk_entries Blobs resident in the disk CAS.
+# HELP rescache_disk_entries Entries resident in the disk tier.
 # TYPE rescache_disk_entries gauge
 rescache_disk_entries 21
-# HELP rescache_disk_bytes Bytes resident in the disk CAS.
+# HELP rescache_disk_bytes Bytes resident in the disk tier.
 # TYPE rescache_disk_bytes gauge
 rescache_disk_bytes 22
-# HELP rescache_disk_cap_bytes Byte budget of the disk CAS.
+# HELP rescache_disk_cap_bytes Byte budget of the disk tier.
 # TYPE rescache_disk_cap_bytes gauge
 rescache_disk_cap_bytes 23
 # HELP rescache_corrupt_total Entries rejected by integrity re-verification.

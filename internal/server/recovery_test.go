@@ -168,7 +168,7 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 	if !jobs[1].Cached {
 		t.Errorf("job B lost its cached provenance: %+v", jobs[1])
 	}
-	// The artifact is refetched from the CAS by config hash.
+	// The artifact is refetched from the result cache by config hash.
 	code, got := ts2.get("/v1/jobs/" + stA.ID + "/result")
 	if code != http.StatusOK {
 		t.Fatalf("result after restart: %d: %s", code, got)
@@ -610,8 +610,8 @@ func TestRecoverySweepsCheckpoints(t *testing.T) {
 }
 
 // TestRecoverySpecMissing pins the degraded path: a journaled unfinished job
-// whose spec blob did not survive (CAS evicted or wiped) must fail with an
-// explicit error, not vanish from the table or wedge the queue.
+// whose spec did not survive (evicted from the result cache or wiped) must
+// fail with an explicit error, not vanish from the table or wedge the queue.
 func TestRecoverySpecMissing(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
@@ -671,7 +671,8 @@ func TestNewJournalRequiresDiskCache(t *testing.T) {
 }
 
 // TestRecoveredResultGone pins the 410 contract: a recovered succeeded job
-// whose artifact was evicted from the CAS reports Gone, not a server error.
+// whose artifact was evicted from the result cache reports Gone, not a
+// server error.
 func TestRecoveredResultGone(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")

@@ -9,7 +9,8 @@ import (
 )
 
 // Generator produces an infinite, deterministic request stream for one
-// benchmark profile. It implements trace.Stream.
+// benchmark profile. It implements trace.Stream and trace.BatchSource:
+// ReadBatch is the one generation path, and Next and Take go through it.
 //
 // Mechanics: the generator runs one pattern at a time for a geometrically
 // distributed number of accesses (mean Profile.RunMean), then picks the next
@@ -20,6 +21,13 @@ import (
 // Profile.MemFrac. Writes consult a private shadow memory: with probability
 // Profile.SilentFrac the write stores the value already present (a silent
 // store); otherwise it stores a value guaranteed to differ.
+//
+// Region layout: every pattern family works in its own disjoint region
+// (pattern.go), and only SeqWrite, the Copy destination, RMWSweep and Stack
+// write. The SeqRead streams, the Copy source, and the PointerChase and
+// StrideRead regions are never written, so a read there carries zero
+// without a shadow lookup; a pattern that writes into one of those regions
+// must read it through the shadow instead.
 type Generator struct {
 	prof   Profile
 	r      *rng.Xoshiro256
@@ -27,7 +35,7 @@ type Generator struct {
 
 	// memT, silentT and runT are the rng thresholds of MemFrac, SilentFrac
 	// and 1/RunMean, computed once: every draw against them is the draw
-	// Bool and Geometric would make.
+	// Float64() < p would make.
 	memT, silentT, runT uint64
 
 	pattern   Pattern
@@ -94,104 +102,129 @@ func (g *Generator) gap() uint32 {
 	// Trials counts trials to the first success; with p = MemFrac the
 	// mean is 1/MemFrac instructions per access, one of which is the
 	// access itself.
-	n := g.r.Trials(g.memT)
-	return uint32(n - 1)
+	return uint32(g.r.Trials(g.memT) - 1)
 }
 
-// Next emits the next access. The stream is infinite; ok is always true.
-func (g *Generator) Next() (trace.Access, bool) {
-	if g.remaining <= 0 {
-		g.nextRun()
+// access completes an access of the current pattern with its gap. Callers
+// pass the data already drawn, so every access makes its pattern's draws
+// before its gap draw.
+func (g *Generator) access(kind trace.Kind, addr, data uint64) trace.Access {
+	return trace.Access{Addr: addr, Data: data, Gap: g.gap(), Size: elemSize, Kind: kind}
+}
+
+// store draws whether a write to addr is silent and returns the value it
+// stores, updating the shadow image: a silent write stores what is there,
+// any other a value guaranteed to differ from it.
+func (g *Generator) store(addr uint64) uint64 {
+	if g.r.Chance(g.silentT) {
+		return g.shadow.ReadWord(addr, elemSize)
 	}
-	g.remaining--
-	var a trace.Access
+	g.valCounter++
+	return g.shadow.XorWord(addr, elemSize, g.valCounter<<1|1)
+}
+
+// ReadBatch fills dst with the stream's next len(dst) accesses, one pattern
+// run at a time, and returns len(dst): the stream never ends. A run that
+// ends exactly at the end of dst leaves the next run undrawn, so the RNG
+// state after n accesses does not depend on how they were batched.
+func (g *Generator) ReadBatch(dst []trace.Access) int {
+	for i := 0; i < len(dst); {
+		if g.remaining <= 0 {
+			g.nextRun()
+		}
+		run := dst[i:min(len(dst), i+g.remaining)]
+		g.fill(run)
+		g.remaining -= len(run)
+		i += len(run)
+	}
+	return len(dst)
+}
+
+// fill emits run from the current pattern, one loop per pattern.
+func (g *Generator) fill(run []trace.Access) {
 	switch g.pattern {
 	case SeqRead:
 		// A loop nest reading ReadStreams arrays in parallel (a[i]+b[i]...):
 		// each access picks one stream, so consecutive reads stay in the
 		// same block only 1/ReadStreams of the time.
-		s := 0
-		if g.prof.ReadStreams > 1 {
-			s = g.r.Intn(g.prof.ReadStreams)
+		streams := g.prof.ReadStreams
+		for i := range run {
+			s := 0
+			if streams > 1 {
+				s = g.r.Intn(streams)
+			}
+			addr := uint64(seqReadBase+s*(seqRegionBytes+setSkew)) + g.seqReadCurs[s]%seqRegionBytes
+			g.seqReadCurs[s] += elemSize
+			run[i] = g.access(trace.Read, addr, 0)
 		}
-		base := uint64(seqReadBase + s*(seqRegionBytes+setSkew))
-		a = g.read(base + g.seqReadCurs[s]%seqRegionBytes)
-		g.seqReadCurs[s] += elemSize
 	case SeqWrite:
-		a = g.write(seqWriteBase + g.seqWriteCur%seqRegionBytes)
-		g.seqWriteCur += elemSize
+		for i := range run {
+			addr := seqWriteBase + g.seqWriteCur%seqRegionBytes
+			g.seqWriteCur += elemSize
+			run[i] = g.access(trace.Write, addr, g.store(addr))
+		}
 	case Copy:
-		if !g.copyPhase {
-			a = g.read(copySrcBase + g.copyCur%seqRegionBytes)
-		} else {
-			a = g.write(copyDstBase + setSkew + g.copyCur%seqRegionBytes)
-			g.copyCur += elemSize
+		for i := range run {
+			if !g.copyPhase {
+				run[i] = g.access(trace.Read, copySrcBase+g.copyCur%seqRegionBytes, 0)
+			} else {
+				addr := copyDstBase + setSkew + g.copyCur%seqRegionBytes
+				g.copyCur += elemSize
+				run[i] = g.access(trace.Write, addr, g.store(addr))
+			}
+			g.copyPhase = !g.copyPhase
 		}
-		g.copyPhase = !g.copyPhase
 	case RMWSweep:
-		addr := rmwBase + g.rmwCur%rmwRegionBytes
-		if !g.rmwPhase {
-			a = g.read(addr)
-		} else {
-			a = g.write(addr)
-			g.rmwCur += elemSize
+		for i := range run {
+			addr := rmwBase + g.rmwCur%rmwRegionBytes
+			if !g.rmwPhase {
+				run[i] = g.access(trace.Read, addr, g.shadow.ReadWord(addr, elemSize))
+			} else {
+				g.rmwCur += elemSize
+				run[i] = g.access(trace.Write, addr, g.store(addr))
+			}
+			g.rmwPhase = !g.rmwPhase
 		}
-		g.rmwPhase = !g.rmwPhase
 	case PointerChase:
-		slot := uint64(g.r.Intn(chaseRegionBytes/elemSize)) * elemSize
-		a = g.read(chaseBase + slot)
+		for i := range run {
+			slot := uint64(g.r.Intn(chaseRegionBytes/elemSize)) * elemSize
+			run[i] = g.access(trace.Read, chaseBase+slot, 0)
+		}
 	case StrideRead:
-		a = g.read(strideBase + g.strideCur%strideRegionBytes)
-		g.strideCur += strideStep
+		for i := range run {
+			addr := strideBase + g.strideCur%strideRegionBytes
+			g.strideCur += strideStep
+			run[i] = g.access(trace.Read, addr, 0)
+		}
 	case Stack:
 		// Random walk within the hot window; ~45% writes, like spill-heavy
 		// integer code. Steps span up to two blocks so consecutive stack
 		// accesses change set about half the time.
-		step := uint64(g.r.Intn(9)) * elemSize
-		if g.r.Chance(halfT) {
-			g.stackCur += step
-		} else {
-			g.stackCur -= step
-		}
-		addr := stackBase + g.stackCur%stackRegionBytes
-		if g.r.Chance(stackWriteT) {
-			a = g.write(addr)
-		} else {
-			a = g.read(addr)
+		for i := range run {
+			step := uint64(g.r.Intn(9)) * elemSize
+			if g.r.Chance(halfT) {
+				g.stackCur += step
+			} else {
+				g.stackCur -= step
+			}
+			addr := stackBase + g.stackCur%stackRegionBytes
+			if g.r.Chance(stackWriteT) {
+				run[i] = g.access(trace.Write, addr, g.store(addr))
+			} else {
+				run[i] = g.access(trace.Read, addr, g.shadow.ReadWord(addr, elemSize))
+			}
 		}
 	default:
 		panic("workload: invalid pattern")
 	}
-	a.Gap = g.gap()
-	return a, true
 }
 
-// read builds a read access at addr carrying the current memory value.
-func (g *Generator) read(addr uint64) trace.Access {
-	return trace.Access{
-		Kind: trace.Read,
-		Addr: addr,
-		Size: elemSize,
-		Data: g.shadow.ReadWord(addr, elemSize),
-	}
-}
-
-// write builds a write access at addr, silent with the profile probability,
-// and updates the shadow image.
-func (g *Generator) write(addr uint64) trace.Access {
-	old := g.shadow.ReadWord(addr, elemSize)
-	data := old
-	if !g.r.Chance(g.silentT) {
-		g.valCounter++
-		data = old ^ (g.valCounter<<1 | 1) // guaranteed to differ from old
-		g.shadow.WriteWord(addr, elemSize, data)
-	}
-	return trace.Access{
-		Kind: trace.Write,
-		Addr: addr,
-		Size: elemSize,
-		Data: data,
-	}
+// Next emits the next access, through ReadBatch. The stream is infinite;
+// ok is always true.
+func (g *Generator) Next() (trace.Access, bool) {
+	var a [1]trace.Access
+	g.ReadBatch(a[:])
+	return a[0], true
 }
 
 // Stream returns a generator for the named benchmark, or an error for an
@@ -215,14 +248,15 @@ func Take(prof Profile, seed uint64, n int) ([]trace.Access, error) {
 		return nil, err
 	}
 	out := make([]trace.Access, n)
-	for i := range out {
-		out[i], _ = g.Next()
-	}
+	g.ReadBatch(out)
 	return out, nil
 }
 
 // ensure interface compliance.
-var _ trace.Stream = (*Generator)(nil)
+var (
+	_ trace.Stream      = (*Generator)(nil)
+	_ trace.BatchSource = (*Generator)(nil)
+)
 
 // String describes the generator.
 func (g *Generator) String() string {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -172,6 +173,38 @@ func TestGeneratorAccessWellFormed(t *testing.T) {
 			}
 			if a.Addr%elemSize != 0 {
 				t.Fatalf("%s access %d unaligned addr %#x", p.Name, i, a.Addr)
+			}
+		}
+	}
+}
+
+// TestZeroReadRegionsNeverWritten pins the region layout the generator's
+// zero reads rely on: no region a pattern writes overlaps a region the
+// generator reads without its shadow.
+func TestZeroReadRegionsNeverWritten(t *testing.T) {
+	type region struct {
+		name   string
+		lo, hi uint64
+	}
+	written := []region{
+		{"seq-write", seqWriteBase, seqWriteBase + seqRegionBytes},
+		{"copy destination", copyDstBase + setSkew, copyDstBase + setSkew + seqRegionBytes},
+		{"rmw-sweep", rmwBase, rmwBase + rmwRegionBytes},
+		{"stack", stackBase, stackBase + stackRegionBytes},
+	}
+	zero := []region{
+		{"copy source", copySrcBase, copySrcBase + seqRegionBytes},
+		{"pointer-chase", chaseBase, chaseBase + chaseRegionBytes},
+		{"stride-read", strideBase, strideBase + strideRegionBytes},
+	}
+	for s := 0; s < maxReadStreams; s++ {
+		lo := uint64(seqReadBase + s*(seqRegionBytes+setSkew))
+		zero = append(zero, region{fmt.Sprintf("seq-read stream %d", s), lo, lo + seqRegionBytes})
+	}
+	for _, z := range zero {
+		for _, w := range written {
+			if z.lo < w.hi && w.lo < z.hi {
+				t.Errorf("%s [%#x, %#x) overlaps written %s [%#x, %#x)", z.name, z.lo, z.hi, w.name, w.lo, w.hi)
 			}
 		}
 	}
@@ -378,5 +411,25 @@ func TestGeneratorQuickProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkGenerator times generation alone, per access, through
+// trace.FillBatch as the simulation pipeline pulls it: one op is one
+// default-size batch.
+func BenchmarkGenerator(b *testing.B) {
+	for _, name := range []string{"bwaves", "mcf", "gcc", "bzip2"} {
+		b.Run(name, func(b *testing.B) {
+			g, err := Stream(name, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]trace.Access, trace.DefaultBatchSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trace.FillBatch(g, buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/access")
+		})
 	}
 }
