@@ -153,7 +153,8 @@ fuzz-smoke:
 #   serve-smoke  the pinned golden workload vs golden/serve.json
 #   cache-smoke  fresh disk tier: miss then memory-tier hit, hit == miss
 #   crash-smoke  journaled daemon, kill -9 mid-job, restart on the same
-#                journal: the job resumes from a checkpoint under its id
+#                journal: the job resumes from a checkpoint under its id,
+#                and the cache dir holds its artifact alone
 #   coord-smoke  coordinator + 3 workers, a 12-point sweep, kill -9 one
 #                worker mid-sweep: redispatch, merged ledger == serial
 #   hier-smoke   WG L1 over the default 256 KB RMW L2 vs golden/hier-serve.json

@@ -16,11 +16,9 @@
 //	                            constant memory per benchmark)
 //	regress -shards 4           set-sharded parallel simulation (same numbers;
 //	                            CI proves sharded == serial goldens)
-//	regress -cache-dir DIR      memoize check artifacts in a persistent result
-//	                            cache (shareable with sramd and sweep); repeat
-//	                            runs with the same n/seed decode instead of
-//	                            simulating. Don't combine with -stream/-shards
-//	                            runs whose purpose is proving mode equivalence.
+//
+// Every run simulates every check it diffs: no result cache stands between
+// the code and the goldens, so no warm directory can turn the gate off.
 //
 // Exit status: 0 clean, 1 drift, 2 harness error (missing golden, bad
 // flags, simulation failure).
@@ -36,7 +34,6 @@ import (
 
 	"cache8t/internal/regress"
 	"cache8t/internal/report"
-	"cache8t/internal/rescache"
 )
 
 func main() {
@@ -52,7 +49,6 @@ func main() {
 	full := flag.Bool("full", false, "render passing metrics in diff tables too")
 	stream := flag.Bool("stream", false, "rebuild artifacts from streamed traces (constant memory; same numbers)")
 	shards := flag.Int("shards", 0, "set-shard every simulation across this many goroutines (same numbers; Random-policy caches run serially)")
-	cacheDir := flag.String("cache-dir", "", "persistent result cache for check artifacts (default: no caching)")
 	showVersion := flag.Bool("version", false, "print version (git SHA + artifact schema) and exit")
 	flag.Parse()
 	if *showVersion {
@@ -62,16 +58,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	var cache *rescache.Cache
-	if *cacheDir != "" {
-		var err error
-		if cache, err = rescache.Open(rescache.Config{Dir: *cacheDir}); err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		defer cache.Close()
-	}
 
 	opts := regress.Options{
 		GoldenDir: *golden,
@@ -84,7 +70,6 @@ func main() {
 		Shards:    *shards,
 		Context:   ctx,
 		Out:       os.Stdout,
-		Cache:     cache,
 	}
 
 	sum, err := regress.Run(opts, flag.Args()...)

@@ -23,15 +23,18 @@
 //	sramd -version
 //
 // Result caching is on by default (memory tier only; add -cache-dir for a
-// persistent disk tier shared with cmd/regress and cmd/sweep). A submission
-// whose config hash is already cached completes instantly with
-// `"cached": true` in its status; see the README "Result caching" section.
+// persistent disk tier shared with cmd/sweep). A submission whose config
+// hash is already cached completes instantly with `"cached": true` in its
+// status; see the README "Result caching" section.
 //
 // -journal-dir makes jobs durable: state transitions are fsynced to an
-// append-only journal, each running job checkpoints its full controller
-// state into one file, DIR/ckpt/<job-id>, removed when the job finishes,
-// and a restarted daemon replays the journal — same job ids, same states,
-// running jobs resumed from their latest checkpoint.
+// append-only journal whose submission records carry the specs, each
+// running job checkpoints its full controller state into one file,
+// DIR/ckpt/<job-id>, removed when the job finishes, and a restarted daemon
+// replays the journal — same job ids, same states, running jobs resumed
+// from their latest checkpoint. It defaults -cache-dir to DIR/cas, so
+// results survive a restart too; with -no-cache the journal still works,
+// and a recovered succeeded job answers 410 for its artifact.
 // The directory is locked per daemon (stale locks from a crash are taken
 // over; a live twin fails fast). See DESIGN.md §12 and the README
 // "Durability and crash recovery" section.
@@ -120,9 +123,6 @@ func run() error {
 	}
 
 	if *journalDir != "" {
-		if *noCache {
-			return fmt.Errorf("-journal-dir requires the result cache (specs live in its disk tier); drop -no-cache")
-		}
 		// The journal claims its directory exclusively: fail fast on an
 		// unwritable path or a live twin daemon, take over a stale lock left
 		// by a crash. Released on clean shutdown only.
@@ -132,8 +132,8 @@ func run() error {
 		}
 		defer release()
 		if *cacheDir == "" {
-			// Durability needs a disk tier; co-locate it with the journal so
-			// one -journal-dir flag yields a fully durable daemon.
+			// Co-locate a disk tier with the journal, so one -journal-dir flag
+			// keeps results across a restart as well as jobs.
 			*cacheDir = filepath.Join(*journalDir, "cas")
 		}
 	}

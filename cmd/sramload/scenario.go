@@ -51,7 +51,8 @@ const (
 	// 5000 accesses (failing if it finishes first), restarts it on the same
 	// journal, and requires a live twin to be refused, the job to be back
 	// under its id with recovered: true, and, once it has succeeded, no
-	// checkpoint file left in <journal>/ckpt/.
+	// checkpoint file left in <journal>/ckpt/ and nothing in the cache dir,
+	// <journal>/cas, but format, entries/ and the daemon's lock.
 	crashDaemon fault = iota + 1
 	// killWorker kills worker 0 with kill -9 once 1 <= done <= points-4, so
 	// round-robin must revisit it; the sweep must succeed with retries >= 1.
@@ -85,7 +86,9 @@ var scenarios = []scenario{{
 }, {
 	// Per-batch checkpoints at batch 64, each an fsynced file write, stretch
 	// the run enough to kill it mid-flight without sleeping or guessing.
-	// Batch is an execution knob: the artifact does not change.
+	// Batch is an execution knob: the artifact does not change. The job's
+	// spec is in its journal record, so the disk tier holds its artifact
+	// alone.
 	name:    "crash",
 	args:    []string{"-checkpoint-every", "1", "-workers", "1"},
 	dirFlag: "-journal-dir",
@@ -93,7 +96,7 @@ var scenarios = []scenario{{
 	fault:   crashDaemon,
 	golden:  "golden/serve.json",
 	metrics: []string{"sramd_recovered_jobs_total == 1", "sramd_checkpoints_restored_total == 1",
-		"sramd_journal_bytes >= 1"},
+		"sramd_journal_bytes >= 1", "rescache_disk_entries == 1"},
 }, {
 	// The serve job embedded in a 3-controller x 4-seed matrix; -dispatch 1
 	// serializes the points so the sweep provably spans the kill window.
@@ -140,6 +143,15 @@ func runScenario(ctx context.Context, sc scenario, bin string, update bool) erro
 	if sc.fault == crashDaemon {
 		if ents, err := os.ReadDir(filepath.Join(tmp, "ckpt")); err != nil || len(ents) > 0 {
 			return fmt.Errorf("after the recovered job succeeded, the checkpoint dir holds %d files (%v); want none", len(ents), err)
+		}
+		ents, err := os.ReadDir(filepath.Join(tmp, "cas"))
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if name := e.Name(); name != "entries" && name != "format" && name != "sramd.lock" {
+				return fmt.Errorf("the cache dir holds %s; want only format, entries/ and sramd.lock", name)
+			}
 		}
 	}
 	if err := checkGolden(sc, art, update); err != nil {

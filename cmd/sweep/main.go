@@ -19,8 +19,7 @@
 //	                               the swept schemes (identical tables)
 //	sweep -cache-dir DIR           memoize each (grid cell, benchmark) pair in
 //	                               a persistent result cache (shareable with
-//	                               sramd and regress); repeat sweeps skip
-//	                               finished cells
+//	                               sramd); repeat sweeps skip finished cells
 package main
 
 import (

@@ -7,6 +7,7 @@
 //	tracegen -workload lbm -o lbm.c8tt.gz             gzip framing by suffix
 //	tracegen -kernel memset -o memset.c8tt            trace a pinlite kernel
 //	tracegen -inspect lbm.c8tt                        print summary stats
+//	                                                  (binary, gzip or text)
 //	tracegen -inspect lbm.c8tt -dump 20               also dump first N records
 package main
 
@@ -152,7 +153,7 @@ func inspectTrace(path string, dump int) error {
 		return err
 	}
 	defer f.Close()
-	reader, err := trace.NewAutoReader(f)
+	reader, err := trace.NewAnyReader(f)
 	if err != nil {
 		return err
 	}

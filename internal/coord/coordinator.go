@@ -71,11 +71,13 @@ type Config struct {
 	SweepRate  float64
 	SweepBurst int
 	// Cache is the result cache. Per-point artifacts are stored under their
-	// config hash (shared with the workers' key scheme), sweep specs under
-	// "sweep:<hash>", merged ledgers under "ledger:<hash>".
+	// config hash (shared with the workers' key scheme), merged ledgers
+	// under "ledger:<hash>". It holds results only: nothing is lost with an
+	// entry but the work of recomputing it.
 	Cache *rescache.Cache
 	// JournalDir, when set, makes the sweep table durable through the same
-	// journal idiom the job server uses. Requires Cache with a disk tier.
+	// journal the job server uses; a sweep's queued record carries its
+	// spec. It works with or without Cache.
 	JournalDir string
 	// Clock abstracts time; tests inject a fake (default wall clock).
 	Clock Clock
@@ -166,9 +168,6 @@ type Coordinator struct {
 // hashes and never re-simulated.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.JournalDir != "" && (cfg.Cache == nil || !cfg.Cache.HasDisk()) {
-		return nil, fmt.Errorf("coord: JournalDir requires a result cache with a disk tier")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:        cfg,
@@ -207,23 +206,16 @@ func New(cfg Config) (*Coordinator, error) {
 
 // recover rebuilds the sweep table from compacted journal records. Terminal
 // sweeps are re-registered as-is (ledger served from the result cache);
-// non-terminal sweeps whose canonical spec survives in the result cache are
-// re-dispatched from scratch — per-point cache hits make the re-dispatch
-// resume, not restart.
-// A non-terminal sweep whose spec is gone fails explicitly rather than
-// vanishing.
+// non-terminal sweeps are re-dispatched from the spec their record carries
+// — per-point cache hits make the re-dispatch resume, not restart. A
+// non-terminal sweep whose record carries no spec (an older build's) fails
+// explicitly rather than vanishing.
 func (c *Coordinator) recover(recs []server.Record) {
 	now := c.clk.Now()
 	for _, rec := range recs {
-		var spec SweepSpec
-		specOK := false
-		if blob, _, ok := c.cache.Get("sweep:" + rec.SpecKey); ok {
-			if sp, err := DecodeSweepSpec(blob); err == nil {
-				spec, specOK = sp, true
-			}
-		}
+		spec, specErr := DecodeSweepSpec(rec.Spec)
 		points := 0
-		if specOK {
+		if specErr == nil {
 			points = spec.Points()
 		}
 		s := newSweep(c.baseCtx, rec.Job, spec, rec.SpecKey, points, now)
@@ -239,8 +231,8 @@ func (c *Coordinator) recover(recs []server.Record) {
 		c.mu.Lock()
 		c.active++
 		c.mu.Unlock()
-		if !specOK {
-			c.finishSweep(s, server.StateFailed, "sweep spec lost from result cache; cannot resume", nil)
+		if specErr != nil {
+			c.finishSweep(s, server.StateFailed, "sweep spec missing from its journal record; cannot resume", nil)
 			continue
 		}
 		c.sweepWG.Add(1)
@@ -273,19 +265,26 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// journalSweep appends one sweep transition (no-op without a journal).
+// journalSweep appends one sweep transition (no-op without a journal). The
+// queued record carries the spec recovery re-dispatches from.
 func (c *Coordinator) journalSweep(s *Sweep, state server.State, errText string) {
 	if c.journal == nil {
 		return
 	}
-	c.journal.AppendRecord(server.Record{
+	rec := server.Record{
 		Job:      s.ID,
 		State:    state,
 		SpecKey:  s.Hash,
 		Error:    errText,
 		Accesses: uint64(s.done.Load()),
 		UnixMS:   c.clk.Now().UnixMilli(),
-	})
+	}
+	if state == server.StateQueued {
+		// A validated spec always marshals; a record without one would only
+		// fail the sweep loudly at recovery.
+		rec.Spec, _ = json.Marshal(s.Spec)
+	}
+	c.journal.AppendRecord(rec)
 }
 
 // finishSweep applies a terminal transition once, the way the job server

@@ -88,13 +88,12 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the dead coordinator's footprint: canonical spec in the cache,
-	// a queued record in the journal, and point 0 already finished.
-	canon, err := spec.Canonical()
+	// Simulate the dead coordinator's footprint: a queued record carrying
+	// the spec in the journal, and point 0 already finished in the cache.
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put("sweep:"+hash, canon)
 	art0, err := server.Execute(context.Background(), points[0].Spec, points[0].Source, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,7 @@ func TestCoordinatorRecoversSweepFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendRecord(server.Record{Job: "s-000001", State: server.StateQueued, SpecKey: hash}); err != nil {
+	if err := j.AppendRecord(server.Record{Job: "s-000001", State: server.StateQueued, SpecKey: hash, Spec: specJSON}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -230,23 +229,22 @@ func TestRecoveredSweepResultGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := spec.Canonical()
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Put("sweep:"+hash, canon)
 	jdir := filepath.Join(dir, "journal")
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	line := fmt.Sprintf(`{"v":1,"job":"s-000001","state":"succeeded","spec_key":"%s"}`+"\n", hash)
+	line := fmt.Sprintf(`{"v":1,"job":"s-000001","state":"succeeded","spec_key":"%s","spec":%s}`+"\n", hash, specJSON)
 	if err := os.WriteFile(filepath.Join(jdir, "journal.log"), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	h := newHarness(t, Config{Cache: cache, JournalDir: jdir})
 
-	if st := h.status("s-000001"); st.State != server.StateSucceeded || !st.Recovered {
-		t.Fatalf("recovered sweep: state %s recovered %v", st.State, st.Recovered)
+	if st := h.status("s-000001"); st.State != server.StateSucceeded || !st.Recovered || st.Points != spec.Points() {
+		t.Fatalf("recovered sweep: state %s recovered %v points %d, want succeeded, true, %d", st.State, st.Recovered, st.Points, spec.Points())
 	}
 	if code, b := h.do(http.MethodGet, "/v1/sweeps/s-000001/result", nil, nil); code != http.StatusGone {
 		t.Fatalf("result of a ledger-less recovered sweep: %d (want 410): %s", code, b)

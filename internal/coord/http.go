@@ -98,13 +98,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	c.met.sweepsSubmitted.Add(1)
 
-	// Persist the canonical spec before the journal record that references
-	// it, so recovery can always resolve the key it replays.
-	if c.cache != nil {
-		if canon, err := spec.Canonical(); err == nil {
-			c.cache.Put("sweep:"+hash, canon)
-		}
-	}
 	c.journalSweep(s, server.StateQueued, "")
 
 	if c.cache != nil {

@@ -20,7 +20,6 @@ import (
 	"cache8t/internal/core"
 	"cache8t/internal/experiments"
 	"cache8t/internal/report"
-	"cache8t/internal/rescache"
 	"cache8t/internal/stats"
 	"cache8t/internal/trace"
 	"cache8t/internal/workload"
@@ -57,13 +56,6 @@ type Options struct {
 	Context context.Context
 	// Out receives progress lines and diff tables (default os.Stdout).
 	Out io.Writer
-	// Cache, when set, memoizes check artifacts by (check, n, seed): a
-	// repeat run with the same result-shaping knobs decodes the stored
-	// canonical bytes instead of re-simulating. Stream and Shards stay out
-	// of the key — they are execution knobs that provably do not change
-	// artifacts — so do not point a cached run at the cache when the purpose
-	// of the run is to prove that equivalence. Update always rebuilds.
-	Cache *rescache.Cache
 }
 
 // DefaultOptions is the pinned CI configuration: small-N but large enough
@@ -205,8 +197,10 @@ type Summary struct {
 // OK reports whether nothing drifted.
 func (s *Summary) OK() bool { return len(s.Failed) == 0 }
 
-// Run executes the named checks (all when ids is empty) against the goldens
-// under opts.GoldenDir. With opts.Update it regenerates the goldens instead.
+// Run builds the named checks (all when ids is empty), simulating each one,
+// and diffs them against the goldens under opts.GoldenDir; nothing is
+// served from a cache, so a drift in the code always reaches the diff.
+// With opts.Update it regenerates the goldens instead.
 // Drift renders a per-metric diff table on opts.Out; the error is reserved
 // for harness failures (missing golden, simulation error), not drift —
 // callers decide the exit code from the Summary.
@@ -225,15 +219,11 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 	sum := &Summary{}
 	for _, c := range checks {
 		start := time.Now()
-		art, cached, err := buildCached(opts, c)
+		art, err := c.Build(opts)
 		if err != nil {
 			return sum, fmt.Errorf("regress: %s: %w", c.ID, err)
 		}
 		art.WallMS = float64(time.Since(start).Microseconds()) / 1e3
-		note := ""
-		if cached {
-			note = " (cached)"
-		}
 		path := filepath.Join(opts.GoldenDir, c.ID+".json")
 		if opts.Update {
 			if err := report.WriteFile(path, art); err != nil {
@@ -250,8 +240,8 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 		}
 		diff := report.Compare(golden, art, c.Bands)
 		if diff.OK() && !opts.Full {
-			fmt.Fprintf(opts.out(), "regress: %s ok — %d metrics within tolerance (%v)%s\n",
-				c.ID, len(diff.Metrics), time.Since(start).Round(time.Millisecond), note)
+			fmt.Fprintf(opts.out(), "regress: %s ok — %d metrics within tolerance (%v)\n",
+				c.ID, len(diff.Metrics), time.Since(start).Round(time.Millisecond))
 			sum.Passed = append(sum.Passed, c.ID)
 			continue
 		}
@@ -271,39 +261,6 @@ func Run(opts Options, ids ...string) (*Summary, error) {
 		}
 	}
 	return sum, nil
-}
-
-// buildCached builds a check's artifact, through the result cache when one
-// is attached: the stored blob is the artifact's canonical encoding, so a
-// hit decodes to exactly what a rebuild would produce (content hash
-// re-verified by both the result cache and report.Decode). Update runs always
-// rebuild — regenerating goldens from a cache would be circular.
-func buildCached(opts Options, c Check) (*report.Artifact, bool, error) {
-	if opts.Cache == nil || opts.Update {
-		art, err := c.Build(opts)
-		return art, false, err
-	}
-	key, err := report.Hash(map[string]string{
-		"kind":  "regress-check",
-		"check": c.ID,
-		"n":     fmt.Sprint(opts.N),
-		"seed":  fmt.Sprint(opts.Seed),
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	blob, cached, err := opts.Cache.Do(opts.ctx(), key, func() ([]byte, error) {
-		art, err := c.Build(opts)
-		if err != nil {
-			return nil, err
-		}
-		return report.Encode(art)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	art, err := report.Decode(blob)
-	return art, cached, err
 }
 
 // newArtifact stamps the run configuration shared by every check.

@@ -2,8 +2,11 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -81,6 +84,63 @@ func TestCanonicalSortsNestedKeys(t *testing.T) {
 `
 	if string(got) != want {
 		t.Fatalf("canonical output:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// TestCanonicalGoldensAreFixedPoints re-canonicalizes every golden file:
+// each must come back as its own bytes, so a change to the encoder that
+// would move a checked-in artifact fails here first.
+func TestCanonicalGoldensAreFixedPoints(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "golden", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no goldens found (err %v)", err)
+	}
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Canonical(json.RawMessage(want))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: re-canonicalized bytes differ from the file", path)
+		}
+	}
+}
+
+// TestCanonicalEdgeCasesPinned pins the encoding of empty containers, null,
+// strings that need HTML escapes, struct fields out of key order, and
+// floats at the edges of their literal forms.
+func TestCanonicalEdgeCasesPinned(t *testing.T) {
+	type fields struct {
+		Zeta  string         `json:"zeta"`
+		Alpha []any          `json:"alpha"`
+		Empty map[string]int `json:"empty"`
+		Big   float64        `json:"big"`
+	}
+	for _, tc := range []struct {
+		in   any
+		want string
+	}{
+		{map[string]any{}, "{}\n"},
+		{[]any{}, "[]\n"},
+		{nil, "null\n"},
+		{map[string]any{"a<b": "x & y <tag>", "nil": nil, "empty": []int{}},
+			"{\n  \"a\\u003cb\": \"x \\u0026 y \\u003ctag\\u003e\",\n  \"empty\": [],\n  \"nil\": null\n}\n"},
+		{fields{Zeta: "</script>", Alpha: []any{1, "two", 3.5, nil, map[string]any{}}, Big: 1e300},
+			"{\n  \"alpha\": [\n    1,\n    \"two\",\n    3.5,\n    null,\n    {}\n  ],\n  \"big\": 1e+300,\n  \"empty\": null,\n  \"zeta\": \"\\u003c/script\\u003e\"\n}\n"},
+		{1e300, "1e+300\n"},
+		{[]float64{0.1, 1e-7, 123456789012345678}, "[\n  0.1,\n  1e-7,\n  123456789012345680\n]\n"},
+	} {
+		got, err := Canonical(tc.in)
+		if err != nil {
+			t.Fatalf("%#v: %v", tc.in, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%#v:\n got %q\nwant %q", tc.in, got, tc.want)
+		}
 	}
 }
 

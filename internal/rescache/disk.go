@@ -1,7 +1,6 @@
 package rescache
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,9 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Disk layout under the cache root:
@@ -20,7 +19,6 @@ import (
 //	format          — layout/format tag; mismatch clears the cache
 //	entries/<hex>   — one sealed file per key (see WriteSealed), named by
 //	                  the key (or its sha256 when the key is not a digest)
-//	atime.log       — access journal: "<logical clock> <entry name>\n"
 //
 // A read re-hashes the value against the sha256 sealed in front of it, so
 // a flipped bit is detected, the entry evicted, and the caller recomputes.
@@ -28,15 +26,12 @@ import (
 // (WriteFileAtomic): a crash leaves either the old entry or the new one,
 // never a torn file, and leftover tmp-* files are swept at Open.
 //
-// Eviction is LRU by the atime journal: every Get appends an access
-// record; when resident bytes exceed the cap, the coldest entries are
-// removed until under cap. The journal is compacted — rewritten as one
-// record per live entry — when it grows past compactLogFactor times the
-// entry count, and on Close.
-
-// compactLogFactor bounds journal growth: compact when the journal holds
-// more than this many records per live entry.
-const compactLogFactor = 8
+// Eviction is LRU: when resident bytes exceed the cap, the coldest entries
+// are removed until under cap. Recency lives on the entry files: every Put
+// and Get stamps the entry's mtime, and OpenDisk seeds its logical clock
+// from the mtimes, ties broken by name. Within a process the logical clock
+// alone orders entries, so a wall-clock step can only reorder eviction,
+// never change what a read returns.
 
 // ErrCorrupt marks a sealed file whose value no longer hashes to the
 // sha256 it was written with, or that is too short to hold one.
@@ -70,9 +65,8 @@ func ReadSealed(path string) ([]byte, error) {
 }
 
 // Disk is the persistent tier. All methods are safe for concurrent use; a
-// single mutex serializes metadata (the size and atime maps and the
-// journal), which is fine because entry I/O is small compared to the
-// simulations being memoized.
+// single mutex serializes metadata (the size and atime maps), which is fine
+// because entry I/O is small compared to the simulations being memoized.
 type Disk struct {
 	root string
 	cap  int64
@@ -80,9 +74,7 @@ type Disk struct {
 	mu     sync.Mutex
 	sizes  map[string]int64 // live entries: name → value size
 	atimes map[string]int64 // name → last access (logical clock)
-	clock  int64            // monotonic logical time for atime ordering
-	logF   *os.File         // open atime journal, append mode
-	logN   int              // records written since last compaction
+	clock  int64            // logical time, seeded from the entries' mtimes
 
 	evictions uint64
 	corrupt   uint64
@@ -135,26 +127,16 @@ func OpenDisk(dir string, capBytes int64) (*Disk, error) {
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
-	if err := d.replayJournal(); err != nil {
-		return nil, err
-	}
-	logF, err := os.OpenFile(d.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("rescache: open atime journal: %w", err)
-	}
-	d.logF = logF
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.logN > compactLogFactor*(len(d.sizes)+1) {
-		d.compactLocked()
-	}
 	d.sweepLocked()
 	return d, nil
 }
 
 // clearCache removes the cache-owned entries under dir, leaving the
 // directory itself (the caller may not own it). blobs and keys are the
-// content-addressed layout of format 1.
+// content-addressed layout of format 1; atime.log is the access journal
+// older builds kept beside entries/ (a leftover one is otherwise ignored).
 func clearCache(dir string) error {
 	for _, name := range []string{"entries", "blobs", "keys", "atime.log", "format"} {
 		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
@@ -164,7 +146,9 @@ func clearCache(dir string) error {
 	return nil
 }
 
-// scan inventories live entries and sweeps crashed temp files.
+// scan inventories live entries, seeds each one's recency from its mtime
+// (the logical clock starts past the newest), and sweeps crashed temp
+// files.
 func (d *Disk) scan() error {
 	entries, err := os.ReadDir(d.entryDir())
 	if err != nil {
@@ -184,47 +168,13 @@ func (d *Disk) scan() error {
 			continue
 		}
 		d.sizes[name] = max(info.Size()-sha256.Size, 0)
-		d.atimes[name] = 0 // journal replay refines this
+		d.atimes[name] = info.ModTime().UnixNano()
+		d.clock = max(d.clock, d.atimes[name])
 	}
 	return nil
 }
 
-// replayJournal restores entry recency from the atime log. Records for
-// dead entries are skipped; malformed lines are ignored (the journal is
-// advisory — losing it only degrades eviction ordering, never
-// correctness).
-func (d *Disk) replayJournal() error {
-	f, err := os.Open(d.logPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("rescache: open atime journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		d.logN++
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 2 {
-			continue
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			continue
-		}
-		if _, live := d.sizes[fields[1]]; live {
-			d.atimes[fields[1]] = ts
-			if ts > d.clock {
-				d.clock = ts
-			}
-		}
-	}
-	return nil // scanner errors degrade to partial replay, same as truncation
-}
-
 func (d *Disk) entryDir() string { return filepath.Join(d.root, "entries") }
-func (d *Disk) logPath() string  { return filepath.Join(d.root, "atime.log") }
 
 // normKey maps an arbitrary cache key onto a fixed-width hex filename. The
 // server's config hashes are already 64-hex sha256 strings and pass
@@ -293,19 +243,15 @@ func (d *Disk) dropLocked(name string) {
 	delete(d.atimes, name)
 }
 
-// touchLocked stamps name as most recently used and journals the access.
-// The clock is logical (monotonic per process, seeded from the replayed
-// journal) so recency ordering never depends on wall-clock sanity.
+// touchLocked stamps name as most recently used: on the logical clock,
+// which orders entries within this process, and on the entry file's mtime,
+// which carries the order to the next OpenDisk. Recency is advisory, so a
+// failed stamp is ignored.
 func (d *Disk) touchLocked(name string) {
 	d.clock++
 	d.atimes[name] = d.clock
-	if d.logF != nil {
-		fmt.Fprintf(d.logF, "%d %s\n", d.clock, name)
-		d.logN++
-		if d.logN > compactLogFactor*(len(d.sizes)+1) {
-			d.compactLocked()
-		}
-	}
+	now := time.Now()
+	os.Chtimes(filepath.Join(d.entryDir(), name), now, now)
 }
 
 // sweepLocked evicts least-recently-used entries until resident bytes fit
@@ -338,29 +284,6 @@ func (d *Disk) sweepLocked() {
 	}
 }
 
-// compactLocked rewrites the journal as one record per live entry,
-// bounding its size. Best-effort: on any failure the old journal stays in
-// place.
-func (d *Disk) compactLocked() {
-	var buf strings.Builder
-	for name, at := range d.atimes {
-		fmt.Fprintf(&buf, "%d %s\n", at, name)
-	}
-	if err := WriteFileAtomic(d.logPath(), []byte(buf.String())); err != nil {
-		return
-	}
-	if d.logF != nil {
-		d.logF.Close()
-	}
-	logF, err := os.OpenFile(d.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		d.logF = nil
-		return
-	}
-	d.logF = logF
-	d.logN = len(d.atimes)
-}
-
 // Stats returns live entry count, resident value bytes, cap, and
 // cumulative eviction/corruption counters.
 func (d *Disk) Stats() (entries int, bytes, capBytes int64, evictions, corrupt uint64) {
@@ -372,18 +295,8 @@ func (d *Disk) Stats() (entries int, bytes, capBytes int64, evictions, corrupt u
 	return len(d.sizes), bytes, d.cap, d.evictions, d.corrupt
 }
 
-// Close compacts and releases the journal.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.compactLocked()
-	if d.logF != nil {
-		err := d.logF.Close()
-		d.logF = nil
-		return err
-	}
-	return nil
-}
+// Close releases nothing: the disk tier holds no file open between calls.
+func (d *Disk) Close() error { return nil }
 
 // WriteFileAtomic writes path crash-safely: temp file in the same
 // directory, write, fsync, rename over the target, fsync the directory so

@@ -1,5 +1,5 @@
 // Package rescache is the result cache: a two-tier memoization layer that
-// lets the service stack (and the regression/sweep CLIs) skip re-running a
+// lets the service stack (and the sweep CLI) skip re-running a
 // simulation whose artifact it has already computed. The determinism
 // contract makes this sound — a job's canonical artifact is a pure
 // function of its normalized spec, so the sha256 of the artifact's config
@@ -13,7 +13,9 @@
 // sealed file per key at entries/<key>, holding the value's sha256 and then
 // the value; every read re-hashes the value and evicts corruption, a
 // re-put replaces the file, and a size-capped eviction sweep drops the
-// least-recently used entries by atime journal. Cache ties the tiers
+// least-recently used entries, recency kept on the entry files' mtimes.
+// Nothing else depends on the cache: losing any entry costs a recompute
+// and nothing else. Cache ties the tiers
 // together behind one Get/Put/Do surface, with singleflight deduplication
 // in Do so N concurrent identical computations run once.
 //
@@ -60,7 +62,7 @@ type Config struct {
 	// MemBytes budgets the in-memory LRU (<= 0: 64 MiB).
 	MemBytes int64
 	// DiskBytes caps the disk tier (<= 0: 1 GiB). Exceeding it triggers an
-	// LRU eviction sweep by atime journal.
+	// LRU eviction sweep.
 	DiskBytes int64
 }
 
@@ -124,11 +126,6 @@ func Open(cfg Config) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// HasDisk reports whether the cache has a persistent disk tier — the
-// property sramd's job journal requires, since the specs it records by
-// key must survive a process kill.
-func (c *Cache) HasDisk() bool { return c.disk != nil }
 
 // Get returns the blob stored under key and the tier that served it. Disk
 // hits are promoted into the memory tier. Callers must not mutate the
@@ -290,11 +287,6 @@ func (c *Cache) Snapshot() Snapshot {
 	return s
 }
 
-// Close releases the disk tier's journal handle. The memory tier needs no
-// teardown. Safe on a memory-only cache.
-func (c *Cache) Close() error {
-	if c.disk != nil {
-		return c.disk.Close()
-	}
-	return nil
-}
+// Close releases the cache. Neither tier holds a handle between calls, so
+// there is nothing to release; callers still close what they open.
+func (c *Cache) Close() error { return nil }

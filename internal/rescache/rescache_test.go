@@ -444,18 +444,19 @@ func TestDoLeaderPanicReleasesFollowers(t *testing.T) {
 	}
 }
 
+// TestPutErrorsCountedNotFatal makes the disk write fail by replacing
+// entries/ with a plain file (ENOTDIR, which holds for root too): the put
+// is counted as an error and the value is still served from memory.
 func TestPutErrorsCountedNotFatal(t *testing.T) {
-	if os.Getuid() == 0 {
-		t.Skip("running as root: chmod cannot make the dir unwritable")
-	}
 	dir := t.TempDir()
 	c := mustOpen(t, Config{Dir: dir})
-	// Make the entries dir unwritable so the disk put fails.
 	entryDir := filepath.Join(dir, "entries")
-	if err := os.Chmod(entryDir, 0o555); err != nil {
+	if err := os.Remove(entryDir); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(entryDir, 0o755)
+	if err := os.WriteFile(entryDir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	key := hexKey("unwritable")
 	c.Put(key, []byte("still served from memory"))
 	if _, tier, ok := c.Get(key); !ok || tier != TierMemory {
@@ -466,25 +467,48 @@ func TestPutErrorsCountedNotFatal(t *testing.T) {
 	}
 }
 
-func TestJournalCompaction(t *testing.T) {
+// TestDiskKeepsNoSideFiles pins the disk tier's layout: after Put, Get and
+// Close the directory holds only format and entries/, recency lives on the
+// entries' mtimes, and a leftover access log of an older build is left
+// alone and never read.
+func TestDiskKeepsNoSideFiles(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, Config{Dir: dir, MemBytes: 1})
-	key := hexKey("hot")
-	c.Put(key, []byte("blob"))
-	// Far more accesses than compactLogFactor * blobs: the journal must
-	// have been compacted along the way rather than growing unboundedly.
-	for i := 0; i < 200; i++ {
-		if _, _, ok := c.Get(key); !ok {
-			t.Fatalf("lost blob at access %d", i)
-		}
+	keys := []string{hexKey("s1"), hexKey("s2")}
+	c1 := mustOpen(t, Config{Dir: dir, MemBytes: 1})
+	for _, k := range keys {
+		c1.Put(k, []byte(strings.Repeat("x", 100)))
 	}
-	c.Close()
-	raw, err := os.ReadFile(filepath.Join(dir, "atime.log"))
+	c1.Get(keys[0]) // s1 becomes hottest
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("read journal: %v", err)
+		t.Fatal(err)
 	}
-	if lines := strings.Count(string(raw), "\n"); lines > compactLogFactor*2 {
-		t.Fatalf("journal holds %d records after Close, want compacted (<= %d)", lines, compactLogFactor*2)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "entries format" {
+		t.Fatalf("cache dir holds %v, want only entries and format", names)
+	}
+
+	// A stale log that calls s2 the hottest entry does not override the
+	// mtimes: a reopen that must evict one entry evicts s2.
+	stale := fmt.Sprintf("1 %s\n9 %s\n", keys[0], keys[1])
+	if err := os.WriteFile(filepath.Join(dir, "atime.log"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := mustOpen(t, Config{Dir: dir, DiskBytes: 150, MemBytes: 1})
+	if _, _, ok := c2.Get(keys[1]); ok {
+		t.Fatal("the colder entry s2 survived the reopen sweep")
+	}
+	if _, _, ok := c2.Get(keys[0]); !ok {
+		t.Fatal("the hotter entry s1 was evicted")
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "atime.log")); err != nil || string(got) != stale {
+		t.Fatalf("leftover atime.log = (%q, %v), want it untouched", got, err)
 	}
 }
 

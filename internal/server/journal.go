@@ -16,10 +16,10 @@ import (
 // The journal makes a daemon's table survive a process kill: every state
 // transition (queued → running → succeeded|failed|cancelled) of a job, or of
 // a coordinator's sweep, is appended as one JSON line and fsynced before the
-// transition is acknowledged. Specs are not duplicated into the journal —
-// they live in the result cache's disk tier ("spec:<config-hash>" for a job,
-// "sweep:<hash>" for a sweep), so a record carries only the hash. On open
-// the journal is replayed (longest valid prefix: a torn final write or
+// transition is acknowledged. A submission's record carries the entry's
+// normalized spec, so the journal alone rebuilds every unfinished entry and
+// nothing in it depends on the result cache, which holds results only. On
+// open the journal is replayed (longest valid prefix: a torn final write or
 // corrupt tail drops silently, pinned by FuzzJournal) and compacted to one
 // record per id through rescache's crash-safe write, so the file stays
 // bounded by the table, not by churn.
@@ -32,26 +32,29 @@ const journalVersion = 1
 const journalFile = "journal.log"
 
 // Record is one JSON line of the journal, for a job or a sweep. A
-// submission writes a full record (spec key; for a job also its source and
-// trace spool path); later transitions write only the id, the new state,
-// and terminal provenance — replay merges them. AppendRecord stamps V.
+// submission writes a full record (spec and its key; for a job also its
+// source and trace spool path); later transitions write only the id, the
+// new state, and terminal provenance — replay merges them. AppendRecord
+// stamps V.
 type Record struct {
 	V int `json:"v"`
 	// Job is the entry's id ("j-…" for a job, "s-…" for a sweep).
 	Job   string `json:"job"`
 	State State  `json:"state"`
-	// SpecKey is a job's config hash (the canonical spec lives in the
-	// result cache under "spec:<SpecKey>", a succeeded artifact under
-	// "<SpecKey>" itself) or a sweep's hash ("sweep:<SpecKey>" and
-	// "ledger:<SpecKey>").
-	SpecKey    string `json:"spec_key,omitempty"`
-	Source     string `json:"source,omitempty"`
-	TracePath  string `json:"trace_path,omitempty"`
-	TraceBytes int64  `json:"trace_bytes,omitempty"`
-	Cached     bool   `json:"cached,omitempty"`
-	Accesses   uint64 `json:"accesses,omitempty"`
-	Error      string `json:"error,omitempty"`
-	UnixMS     int64  `json:"unix_ms,omitempty"`
+	// SpecKey is a job's config hash (a succeeded artifact is cached under
+	// it) or a sweep's hash (its merged ledger under "ledger:<SpecKey>").
+	SpecKey string `json:"spec_key,omitempty"`
+	// Spec is the compact JSON of the entry's normalized spec, a JobSpec or
+	// a coordinator's SweepSpec. A record written before it existed has
+	// none: it recovers a terminal entry, and fails an unfinished one.
+	Spec       json.RawMessage `json:"spec,omitempty"`
+	Source     string          `json:"source,omitempty"`
+	TracePath  string          `json:"trace_path,omitempty"`
+	TraceBytes int64           `json:"trace_bytes,omitempty"`
+	Cached     bool            `json:"cached,omitempty"`
+	Accesses   uint64          `json:"accesses,omitempty"`
+	Error      string          `json:"error,omitempty"`
+	UnixMS     int64           `json:"unix_ms,omitempty"`
 }
 
 // valid reports whether a decoded record is structurally usable.
@@ -108,6 +111,9 @@ func compactRecords(recs []Record) []Record {
 		}
 		if rec.SpecKey != "" {
 			cur.SpecKey = rec.SpecKey
+		}
+		if len(rec.Spec) > 0 {
+			cur.Spec = rec.Spec
 		}
 		if rec.Source != "" {
 			cur.Source = rec.Source

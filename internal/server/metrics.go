@@ -133,7 +133,7 @@ func (m *serverMetrics) render(w io.Writer, queueDepth, queueCap int, accepting 
 
 	if journal != nil {
 		one("sramd_recovered_jobs_total", "counter", "Jobs replayed from the journal at startup.", m.recovered.Load())
-		one("sramd_checkpoints_written_total", "counter", "Controller checkpoints persisted to the result cache.", m.ckptWritten.Load())
+		one("sramd_checkpoints_written_total", "counter", "Controller checkpoints written to their job's file.", m.ckptWritten.Load())
 		one("sramd_checkpoints_restored_total", "counter", "Recovered jobs resumed from a checkpoint instead of restarting.", m.ckptRestored.Load())
 		one("sramd_journal_bytes", "gauge", "Current size of the job journal file.", journal.Bytes)
 	}

@@ -66,7 +66,7 @@ sramd_accesses_per_second 491.68237318692127
 # HELP sramd_recovered_jobs_total Jobs replayed from the journal at startup.
 # TYPE sramd_recovered_jobs_total counter
 sramd_recovered_jobs_total 3
-# HELP sramd_checkpoints_written_total Controller checkpoints persisted to the result cache.
+# HELP sramd_checkpoints_written_total Controller checkpoints written to their job's file.
 # TYPE sramd_checkpoints_written_total counter
 sramd_checkpoints_written_total 5
 # HELP sramd_checkpoints_restored_total Recovered jobs resumed from a checkpoint instead of restarting.

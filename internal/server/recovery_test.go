@@ -19,12 +19,12 @@ import (
 	"cache8t/internal/trace"
 )
 
-// openTestCache opens a disk-backed result cache under dir and schedules it
-// to close after the servers using it have shut down (t.Cleanup is LIFO, so
-// register the cache before the server).
-func openTestCache(t *testing.T, dir string) *rescache.Cache {
+// openTestCache opens a result cache and schedules it to close after the
+// servers using it have shut down (t.Cleanup is LIFO, so register the cache
+// before the server).
+func openTestCache(t *testing.T, cfg rescache.Config) *rescache.Cache {
 	t.Helper()
-	c, err := rescache.Open(rescache.Config{Dir: dir})
+	c, err := rescache.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"rmw","workload":"bwaves","n":2000}`
 
-	cache1 := openTestCache(t, cdir)
+	cache1 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts1 := newTestServer(t, Config{Workers: 1, Cache: cache1, JournalDir: jdir})
 	stA := submitAccepted(ts1, body)
 	if fin := ts1.waitTerminal(stA.ID); fin.State != StateSucceeded {
@@ -143,7 +143,7 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 	ts1.hs.Close()
 	cache1.Close()
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir})
 
 	code, lst := ts2.get("/v1/jobs")
@@ -182,24 +182,38 @@ func TestRestartPreservesTerminalJobs(t *testing.T) {
 	}
 }
 
-// crashMidRun submits body to a journaled server that checkpoints every
-// batch and crashes it mid-run. It returns the job's 202 status; jdir and
-// cdir hold the journal (with the job's checkpoint file) and the disk tier
-// for a restart.
-func crashMidRun(t *testing.T, jdir, cdir, body string) JobStatus {
+// crashMidRun runs a journaled server with one worker over a cache opened
+// from rc, checkpointing every batch. It submits body, holds that job
+// mid-run, submits each of queued behind it, and crashes the server. It
+// returns body's 202 status; jdir holds the journal (with the held job's
+// checkpoint file) and rc's directory, if any, the disk tier for a restart.
+func crashMidRun(t *testing.T, jdir string, rc rescache.Config, body string, queued ...string) JobStatus {
 	t.Helper()
-	cache1 := openTestCache(t, cdir)
+	held, err := DecodeSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache1 := openTestCache(t, rc)
 	g := newGate(1000)
 	ts1 := newTestServer(t, Config{
 		Workers: 1, Cache: cache1, JournalDir: jdir, CheckpointEvery: 1,
-		testWrapStream: g.wrap,
+		testWrapStream: func(ctx context.Context, j *Job, s trace.Stream) trace.Stream {
+			if j.Spec != held {
+				return s
+			}
+			return g.wrap(ctx, j, s)
+		},
 	})
 	st := submitAccepted(ts1, body)
 	<-g.entered // mid-run: ~15 batches fed, each synchronously checkpointed
+	for _, q := range queued {
+		submitAccepted(ts1, q)
+	}
 
 	// Crash: every transition after this point is lost to the journal. The
 	// cancel tears the run down in-memory (its cancelled record is dropped),
 	// so the journal's last word is "running" — exactly a kill -9's view.
+	// The queued jobs drain, and their terminal records are lost too.
 	ts1.srv.journal.freeze()
 	ts1.cancel(st.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
@@ -224,9 +238,9 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	jdir := filepath.Join(dir, "journal")
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
-	st := crashMidRun(t, jdir, cdir, body)
+	st := crashMidRun(t, jdir, rescache.Config{Dir: cdir}, body)
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
 
 	// The job survived the crash under its original id, re-ran, and
@@ -410,10 +424,10 @@ func recoverDamagedCheckpoint(t *testing.T, damage func(path string)) {
 	jdir := filepath.Join(dir, "journal")
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
-	st := crashMidRun(t, jdir, cdir, body)
+	st := crashMidRun(t, jdir, rescache.Config{Dir: cdir}, body)
 	damage(filepath.Join(jdir, "ckpt", st.ID))
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
 
 	final := ts2.waitTerminal(st.ID)
@@ -452,7 +466,7 @@ func recoverDamagedCheckpoint(t *testing.T, damage func(path string)) {
 // serve it).
 func TestCheckpointOnlySerialJobs(t *testing.T) {
 	dir := t.TempDir()
-	rc := openTestCache(t, filepath.Join(dir, "cas"))
+	rc := openTestCache(t, rescache.Config{Dir: filepath.Join(dir, "cas")})
 	ts := newTestServer(t, Config{Workers: 1, Cache: rc, JournalDir: filepath.Join(dir, "journal"), CheckpointEvery: 1})
 	written := func() float64 {
 		_, m := ts.get("/metrics")
@@ -501,7 +515,7 @@ func TestCheckpointOnlySerialJobs(t *testing.T) {
 func TestCheckpointRemovedAtTerminal(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
-	rc := openTestCache(t, filepath.Join(dir, "cas"))
+	rc := openTestCache(t, rescache.Config{Dir: filepath.Join(dir, "cas")})
 	g := newGate(1000)
 	ts := newTestServer(t, Config{
 		Workers: 1, Cache: rc, JournalDir: jdir, CheckpointEvery: 1,
@@ -555,7 +569,7 @@ func TestRecoverySweepsCheckpoints(t *testing.T) {
 	jdir := filepath.Join(dir, "journal")
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
-	st := crashMidRun(t, jdir, cdir, body)
+	st := crashMidRun(t, jdir, rescache.Config{Dir: cdir}, body)
 
 	f, err := os.OpenFile(filepath.Join(jdir, journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -575,7 +589,7 @@ func TestRecoverySweepsCheckpoints(t *testing.T) {
 		}
 	}
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, CheckpointEvery: 1})
 	for _, path := range stale {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -610,8 +624,8 @@ func TestRecoverySweepsCheckpoints(t *testing.T) {
 }
 
 // TestRecoverySpecMissing pins the degraded path: a journaled unfinished job
-// whose spec did not survive (evicted from the result cache or wiped) must
-// fail with an explicit error, not vanish from the table or wedge the queue.
+// whose record carries no spec, as an older build wrote it, must fail with
+// an explicit error, not vanish from the table or wedge the queue.
 func TestRecoverySpecMissing(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
@@ -622,7 +636,7 @@ func TestRecoverySpecMissing(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jdir, journalFile), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache := openTestCache(t, filepath.Join(dir, "cas"))
+	cache := openTestCache(t, rescache.Config{Dir: filepath.Join(dir, "cas")})
 	ts := newTestServer(t, Config{Workers: 1, Cache: cache, JournalDir: jdir})
 
 	code, b := ts.get("/v1/jobs/j-000007")
@@ -652,21 +666,117 @@ func TestRecoverySpecMissing(t *testing.T) {
 	}
 }
 
-// TestNewJournalRequiresDiskCache pins the misconfiguration guard: a journal
-// without a persistent disk tier cannot keep specs, so New must refuse
-// rather than degrade silently.
-func TestNewJournalRequiresDiskCache(t *testing.T) {
+// TestRecoveryOutlivesSpecEviction pins that the journal alone rebuilds a
+// job: a held job and six queued behind it, on a disk tier of 1.5 KB that
+// evicts whatever the jobs put in it, all recover from their journal
+// records after a crash, and the held job resumes to Execute's bytes.
+func TestRecoveryOutlivesSpecEviction(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := New(Config{JournalDir: dir}); err == nil {
-		t.Fatal("New accepted JournalDir with no cache")
+	jdir := filepath.Join(dir, "journal")
+	rc := rescache.Config{Dir: filepath.Join(dir, "cas"), DiskBytes: 1500, MemBytes: 1}
+	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
+	var queued []string
+	for n := 1000; n <= 1005; n++ {
+		queued = append(queued, fmt.Sprintf(`{"controller":"rmw","workload":"mcf","n":%d}`, n))
 	}
-	memOnly, err := rescache.Open(rescache.Config{})
+	st := crashMidRun(t, jdir, rc, body, queued...)
+
+	ts2 := newTestServer(t, Config{Workers: 1, Cache: openTestCache(t, rc), JournalDir: jdir, CheckpointEvery: 1})
+	code, lst := ts2.get("/v1/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("list after restart: %d: %s", code, lst)
+	}
+	var jobs []JobStatus
+	if err := json.Unmarshal(lst, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1+len(queued) || jobs[0].ID != st.ID {
+		t.Fatalf("job table after restart: %+v", jobs)
+	}
+	for _, j := range jobs {
+		if fin := ts2.waitTerminal(j.ID); fin.State != StateSucceeded || !fin.Recovered {
+			t.Fatalf("job %s after restart: %s (recovered %v): %s", j.ID, fin.State, fin.Recovered, fin.Error)
+		}
+	}
+	requireExecuteBytes(t, ts2, st.ID, body)
+}
+
+// TestRecoveryWithoutDiskTier pins that a journal needs no disk tier: on a
+// memory-only cache, a crashed job resumes from its checkpoint file to
+// Execute's bytes, and a job that succeeded before the crash answers 410,
+// its artifact gone with the process.
+func TestRecoveryWithoutDiskTier(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	ts0 := newTestServer(t, Config{Workers: 1, Cache: openTestCache(t, rescache.Config{}), JournalDir: jdir})
+	done := submitAccepted(ts0, `{"controller":"rmw","workload":"bwaves","n":2000}`)
+	if fin := ts0.waitTerminal(done.ID); fin.State != StateSucceeded {
+		t.Fatalf("job before the crash ended %s: %s", fin.State, fin.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	if err := ts0.srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts0.hs.Close()
+
+	const body = `{"controller":"wgrb","workload":"bwaves","n":3000,"batch":64}`
+	st := crashMidRun(t, jdir, rescache.Config{}, body)
+	ts2 := newTestServer(t, Config{Workers: 1, Cache: openTestCache(t, rescache.Config{}), JournalDir: jdir, CheckpointEvery: 1})
+	if fin := ts2.waitTerminal(st.ID); fin.State != StateSucceeded || !fin.Recovered {
+		t.Fatalf("recovered job ended %s (recovered %v): %s", fin.State, fin.Recovered, fin.Error)
+	}
+	requireExecuteBytes(t, ts2, st.ID, body)
+	if _, m := ts2.get("/metrics"); metricValue(t, m, "sramd_checkpoints_restored_total") != 1 {
+		t.Errorf("the recovered job did not resume from its checkpoint:\n%s", m)
+	}
+	if code, b := ts2.get("/v1/jobs/" + done.ID + "/result"); code != http.StatusGone {
+		t.Fatalf("result of a job that succeeded before the crash: %d (want 410): %s", code, b)
+	}
+}
+
+// TestCheckpointWriteFailureRunsOn makes every checkpoint write fail by
+// replacing <JournalDir>/ckpt with a plain file after New (ENOTDIR, which
+// holds for root too): the job runs on to Execute's bytes, and no
+// checkpoint counts as written.
+func TestCheckpointWriteFailureRunsOn(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir, CheckpointEvery: 1})
+	ckpt := filepath.Join(jdir, "ckpt")
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"controller":"wg","workload":"bwaves","n":3000,"batch":64}`
+	st := submitAccepted(ts, body)
+	if fin := ts.waitTerminal(st.ID); fin.State != StateSucceeded {
+		t.Fatalf("job ended %s: %s", fin.State, fin.Error)
+	}
+	requireExecuteBytes(t, ts, st.ID, body)
+	if _, m := ts.get("/metrics"); metricValue(t, m, "sramd_checkpoints_written_total") != 0 {
+		t.Fatalf("checkpoints counted as written into a plain file:\n%s", m)
+	}
+}
+
+// requireExecuteBytes requires job id's result to be Execute's bytes for
+// body, an uninterrupted in-process run.
+func requireExecuteBytes(t *testing.T, ts *testServer, id, body string) {
+	t.Helper()
+	code, got := ts.get("/v1/jobs/" + id + "/result")
+	if code != http.StatusOK {
+		t.Fatalf("result: %d: %s", code, got)
+	}
+	spec, err := DecodeSpec([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer memOnly.Close()
-	if _, err := New(Config{JournalDir: dir, Cache: memOnly}); err == nil {
-		t.Fatal("New accepted JournalDir with a memory-only cache")
+	want, err := Execute(context.Background(), spec, spec.Workload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("job %s's artifact differs from an uninterrupted run", id)
 	}
 }
 
@@ -684,7 +794,7 @@ func TestRecoveredResultGone(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jdir, journalFile), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache := openTestCache(t, filepath.Join(dir, "cas"))
+	cache := openTestCache(t, rescache.Config{Dir: filepath.Join(dir, "cas")})
 	ts := newTestServer(t, Config{Workers: 1, Cache: cache, JournalDir: jdir})
 
 	code, b := ts.get("/v1/jobs/j-000003/result")
@@ -703,7 +813,7 @@ func TestJournalRetentionPreservesLiveJobs(t *testing.T) {
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"rmw","workload":"bwaves","n":2000}`
 
-	cache1 := openTestCache(t, cdir)
+	cache1 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts1 := newTestServer(t, Config{Workers: 1, Cache: cache1, JournalDir: jdir})
 	stA := submitAccepted(ts1, body)
 	if fin := ts1.waitTerminal(stA.ID); fin.State != StateSucceeded {
@@ -750,7 +860,7 @@ func TestJournalRetentionPreservesLiveJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir, JournalRetain: time.Hour})
 
 	code, b := ts2.get("/v1/jobs/" + stA.ID)
@@ -795,7 +905,7 @@ func TestRecoveredJobFinishedBeforeSubscribe(t *testing.T) {
 	cdir := filepath.Join(dir, "cas")
 	const body = `{"controller":"rmw","workload":"bwaves","n":2000}`
 
-	cache1 := openTestCache(t, cdir)
+	cache1 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts1 := newTestServer(t, Config{Workers: 1, Cache: cache1, JournalDir: jdir})
 	st := submitAccepted(ts1, body)
 	if fin := ts1.waitTerminal(st.ID); fin.State != StateSucceeded {
@@ -829,7 +939,7 @@ func TestRecoveredJobFinishedBeforeSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache2 := openTestCache(t, cdir)
+	cache2 := openTestCache(t, rescache.Config{Dir: cdir})
 	ts2 := newTestServer(t, Config{Workers: 1, Cache: cache2, JournalDir: jdir})
 	j, ok := ts2.srv.jobs.Get(st.ID)
 	if !ok {

@@ -58,10 +58,12 @@ type Config struct {
 	// server does not own the cache — the caller closes it after Shutdown.
 	Cache *rescache.Cache
 	// JournalDir, when set, makes jobs durable: every state transition is
-	// fsynced to an append-only journal there, specs are pinned into the
-	// result cache, and New replays the journal — re-registering terminal
-	// jobs and re-enqueueing unfinished ones — so the job table survives a
-	// kill -9. Requires Cache with a disk tier (New errors otherwise).
+	// fsynced to an append-only journal there, a submission's record
+	// carrying its spec, and New replays the journal — re-registering
+	// terminal jobs and re-enqueueing unfinished ones — so the job table
+	// survives a kill -9. It works with or without Cache: a recovered
+	// succeeded job serves its artifact from the cache while the cache
+	// holds it, and answers 410 once it does not.
 	JournalDir string
 	// CheckpointEvery, when positive and journaling is on, snapshots each
 	// running job's full controller state every that many batches into one
@@ -134,11 +136,8 @@ type Server struct {
 }
 
 // New builds a Server, replays the job journal when one is configured, and
-// starts the worker pool. It errors when JournalDir is set without a result
-// cache with a disk tier — the journal keeps specs and artifacts there by
-// key, so durability without persistence is a misconfig, not something to
-// degrade silently. Recovery removes every checkpoint file but those of
-// the jobs it re-enqueues.
+// starts the worker pool. Recovery removes every checkpoint file but those
+// of the jobs it re-enqueues.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -155,9 +154,6 @@ func New(cfg Config) (*Server, error) {
 
 	var pending []*Job
 	if cfg.JournalDir != "" {
-		if cfg.Cache == nil || !cfg.Cache.HasDisk() {
-			return nil, errors.New("server: JournalDir requires a result cache with a disk tier")
-		}
 		s.ckptDir = filepath.Join(cfg.JournalDir, "ckpt")
 		if err := os.MkdirAll(s.ckptDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: checkpoint dir: %w", err)
@@ -199,20 +195,13 @@ func New(cfg Config) (*Server, error) {
 // recoverJobs rebuilds the job table from the compacted journal: terminal
 // jobs are re-registered as-is (artifact refetched lazily from the cache),
 // queued and running jobs are returned for re-enqueueing, and unfinished
-// jobs whose spec or spooled trace did not survive the crash fail with an
-// explicit error rather than vanishing. Runs before the worker pool starts.
+// jobs whose record carries no spec (an older build's) or whose spooled
+// trace did not survive the crash fail with an explicit error rather than
+// vanishing. Runs before the worker pool starts.
 func (s *Server) recoverJobs(recs []Record) []*Job {
 	var pending []*Job
 	for _, rec := range recs {
-		var spec JobSpec
-		specOK := false
-		if rec.SpecKey != "" {
-			if blob, _, ok := s.cache.Get("spec:" + rec.SpecKey); ok {
-				if dec, err := DecodeSpec(blob); err == nil {
-					spec, specOK = dec, true
-				}
-			}
-		}
+		spec, specErr := DecodeSpec(rec.Spec)
 		submitted := time.Now()
 		if rec.UnixMS != 0 {
 			submitted = time.UnixMilli(rec.UnixMS)
@@ -227,10 +216,10 @@ func (s *Server) recoverJobs(recs []Record) []*Job {
 			j.cached.Store(rec.Cached)
 			j.accesses.Store(rec.Accesses)
 			j.Recover(rec.State, rec.Error)
-		case !specOK || (rec.TracePath != "" && !fileExists(rec.TracePath)):
+		case specErr != nil || (rec.TracePath != "" && !fileExists(rec.TracePath)):
 			msg := "cannot recover job: spooled trace no longer exists"
-			if !specOK {
-				msg = "cannot recover job: spec missing from the result cache"
+			if specErr != nil {
+				msg = "cannot recover job: spec missing from its journal record"
 			}
 			j.Recover(StateFailed, msg)
 			s.journalState(j, StateFailed, msg)
@@ -304,22 +293,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// journalSubmit makes an accepted job durable: the canonical spec bytes go
-// into the result cache under "spec:<hash>" (so recovery can rebuild the
-// job), then the queued record is fsynced. Runtime journal errors are
-// deliberately swallowed — the job still runs this process; durability
-// degrades, service does not.
+// journalSubmit makes an accepted job durable: its queued record, which
+// carries the spec recovery rebuilds the job from, is fsynced. Runtime
+// journal errors are deliberately swallowed — the job still runs this
+// process; durability degrades, service does not.
 func (s *Server) journalSubmit(j *Job) {
 	if s.journal == nil {
 		return
 	}
-	if b, err := j.Spec.Canonical(); err == nil {
-		s.cache.Put("spec:"+j.ConfigHash, b)
-	}
+	// A validated spec always marshals; a record without one would only
+	// fail the job loudly at recovery.
+	spec, _ := json.Marshal(j.Spec)
 	s.journal.AppendRecord(Record{
 		Job:        j.ID,
 		State:      StateQueued,
 		SpecKey:    j.ConfigHash,
+		Spec:       spec,
 		Source:     j.Source,
 		TracePath:  j.tracePath,
 		TraceBytes: j.bytesIngested,

@@ -285,18 +285,33 @@ func (tr *Reader) Err() error { return tr.err }
 // flushes. It returns the number written.
 func WriteAll(w io.Writer, s Stream, max int) (uint64, error) {
 	tw := NewWriter(w)
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		if err := tw.Write(a); err != nil {
-			return tw.Count(), err
-		}
-		n++
+	if err := tw.writeStream(s, max); err != nil {
+		return tw.Count(), err
 	}
 	return tw.Count(), tw.Flush()
+}
+
+// writeStream encodes up to max accesses of s (max<=0 means all), pulling
+// them a batch at a time through FillBatch and never past max.
+func (tw *Writer) writeStream(s Stream, max int) error {
+	buf := make([]Access, DefaultBatchSize)
+	for n := 0; max <= 0 || n < max; {
+		want := len(buf)
+		if max > 0 {
+			want = min(want, max-n)
+		}
+		got := FillBatch(s, buf[:want])
+		for _, a := range buf[:got] {
+			if err := tw.Write(a); err != nil {
+				return err
+			}
+		}
+		if got < want {
+			return nil
+		}
+		n += got
+	}
+	return nil
 }
 
 // ReadAll decodes an entire trace into memory.

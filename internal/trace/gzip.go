@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"io"
 	"strings"
@@ -40,28 +41,13 @@ func (g *GzWriter) Close() error {
 	return g.gz.Close()
 }
 
-// NewAutoReader returns a Reader over r, transparently unwrapping a gzip
-// layer if one is present.
-func NewAutoReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(2)
-	if err == nil && len(head) == 2 && head[0] == gzipMagic[0] && head[1] == gzipMagic[1] {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewReader(gz), nil
-	}
-	// Not gzip (or too short to tell): decode as a plain trace; header
-	// validation happens on the first Next.
-	return NewReader(br), nil
-}
-
 // NewAnyReader returns a streaming decoder over r for any trace framing:
 // a gzip layer is unwrapped transparently, then the payload is sniffed as
 // binary (the C8TT magic) or, failing that, decoded as the text format.
 // This is what lets every CLI replay .c8tt, .c8tt.gz, and .txt traces
-// through the same batched pipeline.
+// through the same batched pipeline. An input with no bytes at all is no
+// trace in any framing: it goes to the binary decoder, which fails it with
+// ErrBadMagic rather than reading it as an empty text trace.
 func NewAnyReader(r io.Reader) (ErrStream, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if head, err := br.Peek(2); err == nil && len(head) == 2 &&
@@ -74,7 +60,7 @@ func NewAnyReader(r io.Reader) (ErrStream, error) {
 	}
 	// Binary header validation happens on the first Next; the sniff here
 	// only routes between the binary and text decoders.
-	if head, err := br.Peek(4); err == nil && len(head) == 4 && [4]byte(head) == magic {
+	if head, _ := br.Peek(4); len(head) == 0 || bytes.Equal(head, magic[:]) {
 		return NewReader(br), nil
 	}
 	return NewTextReader(br), nil
@@ -87,16 +73,8 @@ func WriteAllAuto(w io.Writer, s Stream, max int, compress bool) (uint64, error)
 		return WriteAll(w, s, max)
 	}
 	gw := NewGzWriter(w)
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		if err := gw.Write(a); err != nil {
-			return gw.Count(), err
-		}
-		n++
+	if err := gw.writeStream(s, max); err != nil {
+		return gw.Count(), err
 	}
 	return gw.Count(), gw.Close()
 }

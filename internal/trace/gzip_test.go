@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// readAuto drains NewAutoReader over r: what it decoded, and the first
+// readAuto drains NewAnyReader over r: what it decoded, and the first
 // error, from the constructor or the stream's Err.
 func readAuto(r io.Reader) ([]Access, error) {
-	tr, err := NewAutoReader(r)
+	tr, err := NewAnyReader(r)
 	if err != nil {
 		return nil, err
 	}
