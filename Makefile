@@ -106,18 +106,19 @@ regress-shard:
 
 # Design-space sweep smoke: cmd/sweep walks each cache shape once for all
 # the grid cells that share it, and caches every cell's reduction under its
-# own key. Five runs at -n 5000 (plain, set-sharded, streamed, and twice on
-# one fresh -cache-dir) must print the same tables, and the second cached
-# run must be served from the cache with 0 misses.
+# own key. Six runs at -n 5000 (plain, one worker, set-sharded, streamed,
+# and twice on one fresh -cache-dir) must print the same tables, and the
+# second cached run must be served from the cache with 0 misses.
 sweep-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/sweep" ./cmd/sweep && \
 	"$$tmp/sweep" -n 5000 > "$$tmp/plain.txt" && \
+	"$$tmp/sweep" -n 5000 -workers 1 > "$$tmp/serial.txt" && \
 	"$$tmp/sweep" -n 5000 -shards 4 > "$$tmp/shards.txt" && \
 	"$$tmp/sweep" -n 5000 -stream > "$$tmp/stream.txt" && \
 	"$$tmp/sweep" -n 5000 -cache-dir "$$tmp/cas" > "$$tmp/cold.txt" && \
 	"$$tmp/sweep" -n 5000 -cache-dir "$$tmp/cas" > "$$tmp/warm.txt" 2> "$$tmp/warm.err" && \
-	for run in shards stream cold warm; do \
+	for run in serial shards stream cold warm; do \
 		cmp "$$tmp/plain.txt" "$$tmp/$$run.txt" || exit 1; \
 	done && \
 	if ! grep -q ', 0 misses,' "$$tmp/warm.err"; then \

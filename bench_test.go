@@ -315,10 +315,9 @@ func BenchmarkAllocPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSweep pits the serial execution path against the worker
-// pool on a Figure 9-shaped workload (RMW+WG+WGRB over several benchmarks)
-// and reports throughput in simulated accesses per second — the perf
-// baseline future scaling PRs measure against.
+// BenchmarkEngineSweep pits one worker against a pool of GOMAXPROCS on a
+// Figure 9-shaped workload (RMW+WG+WGRB over several benchmarks, one job
+// each) and reports throughput in simulated accesses per second.
 func BenchmarkEngineSweep(b *testing.B) {
 	profs := workload.Profiles()[:8]
 	const perBench = 30_000
@@ -334,7 +333,12 @@ func BenchmarkEngineSweep(b *testing.B) {
 			jobs = append(jobs, engine.Job[core.Result]{
 				Label: k.String(),
 				Fn: func(ctx context.Context) (core.Result, error) {
-					return core.RunContext(ctx, k, shape, core.Options{}, trace.FromSlice(accs), 0)
+					res, err := core.RunSchemes(ctx, []core.Scheme{{Kind: k}}, shape,
+						func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
+					if err != nil {
+						return core.Result{}, err
+					}
+					return res[0], nil
 				},
 			})
 		}
@@ -347,14 +351,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 	}
 	for _, workers := range pool {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := engine.New[core.Result](engine.Config{Workers: workers})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				outs, err := eng.Run(context.Background(), jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := engine.Values(outs); err != nil {
+				if _, err := engine.Map(context.Background(), engine.Config{Workers: workers}, jobs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -64,8 +64,7 @@ func main() {
 	for i, p := range profiles {
 		p := p
 		jobs[i] = engine.Job[row]{
-			Label:  p.Name,
-			Weight: int64(*n),
+			Label: p.Name,
 			Fn: func(jctx context.Context) (row, error) {
 				accs, err := workload.Take(p, 1, *n)
 				if err != nil {
@@ -167,8 +166,7 @@ func sensitivity(ctx context.Context, ecfg engine.Config, n int) error {
 		for _, p := range profiles {
 			p := p
 			jobs = append(jobs, engine.Job[red]{
-				Label:  s.name + "/" + p.Name,
-				Weight: int64(n),
+				Label: s.name + "/" + p.Name,
 				Fn: func(jctx context.Context) (red, error) {
 					accs, err := workload.Take(p, 1, n)
 					if err != nil {

@@ -3,8 +3,8 @@
 // sizes, associativities, and Set-Buffer depths, for one benchmark or the
 // mean over all of them. Grid cells that share a cache shape share its
 // walk: each (shape, benchmark) pair is one simulation of RMW and every
-// Set-Buffer option set its cells ask for, and the pairs fan out across the
-// execution engine.
+// Set-Buffer option set its cells ask for, and the pairs fan out through
+// engine.Map.
 //
 // Usage:
 //
@@ -12,7 +12,8 @@
 //	sweep -bench bwaves            single benchmark
 //	sweep -n 200000 -controller wg only the WG reduction
 //	sweep -workers 8 -progress     8-way parallel with live progress
-//	sweep -timeout 30s -stats      per-job timeout, engine snapshot at exit
+//	sweep -workers 1               one job at a time (identical tables)
+//	sweep -timeout 30s             per-job timeout
 //	sweep -stream                  regenerate traces per job (constant memory,
 //	                               identical tables)
 //	sweep -shards 4                set-shard each job's one walk of RMW and
@@ -54,7 +55,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-simulation timeout (0 = none)")
 	progress := flag.Bool("progress", false, "print live job progress to stderr")
-	snap := flag.Bool("stats", false, "print the engine snapshot (JSON) to stderr at exit")
 	streamMode := flag.Bool("stream", false, "stream each job's trace instead of materializing (constant memory; same tables)")
 	shards := flag.Int("shards", 0, "set-shard each job's walk across this many goroutines (same tables)")
 	reportPath := flag.String("report", "", "write the sweep artifact (canonical JSON) to this path")
@@ -103,7 +103,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s (%v)\n", p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
 	}
-	eng := engine.New[[]float64](ecfg)
 
 	// cell is one grid point; its reduction is the mean over benchmarks.
 	type cell struct {
@@ -145,8 +144,7 @@ func main() {
 			for bi, src := range srcs {
 				prof := profiles[bi]
 				jobs = append(jobs, engine.Job[[]float64]{
-					Label:  fmt.Sprintf("shape%d/%s", si, prof.Name),
-					Weight: int64(*n),
+					Label: fmt.Sprintf("shape%d/%s", si, prof.Name),
 					Fn: func(jctx context.Context) ([]float64, error) {
 						var res []core.Result
 						reds := make([]float64, len(sh.opts))
@@ -175,11 +173,7 @@ func main() {
 				})
 			}
 		}
-		outs, err := eng.Run(ctx, jobs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		vals, err := engine.Values(outs)
+		vals, err := engine.Map(ctx, ecfg, jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -274,13 +268,6 @@ func main() {
 	}
 	render(t)
 
-	if *snap {
-		js, err := eng.Snapshot().JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%s\n", js)
-	}
 	if rc != nil {
 		cs := rc.Snapshot()
 		fmt.Fprintf(os.Stderr, "sweep: result cache: %d hits, %d misses, %d deduped (%d entries on disk)\n",
@@ -288,8 +275,6 @@ func main() {
 	}
 
 	if *reportPath != "" {
-		esnap := eng.Snapshot()
-		art.Engine = &esnap
 		art.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 		if err := report.WriteFile(*reportPath, art); err != nil {
 			log.Fatal(err)

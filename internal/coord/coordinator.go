@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cache8t/internal/engine"
 	"cache8t/internal/report"
 	"cache8t/internal/rescache"
 	"cache8t/internal/server"
@@ -241,7 +242,8 @@ func (c *Coordinator) recover(recs []server.Record) {
 }
 
 // Shutdown drains: no new sweeps are accepted, in-flight sweeps run to
-// completion. When ctx expires first, remaining sweeps are cancelled.
+// completion. When ctx ends first, the remaining sweeps are cancelled and
+// end cancelled, as a DELETE leaves them.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.accepting.Store(false)
 	done := make(chan struct{})
@@ -315,10 +317,10 @@ func (c *Coordinator) finishSweep(s *Sweep, state server.State, errText string, 
 	c.sweeps.Retire(s.ID)
 }
 
-// runSweep is one sweep's lifecycle: decompose, fan the points over the
-// fleet under the dispatch-parallel cap, slot every verified artifact by
-// point index, merge. Slotting by index — never completion order — is what
-// makes the merged ledger independent of scheduling.
+// runSweep is one sweep's lifecycle: decompose, map the points over the
+// fleet at the dispatch-parallel cap, take every verified artifact in point
+// order, merge. Point order — never completion order — is what makes the
+// merged ledger independent of scheduling.
 func (c *Coordinator) runSweep(s *Sweep) {
 	defer c.sweepWG.Done()
 	if !s.Start(c.clk.Now()) {
@@ -330,33 +332,23 @@ func (c *Coordinator) runSweep(s *Sweep) {
 		c.finishSweep(s, server.StateFailed, err.Error(), nil)
 		return
 	}
-	arts := make([][]byte, len(points))
-	errs := make([]error, len(points))
-	sem := make(chan struct{}, c.cfg.DispatchParallel)
-	var wg sync.WaitGroup
-	for i := range points {
-		if s.Context().Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			arts[i], errs[i] = c.dispatchPoint(s, points[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			c.finishSweep(s, server.StateFailed, fmt.Sprintf("point %d: %v", i, e), nil)
-			return
+	jobs := make([]engine.Job[[]byte], len(points))
+	for i, p := range points {
+		jobs[i] = engine.Job[[]byte]{
+			Label: fmt.Sprintf("point %d", i),
+			Fn:    func(context.Context) ([]byte, error) { return c.dispatchPoint(s, p) },
 		}
 	}
-	if s.Context().Err() != nil {
-		// Cancelled between scheduling loops; the DELETE handler already
-		// applied the terminal transition, this is belt and braces.
+	arts, err := engine.Map(s.Context(), engine.Config{Workers: c.cfg.DispatchParallel}, jobs)
+	var je *engine.JobError
+	switch {
+	case s.Context().Err() != nil:
+		// A DELETE (whose handler already applied the terminal transition)
+		// or a drain past its deadline.
 		c.finishSweep(s, server.StateCancelled, "", nil)
+		return
+	case errors.As(err, &je):
+		c.finishSweep(s, server.StateFailed, fmt.Sprintf("%s: %v", je.Label, je.Err), nil)
 		return
 	}
 	merged, err := MergeLedger(s.Hash, arts)

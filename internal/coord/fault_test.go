@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -493,8 +494,8 @@ func TestBreakerOpensOnDeadWorker(t *testing.T) {
 	if st.State != server.StateFailed {
 		t.Fatalf("sweep %s: %s, want failed", st.ID, st.State)
 	}
-	if !strings.Contains(st.Error, "no worker available") {
-		t.Fatalf("error %q does not mention worker exhaustion", st.Error)
+	if !strings.HasPrefix(st.Error, "point 0: ") || !strings.Contains(st.Error, "no worker available") {
+		t.Fatalf("error %q does not name point 0 and worker exhaustion", st.Error)
 	}
 	if got := dead.submitCount(); got != 2 {
 		t.Fatalf("dead worker saw %d submissions, want 2 (breaker threshold)", got)
@@ -598,6 +599,31 @@ func TestCancelSweepMidFlight(t *testing.T) {
 	}
 	if got := h.c.met.sweepsCancelled.Load(); got != 1 {
 		t.Fatalf("cancelled metric = %d, want 1", got)
+	}
+}
+
+func TestDrainKillCancelsSweep(t *testing.T) {
+	// A drain past its deadline cancels the sweeps still dispatching, as
+	// Shutdown promises: the sweep ends cancelled with no error, like a
+	// DELETE, and is counted so.
+	hung := newFakeWorker(t)
+	hung.onSubmit = hangForever
+	clk := newFakeClock()
+	h := newHarness(t, fastCfg(clk, hung.url()))
+
+	st := h.submit(tinySweep(1))
+	waitUntil(t, "the point's submission to reach the worker", func() bool { return hung.submitCount() == 1 })
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := h.c.Shutdown(ended); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown past its deadline = %v, want context.Canceled", err)
+	}
+	if got := h.status(st.ID); got.State != server.StateCancelled || got.Error != "" {
+		t.Fatalf("sweep after a drain kill: %s (%q), want cancelled with no error", got.State, got.Error)
+	}
+	_, body := h.do(http.MethodGet, "/metrics", nil, nil)
+	if want := `coord_sweeps_total{state="cancelled"} 1`; !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("/metrics lacks %s:\n%s", want, body)
 	}
 }
 

@@ -61,39 +61,44 @@ func (a StreamAnalysis) SilentFrac() float64 {
 }
 
 // Analyze measures a request stream against a cache geometry, consuming up
-// to max accesses (max <= 0 drains the stream). Silent-write detection keeps
-// an exact shadow image, so results are deterministic and architectural.
+// to max accesses (max <= 0 drains the stream). It pulls one reusable batch
+// at a time through trace.FillBatch, so a generator fills it natively and
+// is never drawn past max. Silent-write detection keeps an exact shadow
+// image, so results are deterministic and architectural.
 func Analyze(s trace.Stream, g cache.Geometry, max int) StreamAnalysis {
+	if max > 0 {
+		s = trace.NewLimit(s, uint64(max))
+	}
 	var out StreamAnalysis
 	shadow := mem.New()
 	havePrev := false
 	var prevKind trace.Kind
 	var prevSet int
-	n := 0
-	for max <= 0 || n < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-		out.Stats.Observe(a)
-		set := g.SetIndex(a.Addr)
-		if havePrev {
-			out.Pairs++
-			if set == prevSet {
-				out.SameSet++
-				out.Scenario[prevKind][a.Kind]++
+	batch := make([]trace.Access, trace.DefaultBatchSize)
+	for {
+		n := trace.FillBatch(s, batch)
+		for _, a := range batch[:n] {
+			out.Stats.Observe(a)
+			set := g.SetIndex(a.Addr)
+			if havePrev {
+				out.Pairs++
+				if set == prevSet {
+					out.SameSet++
+					out.Scenario[prevKind][a.Kind]++
+				}
 			}
-		}
-		if a.Kind == trace.Write {
-			if shadow.WouldBeSilent(a.Addr, a.Size, a.Data) {
-				out.SilentWrites++
+			if a.Kind == trace.Write {
+				if shadow.WouldBeSilent(a.Addr, a.Size, a.Data) {
+					out.SilentWrites++
+				}
+				shadow.WriteWord(a.Addr, a.Size, a.Data)
 			}
-			shadow.WriteWord(a.Addr, a.Size, a.Data)
+			havePrev = true
+			prevKind = a.Kind
+			prevSet = set
 		}
-		havePrev = true
-		prevKind = a.Kind
-		prevSet = set
+		if n < len(batch) {
+			return out
+		}
 	}
-	return out
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"cache8t/internal/cache"
+	"cache8t/internal/mem"
 	"cache8t/internal/trace"
+	"cache8t/internal/workload"
 )
 
 func TestAnalyzeScenarioBreakdown(t *testing.T) {
@@ -99,5 +101,76 @@ func TestAnalyzeMatchesControllerSilentCount(t *testing.T) {
 	}
 	if a.SilentWrites != r.Counters.SilentWrites {
 		t.Errorf("analyzer silent %d != WG silent %d", a.SilentWrites, r.Counters.SilentWrites)
+	}
+}
+
+// refAnalyze is the per-access analysis loop Analyze replaced, kept as the
+// reference its batched pull must match.
+func refAnalyze(s trace.Stream, g cache.Geometry, max int) StreamAnalysis {
+	var out StreamAnalysis
+	shadow := mem.New()
+	havePrev := false
+	var prevKind trace.Kind
+	var prevSet int
+	for n := 0; max <= 0 || n < max; n++ {
+		a, ok := s.Next()
+		if !ok {
+			break
+		}
+		out.Stats.Observe(a)
+		set := g.SetIndex(a.Addr)
+		if havePrev {
+			out.Pairs++
+			if set == prevSet {
+				out.SameSet++
+				out.Scenario[prevKind][a.Kind]++
+			}
+		}
+		if a.Kind == trace.Write {
+			if shadow.WouldBeSilent(a.Addr, a.Size, a.Data) {
+				out.SilentWrites++
+			}
+			shadow.WriteWord(a.Addr, a.Size, a.Data)
+		}
+		havePrev = true
+		prevKind = a.Kind
+		prevSet = set
+	}
+	return out
+}
+
+// TestAnalyzeBatchedMatchesPerAccess holds the batched Analyze of a bwaves
+// generator, at a max that cuts a batch, to the per-access reference, and
+// checks the generator is not drawn past max: its next access is access
+// max+1 of a fresh generator.
+func TestAnalyzeBatchedMatchesPerAccess(t *testing.T) {
+	prof, err := workload.ProfileByName("bwaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func() *workload.Generator {
+		g, err := workload.NewGenerator(prof, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := cache.MustGeometry(64*1024, 4, 32)
+	const max = 3*trace.DefaultBatchSize + 1234
+	batched := gen()
+	got := Analyze(batched, g, max)
+	if want := refAnalyze(gen(), g, max); got != want {
+		t.Fatalf("batched Analyze = %+v, want the per-access %+v", got, want)
+	}
+	if got.Stats.Accesses() != max {
+		t.Fatalf("analyzed %d accesses, want %d", got.Stats.Accesses(), max)
+	}
+	fresh := gen()
+	for range max {
+		fresh.Next()
+	}
+	want, _ := fresh.Next()
+	if next, _ := batched.Next(); next != want {
+		t.Fatalf("after Analyze the generator yields %v, want access %d of a fresh one, %v", next, max+1, want)
 	}
 }

@@ -1,27 +1,26 @@
-// Package engine is the experiment-execution subsystem: it turns "run N
-// independent simulations" into a first-class service with a bounded worker
-// pool, context cancellation, per-job timeouts, panic containment, live
-// progress, and engine-level metrics.
+// Package engine is the repository's one bounded fan-out: Map runs
+// independent jobs on a pool of goroutines, the caller among them, under
+// per-job timeouts and panic containment, and returns their values in
+// submission order.
 //
-// The engine is generic over the job result type and deliberately depends on
-// nothing else in this repository, so every layer — experiments, the job
-// server, the CLIs — can fan work out through it without import cycles. The
-// experiments grid helpers are thin adapters over this package.
+// The package is generic over the job result type and depends on nothing
+// else in this repository, so every layer fans work out through it without
+// import cycles: the experiments harness, cmd/calibrate and cmd/sweep run
+// their benchmark jobs on it, the job server runs each job as a one-job Map,
+// and the coordinator dispatches a sweep's points through it.
 //
 // # Determinism
 //
-// Results are aggregated by submission index: Run returns one Outcome per
-// Job, in the order the jobs were submitted, regardless of the order workers
-// finished them. A job function that is itself deterministic therefore
-// produces byte-identical aggregate output whether the pool runs with one
-// worker or many. This is the contract the rest of the repository leans on —
-// a parallel sweep must reproduce the serial tables exactly.
+// Values land by submission index, whatever order the workers finish in. A
+// job function that is itself deterministic therefore produces
+// byte-identical aggregate output at one worker or many. This is the
+// contract the rest of the repository leans on: a parallel sweep must
+// reproduce the serial tables exactly.
 //
 // # Failure containment
 //
-// A job that returns an error or panics is converted into a *JobError
-// recorded on its Outcome; the process never dies and the other jobs keep
-// running (unless Config.FailFast cancels them). Cancellation via the parent
-// context stops dispatch promptly and marks never-started jobs as skipped,
-// so partial results are always well formed.
+// A job that returns an error or panics becomes a *JobError naming the job;
+// the process never dies and the other jobs still run. Map returns the
+// first failure in submission order. Once the parent context ends, no
+// further job starts and Map returns that context's error.
 package engine

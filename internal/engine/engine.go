@@ -6,298 +6,156 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Config tunes an Engine. The zero value is a sensible default: one worker
-// per CPU (capped at the job count), no timeout, run everything.
+// Config tunes one Map call. The zero value runs one worker per CPU (capped
+// at the job count) with no timeout.
 type Config struct {
-	// Workers bounds concurrent jobs. <= 0 means min(jobs, GOMAXPROCS).
-	// Workers == 1 runs jobs serially on the calling goroutine.
+	// Workers bounds concurrent jobs: Map runs min(Workers, len(jobs))
+	// goroutines, at least one. <= 0 means GOMAXPROCS.
 	Workers int
-	// JobTimeout, when positive, bounds each job's wall time; an expired job
-	// fails with a *JobError wrapping context.DeadlineExceeded.
+	// JobTimeout, when positive, bounds each job's wall time: the job's
+	// context ends with context.DeadlineExceeded.
 	JobTimeout time.Duration
-	// FailFast cancels the remaining jobs after the first job error. Jobs
-	// already in flight still run to completion (or cancellation).
-	FailFast bool
-	// OnProgress, when non-nil, is invoked after every job finishes. Calls
-	// are serialized; the callback must not block for long.
+	// OnProgress, when non-nil, is called after every job finishes, from
+	// one goroutine, so calls are serialized.
 	OnProgress func(Progress)
 }
 
-// Job is one unit of independent work: a simulation, a stream
-// materialization, a verification round.
+// Job is one unit of independent work: a simulation, a job server's run, a
+// sweep point's dispatch.
 type Job[T any] struct {
-	// Label names the job in errors, progress lines, and metrics.
+	// Label names the job in errors and progress lines.
 	Label string
-	// Weight is the job's size in domain units (for the simulators:
-	// accesses). It only feeds throughput metrics; zero is fine.
-	Weight int64
 	// Fn does the work. It must honor ctx for prompt cancellation and must
 	// be safe to run concurrently with other jobs' Fn.
 	Fn func(ctx context.Context) (T, error)
 }
 
-// Outcome is one job's result slot. Run returns outcomes indexed exactly
-// like the submitted jobs, which is what makes parallel runs reproduce
-// serial ones byte for byte.
-type Outcome[T any] struct {
-	// Index is the job's submission position.
-	Index int
-	// Label echoes Job.Label.
-	Label string
-	// Value is the job's return value; meaningful only when Err is nil.
-	Value T
-	// Err is nil on success, a *JobError on failure, panic, timeout, or
-	// skip-after-cancellation.
-	Err error
-	// Wall is how long the job ran; zero for skipped jobs.
-	Wall time.Duration
-	// Skipped marks jobs never started because the run was cancelled.
-	Skipped bool
-}
-
-// Progress is a point-in-time view handed to Config.OnProgress.
+// Progress is handed to Config.OnProgress after each job finishes.
 type Progress struct {
-	// Done counts finished jobs (successes and failures), Failed the subset
-	// that errored, Total the jobs submitted to this Run.
-	Done, Failed, Total int
-	// Index and Label identify the job that just finished.
-	Index int
+	// Done counts finished jobs (successes and failures), Total the jobs
+	// handed to Map.
+	Done, Total int
+	// Label names the job that just finished.
 	Label string
-	// Err is that job's error, if any.
-	Err error
-	// Elapsed is wall time since Run started.
+	// Elapsed is wall time since Map started.
 	Elapsed time.Duration
 }
 
-// Engine executes batches of jobs under one Config, accumulating metrics
-// across Run calls. An Engine is safe for use from multiple goroutines,
-// though the usual shape is one Run per batch.
-type Engine[T any] struct {
-	cfg Config
-	m   metrics
+// JobError is the failure of one job: a returned error or a recovered
+// panic. It wraps the cause for errors.Is/As.
+type JobError struct {
+	// Label echoes Job.Label.
+	Label string
+	// Err is the underlying cause.
+	Err error
+	// Panicked marks an error converted from a recovered panic; Stack then
+	// holds the goroutine stack captured at recovery.
+	Panicked bool
+	Stack    []byte
 }
 
-// New builds an Engine with the given configuration.
-func New[T any](cfg Config) *Engine[T] {
-	return &Engine[T]{cfg: cfg}
+// Error implements error.
+func (e *JobError) Error() string {
+	if e.Panicked {
+		return fmt.Sprintf("engine: job %s panicked: %v", e.Label, e.Err)
+	}
+	return fmt.Sprintf("engine: job %s: %v", e.Label, e.Err)
 }
 
-// Workers reports the pool size a batch of n jobs would use.
-func (e *Engine[T]) Workers(n int) int {
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Unwrap exposes the cause to errors.Is/As.
+func (e *JobError) Unwrap() error { return e.Err }
 
-// Run executes jobs and returns one Outcome per job, in submission order.
-// The returned error is nil unless the parent context was cancelled (or its
-// deadline passed), in which case it is that context's error and the
-// outcomes still describe every job: finished ones normally, unstarted ones
-// as skipped. Job-level failures never surface here — they live on the
-// outcomes — so callers decide whether one bad job spoils the batch.
-func (e *Engine[T]) Run(ctx context.Context, jobs []Job[T]) ([]Outcome[T], error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Map runs jobs on a pool of min(cfg.Workers, len(jobs)) goroutines, the
+// calling goroutine among them, each taking the next job in submission
+// order, and returns their values in that order. Every job runs, whatever
+// its siblings do; Map then returns the first failure in submission order,
+// a *JobError. Once ctx ends, no further job starts and Map returns ctx's
+// error.
+func Map[T any](ctx context.Context, cfg Config, jobs []Job[T]) ([]T, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	start := time.Now()
-	e.m.submitted.Add(int64(len(jobs)))
-
-	outs := make([]Outcome[T], len(jobs))
-	for i, j := range jobs {
-		outs[i] = Outcome[T]{Index: i, Label: j.Label}
-	}
-
-	// FailFast needs a cancel handle of its own so a job error can stop
-	// dispatch without the caller's context being touched.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	workers = max(1, min(workers, len(jobs)))
+	vals := make([]T, len(jobs))
+	errs := make([]error, len(jobs))
 	var (
-		prog     progressState
-		failFast = func() {}
+		next         atomic.Int64
+		wg, reported sync.WaitGroup
+		finished     chan string // labels of finished jobs, for OnProgress
 	)
-	prog.total = len(jobs)
-	prog.start = start
-	if e.cfg.FailFast {
-		failFast = cancel
-	}
-
-	if e.Workers(len(jobs)) == 1 {
-		// Serial fallback: same bookkeeping, no goroutines, deterministic
-		// by construction.
-		for i := range jobs {
-			if runCtx.Err() != nil {
-				e.skipFrom(outs, i, ctx)
-				break
-			}
-			e.runJob(runCtx, jobs[i], &outs[i], &prog, failFast)
-		}
-	} else {
-		e.runPool(runCtx, ctx, jobs, outs, &prog, failFast)
-	}
-
-	e.m.wallNanos.Add(int64(time.Since(start)))
-	// Cancellation is reported from the caller's context, not runCtx: a
-	// FailFast-triggered stop is a normal completion with failed outcomes.
-	if err := ctx.Err(); err != nil {
-		return outs, err
-	}
-	return outs, nil
-}
-
-// runPool fans jobs out to Workers goroutines via an index channel.
-func (e *Engine[T]) runPool(runCtx, parent context.Context, jobs []Job[T], outs []Outcome[T], prog *progressState, failFast func()) {
-	workers := e.Workers(len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	if cfg.OnProgress != nil {
+		finished = make(chan string, len(jobs)) // one send per job
+		reported.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				e.runJob(runCtx, jobs[i], &outs[i], prog, failFast)
+			defer reported.Done()
+			start, done := time.Now(), 0
+			for label := range finished {
+				done++
+				cfg.OnProgress(Progress{Done: done, Total: len(jobs), Label: label, Elapsed: time.Since(start)})
 			}
 		}()
 	}
-dispatch:
-	for i := range jobs {
-		select {
-		case idx <- i:
-		case <-runCtx.Done():
-			e.skipFrom(outs, i, parent)
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// skipFrom marks outs[from:] as skipped after a cancellation. The recorded
-// error prefers the parent context's cause so callers see "deadline
-// exceeded" rather than a bare cancel.
-func (e *Engine[T]) skipFrom(outs []Outcome[T], from int, parent context.Context) {
-	cause := parent.Err()
-	if cause == nil {
-		cause = context.Canceled
-	}
-	for i := from; i < len(outs); i++ {
-		outs[i].Skipped = true
-		outs[i].Err = &JobError{Index: outs[i].Index, Label: outs[i].Label, Err: cause, Skipped: true}
-		e.m.skipped.Add(1)
-	}
-}
-
-// runJob executes one job with timeout, panic containment, and accounting.
-func (e *Engine[T]) runJob(ctx context.Context, job Job[T], out *Outcome[T], prog *progressState, failFast func()) {
-	jctx := ctx
-	if e.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, e.cfg.JobTimeout)
-		defer cancel()
-	}
-	e.m.started.Add(1)
-	jobStart := time.Now()
-
-	v, err := e.call(jctx, job)
-
-	out.Wall = time.Since(jobStart)
-	e.m.busyNanos.Add(int64(out.Wall))
-	if err != nil {
-		je, ok := err.(*JobError)
-		if !ok {
-			je = &JobError{Err: err}
-		}
-		je.Index, je.Label = out.Index, out.Label
-		out.Err = je
-		e.m.failed.Add(1)
-		if je.Panicked {
-			e.m.panicked.Add(1)
-		}
-		failFast()
-	} else {
-		out.Value = v
-		e.m.completed.Add(1)
-		e.m.items.Add(job.Weight)
-	}
-	prog.emit(e.cfg.OnProgress, out.Index, out.Label, out.Err)
-}
-
-// call invokes the job function, converting a panic into a *JobError so a
-// crashed simulation cannot take down the process or the pool.
-func (e *Engine[T]) call(ctx context.Context, job Job[T]) (v T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &JobError{
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    debug.Stack(),
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			vals[i], errs[i] = run(ctx, cfg.JobTimeout, jobs[i])
+			if finished != nil {
+				finished <- jobs[i].Label
 			}
 		}
-	}()
-	return job.Fn(ctx)
-}
-
-// Snapshot returns the engine's cumulative counters.
-func (e *Engine[T]) Snapshot() Snapshot {
-	return e.m.snapshot()
-}
-
-// progressState serializes OnProgress callbacks and tracks batch counts.
-type progressState struct {
-	mu           sync.Mutex
-	done, failed int
-	total        int
-	start        time.Time
-}
-
-func (p *progressState) emit(fn func(Progress), index int, label string, jobErr error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	if jobErr != nil {
-		p.failed++
 	}
-	if fn != nil {
-		fn(Progress{
-			Done: p.done, Failed: p.failed, Total: p.total,
-			Index: index, Label: label, Err: jobErr,
-			Elapsed: time.Since(p.start),
-		})
+	// The caller works too, so a one-job Map (the job server runs one per
+	// job) starts no goroutine: handing each job to a fresh goroutine
+	// measured 2-5% slower job server submit-to-result latency on a 2-vCPU
+	// host.
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-}
-
-// Map is the convenience path for callers that want values, not outcomes:
-// it runs jobs under a one-shot engine and unwraps the results, returning
-// the first error (cancellation first, then job errors in submission order).
-func Map[T any](ctx context.Context, cfg Config, jobs []Job[T]) ([]T, error) {
-	outs, err := New[T](cfg).Run(ctx, jobs)
-	if err != nil {
+	work()
+	wg.Wait()
+	if finished != nil {
+		close(finished)
+		reported.Wait()
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return Values(outs)
-}
-
-// Values unwraps outcomes into their values, preserving submission order.
-// It returns the first outcome error encountered, so a caller that needs
-// all-or-nothing semantics gets it in one call.
-func Values[T any](outs []Outcome[T]) ([]T, error) {
-	vals := make([]T, len(outs))
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, o.Err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		vals[i] = o.Value
 	}
 	return vals, nil
+}
+
+// run calls one job under its timeout and turns a failure or a panic into a
+// *JobError, so a crashed simulation cannot take down the process or the
+// pool.
+func run[T any](ctx context.Context, timeout time.Duration, job Job[T]) (v T, err error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = &JobError{Label: job.Label, Err: fmt.Errorf("panic: %v", r), Panicked: true, Stack: debug.Stack()}
+		}
+	}()
+	if v, err = job.Fn(ctx); err != nil {
+		err = &JobError{Label: job.Label, Err: err}
+	}
+	return v, err
 }

@@ -56,47 +56,39 @@ func simJobs(t *testing.T, n int) []engine.Job[core.Result] {
 	return jobs
 }
 
-// TestRunDeterminism is the subsystem's headline contract: a parallel run
-// must be byte-identical to a serial run — same results in the same order,
-// and therefore identical downstream stats aggregates.
+// TestRunDeterminism is the package's headline contract: a parallel Map
+// must be byte-identical to a one-worker Map — same results in the same
+// order, and therefore identical downstream stats aggregates.
 func TestRunDeterminism(t *testing.T) {
-	serialOuts, err := engine.New[core.Result](engine.Config{Workers: 1}).Run(context.Background(), simJobs(t, 20_000))
+	serial, err := engine.Map(context.Background(), engine.Config{Workers: 1}, simJobs(t, 20_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := engine.Values(serialOuts)
-	if err != nil {
-		t.Fatal(err)
+	// The aggregate a table would print must match exactly too.
+	agg := func(rs []core.Result) []float64 {
+		var reds []float64
+		for _, r := range rs[1:] {
+			reds = append(reds, stats.Reduction(r.ArrayAccesses(), rs[0].ArrayAccesses()))
+		}
+		return reds
 	}
 	for _, workers := range []int{2, 8} {
-		parOuts, err := engine.New[core.Result](engine.Config{Workers: workers}).Run(context.Background(), simJobs(t, 20_000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := engine.Values(parOuts)
+		parallel, err := engine.Map(context.Background(), engine.Config{Workers: workers}, simJobs(t, 20_000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d results differ from serial", workers)
-		}
-		// The aggregate a table would print must match exactly too.
-		agg := func(rs []core.Result) []float64 {
-			var reds []float64
-			for _, r := range rs[1:] {
-				reds = append(reds, stats.Reduction(r.ArrayAccesses(), rs[0].ArrayAccesses()))
-			}
-			return reds
+			t.Fatalf("workers=%d results differ from workers=1", workers)
 		}
 		if !reflect.DeepEqual(agg(serial), agg(parallel)) {
-			t.Fatalf("workers=%d stats aggregates differ from serial", workers)
+			t.Fatalf("workers=%d stats aggregates differ from workers=1", workers)
 		}
 	}
 }
 
 // TestRunAllMatchesEngine pins the fan-out contract: every kind run at once
 // (core.RunSchemes, one walk on one goroutine) and the same kinds mapped
-// across 8 engine workers agree result-for-result, in kind order.
+// across 8 workers agree result for result, in kind order.
 func TestRunAllMatchesEngine(t *testing.T) {
 	prof, err := workload.ProfileByName("gcc")
 	if err != nil {
@@ -135,9 +127,8 @@ func TestRunAllMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestRunCancellation cancels mid-batch and checks Run returns promptly
-// with partial, well-formed outcomes: completed jobs carry values, the rest
-// are marked skipped with a structured error.
+// TestRunCancellation cancels mid-batch: Map returns the context's error
+// promptly, and the jobs after the cancel never start.
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -145,7 +136,6 @@ func TestRunCancellation(t *testing.T) {
 	var started atomic.Int32
 	batch := make([]engine.Job[int], jobs)
 	for i := range batch {
-		i := i
 		batch[i] = engine.Job[int]{
 			Label: fmt.Sprintf("job%d", i),
 			Fn: func(jctx context.Context) (int, error) {
@@ -162,145 +152,172 @@ func TestRunCancellation(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	outs, err := engine.New[int](engine.Config{Workers: 4}).Run(ctx, batch)
+	vals, err := engine.Map(ctx, engine.Config{Workers: 4}, batch)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if vals != nil {
+		t.Fatalf("cancelled Map returned values %v", vals)
 	}
 	if wall := time.Since(start); wall > 2*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", wall)
 	}
-	if len(outs) != jobs {
-		t.Fatalf("got %d outcomes, want %d", len(outs), jobs)
-	}
-	var done, skipped int
-	for i, o := range outs {
-		if o.Index != i {
-			t.Fatalf("outcome %d has index %d", i, o.Index)
-		}
-		switch {
-		case o.Skipped:
-			skipped++
-			var je *engine.JobError
-			if !errors.As(o.Err, &je) || !je.Skipped {
-				t.Fatalf("skipped outcome %d has error %v, want skipped JobError", i, o.Err)
-			}
-		case o.Err == nil:
-			done++
-			if o.Value != i {
-				t.Fatalf("outcome %d has value %d", i, o.Value)
-			}
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("cancellation mid-batch skipped no jobs")
-	}
-	if done+skipped > jobs {
-		t.Fatalf("done=%d skipped=%d exceed %d jobs", done, skipped, jobs)
+	if n := started.Load(); n >= jobs {
+		t.Fatalf("all %d jobs started despite the cancel", n)
 	}
 }
 
 // TestPanicRecovery: one crashing job becomes a structured JobError with a
-// stack; the rest of the batch completes and the process survives.
+// stack and the job's label; both healthy jobs still run and the process
+// survives, at one worker and at three.
 func TestPanicRecovery(t *testing.T) {
-	batch := []engine.Job[string]{
-		{Label: "ok-before", Fn: func(context.Context) (string, error) { return "a", nil }},
-		{Label: "boom", Fn: func(context.Context) (string, error) { panic("simulated controller crash") }},
-		{Label: "ok-after", Fn: func(context.Context) (string, error) { return "b", nil }},
-	}
 	for _, workers := range []int{1, 3} {
-		eng := engine.New[string](engine.Config{Workers: workers})
-		outs, err := eng.Run(context.Background(), batch)
-		if err != nil {
-			t.Fatal(err)
+		var healthy atomic.Int32
+		ok := func(context.Context) (string, error) {
+			healthy.Add(1)
+			return "ok", nil
 		}
-		if outs[0].Err != nil || outs[2].Err != nil {
-			t.Fatalf("workers=%d: healthy jobs failed: %v %v", workers, outs[0].Err, outs[2].Err)
+		batch := []engine.Job[string]{
+			{Label: "ok-before", Fn: ok},
+			{Label: "boom", Fn: func(context.Context) (string, error) { panic("simulated controller crash") }},
+			{Label: "ok-after", Fn: ok},
+		}
+		_, err := engine.Map(context.Background(), engine.Config{Workers: workers}, batch)
+		if n := healthy.Load(); n != 2 {
+			t.Fatalf("workers=%d: %d healthy jobs ran, want 2", workers, n)
 		}
 		var je *engine.JobError
-		if !errors.As(outs[1].Err, &je) {
-			t.Fatalf("workers=%d: panic produced %T, want *JobError", workers, outs[1].Err)
+		if !errors.As(err, &je) {
+			t.Fatalf("workers=%d: panic produced %T (%v), want *JobError", workers, err, err)
 		}
-		if !je.Panicked || len(je.Stack) == 0 {
+		if !je.Panicked || len(je.Stack) == 0 || je.Label != "boom" {
 			t.Fatalf("workers=%d: JobError missing panic details: %+v", workers, je)
 		}
-		if !strings.Contains(je.Error(), "simulated controller crash") {
-			t.Fatalf("workers=%d: error text %q lacks panic value", workers, je.Error())
-		}
-		if s := eng.Snapshot(); s.JobsPanicked != 1 || s.JobsFailed != 1 || s.JobsCompleted != 2 {
-			t.Fatalf("workers=%d: snapshot %+v, want 1 panic / 1 failed / 2 completed", workers, s)
+		if msg := je.Error(); !strings.Contains(msg, "simulated controller crash") || !strings.HasPrefix(msg, "engine: job boom panicked: ") {
+			t.Fatalf("workers=%d: error text %q", workers, msg)
 		}
 	}
 }
 
 // TestJobTimeout: a job exceeding Config.JobTimeout fails with a deadline
-// error without disturbing its siblings.
+// error naming it, without disturbing its sibling.
 func TestJobTimeout(t *testing.T) {
+	var fastRan atomic.Bool
 	batch := []engine.Job[bool]{
-		{Label: "fast", Fn: func(context.Context) (bool, error) { return true, nil }},
+		{Label: "fast", Fn: func(context.Context) (bool, error) {
+			fastRan.Store(true)
+			return true, nil
+		}},
 		{Label: "slow", Fn: func(jctx context.Context) (bool, error) {
 			<-jctx.Done()
 			return false, jctx.Err()
 		}},
 	}
-	outs, err := engine.New[bool](engine.Config{Workers: 2, JobTimeout: 20 * time.Millisecond}).Run(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
+	_, err := engine.Map(context.Background(), engine.Config{Workers: 2, JobTimeout: 20 * time.Millisecond}, batch)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	if outs[0].Err != nil || !outs[0].Value {
-		t.Fatalf("fast job: %+v", outs[0])
+	var je *engine.JobError
+	if !errors.As(err, &je) || je.Label != "slow" {
+		t.Fatalf("err = %v, want JobError for %q", err, "slow")
 	}
-	if !errors.Is(outs[1].Err, context.DeadlineExceeded) {
-		t.Fatalf("slow job error = %v, want deadline exceeded", outs[1].Err)
-	}
-}
-
-// TestFailFast: with FailFast set, the first error stops dispatch; in
-// serial mode every later job is skipped.
-func TestFailFast(t *testing.T) {
-	boom := errors.New("boom")
-	batch := []engine.Job[int]{
-		{Label: "ok", Fn: func(context.Context) (int, error) { return 1, nil }},
-		{Label: "bad", Fn: func(context.Context) (int, error) { return 0, boom }},
-		{Label: "never", Fn: func(context.Context) (int, error) { return 3, nil }},
-	}
-	outs, err := engine.New[int](engine.Config{Workers: 1, FailFast: true}).Run(context.Background(), batch)
-	if err != nil {
-		t.Fatalf("fail-fast is a normal completion, got %v", err)
-	}
-	if outs[0].Err != nil {
-		t.Fatalf("first job failed: %v", outs[0].Err)
-	}
-	if !errors.Is(outs[1].Err, boom) {
-		t.Fatalf("second job error = %v, want boom", outs[1].Err)
-	}
-	if !outs[2].Skipped {
-		t.Fatalf("third job ran despite fail-fast: %+v", outs[2])
+	if !fastRan.Load() {
+		t.Fatal("the fast job never ran")
 	}
 }
 
-// TestMapError: Map surfaces the first failing job's error in submission
-// order, wrapped as a JobError naming the job.
+// TestMapError: Map returns the first failure in submission order, not in
+// completion order, wrapped as a JobError naming the job.
 func TestMapError(t *testing.T) {
 	batch := []engine.Job[int]{
 		{Label: "fine", Fn: func(context.Context) (int, error) { return 1, nil }},
-		{Label: "broken", Fn: func(context.Context) (int, error) { return 0, errors.New("nope") }},
+		{Label: "broken-first", Fn: func(context.Context) (int, error) {
+			time.Sleep(20 * time.Millisecond)
+			return 0, errors.New("nope")
+		}},
+		{Label: "broken-later", Fn: func(context.Context) (int, error) { return 0, errors.New("also nope") }},
 	}
-	_, err := engine.Map(context.Background(), engine.Config{Workers: 2}, batch)
+	_, err := engine.Map(context.Background(), engine.Config{Workers: 3}, batch)
 	var je *engine.JobError
-	if !errors.As(err, &je) || je.Label != "broken" {
-		t.Fatalf("Map error = %v, want JobError for %q", err, "broken")
+	if !errors.As(err, &je) || je.Label != "broken-first" || je.Panicked {
+		t.Fatalf("Map error = %v, want JobError for %q", err, "broken-first")
+	}
+	if got, want := err.Error(), "engine: job broken-first: nope"; got != want {
+		t.Fatalf("error text %q, want %q", got, want)
 	}
 }
 
-// TestWorkersClamp: the pool never exceeds the job count and never drops
-// below one.
-func TestWorkersClamp(t *testing.T) {
-	e := engine.New[int](engine.Config{Workers: 64})
-	if got := e.Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d with 64 configured, want 3", got)
+// peakInFlight maps n jobs at cfg and returns the most that ran at once.
+// Each job waits, up to a bound, until width jobs are in flight, so a pool
+// of at least that width reaches it.
+func peakInFlight(t *testing.T, cfg engine.Config, n int, width int32) int32 {
+	t.Helper()
+	var inflight, peak atomic.Int32
+	jobs := make([]engine.Job[int], n)
+	for i := range jobs {
+		jobs[i] = engine.Job[int]{Label: fmt.Sprint(i), Fn: func(context.Context) (int, error) {
+			now := inflight.Add(1)
+			defer inflight.Add(-1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			for deadline := time.Now().Add(time.Second); inflight.Load() < width && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			return i, nil
+		}}
 	}
-	e = engine.New[int](engine.Config{Workers: -5})
-	if got := e.Workers(0); got != 1 {
-		t.Fatalf("Workers(0) = %d, want 1", got)
+	vals, err := engine.Map(context.Background(), cfg, jobs)
+	if err != nil || len(vals) != n {
+		t.Fatalf("Map = %v, %v", vals, err)
+	}
+	return peak.Load()
+}
+
+// TestWorkersClamp: the pool never exceeds the job count or Workers, and
+// never drops below one.
+func TestWorkersClamp(t *testing.T) {
+	vals, err := engine.Map(context.Background(), engine.Config{Workers: -5}, []engine.Job[int](nil))
+	if err != nil || vals == nil || len(vals) != 0 {
+		t.Fatalf("Workers -5 over no jobs = %#v, %v; want an empty slice", vals, err)
+	}
+	if p := peakInFlight(t, engine.Config{Workers: 64}, 3, 3); p != 3 {
+		t.Fatalf("Workers 64 over 3 jobs peaked at %d in flight, want 3", p)
+	}
+	if p := peakInFlight(t, engine.Config{Workers: 2}, 6, 2); p != 2 {
+		t.Fatalf("Workers 2 over 6 jobs peaked at %d in flight, want 2", p)
+	}
+}
+
+// TestProgressCallback: OnProgress fires once per job with increasing Done,
+// the batch size in Total and the finished job's label, at one worker and
+// at four.
+func TestProgressCallback(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var events []engine.Progress
+		cfg := engine.Config{
+			Workers: workers,
+			// Calls are serialized by Map, so appending is safe.
+			OnProgress: func(p engine.Progress) { events = append(events, p) },
+		}
+		batch := make([]engine.Job[int], 9)
+		for i := range batch {
+			batch[i] = engine.Job[int]{Label: fmt.Sprintf("j%d", i), Fn: func(context.Context) (int, error) { return 0, nil }}
+		}
+		if _, err := engine.Map(context.Background(), cfg, batch); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != len(batch) {
+			t.Fatalf("workers=%d: %d progress events for %d jobs", workers, len(events), len(batch))
+		}
+		seen := map[string]bool{}
+		for i, p := range events {
+			if p.Done != i+1 || p.Total != len(batch) || p.Elapsed < 0 {
+				t.Fatalf("workers=%d: event %d = %+v", workers, i, p)
+			}
+			seen[p.Label] = true
+		}
+		if len(seen) != len(batch) {
+			t.Fatalf("workers=%d: progress named %d distinct jobs, want %d", workers, len(seen), len(batch))
+		}
 	}
 }

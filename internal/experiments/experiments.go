@@ -146,8 +146,7 @@ func benchMap[T any](cfg Config, fn func(prof workload.Profile, src *workload.So
 	for i, src := range srcs {
 		src := src
 		jobs[i] = engine.Job[T]{
-			Label:  src.Profile().Name,
-			Weight: int64(cfg.AccessesPerBench),
+			Label: src.Profile().Name,
 			Fn: func(ctx context.Context) (T, error) {
 				return fn(src.Profile(), src)
 			},

@@ -158,11 +158,12 @@ func TestShardScaleSweep(t *testing.T) {
 
 		// Identity is the hash of the serial result's identity bytes, so
 		// entries at the same n and seed compare across commits.
-		res, err := core.RunContext(opts.Context, kind, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+		res, err := core.RunSchemes(opts.Context, []core.Scheme{{Kind: kind}}, cache.DefaultConfig(),
+			func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := coreIdentity(res)
+		id, err := coreIdentity(res[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,11 +234,12 @@ func smallResult(t *testing.T) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunContext(context.Background(), core.WG, cache.DefaultConfig(), core.Options{}, trace.FromSlice(accs), 0)
+	res, err := core.RunSchemes(context.Background(), []core.Scheme{{Kind: core.WG}}, cache.DefaultConfig(),
+		func() (trace.Stream, error) { return trace.FromSlice(accs), nil }, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 // TestMeasureChecksEventLedger feeds measure two modes whose results differ

@@ -1,12 +1,11 @@
 // Package report is the run-artifact layer: every simulation command can
 // emit a schema-versioned, canonically-encoded JSON description of what it
 // ran (tool, git SHA, seed, hashed configuration) and what it measured
-// (per-controller ledger counters, named scalar metrics, the engine's
-// throughput snapshot, wall-clock). Artifacts are the currency of the
-// regression harness: cmd/regress re-runs the paper's experiment matrix and
-// diffs fresh artifacts against checked-in goldens with per-metric tolerance
-// bands (see Compare), so "tests pass" also means "the paper's numbers still
-// hold".
+// (per-controller ledger counters, named scalar metrics, wall-clock).
+// Artifacts are the currency of the regression harness: cmd/regress re-runs
+// the paper's experiment matrix and diffs fresh artifacts against
+// checked-in goldens with per-metric tolerance bands (see Compare), so
+// "tests pass" also means "the paper's numbers still hold".
 package report
 
 import (
@@ -20,7 +19,6 @@ import (
 	"sync"
 
 	"cache8t/internal/core"
-	"cache8t/internal/engine"
 )
 
 // SchemaVersion is the artifact schema this build reads and writes. Decode
@@ -49,9 +47,6 @@ type Artifact struct {
 	// Metrics are the run's named scalar results — the values the regression
 	// harness bands tolerances around.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Engine is the execution-engine snapshot, when the run fanned out.
-	// Wall/busy times vary run to run, so compares ignore it.
-	Engine *engine.Snapshot `json:"engine,omitempty"`
 	// WallMS is the run's wall-clock in milliseconds. Metadata only.
 	WallMS float64 `json:"wall_ms"`
 }

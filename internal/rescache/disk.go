@@ -222,8 +222,13 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 }
 
 // Put stores blob under key, replacing any earlier entry, then sweeps if
-// over cap.
+// over cap. A value larger than the whole cap is refused before it is
+// written, as the memory tier refuses one, so it cannot sweep out every
+// other entry.
 func (d *Disk) Put(key string, blob []byte) error {
+	if int64(len(blob)) > d.cap {
+		return nil
+	}
 	name := normKey(key)
 	if err := WriteSealed(filepath.Join(d.entryDir(), name), blob); err != nil {
 		return err

@@ -236,6 +236,33 @@ func TestDiskEvictionSweepLRU(t *testing.T) {
 	}
 }
 
+// TestDiskRefusesOversizedValue: a value larger than the whole cap is not
+// stored, and the entries already resident stay.
+func TestDiskRefusesOversizedValue(t *testing.T) {
+	d, err := OpenDisk(t.TempDir(), 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	keys := []string{hexKey("o1"), hexKey("o2"), hexKey("o3")}
+	for i, size := range []int{100, 100, 300} {
+		if err := d.Put(keys[i], []byte(strings.Repeat(fmt.Sprint(i), size))); err != nil {
+			t.Fatalf("Put %d bytes: %v", size, err)
+		}
+	}
+	if entries, resident, _, evictions, _ := d.Stats(); entries != 2 || resident != 200 || evictions != 0 {
+		t.Fatalf("after an oversized put: %d entries, %d bytes, %d evictions; want 2, 200, 0", entries, resident, evictions)
+	}
+	if _, ok := d.Get(keys[2]); ok {
+		t.Fatal("the oversized value was served")
+	}
+	for _, k := range keys[:2] {
+		if _, ok := d.Get(k); !ok {
+			t.Fatalf("entry %s was lost to the oversized put", k[:8])
+		}
+	}
+}
+
 func TestDiskRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	keys := []string{hexKey("r1"), hexKey("r2"), hexKey("r3")}

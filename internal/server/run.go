@@ -131,11 +131,10 @@ func ConfigMap(spec JobSpec, source string) map[string]string {
 
 // Artifact assembles the deterministic run artifact for a finished job: the
 // spec's config map, the controller's full event ledger, and the modeled
-// scalar metrics. Wall-clock and engine snapshots are deliberately left
-// unset — an artifact fetched from the daemon must be byte-identical to one
-// built by an in-process serial run of the same spec, and only fully
-// deterministic fields can promise that. Timings live on the job status
-// instead.
+// scalar metrics. Wall-clock is deliberately left unset — an artifact
+// fetched from the daemon must be byte-identical to one built by an
+// in-process serial run of the same spec, and only fully deterministic
+// fields can promise that. Timings live on the job status instead.
 func Artifact(spec JobSpec, source string, res core.Result) *report.Artifact {
 	art := report.New("sramd", spec.Seed)
 	art.Config = ConfigMap(spec, source)

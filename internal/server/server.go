@@ -1,8 +1,9 @@
 // Package server turns the simulation stack into a long-running service:
 // an HTTP API that accepts experiment specs and trace uploads, enqueues
-// them on a bounded job queue executed through internal/engine, and exposes
-// the full async lifecycle — submit, status, result, cancel, an SSE progress
-// stream, health/readiness probes, and Prometheus metrics. cmd/sramd is the
+// them on a bounded job queue whose workers run each job as a one-job
+// engine.Map (timeout and panic containment), and exposes the full async
+// lifecycle — submit, status, result, cancel, an SSE progress stream,
+// health/readiness probes, and Prometheus metrics. cmd/sramd is the
 // daemon around it; cmd/sramload drives it under load and verifies that a
 // fetched artifact is byte-identical to an in-process serial run of the
 // same spec (see Execute). DESIGN.md §10 documents the job state machine,
@@ -42,8 +43,8 @@ type Config struct {
 	// MaxBodyBytes bounds a submission body, spec plus trace upload; larger
 	// bodies are rejected with 413 (<= 0: 256 MiB).
 	MaxBodyBytes int64
-	// JobTimeout, when positive, bounds each job's run time via the engine;
-	// an expired job fails with a timeout error.
+	// JobTimeout, when positive, bounds each job's run time through
+	// engine.Map; an expired job fails with a timeout error.
 	JobTimeout time.Duration
 	// SpoolDir receives streamed trace uploads ("" = os.TempDir()). Uploads
 	// are spooled to disk, never buffered in memory, and removed when their
@@ -54,7 +55,7 @@ type Config struct {
 	// Cache, when set, memoizes job results by config hash: a submission
 	// whose hash is already cached short-circuits the queue and finishes
 	// succeeded with `cached: true`; concurrent identical jobs singleflight
-	// through one engine execution. nil disables caching entirely. The
+	// through one execution. nil disables caching entirely. The
 	// server does not own the cache — the caller closes it after Shutdown.
 	Cache *rescache.Cache
 	// JournalDir, when set, makes jobs durable: every state transition is
@@ -115,7 +116,6 @@ type Server struct {
 	// Version is the build identifier /healthz reports.
 	Version string
 
-	eng     *engine.Engine[[]byte]
 	met     *serverMetrics
 	cache   *rescache.Cache
 	journal *Journal
@@ -143,7 +143,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		Version: cfg.Version,
-		eng:     engine.New[[]byte](engine.Config{Workers: 1, JobTimeout: cfg.JobTimeout}),
 		met:     newServerMetrics(),
 		cache:   cfg.Cache,
 		queue:   make(chan *Job, cfg.QueueDepth),
@@ -344,8 +343,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one job through the engine: start, execute with timeout and
-// panic containment, classify the outcome, account metrics.
+// runJob drives one job as a one-job engine.Map, which gives it the job
+// timeout and panic containment: start, execute, classify the outcome,
+// account metrics.
 func (s *Server) runJob(j *Job) {
 	if !j.Start(time.Now()) {
 		return // cancelled while queued; finishJob already ran
@@ -354,25 +354,23 @@ func (s *Server) runJob(j *Job) {
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 
-	outs, _ := s.eng.Run(j.Context(), []engine.Job[[]byte]{{
-		Label:  j.ID,
-		Weight: int64(j.Spec.N),
+	blobs, err := engine.Map(j.Context(), engine.Config{JobTimeout: s.cfg.JobTimeout}, []engine.Job[[]byte]{{
+		Label: j.ID,
 		Fn: func(ctx context.Context) ([]byte, error) {
 			return s.executeBytes(ctx, j)
 		},
 	}})
-	out := outs[0]
 	switch {
 	case j.Context().Err() != nil:
 		// DELETE or drain-kill. A cancelled stream can also surface as a
 		// clean early EOF, so the job context outranks the outcome.
 		s.finishJob(j, StateCancelled, "cancelled", nil)
-	case out.Err != nil && errors.Is(out.Err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.finishJob(j, StateFailed, fmt.Sprintf("job timeout after %v", s.cfg.JobTimeout), nil)
-	case out.Err != nil:
-		s.finishJob(j, StateFailed, out.Err.Error(), nil)
+	case err != nil:
+		s.finishJob(j, StateFailed, err.Error(), nil)
 	default:
-		s.finishJob(j, StateSucceeded, "", out.Value)
+		s.finishJob(j, StateSucceeded, "", blobs[0])
 	}
 }
 
