@@ -26,11 +26,14 @@ vet:
 
 # The race tests, then the sharded run's walks and accountant stage soaked
 # 20 times over (every kind at 2/4/8 shards and batch sizes 1 and 7), then
-# the job server's crash-recovery and checkpoint/resume paths 20 times over.
+# the job server's crash-recovery and checkpoint/resume paths 20 times over,
+# then the coordinator's drain, cancel, full-table and recovery paths 20
+# times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestShardStageSoak' ./internal/core
 	$(GO) test -race -count=20 -run 'Recover|Crash|Checkpoint|Durable' ./internal/server
+	$(GO) test -race -count=20 -run 'Drain|MidFlight|Recover|ActiveTable' ./internal/coord
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -18,7 +18,6 @@
 //	sramd -checkpoint-every 4              # denser mid-job checkpoints
 //	sramd -journal-retain 168h             # forget week-old finished jobs on restart
 //	sramd -coordinator -peers http://a:8344,http://b:8344   # sweep coordinator
-//	sramd -coordinator -probe-interval 5s  # active /healthz worker probing
 //	sramd -pprof                           # mount /debug/pprof/ (off by default)
 //	sramd -version
 //
@@ -111,9 +110,6 @@ func run() error {
 		dispatch     = flag.Int("dispatch", 0, "coordinator: concurrent point dispatches per sweep (0 = 4)")
 		pointTimeout = flag.Duration("point-timeout", 0, "coordinator: one dispatch attempt's end-to-end deadline (0 = 2m)")
 		pointRetries = flag.Int("point-retries", 0, "coordinator: dispatch attempts per point before the sweep fails (0 = 5)")
-		sweepRate    = flag.Float64("sweep-rate", 0, "coordinator: sweep submissions per second per client (0 = unlimited)")
-		sweepBurst   = flag.Int("sweep-burst", 0, "coordinator: per-client submission burst above -sweep-rate (0 = 4)")
-		probeEvery   = flag.Duration("probe-interval", 0, "coordinator: actively probe each worker's /healthz at this interval, feeding its circuit breaker (0 = off; health comes only from dispatches)")
 	)
 	flag.Parse()
 
@@ -181,9 +177,6 @@ func run() error {
 			DispatchParallel: *dispatch,
 			PointTimeout:     *pointTimeout,
 			PointAttempts:    *pointRetries,
-			SweepRate:        *sweepRate,
-			SweepBurst:       *sweepBurst,
-			ProbeInterval:    *probeEvery,
 			Cache:            cache,
 			JournalDir:       *journalDir,
 			Version:          report.GitSHA(),

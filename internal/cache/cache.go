@@ -494,16 +494,3 @@ func (c *Cache) FlushAll() {
 		}
 	}
 }
-
-// WritebackAll writes every dirty line back to memory, leaving lines valid.
-// Attached listeners see these write-backs too — a final drain is real
-// downstream traffic, and reporting it keeps the listener's ledger
-// consistent with Stats.Writebacks.
-func (c *Cache) WritebackAll() {
-	for i, st := range c.state {
-		if st == Valid|Dirty {
-			c.writeback(i/c.ways, i)
-			c.state[i] = Valid
-		}
-	}
-}

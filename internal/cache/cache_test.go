@@ -179,26 +179,6 @@ func TestFlushAllMakesMemoryConsistent(t *testing.T) {
 	}
 }
 
-func TestWritebackAllKeepsLinesValid(t *testing.T) {
-	backing := mem.New()
-	c, err := New(smallConfig(), backing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, way, _ := c.Ensure(0x80, true)
-	c.WriteWord(set, way, 0x80, 4, 123)
-	c.WritebackAll()
-	if got := backing.ReadWord(0x80, 4); got != 123 {
-		t.Fatalf("memory = %d", got)
-	}
-	if _, _, hit := c.Probe(0x80); !hit {
-		t.Fatal("WritebackAll invalidated the line")
-	}
-	if row := readRow(c, set); row.State[way] != Valid {
-		t.Fatal("line still dirty after WritebackAll")
-	}
-}
-
 func TestSnapshotRestoreSet(t *testing.T) {
 	c := newTestCache(t, smallConfig())
 	set, way, _ := c.Ensure(0x20, true)

@@ -9,11 +9,8 @@ import (
 // open it for Cooldown — while open, the picker skips the worker, so a dead
 // box stops absorbing dispatches (and their timeouts) almost immediately.
 // After the cooldown one probe dispatch is let through (half-open): success
-// closes the breaker, failure re-opens it for another cooldown. Health
-// feeds in from two sides through the same success/failure entry points:
-// real dispatch outcomes, and — when Config.ProbeInterval is set — the
-// active /healthz prober in prober.go, which keeps the breaker honest even
-// while no sweep is dispatching.
+// closes the breaker, failure re-opens it for another cooldown. Dispatch
+// outcomes are its only input.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

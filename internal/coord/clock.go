@@ -3,9 +3,9 @@ package coord
 import "time"
 
 // Clock abstracts time for the dispatch loop — attempt timeouts, poll
-// ticks, backoff waits, breaker cooldowns, rate-limiter refills — so the
-// fault-injection tests drive every one of them through a fake clock with
-// no real sleeps, matching the existing lifecycle-test style.
+// ticks, backoff waits, breaker cooldowns — so the fault-injection tests
+// drive every one of them through a fake clock with no real sleeps,
+// matching the existing lifecycle-test style.
 type Clock interface {
 	Now() time.Time
 	// Timer returns a channel that fires once d has elapsed on this clock,

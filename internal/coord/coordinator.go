@@ -27,6 +27,10 @@ const maxResponseBytes = 8 << 20
 // maxSweepSpecBytes bounds a submitted sweep spec body.
 const maxSweepSpecBytes = 1 << 20
 
+// maxActiveSweeps caps concurrently non-terminal sweeps; a submission past
+// it is refused with 429.
+const maxActiveSweeps = 8
+
 // errCorrupt marks a fetched artifact that failed config-hash verification.
 // Such a result is re-dispatched (the hash names the exact simulation the
 // point requires, so a mismatch means the worker returned the wrong or
@@ -42,8 +46,6 @@ type Config struct {
 	// DispatchParallel caps concurrently in-flight point dispatches per
 	// sweep (default 4).
 	DispatchParallel int
-	// MaxActiveSweeps caps concurrently non-terminal sweeps (default 8).
-	MaxActiveSweeps int
 	// PointTimeout bounds one dispatch attempt end to end — submit, poll,
 	// fetch (default 2m).
 	PointTimeout time.Duration
@@ -61,16 +63,6 @@ type Config struct {
 	// BreakerCooldown (defaults 3 / 2s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// ProbeInterval, when > 0, starts the active health prober: every
-	// interval each worker's /healthz is probed (each probe bounded by one
-	// interval) and the outcome feeds that worker's circuit breaker exactly
-	// like a dispatch outcome. 0 (the default) disables active probing;
-	// health then comes only from real dispatches.
-	ProbeInterval time.Duration
-	// SweepRate and SweepBurst configure the per-client submission token
-	// bucket (rate <= 0 disables limiting; default burst 4).
-	SweepRate  float64
-	SweepBurst int
 	// Cache is the result cache. Per-point artifacts are stored under their
 	// config hash (shared with the workers' key scheme), merged ledgers
 	// under "ledger:<hash>". It holds results only: nothing is lost with an
@@ -82,9 +74,6 @@ type Config struct {
 	JournalDir string
 	// Clock abstracts time; tests inject a fake (default wall clock).
 	Clock Clock
-	// HTTPClient performs worker requests (default a fresh client; per-call
-	// deadlines come from PointTimeout, not a client timeout).
-	HTTPClient *http.Client
 	// JitterSeed seeds the backoff jitter RNG for reproducible tests
 	// (default 1; jitter de-synchronizes concurrent retries either way).
 	JitterSeed int64
@@ -95,9 +84,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.DispatchParallel <= 0 {
 		cfg.DispatchParallel = 4
-	}
-	if cfg.MaxActiveSweeps <= 0 {
-		cfg.MaxActiveSweeps = 8
 	}
 	if cfg.PointTimeout <= 0 {
 		cfg.PointTimeout = 2 * time.Minute
@@ -120,14 +106,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
-	if cfg.SweepBurst <= 0 {
-		cfg.SweepBurst = 4
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
 	}
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = 1
@@ -141,8 +121,7 @@ type Coordinator struct {
 	cfg   Config
 	clk   Clock
 	reg   *registry
-	lim   *limiter
-	httpc *http.Client
+	httpc *http.Client // no client timeout: doBounded holds each exchange to PointTimeout
 	cache *rescache.Cache
 
 	journal *server.Journal
@@ -153,9 +132,8 @@ type Coordinator struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	accepting  atomic.Bool
+	accepting  atomic.Bool // cleared under mu (see Shutdown)
 	sweepWG    sync.WaitGroup
-	proberWG   sync.WaitGroup
 
 	sweeps *server.Table[*Sweep]
 	mu     sync.Mutex
@@ -174,8 +152,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		clk:        cfg.Clock,
 		reg:        newRegistry(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		lim:        newLimiter(cfg.SweepRate, cfg.SweepBurst),
-		httpc:      cfg.HTTPClient,
+		httpc:      &http.Client{},
 		cache:      cfg.Cache,
 		rng:        rand.New(rand.NewSource(cfg.JitterSeed)),
 		baseCtx:    ctx,
@@ -197,10 +174,6 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.journal = j
 		c.recover(recs)
-	}
-	if cfg.ProbeInterval > 0 {
-		c.proberWG.Add(1)
-		go c.probeLoop()
 	}
 	return c, nil
 }
@@ -243,9 +216,14 @@ func (c *Coordinator) recover(recs []server.Record) {
 
 // Shutdown drains: no new sweeps are accepted, in-flight sweeps run to
 // completion. When ctx ends first, the remaining sweeps are cancelled and
-// end cancelled, as a DELETE leaves them.
+// end cancelled, as a DELETE leaves them. accepting is cleared under mu,
+// where handleSubmit registers a sweep and takes its sweepWG slot, so
+// every sweep a submission accepted is waited for before the journal
+// closes.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
+	c.mu.Lock()
 	c.accepting.Store(false)
+	c.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		c.sweepWG.Wait()
@@ -260,7 +238,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	c.baseCancel()
-	c.proberWG.Wait()
 	if c.journal != nil {
 		c.journal.Close()
 	}

@@ -246,7 +246,7 @@ func TestRecoveredSweepResultGone(t *testing.T) {
 	if st := h.status("s-000001"); st.State != server.StateSucceeded || !st.Recovered || st.Points != spec.Points() {
 		t.Fatalf("recovered sweep: state %s recovered %v points %d, want succeeded, true, %d", st.State, st.Recovered, st.Points, spec.Points())
 	}
-	if code, b := h.do(http.MethodGet, "/v1/sweeps/s-000001/result", nil, nil); code != http.StatusGone {
+	if code, b := h.do(http.MethodGet, "/v1/sweeps/s-000001/result", nil); code != http.StatusGone {
 		t.Fatalf("result of a ledger-less recovered sweep: %d (want 410): %s", code, b)
 	}
 }
@@ -282,14 +282,14 @@ func TestFinishedSweepsTableBounded(t *testing.T) {
 		}
 	}
 	for _, st := range sweeps[:50] {
-		if code, _ := h.do(http.MethodGet, "/v1/sweeps/"+st.ID, nil, nil); code != http.StatusNotFound {
+		if code, _ := h.do(http.MethodGet, "/v1/sweeps/"+st.ID, nil); code != http.StatusNotFound {
 			t.Fatalf("sweep %s, among the oldest finished: status %d, want 404", st.ID, code)
 		}
 	}
 	if got := h.result(sweeps[len(sweeps)-1].ID); !bytes.Equal(got, want) {
 		t.Fatal("newest sweep's result differs from the cached ledger")
 	}
-	code, b := h.do(http.MethodGet, "/v1/sweeps", nil, nil)
+	code, b := h.do(http.MethodGet, "/v1/sweeps", nil)
 	var list struct {
 		Sweeps []SweepStatus `json:"sweeps"`
 		Count  int           `json:"count"`

@@ -217,7 +217,7 @@ func fastCfg(clk *fakeClock, workers ...string) Config {
 	}
 }
 
-func (h *harness) do(method, path string, body []byte, hdr map[string]string) (int, []byte) {
+func (h *harness) do(method, path string, body []byte) (int, []byte) {
 	h.t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -226,9 +226,6 @@ func (h *harness) do(method, path string, body []byte, hdr map[string]string) (i
 	req, err := http.NewRequest(method, h.hs.URL+path, rd)
 	if err != nil {
 		h.t.Fatal(err)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -248,7 +245,7 @@ func (h *harness) submit(spec SweepSpec) SweepStatus {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	code, body := h.do(http.MethodPost, "/v1/sweeps", b, nil)
+	code, body := h.do(http.MethodPost, "/v1/sweeps", b)
 	if code != http.StatusAccepted {
 		h.t.Fatalf("submit: status %d: %s", code, body)
 	}
@@ -261,7 +258,7 @@ func (h *harness) submit(spec SweepSpec) SweepStatus {
 
 func (h *harness) status(id string) SweepStatus {
 	h.t.Helper()
-	code, body := h.do(http.MethodGet, "/v1/sweeps/"+id, nil, nil)
+	code, body := h.do(http.MethodGet, "/v1/sweeps/"+id, nil)
 	if code != http.StatusOK {
 		h.t.Fatalf("status %s: %d: %s", id, code, body)
 	}
@@ -274,7 +271,7 @@ func (h *harness) status(id string) SweepStatus {
 
 func (h *harness) result(id string) []byte {
 	h.t.Helper()
-	code, body := h.do(http.MethodGet, "/v1/sweeps/"+id+"/result", nil, nil)
+	code, body := h.do(http.MethodGet, "/v1/sweeps/"+id+"/result", nil)
 	if code != http.StatusOK {
 		h.t.Fatalf("result %s: %d: %s", id, code, body)
 	}
@@ -386,7 +383,7 @@ func TestCancelledSweepLeavesNoTimer(t *testing.T) {
 		due := clk.pending()
 		return len(due) == 1 && due[0] == cfg.PollInterval
 	})
-	if code, body := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil, nil); code != http.StatusOK {
+	if code, body := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil); code != http.StatusOK {
 		t.Fatalf("cancel: %d: %s", code, body)
 	}
 	waitUntil(t, "the cancelled poll wait to stop its timer", func() bool { return len(clk.pending()) == 0 })
@@ -503,7 +500,7 @@ func TestBreakerOpensOnDeadWorker(t *testing.T) {
 	if got := h.c.met.breakerOpens.Load(); got != 1 {
 		t.Fatalf("breaker-opens metric = %d, want 1", got)
 	}
-	code, body := h.do(http.MethodGet, "/v1/workers", nil, nil)
+	code, body := h.do(http.MethodGet, "/v1/workers", nil)
 	if code != http.StatusOK {
 		t.Fatalf("workers: %d", code)
 	}
@@ -541,40 +538,6 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 	requireSerialLedger(t, tinySweep(1), h.result(st.ID))
 }
 
-func TestRateLimitPerClient(t *testing.T) {
-	// Burst 1, negligible refill: a client's second submission bounces with
-	// 429 while a differently identified client still gets through.
-	good := newFakeWorker(t)
-	clk := newFakeClock()
-	cfg := fastCfg(clk, good.url())
-	cfg.SweepRate = 1e-9
-	cfg.SweepBurst = 1
-	h := newHarness(t, cfg)
-
-	first := h.submit(tinySweep(1))
-	b, _ := json.Marshal(tinySweep(2))
-	code, body := h.do(http.MethodPost, "/v1/sweeps", b, nil)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("second submit: status %d (%s), want 429", code, body)
-	}
-	if got := h.c.met.rateLimited.Load(); got != 1 {
-		t.Fatalf("rate-limited metric = %d, want 1", got)
-	}
-	code, body = h.do(http.MethodPost, "/v1/sweeps", b, map[string]string{"X-Client-ID": "other-tenant"})
-	if code != http.StatusAccepted {
-		t.Fatalf("other client submit: status %d (%s), want 202", code, body)
-	}
-	var second SweepStatus
-	if err := json.Unmarshal(body, &second); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{first.ID, second.ID} {
-		if st := h.waitTerminal(id, 50*time.Millisecond); st.State != server.StateSucceeded {
-			t.Fatalf("sweep %s: %s (%s)", id, st.State, st.Error)
-		}
-	}
-}
-
 func TestCancelSweepMidFlight(t *testing.T) {
 	// DELETE on a running sweep cancels it: in-flight dispatches abort, the
 	// state is terminal-sticky, and the result endpoint answers 409.
@@ -584,17 +547,17 @@ func TestCancelSweepMidFlight(t *testing.T) {
 	h := newHarness(t, fastCfg(clk, hung.url()))
 
 	st := h.submit(tinySweep(1))
-	code, body := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil, nil)
+	code, body := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("cancel: %d: %s", code, body)
 	}
 	if got := h.waitTerminal(st.ID, 10*time.Millisecond); got.State != server.StateCancelled {
 		t.Fatalf("state after cancel = %s, want cancelled", got.State)
 	}
-	if code, _ := h.do(http.MethodGet, "/v1/sweeps/"+st.ID+"/result", nil, nil); code != http.StatusConflict {
+	if code, _ := h.do(http.MethodGet, "/v1/sweeps/"+st.ID+"/result", nil); code != http.StatusConflict {
 		t.Fatalf("result of cancelled sweep: %d, want 409", code)
 	}
-	if code, _ := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil, nil); code != http.StatusConflict {
+	if code, _ := h.do(http.MethodDelete, "/v1/sweeps/"+st.ID, nil); code != http.StatusConflict {
 		t.Fatalf("second cancel: %d, want 409", code)
 	}
 	if got := h.c.met.sweepsCancelled.Load(); got != 1 {
@@ -621,9 +584,98 @@ func TestDrainKillCancelsSweep(t *testing.T) {
 	if got := h.status(st.ID); got.State != server.StateCancelled || got.Error != "" {
 		t.Fatalf("sweep after a drain kill: %s (%q), want cancelled with no error", got.State, got.Error)
 	}
-	_, body := h.do(http.MethodGet, "/metrics", nil, nil)
+	_, body := h.do(http.MethodGet, "/metrics", nil)
 	if want := `coord_sweeps_total{state="cancelled"} 1`; !strings.Contains(string(body), want+"\n") {
 		t.Fatalf("/metrics lacks %s:\n%s", want, body)
+	}
+}
+
+// gatedBody is a request body whose first Read closes reading and then
+// waits for release, so a test can act while a submission is still
+// arriving.
+type gatedBody struct {
+	reading, release chan struct{}
+	once             sync.Once
+	r                io.Reader
+}
+
+func (g *gatedBody) Read(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.reading)
+		<-g.release
+	})
+	return g.r.Read(p)
+}
+
+func TestSubmitDuringDrainRefused(t *testing.T) {
+	// A submission whose body is still arriving when Shutdown runs must be
+	// refused 503 once it arrives: Shutdown has already waited for every
+	// accepted sweep and closed the journal, so a sweep accepted now would
+	// never be journaled and a restarted coordinator would never hear of
+	// it.
+	c, err := New(Config{Clock: newFakeClock(), JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(tinySweep(1))
+	body := &gatedBody{reading: make(chan struct{}), release: make(chan struct{}), r: bytes.NewReader(spec)}
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", body))
+	}()
+	<-body.reading
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	close(body.release)
+	<-served
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit that arrived during the drain: status %d (%s), want 503", rec.Code, rec.Body)
+	}
+	list := httptest.NewRecorder()
+	c.Handler().ServeHTTP(list, httptest.NewRequest(http.MethodGet, "/v1/sweeps", nil))
+	var got struct {
+		Count int `json:"count"`
+	}
+	if err := json.Unmarshal(list.Body.Bytes(), &got); err != nil || got.Count != 0 {
+		t.Fatalf("sweep list after the refused submit: %s, want no sweeps", list.Body)
+	}
+}
+
+func TestFullActiveTableRefusesSubmit(t *testing.T) {
+	// maxActiveSweeps sweeps hung on a worker that never answers fill the
+	// active-sweep table: the next submission is refused 429 and counted
+	// rejected, and cancelling one of the hung sweeps frees its slot.
+	hung := newFakeWorker(t)
+	hung.onSubmit = hangForever
+	clk := newFakeClock()
+	h := newHarness(t, fastCfg(clk, hung.url()))
+
+	ids := make([]string, maxActiveSweeps)
+	for i := range ids {
+		ids[i] = h.submit(tinySweep(uint64(i + 1))).ID
+	}
+	extra, _ := json.Marshal(tinySweep(99))
+	if code, body := h.do(http.MethodPost, "/v1/sweeps", extra); code != http.StatusTooManyRequests {
+		t.Fatalf("submit past %d active sweeps: status %d (%s), want 429", maxActiveSweeps, code, body)
+	}
+	_, body := h.do(http.MethodGet, "/metrics", nil)
+	if want := `coord_sweeps_total{state="rejected"} 1`; !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("/metrics lacks %s:\n%s", want, body)
+	}
+	if code, body := h.do(http.MethodDelete, "/v1/sweeps/"+ids[0], nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d: %s", code, body)
+	}
+	h.submit(tinySweep(99))
+
+	// The hung sweeps never finish: end the drain at once rather than wait
+	// out the cleanup's deadline.
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := h.c.Shutdown(ended); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown past its deadline = %v, want context.Canceled", err)
 	}
 }
 
@@ -632,13 +684,13 @@ func TestSubmitRejections(t *testing.T) {
 	clk := newFakeClock()
 	h := newHarness(t, fastCfg(clk, good.url()))
 
-	if code, _ := h.do(http.MethodPost, "/v1/sweeps", []byte(`{not json`), nil); code != http.StatusBadRequest {
+	if code, _ := h.do(http.MethodPost, "/v1/sweeps", []byte(`{not json`)); code != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: %d, want 400", code)
 	}
-	if code, body := h.do(http.MethodPost, "/v1/sweeps", []byte(`{"n":100,"bogus":1}`), nil); code != http.StatusBadRequest {
+	if code, body := h.do(http.MethodPost, "/v1/sweeps", []byte(`{"n":100,"bogus":1}`)); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d (%s), want 400", code, body)
 	}
-	code, body := h.do(http.MethodPost, "/v1/sweeps", []byte(`{"n":100}`), nil)
+	code, body := h.do(http.MethodPost, "/v1/sweeps", []byte(`{"n":100}`))
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty axes: %d, want 400", code)
 	}
@@ -649,7 +701,7 @@ func TestSubmitRejections(t *testing.T) {
 
 	h.c.accepting.Store(false)
 	b, _ := json.Marshal(tinySweep(1))
-	if code, _ := h.do(http.MethodPost, "/v1/sweeps", b, nil); code != http.StatusServiceUnavailable {
+	if code, _ := h.do(http.MethodPost, "/v1/sweeps", b); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining submit: %d, want 503", code)
 	}
 	h.c.accepting.Store(true)

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"strings"
 
 	"cache8t/internal/server"
 )
@@ -29,34 +27,21 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// clientID identifies the submitter for rate limiting: the X-Client-ID
-// header when set (cooperating clients name themselves), else the remote
-// host so distinct machines get distinct buckets.
-func clientID(r *http.Request) string {
-	if id := strings.TrimSpace(r.Header.Get("X-Client-ID")); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
+// errDraining answers a submission that arrives while the coordinator drains.
+var errDraining = server.APIError{Error: "coordinator is draining; not accepting sweeps"}
 
 // handleSubmit accepts a sweep: 202 with the sweep status, 400 on a
 // malformed or invalid spec (field-level errors), 413 past the body limit,
-// 429 when rate-limited or the active-sweep table is full, 503 while
-// draining. A sweep whose merged ledger is already in the result cache
-// short-circuits to succeeded without a single dispatch — the sweep-level analogue of the
-// worker's cache hit on submit.
+// 429 when maxActiveSweeps sweeps are already active, 503 while draining.
+// The drain check is repeated under mu, where the sweep is registered and
+// takes its sweepWG slot, so a body still arriving when Shutdown runs is
+// refused rather than accepted after the journal has closed. A sweep whose
+// merged ledger is already in the result cache short-circuits to succeeded
+// without a single dispatch — the sweep-level analogue of the worker's
+// cache hit on submit.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !c.accepting.Load() {
-		c.reject(w, http.StatusServiceUnavailable, server.APIError{Error: "coordinator is draining; not accepting sweeps"})
-		return
-	}
-	if !c.lim.allow(clientID(r), c.clk.Now()) {
-		c.met.rateLimited.Add(1)
-		c.reject(w, http.StatusTooManyRequests, server.APIError{Error: "rate limit exceeded; retry later"})
+		c.reject(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepSpecBytes))
@@ -86,15 +71,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	points := spec.Points()
 
 	c.mu.Lock()
-	if c.active >= c.cfg.MaxActiveSweeps {
+	if !c.accepting.Load() {
+		c.mu.Unlock()
+		c.reject(w, http.StatusServiceUnavailable, errDraining)
+		return
+	}
+	if c.active >= maxActiveSweeps {
 		c.mu.Unlock()
 		c.reject(w, http.StatusTooManyRequests,
-			server.APIError{Error: fmt.Sprintf("%d sweeps already active; retry later", c.cfg.MaxActiveSweeps)})
+			server.APIError{Error: fmt.Sprintf("%d sweeps already active; retry later", maxActiveSweeps)})
 		return
 	}
 	s := newSweep(c.baseCtx, c.sweeps.NextID(), spec, hash, points, c.clk.Now())
 	c.sweeps.Put(s.ID, s)
 	c.active++
+	c.sweepWG.Add(1)
 	c.mu.Unlock()
 	c.met.sweepsSubmitted.Add(1)
 
@@ -108,12 +99,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.cached.Store(int64(points))
 				c.met.pointsCached.Add(int64(points))
 				c.finishSweep(s, server.StateSucceeded, "", blob)
+				c.sweepWG.Done()
 				server.WriteJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
 				return
 			}
 		}
 	}
-	c.sweepWG.Add(1)
 	go c.runSweep(s)
 	server.WriteJSON(w, http.StatusAccepted, s.status(c.clk.Now()))
 }

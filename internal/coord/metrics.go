@@ -12,7 +12,7 @@ import (
 // /metrics in Prometheus text exposition format.
 type coordMetrics struct {
 	sweepsSubmitted atomic.Int64
-	sweepsRejected  atomic.Int64 // bounced by rate limit, validation, or drain
+	sweepsRejected  atomic.Int64 // bounced by validation, a full active table, or drain
 	sweepsSucceeded atomic.Int64
 	sweepsFailed    atomic.Int64
 	sweepsCancelled atomic.Int64
@@ -23,10 +23,7 @@ type coordMetrics struct {
 	pointsCached     atomic.Int64 // points served from the result cache, never dispatched
 	redispatches     atomic.Int64 // failed/timed-out attempts retried elsewhere
 	corruptArtifacts atomic.Int64 // fetched artifacts rejected by hash verification
-	rateLimited      atomic.Int64 // submissions bounced by the token bucket
 	breakerOpens     atomic.Int64 // worker breaker open transitions
-	probesOK         atomic.Int64 // active health probes that saw a 200
-	probesFailed     atomic.Int64 // active health probes that errored or timed out
 }
 
 // render writes the Prometheus exposition. workers and activeSweeps come
@@ -52,11 +49,7 @@ func (m *coordMetrics) render(w io.Writer, workers []WorkerStatus, activeSweeps 
 		server.Sample{Series: `{event="cached"}`, Value: m.pointsCached.Load()})
 	one("coord_redispatches_total", "counter", "Failed or timed-out dispatch attempts that were retried.", m.redispatches.Load())
 	one("coord_corrupt_artifacts_total", "counter", "Fetched artifacts rejected by config-hash verification (never merged).", m.corruptArtifacts.Load())
-	one("coord_rate_limited_total", "counter", "Sweep submissions bounced by the per-client token bucket.", m.rateLimited.Load())
 	one("coord_breaker_opens_total", "counter", "Worker circuit-breaker open transitions.", m.breakerOpens.Load())
-	server.WriteFamily(w, "coord_probes_total", "counter", "Active /healthz probes by result.",
-		server.Sample{Series: `{result="ok"}`, Value: m.probesOK.Load()},
-		server.Sample{Series: `{result="failed"}`, Value: m.probesFailed.Load()})
 
 	byState := map[string]int{}
 	for _, ws := range workers {

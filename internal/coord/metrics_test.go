@@ -122,7 +122,7 @@ func TestMetricsRenderBytes(t *testing.T) {
 	for i, c := range []*atomic.Int64{
 		&m.sweepsSubmitted, &m.sweepsRejected, &m.sweepsSucceeded, &m.sweepsFailed, &m.sweepsCancelled,
 		&m.sweepsRecovered, &m.pointsDispatched, &m.pointsSucceeded, &m.pointsCached, &m.redispatches,
-		&m.corruptArtifacts, &m.rateLimited, &m.breakerOpens, &m.probesOK, &m.probesFailed,
+		&m.corruptArtifacts, &m.breakerOpens,
 	} {
 		c.Add(int64(i + 1))
 	}
@@ -159,16 +159,9 @@ coord_redispatches_total 10
 # HELP coord_corrupt_artifacts_total Fetched artifacts rejected by config-hash verification (never merged).
 # TYPE coord_corrupt_artifacts_total counter
 coord_corrupt_artifacts_total 11
-# HELP coord_rate_limited_total Sweep submissions bounced by the per-client token bucket.
-# TYPE coord_rate_limited_total counter
-coord_rate_limited_total 12
 # HELP coord_breaker_opens_total Worker circuit-breaker open transitions.
 # TYPE coord_breaker_opens_total counter
-coord_breaker_opens_total 13
-# HELP coord_probes_total Active /healthz probes by result.
-# TYPE coord_probes_total counter
-coord_probes_total{result="ok"} 14
-coord_probes_total{result="failed"} 15
+coord_breaker_opens_total 12
 # HELP coord_workers Registered workers by breaker state.
 # TYPE coord_workers gauge
 coord_workers{breaker="closed"} 2

@@ -95,14 +95,6 @@ func (r *registry) pick(now time.Time) *worker {
 	return nil
 }
 
-// all returns a snapshot of the fleet in registration order; the health
-// prober iterates it outside the registry lock.
-func (r *registry) all() []*worker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*worker(nil), r.workers...)
-}
-
 // size returns the fleet size.
 func (r *registry) size() int {
 	r.mu.Lock()

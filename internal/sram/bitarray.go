@@ -159,16 +159,6 @@ func (a *BitArray) WriteWordUnsafe(row, word int, data []bool) error {
 	return nil
 }
 
-// RowSnapshot returns a copy of a row's bits, for verification.
-func (a *BitArray) RowSnapshot(row int) ([]bool, error) {
-	if err := a.check(row, 0); err != nil {
-		return nil, err
-	}
-	out := make([]bool, a.cfg.Cols)
-	copy(out, a.bits[row])
-	return out, nil
-}
-
 // InjectUpset flips a burst of `width` physically adjacent columns starting
 // at col in the given row — a multi-bit soft-error event (particle strike).
 // Returns the columns flipped. Combined with columnOf's interleaved layout,

@@ -230,25 +230,3 @@ func TestInterleavingSpreadsBurstAcrossWords(t *testing.T) {
 		}
 	}
 }
-
-func TestRowSnapshot(t *testing.T) {
-	a, _ := NewBitArray(smallBitConfig(EightT, 4), 1)
-	if err := a.ReadRowToLatches(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WriteWordRMW(5, 2, bitsOf(0x3c, 8)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := a.RowSnapshot(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap[0] = !snap[0]
-	fresh, _ := a.RowSnapshot(5)
-	if fresh[0] == snap[0] {
-		t.Fatal("snapshot aliases array storage")
-	}
-	if _, err := a.RowSnapshot(-1); err == nil {
-		t.Fatal("bad row accepted")
-	}
-}
